@@ -10,6 +10,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,49 +168,51 @@ def resolve_m(doc: InstanceDocument, args) -> int | None:
     return None
 
 
-def build_model(doc: InstanceDocument, relax: str, m: int | None, args):
-    inst = doc.instance
+def scope_instance(inst: TimetablingInstance, m: int) -> TimetablingInstance:
+    """The instance with m rooms, every other field carried over unchanged.
+
+    Room capacities and room features keep the first m rooms; an instance
+    listing fewer than m rooms gets m rooms sized for its largest event.
+    """
+    caps = (
+        inst.room_capacities[:m]
+        if len(inst.room_capacities) >= m
+        else (max(inst.event_sizes, default=1),) * m
+    )
+    return replace(
+        inst,
+        m=m,
+        room_capacities=caps,
+        room_features=frozenset((r, f) for (r, f) in inst.room_features if r < m),
+    )
+
+
+def _refuse_unmodelled(inst: TimetablingInstance, relax: str, *fields: str) -> None:
+    """Fail instead of silently bounding a problem without these fields."""
+    for name in fields:
+        if getattr(inst, name):
+            raise CliError(f"relaxation {relax!r} cannot model the instance's {name}")
+
+
+def build_model(inst: TimetablingInstance, relax: str, m: int | None, args):
     g = inst.graph
     if relax in ("lovasz", "strict", "strong"):
         return build_theta(g, relax), None
     if m is None:
         raise CliError(f"relaxation {relax!r} needs --m or --m-offset")
+    scoped = scope_instance(inst, m)
     if relax == "bounded":
-        if inst.precolouring:
-            return build_precoloured(g, m, inst.precolouring)
-        if inst.weights is not None:
-            return build_weighted(g, m, inst.weights)
+        if scoped.precolouring:
+            _refuse_unmodelled(scoped, "bounded (pre-coloured)", "weights")
+            return build_precoloured(g, m, scoped.precolouring)
+        if scoped.weights is not None:
+            return build_weighted(g, m, scoped.weights)
         return build_bounded(g, m)
     if relax == "laminar":
-        scoped = TimetablingInstance(
-            graph=g,
-            m=m,
-            event_sizes=inst.event_sizes,
-            room_capacities=inst.room_capacities[:m]
-            if len(inst.room_capacities) >= m
-            else (max(inst.event_sizes),) * m,
-            feature_count=inst.feature_count,
-            event_features=inst.event_features,
-            room_features=frozenset(
-                (r, f) for (r, f) in inst.room_features if r < m
-            ),
-            precolouring=inst.precolouring,
-        )
+        _refuse_unmodelled(scoped, relax, "weights")
         return build_laminar(scoped, counting=args.counting, features=args.features)
     if relax == "rooms":
-        scoped = TimetablingInstance(
-            graph=g,
-            m=m,
-            event_sizes=inst.event_sizes,
-            room_capacities=inst.room_capacities[:m]
-            if len(inst.room_capacities) >= m
-            else (max(inst.event_sizes),) * m,
-            feature_count=inst.feature_count,
-            event_features=inst.event_features,
-            room_features=frozenset(
-                (r, f) for (r, f) in inst.room_features if r < m
-            ),
-        )
+        _refuse_unmodelled(scoped, relax, "weights", "precolouring")
         model = build_room_assignment(scoped, room_stability=args.room_stability)
         sem = BoundSemantics(
             transform="scaled",
@@ -252,7 +255,7 @@ def cmd_bound(args) -> int:
         doc = select_component(doc, args.component)
     m = resolve_m(doc, args)
     relax = args.relax or ("bounded" if m is not None else "lovasz")
-    model, sem = build_model(doc, relax, m, args)
+    model, sem = build_model(doc.instance, relax, m, args)
     warm = None
     if not args.no_warm and sem is not None and m is not None:
         try:
@@ -298,21 +301,7 @@ def cmd_colour(args) -> int:
     m = resolve_m(doc, args)
     if m is None:
         raise CliError("colour needs --m or --m-offset")
-    inst_full = doc.instance
-    inst = TimetablingInstance(
-        graph=inst_full.graph,
-        m=m,
-        event_sizes=inst_full.event_sizes,
-        room_capacities=inst_full.room_capacities[:m]
-        if len(inst_full.room_capacities) >= m
-        else (max(inst_full.event_sizes),) * m,
-        feature_count=inst_full.feature_count,
-        event_features=inst_full.event_features,
-        room_features=frozenset(
-            (r, f) for (r, f) in inst_full.room_features if r < m
-        ),
-        precolouring=inst_full.precolouring,
-    )
+    inst = scope_instance(doc.instance, m)
     rcfg = RoundingConfig(attempts=args.attempts, seed=args.round_seed,
                           delta=args.delta)
     t0 = time.perf_counter()
@@ -320,7 +309,7 @@ def cmd_colour(args) -> int:
         part = greedy_colouring(inst, seed=args.round_seed)
         certified = counting_bound(inst.graph.n, m)
     else:
-        model, sem = build_model(doc, "bounded", m, args)
+        model, sem = build_model(inst, "bounded", m, args)
         warm = None
         try:
             warm = greedy_colouring(inst, seed=args.seed)

@@ -9,9 +9,10 @@ greedy provides warm starts and the fallback upper bound.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,8 @@ __all__ = [
     "greedy_colouring",
     "assign_rooms",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,16 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     bound, capacity and feature counts; leftovers wait for later rounds.  The
     best of cfg.attempts attempts is returned (fewest classes, then earliest
     attempt); a top-scorer is admitted when a round would otherwise stall, so
-    termination with a valid partition is unconditional.
+    every run ends with a valid partition, unless some atom fits no class on
+    its own, which raises ValueError.
+
+    With k atoms (pre-colouring classes and free vertices) of Gram dimension
+    d, set-up builds a k x k int8 atom-conflict matrix once per call.  A
+    round then costs one k x d scoring product, an O(k log k) sort and an
+    O(k |class|) degree update, plus a class_violations call per admitted
+    candidate; see _compact for the post-pass.  A DEBUG record on this
+    module's logger reports the attempt count, the best attempt and the
+    class-count range.
     """
     cfg = cfg or RoundingConfig()
     atoms = _AtomView(inst)
@@ -204,13 +216,32 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
         vec = unit[list(mem)].sum(axis=0)
         nv = np.linalg.norm(vec)
         atom_vec[a] = vec / nv if nv > 0 else vec
+    atom_of = np.empty(n, dtype=np.intp)
+    for a, mem in enumerate(atoms.members):
+        atom_of[list(mem)] = a
+    conflict = np.zeros((atoms.k, atoms.k), dtype=np.int8)
+    if inst.graph.edges:
+        ends = atom_of[np.array(list(inst.graph.edges))]
+        conflict[ends[:, 0], ends[:, 1]] = 1
+        conflict[ends[:, 1], ends[:, 0]] = 1
+    weights = [sum(inst.vertex_weight(v) for v in mem) for mem in atoms.members]
     best: Optional[list[list[int]]] = None
+    counts: list[int] = []
     for attempt in range(cfg.attempts):
         rng = np.random.default_rng((cfg.seed, attempt))
-        classes = _kms_attempt(atoms, atom_vec, k_bound, rng)
+        classes = _kms_attempt(atoms, atom_vec, conflict, weights, k_bound, rng)
         classes = _compact(atoms, classes)
+        counts.append(len(classes))
         if best is None or len(classes) < len(best):
             best = classes
+    if _log.isEnabledFor(logging.DEBUG):
+        stats = {"attempts": cfg.attempts, "best_attempt": counts.index(len(best)),
+                 "min_classes": min(counts), "max_classes": max(counts)}
+        _log.debug(
+            "kms_round: %(attempts)d attempts, best %(best_attempt)d, "
+            "classes %(min_classes)d..%(max_classes)d", stats,
+            extra={"kms": stats},
+        )
     part = Partition.from_lists(
         [[v for a in cls for v in atoms.members[a]] for cls in best]
     )
@@ -218,93 +249,98 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     return Partition(part.classes, rooms)
 
 
-def _kms_attempt(atoms: _AtomView, atom_vec: np.ndarray, k_bound: int,
+def _kms_attempt(atoms: _AtomView, atom_vec: np.ndarray, conflict: np.ndarray,
+                 weights: Sequence[int], k_bound: int,
                  rng: np.random.Generator) -> list[list[int]]:
-    remaining = set(range(atoms.k))
+    alive = np.ones(atoms.k, dtype=bool)
+    # degree of each atom in the conflict graph induced on the alive atoms
+    degree = conflict.sum(axis=1, dtype=np.int64)
     classes: list[list[int]] = []
-    inst = atoms.inst
-    while remaining:
-        rem = sorted(remaining)
-        deg = {
-            a: sum(
-                1 for b in rem if b != a and atoms.masks[a] & atoms.vertex_bits[b]
-            )
-            for a in rem
-        }
-        cap = _kms_threshold(k_bound, max(deg.values(), default=0))
+    m = atoms.inst.m
+    while alive.any():
+        rem = np.flatnonzero(alive)
+        cap = _kms_threshold(k_bound, int(degree[rem].max()))
         r = rng.standard_normal(atom_vec.shape[1])
-        scores = {a: float(atom_vec[a] @ r) for a in rem}
-        order = sorted(rem, key=lambda a: (-scores[a], a))
+        scores = atom_vec[rem] @ r
+        pick = np.lexsort((rem, -scores))
         chosen: list[int] = []
         chosen_bits = 0
         weight = 0
-        for a in order:
-            if scores[a] < cap and chosen:
+        for a, score in zip(rem[pick].tolist(), scores[pick].tolist()):
+            if score < cap and chosen:
                 break
-            if atoms.conflicts(a, chosen_bits):
+            if atoms.masks[a] & chosen_bits:
                 continue
-            w = sum(inst.vertex_weight(v) for v in atoms.members[a])
-            if weight + w > inst.m:
+            w = weights[a]
+            if weight + w > m:
                 continue
             if not atoms.class_ok(chosen, a):
                 continue
             chosen.append(a)
             chosen_bits |= atoms.vertex_bits[a]
             weight += w
-            if scores[a] < cap:
+            if score < cap:
                 break  # stall guard admitted a single top scorer
+        if not chosen:  # no remaining atom fits even an empty class
+            stuck = atoms.members[int(rem[pick[0]])]
+            raise ValueError(f"infeasible: events {stuck} fit no room arrangement")
         classes.append(chosen)
-        remaining -= set(chosen)
+        alive[chosen] = False
+        degree -= conflict[:, chosen].sum(axis=1, dtype=np.int64)
     return classes
 
 
-def _class_bits(atoms: _AtomView, cls: Sequence[int]) -> int:
+def _class_bits(per_atom: Sequence[int], cls: Sequence[int]) -> int:
     bits = 0
     for a in cls:
-        bits |= atoms.vertex_bits[a]
+        bits |= per_atom[a]
     return bits
 
 
 def _compact(atoms: _AtomView, classes: list[list[int]]) -> list[list[int]]:
     """Deterministic post-pass: merge whole classes, then dissolve small ones
-    by relocating members, until no move reduces the class count."""
+    by relocating members, until no move reduces the class count.
+
+    Each sweep caches every class's vertex bits and neighbour mask, so with C
+    classes over k atoms a sweep costs O(k) to build the caches and O(C^2)
+    single-AND merge tests, plus a class_violations call per conflict-free
+    pair or relocation; every successful move starts a new sweep.
+    """
     inst = atoms.inst
     classes = [sorted(c) for c in classes]
     changed = True
     while changed:
         changed = False
         classes.sort(key=lambda c: (len(c), c))
+        bits = [_class_bits(atoms.vertex_bits, c) for c in classes]
+        nbrs = [_class_bits(atoms.masks, c) for c in classes]
         for i in range(len(classes)):
-            merged = False
             for j in range(len(classes)):
-                if i == j:
-                    continue
-                bits_j = _class_bits(atoms, classes[j])
-                if any(atoms.masks[a] & bits_j for a in classes[i]):
+                if i == j or nbrs[i] & bits[j]:
                     continue
                 union = [v for a in classes[i] + classes[j] for v in atoms.members[a]]
                 if class_violations(inst, union):
                     continue
                 classes[j] = sorted(classes[j] + classes[i])
                 del classes[i]
-                merged = changed = True
+                changed = True
                 break
-            if merged:
+            if changed:
                 break
         if changed:
             continue
         for i in range(len(classes)):
             trial = [list(c) for c in classes]
+            trial_bits = list(bits)
             emptied = True
-            for a in list(trial[i]):
+            for a in trial[i]:
                 placed = False
                 for j in range(len(trial)):
-                    if j == i:
-                        continue
-                    if atoms.masks[a] & _class_bits(atoms, trial[j]):
+                    if j == i or atoms.masks[a] & trial_bits[j]:
                         continue
                     if atoms.class_ok(trial[j], a):
                         trial[j].append(a)
+                        trial_bits[j] |= atoms.vertex_bits[a]
                         placed = True
                         break
                 if not placed:
@@ -323,7 +359,6 @@ def iterative_round(
     x: np.ndarray,
     inst: TimetablingInstance,
     cfg: Optional[RoundingConfig] = None,
-    subsolver: Optional[Callable] = None,
 ) -> tuple[Partition, RoundingDiagnostics]:
     """Eigenvalue fixing over the box form 0 <= X <= I with bounded trace.
 
@@ -393,12 +428,9 @@ def iterative_round(
         if not ok:
             notes.append("trace budget exhausted; remaining frame dropped")
             break
-        runner = subsolver or (
-            lambda mdl: solver_mod.solve(
-                mdl, None, solver_mod.SolverConfig(max_iter=1200, eps=1e-5)
-            )
+        res = solver_mod.solve(
+            sub, None, solver_mod.SolverConfig(max_iter=1200, eps=1e-5)
         )
-        res = runner(sub)
         if res.status == "diverged":
             diag_out = RoundingDiagnostics(
                 tuple(violations), _violation_bound(rows, n), rounds,

@@ -6,14 +6,25 @@ from pathlib import Path
 import pytest
 
 from bcsdp.cli import main, read_partition
-from bcsdp.graphs import TimetablingInstance, validate_partition
-from bcsdp.ingest import parse_native
+from bcsdp.graphs import ConflictGraph, TimetablingInstance, validate_partition
+from bcsdp.ingest import InstanceDocument, parse_native, write_native
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def native_file(tmp_path, weights=None, precolouring=()):
+    """Six events, conflicts 0-1 and 2-3, written as a bcsdp-v1 file."""
+    inst = TimetablingInstance(
+        ConflictGraph(6, frozenset({(0, 1), (2, 3)})), m=2,
+        weights=weights, precolouring=precolouring,
+    )
+    path = tmp_path / "six.bcsdp"
+    path.write_text(write_native(InstanceDocument("six", inst, "native")))
+    return inst, path
 
 
 class TestBound:
@@ -56,6 +67,22 @@ class TestBound:
         code, out, err = run_cli(["bound", "--gen", "blob:3", "--m", "1"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("relax, weights, pre, field", [
+        ("laminar", (2, 2, 1, 1, 1, 1), (), "weights"),
+        ("rooms", (2, 2, 1, 1, 1, 1), (), "weights"),
+        ("rooms", None, (frozenset({0, 2}),), "precolouring"),
+        ("bounded", (2, 2, 1, 1, 1, 1), (frozenset({0, 2}),), "weights"),
+    ])
+    def test_unmodelled_field_refused(self, capsys, tmp_path, relax, weights,
+                                      pre, field):
+        _, path = native_file(tmp_path, weights, pre)
+        code, out, err = run_cli(
+            ["bound", str(path), "--relax", relax, "--m", "2"], capsys
+        )
+        assert code == 1
+        assert f"cannot model the instance's {field}" in err
+        assert out == ""
+
 
 class TestColour:
     def test_empty_graph_gap_zero(self, capsys, tmp_path):
@@ -94,6 +121,20 @@ class TestColour:
         assert code == 0
         row = json.loads(out)[0]
         assert row["classes"] == 5
+
+    def test_weights_reach_kms(self, capsys, tmp_path):
+        inst, path = native_file(tmp_path, weights=(2, 2, 1, 1, 1, 1))
+        out_file = tmp_path / "part.txt"
+        code, out, err = run_cli(
+            ["colour", str(path), "--m", "2", "--method", "kms",
+             "--out", str(out_file), "--output-format", "json"], capsys
+        )
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["valid"] is True
+        assert row["classes"] == 4  # total weight 8 in classes of weight <= 2
+        assert row["gap"] >= 0
+        assert validate_partition(inst, read_partition(out_file.read_text())).ok
 
     def test_iterative_method(self, capsys):
         code, out, err = run_cli(

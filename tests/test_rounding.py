@@ -1,8 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from bcsdp.graphs import (
+    ConflictGraph,
     TimetablingInstance,
+    class_violations,
     complete_graph,
     empty_graph,
     gen_gnp,
@@ -11,6 +17,8 @@ from bcsdp.graphs import (
 from bcsdp.relax import build_bounded
 from bcsdp.rounding import (
     RoundingConfig,
+    _AtomView,
+    _compact,
     greedy_colouring,
     iterative_round,
     kms_round,
@@ -171,3 +179,159 @@ class TestIterative:
         part, diag = iterative_round(model, res.X_final, inst, RoundingConfig())
         # reported violations stay within the singular-value budget
         assert max(diag.constraint_violations, default=0.0) <= diag.violation_bound + 1e-6
+
+
+def planted_solution(n: int, k: int, seed: int, noise: float = 0.6) -> np.ndarray:
+    """Seeded PSD matrix shaped like a bounded-colouring solution Y.
+
+    Vertex v's Gram vector is the unit direction of class v mod k plus
+    Gaussian noise, normalized; Y has diagonal k.  It is built without the
+    solver so that the pinned partitions below move only when the rounding
+    itself changes.
+    """
+    rng = np.random.default_rng(seed)
+    vec = noise * rng.standard_normal((n, k))
+    vec[np.arange(n), np.arange(n) % k] += 1.0
+    vec /= np.linalg.norm(vec, axis=1)[:, None]
+    return k * (vec @ vec.T)
+
+
+def timetable_instance() -> TimetablingInstance:
+    """Multi-member pre-colouring atoms, weights, two capacities, one feature."""
+    g = ConflictGraph.from_edges(14, [
+        (0, 1), (0, 4), (1, 2), (2, 3), (3, 6), (4, 7), (5, 8), (6, 9),
+        (7, 10), (8, 11), (9, 12), (10, 13), (11, 12), (1, 13), (3, 8),
+    ])
+    return TimetablingInstance(
+        graph=g, m=3,
+        event_sizes=(40, 90, 40, 40, 90, 40, 40, 90, 40, 40, 40, 90, 40, 40),
+        room_capacities=(50, 100, 100),
+        feature_count=1,
+        event_features=frozenset({(2, 0), (9, 0), (12, 0)}),
+        room_features=frozenset({(1, 0)}),
+        precolouring=(frozenset({0, 2}), frozenset({5, 12, 13})),
+        weights=(1, 1, 1, 2, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1),
+    )
+
+
+def class_tuples(part):
+    return tuple(tuple(sorted(c)) for c in part.classes)
+
+
+class TestKmsGolden:
+    """Exact kms_round output, pinned so that a rewrite of its loops must
+    reproduce every timetable (classes in order, and rooms)."""
+
+    GNP40 = {
+        1: ((15, 32, 39), (16, 28, 34), (17, 22, 27), (1, 14, 30, 35),
+            (2, 3, 4, 8), (10, 18, 23, 37), (11, 20, 21, 25),
+            (0, 9, 12, 31, 36), (5, 7, 24, 29, 33), (6, 13, 19, 26, 38)),
+        2: ((1, 16, 39), (4, 7, 31), (11, 29, 32), (21, 34, 38),
+            (2, 9, 13, 22), (23, 25, 27, 30), (0, 5, 6, 10, 28),
+            (3, 8, 12, 17, 24), (14, 19, 20, 26, 35), (15, 18, 33, 36, 37)),
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_gnp40_m5(self, seed):
+        inst = TimetablingInstance.colouring(gen_gnp(40, 0.5, seed), 5)
+        part = kms_round(planted_solution(40, 12, seed), inst,
+                         RoundingConfig(attempts=20, seed=seed))
+        assert class_tuples(part) == self.GNP40[seed]
+        assert part.room_of is None
+        assert validate_partition(inst, part).ok
+
+    def test_timetable_with_atoms_weights_rooms_features(self):
+        inst = timetable_instance()
+        part = kms_round(planted_solution(14, 6, 3), inst,
+                         RoundingConfig(attempts=15, seed=4))
+        assert class_tuples(part) == (
+            (5, 12, 13), (10,), (0, 2, 8), (1, 3), (4, 9), (6, 7, 11),
+        )
+        assert sorted(part.room_of.items()) == [
+            (0, 0), (1, 1), (2, 1), (3, 0), (4, 2), (5, 0), (6, 0), (7, 1),
+            (8, 2), (9, 1), (10, 0), (11, 2), (12, 1), (13, 2),
+        ]
+        assert validate_partition(inst, part).ok
+
+
+@st.composite
+def small_timetables(draw):
+    """Small instances with weights, two capacities, one feature and one
+    pre-colouring class, in which every atom fits a class on its own."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 4))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pre = draw(st.frozensets(st.integers(0, n - 1), max_size=min(m, n)))
+    drawn = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v) for u, v in drawn if not (u in pre and v in pre)]
+    caps = [2] + draw(st.lists(st.sampled_from([1, 2]), min_size=m - 1, max_size=m - 1))
+    inst = TimetablingInstance(
+        graph=ConflictGraph.from_edges(n, edges), m=m,
+        event_sizes=tuple(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))),
+        room_capacities=tuple(caps),
+        feature_count=1,
+        event_features=frozenset(
+            (v, 0) for v in draw(st.frozensets(st.integers(0, n - 1)))
+        ),
+        room_features=frozenset({(0, 0)}),
+        precolouring=(pre,) if pre else (),
+        weights=tuple(draw(st.lists(st.integers(1, min(2, m)), min_size=n, max_size=n))),
+    )
+    assume(not pre or not class_violations(inst, pre))
+    return inst
+
+
+class TestKmsProperties:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=small_timetables(), seed=st.integers(0, 2**16),
+           k=st.integers(1, 5))
+    def test_partition_valid_atoms_whole(self, inst, seed, k):
+        part = kms_round(planted_solution(inst.graph.n, k, seed), inst,
+                         RoundingConfig(attempts=3, seed=seed))
+        rep = validate_partition(inst, part)
+        assert rep.ok, rep.violations
+        for pre in inst.precolouring:
+            assert sum(1 for c in part.classes if c & pre) == 1
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=small_timetables(), data=st.data())
+    def test_compact_never_adds_classes(self, inst, data):
+        atoms = _AtomView(inst)
+        groups: dict[int, list[int]] = {}
+        for a in range(atoms.k):
+            groups.setdefault(data.draw(st.integers(0, atoms.k)), []).append(a)
+        classes = []
+        for group in groups.values():
+            verts = [v for a in group for v in atoms.members[a]]
+            if class_violations(inst, verts):
+                classes += [[a] for a in group]
+            else:
+                classes.append(group)
+        out = _compact(atoms, classes)
+        assert len(out) <= len(classes)
+        assert sorted(a for c in out for a in c) == list(range(atoms.k))
+        for c in out:
+            assert not class_violations(inst, [v for a in c for v in atoms.members[a]])
+
+
+class TestKmsReporting:
+    def test_debug_record_per_call(self, caplog):
+        inst = TimetablingInstance.colouring(gen_gnp(20, 0.5, 3), 4)
+        caplog.set_level(logging.DEBUG, logger="bcsdp.rounding")
+        part = kms_round(planted_solution(20, 6, 3), inst,
+                         RoundingConfig(attempts=7, seed=1))
+        records = [r for r in caplog.records if r.name == "bcsdp.rounding"]
+        assert len(records) == 1
+        stats = records[0].kms
+        assert stats["attempts"] == 7
+        assert 0 <= stats["best_attempt"] < 7
+        assert stats["min_classes"] == part.num_classes <= stats["max_classes"]
+
+    def test_infeasible_event_raises(self):
+        inst = TimetablingInstance(
+            graph=empty_graph(2), m=1, event_sizes=(5, 1), room_capacities=(3,),
+        )
+        with pytest.raises(ValueError, match="infeasible"):
+            kms_round(np.ones((2, 2)) + np.eye(2), inst, RoundingConfig(attempts=1))
