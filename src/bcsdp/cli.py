@@ -130,21 +130,40 @@ def load_document(paths: list[str], fmt: str) -> InstanceDocument:
 
 
 def select_component(doc: InstanceDocument, k: int) -> InstanceDocument:
-    """Restrict to the k-th largest connected component (k is 1-based)."""
+    """Restrict to the k-th largest connected component (k is 1-based).
+
+    Every per-event field is renumbered onto the kept events: pre-colouring
+    classes are cut to the component (empty ones dropped), and the rooms are
+    scoped to min(m, component size) through scope_instance.
+    """
     comps = sorted(connected_components(doc.instance.graph), key=len, reverse=True)
     if not 1 <= k <= len(comps):
         raise CliError(f"component {k} out of range (graph has {len(comps)})")
-    keep = sorted(comps[k - 1])
-    sub, old_ids = doc.instance.graph.subgraph(keep)
+    sub, old_ids = doc.instance.graph.subgraph(comps[k - 1])
+    new_id = {old: new for new, old in enumerate(old_ids)}
     inst = doc.instance
-    new_inst = TimetablingInstance(
+
+    def per_event(values):
+        return None if values is None else tuple(values[v] for v in old_ids)
+
+    classes = (
+        frozenset(new_id[v] for v in cls if v in new_id) for cls in inst.precolouring
+    )
+    renumbered = replace(
+        inst,
         graph=sub,
-        m=min(inst.m, max(sub.n, 1)),
-        event_sizes=tuple(inst.event_sizes[v] for v in old_ids),
-        room_capacities=inst.room_capacities[: min(inst.m, max(sub.n, 1))],
+        event_sizes=per_event(inst.event_sizes),
+        event_features=frozenset(
+            (new_id[v], f) for v, f in inst.event_features if v in new_id
+        ),
+        precolouring=tuple(cls for cls in classes if cls),
+        weights=per_event(inst.weights),
+        lectures=per_event(inst.lectures),
     )
     return InstanceDocument(
-        name=f"{doc.name}#c{k}", instance=new_inst, source_format=doc.source_format
+        name=f"{doc.name}#c{k}",
+        instance=scope_instance(renumbered, min(inst.m, max(sub.n, 1))),
+        source_format=doc.source_format,
     )
 
 
@@ -259,9 +278,7 @@ def cmd_bound(args) -> int:
     warm = None
     if not args.no_warm and sem is not None and m is not None:
         try:
-            warm = greedy_colouring(
-                TimetablingInstance.colouring(doc.instance.graph, m), seed=args.seed
-            )
+            warm = greedy_colouring(scope_instance(doc.instance, m), seed=args.seed)
         except ValueError:
             warm = None
     cfg = SolverConfig(
@@ -287,9 +304,10 @@ def cmd_bound(args) -> int:
         "iterations": res.iterations,
         "seconds": f"{seconds:.3f}",
         "status": res.status,
+        "kernels": "|".join(res.kernels),
     }
     fields = ["instance", "m", "relaxation", "bound", "certified",
-              "iterations", "seconds", "status"]
+              "iterations", "seconds", "status", "kernels"]
     _emit([row], fields, args.output_format, args.out)
     return 0 if res.status == "converged" else 3
 

@@ -27,9 +27,11 @@ exists for cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .graphs import ConflictGraph, TimetablingInstance
 
@@ -50,6 +52,9 @@ __all__ = [
     "build_laminar",
     "build_room_assignment",
     "verify_structure",
+    "constraint_matrix",
+    "gram_matrix",
+    "gram_equals",
     "check_laminar",
 ]
 
@@ -87,14 +92,6 @@ class SymRow:
             if i != j:
                 out[j, i] += c
         return out
-
-    def frobenius(self, other: "SymRow") -> float:
-        mine = {(i, j): c for i, j, c in zip(self.idx_i, self.idx_j, self.coeff)}
-        total = 0.0
-        for i, j, c in zip(other.idx_i, other.idx_j, other.coeff):
-            if (i, j) in mine:
-                total += mine[(i, j)] * c * (2.0 if i != j else 1.0)
-        return total
 
 
 @dataclass(frozen=True)
@@ -208,25 +205,17 @@ class ModelSketch:
     printed_sense: str = "min"
 
 
-def bounded_sketch(g: ConflictGraph, m: int,
-                   elementwise_nonneg: bool = False) -> ModelSketch:
-    """The m-bounded colouring relaxation over (Y, t).
-
-    The default is the bare transformed constraint system (edge zeros,
-    diagonal chain, n row sums).  elementwise_nonneg=True additionally pins
-    Y >= 0 on non-edges, a strictly tighter variant that no longer matches
-    the published benchmark values (forbidden-intersection graphs move from
-    6.40 to 8.00), so it is off everywhere values are compared.
-    """
+def bounded_sketch(g: ConflictGraph, m: int) -> ModelSketch:
+    """The m-bounded colouring relaxation over (Y, t): the bare transformed
+    constraint system (edge zeros, diagonal chain, n row sums)."""
     if not 1 <= m <= max(g.n, 1):
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={g.n}")
     rows = [_row_sum_sketch_row(g.n, v, m) for v in range(g.n)]
-    nonneg = tuple(g.non_edges()) if elementwise_nonneg else ()
     return ModelSketch(
         n=g.n,
         zero_pairs=tuple(sorted(g.edges)),
         rows=tuple(rows),
-        nonneg_pairs=nonneg,
+        nonneg_pairs=(),
     )
 
 
@@ -785,63 +774,85 @@ def build_room_assignment(
 
 
 # ---------------------------------------------------------------------------
-# structure verification
+# sparse constraint blocks and structure verification
 # ---------------------------------------------------------------------------
 
 
-def _gram(rows: Sequence[SymRow]) -> np.ndarray:
-    k = len(rows)
-    out = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            out[a, b] = out[b, a] = rows[a].frobenius(rows[b])
-    return out
+def constraint_matrix(rows: Sequence[SymRow], dim: int) -> scipy.sparse.csr_matrix:
+    """The rows as one k x dim^2 CSR over vec(X) (row-major).
+
+    Row r holds the full symmetric matrix A_r, so A @ X.ravel() is <A_r, X>
+    for symmetric X, A.T @ y is vec(sum_r y_r A_r), and A @ A.T is the
+    Frobenius Gram matrix.  Repeated positions within a row add up.
+    """
+    counts = [len(r.coeff) for r in rows]
+    total = sum(counts)
+    ii = np.fromiter(chain.from_iterable(r.idx_i for r in rows), np.intp, total)
+    jj = np.fromiter(chain.from_iterable(r.idx_j for r in rows), np.intp, total)
+    cc = np.fromiter(chain.from_iterable(r.coeff for r in rows), float, total)
+    owner = np.repeat(np.arange(len(rows)), counts)
+    off = ii != jj
+    coo = scipy.sparse.coo_matrix(
+        (
+            np.concatenate([cc, cc[off]]),
+            (np.concatenate([owner, owner[off]]),
+             np.concatenate([ii * dim + jj, (jj * dim + ii)[off]])),
+        ),
+        shape=(len(rows), dim * dim),
+    )
+    return coo.tocsr()
+
+
+def gram_matrix(a: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    """Sparse Gram matrix <A_r, A_s> of a constraint_matrix block."""
+    return (a @ a.T).tocsr()
+
+
+def gram_equals(gram: scipy.sparse.csr_matrix, diag, off: float,
+                tol: float = 1e-12) -> bool:
+    """True iff gram is `diag` on its diagonal and `off` elsewhere, within tol.
+
+    `diag` is a scalar or one value per row.  The check reads the stored
+    entries only, so a large sparse Gram is never densified.
+    """
+    k = gram.shape[0]
+    if np.any(np.abs(gram.diagonal() - diag) > tol):
+        return False
+    coo = gram.tocoo()
+    outside = coo.row != coo.col
+    if np.any(np.abs(coo.data[outside] - off) > tol):
+        return False
+    # entries not stored are zero
+    return abs(off) <= tol or int(np.count_nonzero(outside)) == k * (k - 1)
 
 
 def verify_structure(model: SdpModel, tol: float = 1e-12) -> StructureTags:
-    """Recompute structure flags from the emitted matrices."""
-    a1 = bool(model.eq_graph)
-    scale = 0.0
-    if a1:
-        positions = set()
-        scales = set()
-        for row in model.eq_graph:
-            if len(row.coeff) != 1:
-                a1 = False
-                break
-            i, j, c = row.idx_i[0], row.idx_j[0], row.coeff[0]
-            positions.add((i, j))
-            scales.add(c * c * (2.0 if i != j else 1.0))
-        if a1 and (len(positions) != len(model.eq_graph) or len(scales) != 1):
-            a1 = False
+    """Recompute structure flags from the Gram matrices of the emitted rows."""
+    a1 = False
+    scale = 0.5
+    if model.eq_graph:
+        gram = gram_matrix(constraint_matrix(model.eq_graph, model.dim))
+        first = float(gram[0, 0])
+        a1 = gram_equals(gram, first, 0.0, tol)
         if a1:
-            scale = scales.pop()
-    a2 = False
-    k = len(model.eq_other)
-    if k > 0:
-        gram = _gram(model.eq_other)
-        target = np.ones((k, k)) + np.eye(k)
-        a2 = bool(np.max(np.abs(gram - target)) <= tol)
+            scale = first
+    a2 = bool(model.eq_other) and gram_equals(
+        gram_matrix(constraint_matrix(model.eq_other, model.dim)), 2.0, 1.0, tol
+    )
     rowsum_rows = model.group_rows("rowsum")
     b_flag = False
     alpha = beta = 0.0
     if rowsum_rows:
-        gram = _gram(rowsum_rows)
-        k = len(rowsum_rows)
-        if k == 1:
-            alpha, beta = gram[0, 0], 0.0
-            b_flag = True
-        else:
-            beta = gram[0, 1]
-            alpha = gram[0, 0] - beta
-            target = alpha * np.eye(k) + beta * np.ones((k, k))
-            b_flag = bool(np.max(np.abs(gram - target)) <= tol)
-            if not b_flag:
-                alpha = beta = 0.0
+        gram = gram_matrix(constraint_matrix(rowsum_rows, model.dim))
+        beta = float(gram[0, 1]) if len(rowsum_rows) > 1 else 0.0
+        alpha = float(gram[0, 0]) - beta
+        b_flag = gram_equals(gram, alpha + beta, beta, tol)
+        if not b_flag:
+            alpha = beta = 0.0
     single = int(np.count_nonzero(model.objective)) == 1
     return StructureTags(
         a1_edge_indicator=a1,
-        a1_gram_scale=scale if a1 else 0.5,
+        a1_gram_scale=scale,
         a2_diagonal_chain=a2,
         b_row_sum=b_flag,
         b_alpha=alpha,

@@ -9,14 +9,18 @@ Writing W = C - A1*(y1) - A2*(y2) - B*(v) - mu X, the S-subproblem is the PSD
 projection S = proj(W) and the X step collapses to X = proj(-W)/mu, so one
 eigendecomposition per iteration serves both and keeps X exactly PSD.
 
-Structured kernels replace dense linear algebra where an emitted block has
-verified Gram structure: edge-indicator equalities (Gram = s I, a scalar
-divide), the anchored diagonal chain (Gram = J + I with closed-form inverse
-I - J/n, checked numerically at compile time with a dense fallback), and
-row-sum inequality groups (Gram = alpha I + beta J, whose nonnegative QP is
-solved exactly by a sorted-breakpoint scan ending in a per-coordinate clamp
-at zero).  Anything else falls back to cached dense factorizations and an
-exact active-set NNLS.
+Each constraint block (eq_graph, eq_other, each inequality group) is compiled
+once into a scipy.sparse CSR A over vec(X): the operator is A vec(X), the
+adjoint is A^T y, and the sparse Gram A A^T chooses the block's kernel, so
+compile memory is O(nnz).  Structured kernels replace dense linear algebra
+where that Gram has the structure: a scaled identity (edge-indicator
+equalities; a scalar divide, or a per-row clamp for inequalities), J + I (the
+anchored diagonal chain, closed-form inverse I - J/n, checked numerically
+with a dense fallback), and alpha I + beta J (row-sum inequality groups, whose
+nonnegative QP is solved exactly by a sorted-breakpoint scan ending in a
+per-coordinate clamp at zero).  Anything else falls back to cached dense
+factorizations of the Gram and an exact active-set NNLS.  SolveResult.kernels
+names the kernel chosen for each block.
 """
 
 from __future__ import annotations
@@ -31,7 +35,15 @@ import scipy.optimize
 
 from .graphs import Partition
 from .linalg import project_psd_dense
-from .relax import BoundSemantics, SdpModel, SymRow, verify_structure
+from .relax import (
+    BoundSemantics,
+    SdpModel,
+    SymRow,
+    constraint_matrix,
+    gram_equals,
+    gram_matrix,
+    verify_structure,
+)
 
 __all__ = [
     "SolverConfig",
@@ -85,6 +97,7 @@ class SolveResult:
     status: str  # converged | max_iter | diverged
     eps: float
     objective: float  # raw objective <C, X> in the model's sense
+    kernels: tuple[str, ...] = ()  # kernel kind per block: graph, other, groups
 
 
 # ---------------------------------------------------------------------------
@@ -92,110 +105,56 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-class _RowBlock:
-    """Vectorized <A_i, X> operator and adjoint for a list of rows."""
+class _Block:
+    """One constraint block compiled once into a CSR A over vec(X).
+
+    op(X) = A vec(X), the adjoint is A^T y reshaped to n x n, and the Gram
+    matrix A A^T that picks the block's kernel is read from the same matrix.
+    """
 
     def __init__(self, rows: Sequence[SymRow], dim: int):
         self.k = len(rows)
         self.dim = dim
         self.rhs = np.array([r.rhs for r in rows], dtype=float)
-        op_i, op_j, op_w, ptr = [], [], [], [0]
-        ad_i, ad_j, ad_c, ad_r = [], [], [], []
-        for r_idx, row in enumerate(rows):
-            for i, j, c in zip(row.idx_i, row.idx_j, row.coeff):
-                op_i.append(i)
-                op_j.append(j)
-                op_w.append(c * (2.0 if i != j else 1.0))
-                ad_i.append(i)
-                ad_j.append(j)
-                ad_c.append(c)
-                ad_r.append(r_idx)
-                if i != j:
-                    ad_i.append(j)
-                    ad_j.append(i)
-                    ad_c.append(c)
-                    ad_r.append(r_idx)
-            ptr.append(len(op_i))
-        self._oi = np.array(op_i, dtype=np.intp)
-        self._oj = np.array(op_j, dtype=np.intp)
-        self._ow = np.array(op_w, dtype=float)
-        self._ptr = np.array(ptr[:-1], dtype=np.intp)
-        self._ai = np.array(ad_i, dtype=np.intp)
-        self._aj = np.array(ad_j, dtype=np.intp)
-        self._ac = np.array(ad_c, dtype=float)
-        self._ar = np.array(ad_r, dtype=np.intp)
+        self.A = constraint_matrix(rows, dim)
+        self.At = self.A.T  # a CSC view of the same arrays, made once
+        self.kind = "empty"
 
     def op(self, x: np.ndarray) -> np.ndarray:
-        if self.k == 0:
-            return np.zeros(0)
-        vals = self._ow * x[self._oi, self._oj]
-        return np.add.reduceat(vals, self._ptr)
+        return self.A @ x.ravel()
 
-    def adjoint_add(self, out: np.ndarray, y: np.ndarray) -> None:
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return (self.At @ y).reshape(self.dim, self.dim)
+
+
+class _EqBlock(_Block):
+    """Equality block with an exact solve of Gram * y = rhs."""
+
+    def __init__(self, rows: Sequence[SymRow], dim: int):
+        super().__init__(rows, dim)
         if self.k == 0:
             return
-        np.add.at(out, (self._ai, self._aj), y[self._ar] * self._ac)
-
-    def dense_gram(self) -> np.ndarray:
-        """Frobenius Gram matrix; only called on small blocks."""
-        mats = np.zeros((self.k, self.dim * self.dim))
-        bounds = list(self._ptr) + [len(self._oi)]
-        for idx in range(self.k):
-            m = np.zeros((self.dim, self.dim))
-            for t in range(bounds[idx], bounds[idx + 1]):
-                i, j = self._oi[t], self._oj[t]
-                c = self._ow[t] / (2.0 if i != j else 1.0)
-                m[i, j] += c
-                if i != j:
-                    m[j, i] += c
-            mats[idx] = m.ravel()
-        return mats @ mats.T
-
-
-def _single_position_diag(rows: Sequence[SymRow]) -> Optional[np.ndarray]:
-    """Diagonal of the Gram for pairwise-distinct single-position rows."""
-    seen = set()
-    diag = []
-    for row in rows:
-        if len(row.coeff) != 1:
-            return None
-        i, j, c = row.idx_i[0], row.idx_j[0], row.coeff[0]
-        if (i, j) in seen:
-            return None
-        seen.add((i, j))
-        diag.append(c * c * (2.0 if i != j else 1.0))
-    return np.array(diag)
-
-
-class _EqSolver:
-    """Exact solve of Gram * y = rhs for one equality block."""
-
-    def __init__(self, block: _RowBlock, rows: Sequence[SymRow]):
-        self.block = block
-        self.kind = "empty"
-        if block.k == 0:
-            return
-        diag = _single_position_diag(rows)
-        if diag is not None and diag.size and np.max(np.abs(diag - diag[0])) <= 1e-12:
+        gram = gram_matrix(self.A)
+        scale = float(gram[0, 0])
+        if scale > 0 and gram_equals(gram, scale, 0.0):
             self.kind = "scaled_identity"
-            self.scale = float(diag[0])
+            self.scale = scale
             return
-        gram = block.dense_gram()
-        k = block.k
-        chain = np.ones((k, k)) + np.eye(k)
-        if np.max(np.abs(gram - chain)) <= 1e-12:
+        k = self.k
+        if gram_equals(gram, 2.0, 1.0):
+            # J + I: verify the closed-form inverse I - J/(k+1) numerically
             inv = np.eye(k) - np.ones((k, k)) / (k + 1)
             if np.max(np.abs(gram @ inv - np.eye(k))) <= 1e-10:
                 self.kind = "chain"
                 self._chain_n = k + 1
                 return
-        self.gram = gram
+        self.gram = gram.toarray()
         try:
-            self._cho = scipy.linalg.cho_factor(gram)
+            self._cho = scipy.linalg.cho_factor(self.gram)
             self.kind = "dense"
         except np.linalg.LinAlgError:
             # dependent rows: fall back to the min-norm (pseudoinverse) solve
-            w, vec = np.linalg.eigh(gram)
+            w, vec = np.linalg.eigh(self.gram)
             keep = w > 1e-11 * max(float(w.max()), 1.0)
             self._pinv_vec = vec[:, keep]
             self._pinv_lam = w[keep]
@@ -221,35 +180,28 @@ class _EqSolver:
         return scipy.linalg.cho_solve(self._cho, rhs)
 
 
-class _IneqGroup:
+class _IneqBlock(_Block):
     """One inequality group with its exact nonnegative-QP kernel."""
 
     def __init__(self, rows: Sequence[SymRow], dim: int):
-        self.block = _RowBlock(rows, dim)
-        k = self.block.k
-        self.kind = "empty"
-        if k == 0:
+        super().__init__(rows, dim)
+        if self.k == 0:
             return
-        diag = _single_position_diag(rows)
-        if diag is not None:
+        gram = gram_matrix(self.A)
+        diag = gram.diagonal()
+        if gram_equals(gram, diag, 0.0):
             self.kind = "diag"
             self.diag = diag
             return
-        gram = self.block.dense_gram()
-        if k == 1:
-            self.kind = "diag"
-            self.diag = np.array([gram[0, 0]])
-            return
-        beta = gram[0, 1]
-        alpha = gram[0, 0] - beta
-        target = alpha * np.eye(k) + beta * np.ones((k, k))
-        if np.max(np.abs(gram - target)) <= 1e-12 and alpha > 0 and beta >= 0:
+        beta = float(gram[0, 1])
+        alpha = float(gram[0, 0]) - beta
+        if gram_equals(gram, alpha + beta, beta) and alpha > 0 and beta >= 0:
             self.kind = "alphabeta"
-            self.alpha, self.beta = float(alpha), float(beta)
+            self.alpha, self.beta = alpha, beta
             return
         self.kind = "dense"
-        self.gram = gram
-        w, vec = np.linalg.eigh(gram)
+        self.gram = gram.toarray()
+        w, vec = np.linalg.eigh(self.gram)
         keep = w > 1e-11 * max(float(w.max()), 1.0)
         self._lam = w[keep]
         self._vec = vec[:, keep]
@@ -300,23 +252,24 @@ def _alphabeta_qp(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 
 
 class _Compiled:
-    """Operators, Gram factorizations and kernels for one model."""
+    """One CSR per constraint block, with the kernel its sparse Gram selects.
+
+    Memory is O(nnz) plus the dense Gram of blocks that fall back to the
+    dense/pinv kernels.
+    """
 
     def __init__(self, model: SdpModel, debug: bool = False):
         self.model = model
-        self.dim = model.dim
         self.sign = 1.0 if model.sense == "min" else -1.0
         self.C = self.sign * model.objective.astype(float)
-        self.graph = _RowBlock(model.eq_graph, model.dim)
-        self.other = _RowBlock(model.eq_other, model.dim)
-        self.eq1 = _EqSolver(self.graph, model.eq_graph)
-        self.eq2 = _EqSolver(self.other, model.eq_other)
+        self.graph = _EqBlock(model.eq_graph, model.dim)
+        self.other = _EqBlock(model.eq_other, model.dim)
         spans = list(model.ineq_groups)
         if not spans and model.ineq:
             spans = [("generic", 0, len(model.ineq))]
-        self.groups = [_IneqGroup(model.ineq[a:b], model.dim) for _, a, b in spans]
+        self.groups = [_IneqBlock(model.ineq[a:b], model.dim) for _, a, b in spans]
         self.d = (
-            np.concatenate([g.block.rhs for g in self.groups])
+            np.concatenate([g.rhs for g in self.groups])
             if self.groups
             else np.zeros(0)
         )
@@ -337,21 +290,26 @@ class _Compiled:
                 if getattr(model.structure, name) and not getattr(actual, name):
                     raise AssertionError(f"structure flag {name} set but identity fails")
 
+    @property
+    def kernels(self) -> tuple[str, ...]:
+        """Kernel kind per block: graph, other, then each inequality group."""
+        return tuple(b.kind for b in (self.graph, self.other, *self.groups))
+
     def group_slices(self):
         out = []
         start = 0
         for g in self.groups:
-            out.append((g, start, start + g.block.k))
-            start += g.block.k
+            out.append((g, start, start + g.k))
+            start += g.k
         return out
 
     def residual(self, state: SolverState) -> np.ndarray:
         """Dual-constraint residual A1*(y1) + A2*(y2) + B*(v) + S - C."""
         r = state.S - self.C
-        self.graph.adjoint_add(r, state.y1)
-        self.other.adjoint_add(r, state.y2)
+        r += self.graph.adjoint(state.y1)
+        r += self.other.adjoint(state.y2)
         for g, a, b in self.group_slices():
-            g.block.adjoint_add(r, state.v[a:b])
+            r += g.adjoint(state.v[a:b])
         return r
 
 
@@ -380,16 +338,14 @@ def _y_steps(comp: _Compiled, X, y1, y2, v_adj_resid, mu):
     y1_new = y1
     if comp.graph.k:
         rhs = mu * (comp.graph.op(X) - comp.graph.rhs)
-        rhs += comp.graph.op(resid) - comp.eq1.gram_dot(y1)
-        y1_new = -comp.eq1.solve(rhs)
-        delta = np.zeros((comp.dim, comp.dim))
-        comp.graph.adjoint_add(delta, y1_new - y1)
-        resid = resid + delta
+        rhs += comp.graph.op(resid) - comp.graph.gram_dot(y1)
+        y1_new = -comp.graph.solve(rhs)
+        resid = resid + comp.graph.adjoint(y1_new - y1)
     y2_new = y2
     if comp.other.k:
         rhs = mu * (comp.other.op(X) - comp.other.rhs)
-        rhs += comp.other.op(resid) - comp.eq2.gram_dot(y2)
-        y2_new = -comp.eq2.solve(rhs)
+        rhs += comp.other.op(resid) - comp.other.gram_dot(y2)
+        y2_new = -comp.other.solve(rhs)
     return y1_new, y2_new
 
 
@@ -406,15 +362,13 @@ def update_v(state: SolverState, model: SdpModel, mu: float) -> np.ndarray:
     resid = comp.residual(state)
     v = state.v.copy()
     for g, a, b in comp.group_slices():
-        if g.block.k == 0:
+        if g.k == 0:
             continue
         old = v[a:b]
-        lin = g.block.op(state.X) - g.block.rhs
-        lin += (g.block.op(resid) - g.gram_dot(old)) / mu
+        lin = g.op(state.X) - g.rhs
+        lin += (g.op(resid) - g.gram_dot(old)) / mu
         new = g.qp(lin, mu)
-        delta = np.zeros((comp.dim, comp.dim))
-        g.block.adjoint_add(delta, new - old)
-        resid += delta
+        resid += g.adjoint(new - old)
         v[a:b] = new
     return v
 
@@ -479,47 +433,43 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
     """Iterate y -> v -> S -> X until residual tolerance or max_iter."""
     cfg = cfg or SolverConfig()
     comp = _Compiled(model, debug=cfg.debug)
-    dim = comp.dim
     mu = cfg.mu0
     ratio, factor = cfg.mu_adapt
     X = initial_matrix(model, sem, cfg.warm_start)
     y1 = np.zeros(comp.graph.k)
     y2 = np.zeros(comp.other.k)
-    v = np.zeros(sum(g.block.k for g in comp.groups))
+    v = np.zeros(sum(g.k for g in comp.groups))
     S = project_psd_dense(comp.C.copy())
     resid = S - comp.C
     slices = comp.group_slices()
+    blocks = (comp.graph, comp.other, *comp.groups)
+    # op(X) - rhs per block: X changes only at the projection, so the values
+    # taken for one iteration's residual check serve the next y and v steps
+    ax = [blk.op(X) - blk.rhs for blk in blocks]
     best_seen = math.inf
     status = "max_iter"
     pres = dres = gap = math.inf
     it = 0
     for it in range(1, cfg.max_iter + 1):
         if comp.graph.k:
-            rhs = mu * (comp.graph.op(X) - comp.graph.rhs)
-            rhs += comp.graph.op(resid) - comp.eq1.gram_dot(y1)
-            y1_new = -comp.eq1.solve(rhs)
-            delta = np.zeros((dim, dim))
-            comp.graph.adjoint_add(delta, y1_new - y1)
-            resid += delta
+            rhs = mu * ax[0]
+            rhs += comp.graph.op(resid) - comp.graph.gram_dot(y1)
+            y1_new = -comp.graph.solve(rhs)
+            resid += comp.graph.adjoint(y1_new - y1)
             y1 = y1_new
         if comp.other.k:
-            rhs = mu * (comp.other.op(X) - comp.other.rhs)
-            rhs += comp.other.op(resid) - comp.eq2.gram_dot(y2)
-            y2_new = -comp.eq2.solve(rhs)
-            delta = np.zeros((dim, dim))
-            comp.other.adjoint_add(delta, y2_new - y2)
-            resid += delta
+            rhs = mu * ax[1]
+            rhs += comp.other.op(resid) - comp.other.gram_dot(y2)
+            y2_new = -comp.other.solve(rhs)
+            resid += comp.other.adjoint(y2_new - y2)
             y2 = y2_new
-        for g, a, b in slices:
-            if g.block.k == 0:
+        for (g, a, b), lin_x in zip(slices, ax[2:]):
+            if g.k == 0:
                 continue
             old = v[a:b]
-            lin = g.block.op(X) - g.block.rhs
-            lin += (g.block.op(resid) - g.gram_dot(old)) / mu
+            lin = lin_x + (g.op(resid) - g.gram_dot(old)) / mu
             new = g.qp(lin, mu)
-            delta = np.zeros((dim, dim))
-            g.block.adjoint_add(delta, new - old)
-            resid += delta
+            resid += g.adjoint(new - old)
             v[a:b] = new
         w_arg = -(resid - S) - mu * X
         w_arg = 0.5 * (w_arg + w_arg.T)
@@ -528,12 +478,12 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         X = (vec * (np.maximum(-lam, 0.0) / mu)) @ vec.T
         resid += S_new - S
         S = S_new
-        peq = float(np.sum((comp.graph.op(X) - comp.graph.rhs) ** 2))
-        peq += float(np.sum((comp.other.op(X) - comp.other.rhs) ** 2))
+        ax = [blk.op(X) - blk.rhs for blk in blocks]
+        peq = float(np.sum(ax[0] ** 2))
+        peq += float(np.sum(ax[1] ** 2))
         pineq = 0.0
-        for g, a, b in slices:
-            viol = np.minimum(g.block.op(X) - g.block.rhs, 0.0)
-            pineq += float(np.sum(viol**2))
+        for lin_x in ax[2:]:
+            pineq += float(np.sum(np.minimum(lin_x, 0.0) ** 2))
         pres = math.sqrt(peq + pineq) / (1.0 + comp.b_norm)
         dres = float(np.linalg.norm(resid)) / (1.0 + comp.c_norm)
         pobj = float(np.sum(comp.C * X))
@@ -573,6 +523,7 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         status=status,
         eps=cfg.eps,
         objective=pobj_user,
+        kernels=comp.kernels,
     )
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from bcsdp.cli import main, read_partition
+import bcsdp.cli as cli
+from bcsdp.cli import main, read_partition, select_component
 from bcsdp.graphs import ConflictGraph, TimetablingInstance, validate_partition
 from bcsdp.ingest import InstanceDocument, parse_native, write_native
 
@@ -48,6 +49,25 @@ class TestBound:
         row = json.loads(out)[0]
         # oracle colouring of K(8,2) has a 7-star class: m = 7 - 3 = 4
         assert float(row["bound"]) == pytest.approx(7.0, abs=0.05)
+        assert row["kernels"] == "scaled_identity|chain|alphabeta"
+
+    def test_warm_start_respects_weights(self, capsys, tmp_path, monkeypatch):
+        inst, path = native_file(tmp_path, weights=(2, 2, 1, 1, 1, 1))
+        warm_starts = []
+        solve = cli.solve
+
+        def record(model, sem, cfg):
+            warm_starts.append(cfg.warm_start)
+            return solve(model, sem, cfg)
+
+        monkeypatch.setattr(cli, "solve", record)
+        code, _, _ = run_cli(
+            ["bound", str(path), "--m", "2", "--output-format", "json"], capsys
+        )
+        assert code == 0
+        (warm,) = warm_starts
+        # a class weighing more than m = 2 would start from an invalid colouring
+        assert warm is not None and validate_partition(inst, warm).ok
 
     def test_unbounded_defaults_to_theta(self, capsys):
         code, out, err = run_cli(
@@ -184,6 +204,52 @@ class TestGenConvert:
         assert code == 0
         row = json.loads(out)[0]
         assert row["certified"] == 3  # largest component has 3 vertices
+
+
+class TestComponent:
+    def test_component_keeps_every_field(self):
+        # components {0, 2, 4, 6} (a path) and {1, 3, 5}; pre-class {3, 4}
+        # spans both, pre-class {5} lies in the smaller one
+        inst = TimetablingInstance(
+            ConflictGraph(7, frozenset({(0, 2), (2, 4), (4, 6), (1, 3), (3, 5)})),
+            m=4,
+            event_sizes=(10, 20, 30, 40, 50, 60, 70),
+            room_capacities=(80, 70, 60, 50),
+            feature_count=2,
+            event_features=frozenset({(2, 0), (5, 1), (6, 1)}),
+            room_features=frozenset({(0, 0), (1, 1), (3, 1)}),
+            precolouring=(frozenset({3, 4}), frozenset({5})),
+            weights=(1, 2, 1, 1, 2, 1, 1),
+            lectures=(1, 2, 3, 4, 5, 6, 7),
+        )
+        doc = InstanceDocument("two", inst, "native")
+        big = select_component(doc, 1)
+        assert big.name == "two#c1"
+        assert big.instance == TimetablingInstance(
+            ConflictGraph(4, frozenset({(0, 1), (1, 2), (2, 3)})),
+            m=4,
+            event_sizes=(10, 30, 50, 70),
+            room_capacities=(80, 70, 60, 50),
+            feature_count=2,
+            event_features=frozenset({(1, 0), (3, 1)}),
+            room_features=frozenset({(0, 0), (1, 1), (3, 1)}),
+            precolouring=(frozenset({2}),),
+            weights=(1, 1, 2, 1),
+            lectures=(1, 3, 5, 7),
+        )
+        small = select_component(doc, 2)
+        assert small.instance == TimetablingInstance(
+            ConflictGraph(3, frozenset({(0, 1), (1, 2)})),
+            m=3,
+            event_sizes=(20, 40, 60),
+            room_capacities=(80, 70, 60),
+            feature_count=2,
+            event_features=frozenset({(2, 1)}),
+            room_features=frozenset({(0, 0), (1, 1)}),
+            precolouring=(frozenset({1}), frozenset({2})),
+            weights=(2, 1, 1),
+            lectures=(2, 4, 6),
+        )
 
 
 class TestBench:

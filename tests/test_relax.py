@@ -31,12 +31,6 @@ class TestSymRow:
         x = 0.5 * (x + x.T)
         assert row.value(x) == pytest.approx(float(np.sum(row.dense(3) * x)))
 
-    def test_frobenius_matches_dense(self):
-        a = SymRow.from_entries({(0, 1): 0.5, (1, 1): 2.0}, 0.0)
-        b = SymRow.from_entries({(0, 1): 0.25, (0, 0): 1.0}, 0.0)
-        want = float(np.sum(a.dense(2) * b.dense(2)))
-        assert a.frobenius(b) == pytest.approx(want)
-
 
 class TestScaledTransform:
     def test_p3_counts(self, p3):

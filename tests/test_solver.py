@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsdp.graphs import (
     TimetablingInstance,
@@ -11,12 +14,15 @@ from bcsdp.graphs import (
 )
 from bcsdp.linalg import project_psd_dense
 from bcsdp.relax import (
+    SymRow,
     build_bounded,
     build_laminar,
     build_precoloured,
     build_room_assignment,
     build_theta,
     build_weighted,
+    constraint_matrix,
+    gram_matrix,
 )
 from bcsdp.rounding import greedy_colouring
 from bcsdp.solver import (
@@ -30,12 +36,16 @@ from bcsdp.solver import (
     update_v,
     update_x,
     update_y,
+    _Block,
+    _Compiled,
 )
 
 from _reference import (
+    adjoint,
     dense_blocks,
     dense_v_reference,
     dense_y_reference,
+    gram_of,
 )
 
 
@@ -190,6 +200,80 @@ class TestUpdateFormulas:
         st = randomized_state(model, sem, 4)
         x_new = update_x(st, model, 1e12)
         assert np.max(np.abs(x_new - st.X)) <= 1e-9
+
+
+@st.composite
+def symrow_blocks(draw):
+    """Random rows over order <= 5, with diagonal and repeated positions."""
+    dim = draw(st.integers(1, 5))
+    entry = st.tuples(
+        st.integers(0, dim - 1),
+        st.integers(0, dim - 1),
+        st.floats(-3.0, 3.0, allow_nan=False),
+    )
+    rows = []
+    for entries in draw(st.lists(st.lists(entry, min_size=1, max_size=6),
+                                 min_size=1, max_size=6)):
+        rows.append(SymRow(
+            idx_i=tuple(min(i, j) for i, j, _ in entries),
+            idx_j=tuple(max(i, j) for i, j, _ in entries),
+            coeff=tuple(c for _, _, c in entries),
+            rhs=0.0,
+        ))
+    return dim, rows, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSparseBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(symrow_blocks())
+    def test_op_adjoint_and_gram_match_symrow(self, case):
+        dim, rows, seed = case
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim))
+        x = a + a.T
+        y = rng.standard_normal(len(rows))
+        block = _Block(rows, dim)
+        op = block.op(x)
+        assert np.max(np.abs(op - [r.value(x) for r in rows])) <= 1e-12
+        adj = block.adjoint(y)
+        assert abs(float(op @ y) - float(np.sum(x * adj))) <= 1e-12
+        mats = [r.dense(dim) for r in rows]
+        assert np.max(np.abs(adj - adjoint(mats, y))) <= 1e-12
+        gram = gram_matrix(constraint_matrix(rows, dim)).toarray()
+        assert np.max(np.abs(gram - gram_of(mats))) <= 1e-12
+
+    def test_compile_memory_grows_with_nnz(self):
+        model, _ = build_bounded(gen_gnp(160, 0.5, 1), 5)
+        tracemalloc.start()
+        try:
+            _Compiled(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a dense k x n^2 Gram assembly of the chain block alone is 32.6 MB
+        assert peak <= 8e6
+
+
+class TestKernelReport:
+    def test_bounded_gnp_kernels(self):
+        model, sem = build_bounded(gen_gnp(12, 0.5, 1), 3)
+        res = solve(model, sem, SolverConfig(max_iter=5))
+        assert res.kernels == ("scaled_identity", "chain", "alphabeta")
+
+    def test_room_model_reports_dense_blocks(self):
+        inst = TimetablingInstance(
+            graph=gen_gnp(8, 0.5, 1), m=2,
+            event_sizes=(20, 50, 100, 20, 50, 100, 20, 50),
+            room_capacities=(60, 120),
+        )
+        model = build_room_assignment(inst)
+        res = solve(model, None, SolverConfig(max_iter=5))
+        assert [kind for kind, _, _ in model.ineq_groups] == [
+            "rowsum", "generic", "pairs"
+        ]
+        assert res.kernels == (
+            "scaled_identity", "dense", "alphabeta", "dense", "diag"
+        )
 
 
 class TestP3Fixture:
