@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import os
 import sys
 import time
@@ -286,7 +287,6 @@ def cmd_bound(args) -> int:
         max_iter=args.max_iter,
         mu0=args.mu0,
         warm_start=warm,
-        verbose=args.verbose,
     )
     t0 = time.perf_counter()
     res = solve(model, sem, cfg)
@@ -335,7 +335,6 @@ def cmd_colour(args) -> int:
             pass
         res = solve(model, sem, SolverConfig(
             eps=args.eps, max_iter=args.max_iter, warm_start=warm,
-            verbose=args.verbose,
         ))
         if res.status == "diverged":
             print(f"error: solver diverged on {doc.name}", file=sys.stderr)
@@ -695,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu0", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=0, help="warm-start greedy seed")
         p.add_argument("--no-warm", action="store_true")
-        p.add_argument("--verbose", type=int, default=0)
+        p.add_argument("--verbose", type=int, default=0, help="N>0: progress to stderr")
 
     p_bound = sub.add_parser("bound", help="compute a lower bound")
     add_io(p_bound)
@@ -751,11 +750,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    log = logging.getLogger("bcsdp")
+    level, handler = log.level, logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    if getattr(args, "verbose", 0) > 0:  # progress to stderr: stdout stays parseable
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except (CliError, ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)  # a no-op when it was never added
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

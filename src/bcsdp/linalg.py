@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: eigendecomposition, PSD projection, factorization.
+"""Dense symmetric linear algebra: PSD projection and shifted Cholesky.
 
 Backed by LAPACK through numpy; the contracts here fix accuracy, not method.
 Degenerate 0x0 and 1x1 matrices are legal inputs everywhere.
@@ -6,76 +6,12 @@ Degenerate 0x0 and 1x1 matrices are legal inputs everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SymMatrix",
-    "SpectralDecomposition",
-    "eigh",
-    "project_psd",
+    "project_psd_dense",
     "cholesky_psd",
 ]
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric matrix in packed lower-triangle storage (row-major)."""
-
-    order: int
-    entries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        expected = self.order * (self.order + 1) // 2
-        if len(self.entries) != expected:
-            raise ValueError(
-                f"packed storage needs {expected} entries, got {len(self.entries)}"
-            )
-        if not all(np.isfinite(self.entries)):
-            raise ValueError("entries must be finite")
-
-    @staticmethod
-    def from_dense(a: np.ndarray) -> "SymMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("square matrix required")
-        sym = 0.5 * (a + a.T)
-        idx = np.tril_indices(a.shape[0])
-        return SymMatrix(a.shape[0], tuple(sym[idx]))
-
-    def to_dense(self) -> np.ndarray:
-        n = self.order
-        out = np.zeros((n, n))
-        out[np.tril_indices(n)] = self.entries
-        out = out + out.T - np.diag(np.diag(out))
-        return out
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues ascending with an orthonormal eigenvector column set."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _as_dense(a) -> np.ndarray:
-    if isinstance(a, SymMatrix):
-        return a.to_dense()
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
-
-
-def eigh(a) -> SpectralDecomposition:
-    """Full spectral decomposition A = V diag(w) V^T, eigenvalues ascending."""
-    dense = _as_dense(a)
-    if not np.all(np.isfinite(dense)):
-        raise ValueError("non-finite input")
-    if dense.shape[0] == 0:
-        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
-    w, v = np.linalg.eigh(dense)
-    return SpectralDecomposition(w, v)
 
 
 def project_psd_dense(a: np.ndarray) -> np.ndarray:
@@ -87,22 +23,15 @@ def project_psd_dense(a: np.ndarray) -> np.ndarray:
     return (v * w) @ v.T
 
 
-def project_psd(a):
-    """PSD projection; returns the same kind (SymMatrix or ndarray) it was given."""
-    dense = project_psd_dense(_as_dense(a))
-    if isinstance(a, SymMatrix):
-        return SymMatrix.from_dense(dense)
-    return dense
-
-
 def cholesky_psd(a, shift: float | None = None) -> np.ndarray:
-    """Lower-triangular L with L L^T = A + shift*I.
+    """Lower-triangular L with L L^T = A + shift*I, A symmetrised first.
 
     The default shift is 1e-9 * trace/n (floored at 1e-12), escalated by
     factors of 10 up to six times on factorization breakdown; beyond that a
     LinAlgError propagates.
     """
-    dense = _as_dense(a)
+    dense = np.asarray(a, dtype=float)
+    dense = 0.5 * (dense + dense.T)
     n = dense.shape[0]
     if n == 0:
         return np.zeros((0, 0))

@@ -1,13 +1,16 @@
 """First-order augmented-Lagrangian (ADMM) solver for SdpModel.
 
-Per iteration the dual blocks are minimized in turn (y1, y2, each inequality
-group of v, then S) and the primal X takes the multiplier step
-
-    X <- X + (A1*(y1) + A2*(y2) + B*(v) + S - C) / mu.
-
-Writing W = C - A1*(y1) - A2*(y2) - B*(v) - mu X, the S-subproblem is the PSD
-projection S = proj(W) and the X step collapses to X = proj(-W)/mu, so one
-eigendecomposition per iteration serves both and keeps X exactly PSD.
+The scheme is that of Wen, Goldfarb & Yin (2010).  One iteration is three
+phases, methods of _Compiled: the y phase minimizes y1 then y2 in closed form,
+the v phase solves the exact nonnegative QP of each inequality group, and the
+S/X phase closes the iteration.  Writing W = C - A1*(y1) - A2*(y2) - B*(v) -
+mu X, the S-subproblem is the PSD projection S = proj(W), and the multiplier
+step X <- X + (A1*(y1) + A2*(y2) + B*(v) + S - C) / mu collapses to
+X = proj(-W)/mu, so one eigendecomposition serves both and keeps X exactly
+PSD.  solve() runs the phases in a loop; update_y, update_v and update_sx run
+one phase from a given state, so the tests check the code the loop runs.
+Progress goes to logging (DEBUG records of the "bcsdp.solver" logger with an
+extra "solve" dict), never to stdout.
 
 Each constraint block (eq_graph, eq_other, each inequality group) is compiled
 once into a scipy.sparse CSR A over vec(X): the operator is A vec(X), the
@@ -25,8 +28,10 @@ names the kernel chosen for each block.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,7 +47,6 @@ from .relax import (
     constraint_matrix,
     gram_equals,
     gram_matrix,
-    verify_structure,
 )
 
 __all__ = [
@@ -52,11 +56,12 @@ __all__ = [
     "solve",
     "update_y",
     "update_v",
-    "update_s",
-    "update_x",
+    "update_sx",
     "extract_bound",
     "initial_matrix",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,6 @@ class SolverConfig:
     mu0: float = 1.0
     mu_adapt: tuple[float, float] = (10.0, 2.0)  # trigger ratio, factor
     warm_start: Optional[Partition] = None
-    verbose: int = 0
-    debug: bool = False
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -85,7 +88,6 @@ class SolverState:
     y2: np.ndarray
     v: np.ndarray
     S: np.ndarray
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -255,11 +257,12 @@ class _Compiled:
     """One CSR per constraint block, with the kernel its sparse Gram selects.
 
     Memory is O(nnz) plus the dense Gram of blocks that fall back to the
-    dense/pinv kernels.
+    dense/pinv kernels.  The three phase methods are the whole iteration:
+    each advances a SolverState, the running dual residual and the per-block
+    op(X) - rhs list in place.
     """
 
-    def __init__(self, model: SdpModel, debug: bool = False):
-        self.model = model
+    def __init__(self, model: SdpModel):
         self.sign = 1.0 if model.sense == "min" else -1.0
         self.C = self.sign * model.objective.astype(float)
         self.graph = _EqBlock(model.eq_graph, model.dim)
@@ -268,123 +271,104 @@ class _Compiled:
         if not spans and model.ineq:
             spans = [("generic", 0, len(model.ineq))]
         self.groups = [_IneqBlock(model.ineq[a:b], model.dim) for _, a, b in spans]
-        self.d = (
-            np.concatenate([g.rhs for g in self.groups])
-            if self.groups
-            else np.zeros(0)
-        )
+        self.blocks = (self.graph, self.other, *self.groups)
+        ends = list(accumulate((g.k for g in self.groups), initial=0))
+        self.slices = list(zip(self.groups, ends, ends[1:]))  # (group, start, end) in v
+        self.d = np.concatenate([np.zeros(0), *(g.rhs for g in self.groups)])
         self.b_norm = math.sqrt(
             float(np.sum(self.graph.rhs**2))
             + float(np.sum(self.other.rhs**2))
             + float(np.sum(self.d**2))
         )
         self.c_norm = float(np.linalg.norm(self.C))
-        if debug:
-            actual = verify_structure(model)
-            for name in (
-                "a1_edge_indicator",
-                "a2_diagonal_chain",
-                "b_row_sum",
-                "objective_single_entry",
-            ):
-                if getattr(model.structure, name) and not getattr(actual, name):
-                    raise AssertionError(f"structure flag {name} set but identity fails")
 
     @property
     def kernels(self) -> tuple[str, ...]:
         """Kernel kind per block: graph, other, then each inequality group."""
-        return tuple(b.kind for b in (self.graph, self.other, *self.groups))
-
-    def group_slices(self):
-        out = []
-        start = 0
-        for g in self.groups:
-            out.append((g, start, start + g.k))
-            start += g.k
-        return out
+        return tuple(b.kind for b in self.blocks)
 
     def residual(self, state: SolverState) -> np.ndarray:
         """Dual-constraint residual A1*(y1) + A2*(y2) + B*(v) + S - C."""
         r = state.S - self.C
         r += self.graph.adjoint(state.y1)
         r += self.other.adjoint(state.y2)
-        for g, a, b in self.group_slices():
+        for g, a, b in self.slices:
             r += g.adjoint(state.v[a:b])
         return r
 
+    def op_minus_rhs(self, X: np.ndarray) -> list[np.ndarray]:
+        """op(X) - rhs for each block: graph, other, then each group."""
+        return [blk.op(X) - blk.rhs for blk in self.blocks]
 
-_COMPILE_CACHE: dict[int, tuple[SdpModel, "_Compiled"]] = {}
+    def y_phase(self, st: SolverState, resid: np.ndarray, ax: list, mu: float) -> None:
+        """Closed-form y1 via the edge-indicator Gram, then y2 via the chain."""
+        if self.graph.k:
+            st.y1 = _eq_step(self.graph, st.y1, ax[0], resid, mu)
+        if self.other.k:
+            st.y2 = _eq_step(self.other, st.y2, ax[1], resid, mu)
+
+    def v_phase(self, st: SolverState, resid: np.ndarray, ax: list, mu: float) -> None:
+        """Exact nonnegative QP for each inequality group, in sequence."""
+        for (g, a, b), lin_x in zip(self.slices, ax[2:]):
+            if g.k == 0:
+                continue
+            old = st.v[a:b]
+            lin = lin_x + (g.op(resid) - g.gram_dot(old)) / mu
+            new = g.qp(lin, mu)
+            resid += g.adjoint(new - old)
+            st.v[a:b] = new
+
+    def sx_phase(self, st: SolverState, resid: np.ndarray, ax: list, mu: float) -> None:
+        """One eigh of W = C - A*y - B*v - mu X: S = proj(W), X = proj(-W)/mu."""
+        w_arg = -(resid - st.S) - mu * st.X
+        w_arg = 0.5 * (w_arg + w_arg.T)
+        lam, vec = np.linalg.eigh(w_arg)
+        S_new = (vec * np.maximum(lam, 0.0)) @ vec.T
+        st.X = (vec * (np.maximum(-lam, 0.0) / mu)) @ vec.T
+        resid += S_new - st.S
+        st.S = S_new
+        ax[:] = self.op_minus_rhs(st.X)
 
 
-def _compiled(model: SdpModel) -> _Compiled:
-    hit = _COMPILE_CACHE.get(id(model))
-    if hit is not None and hit[0] is model:
-        return hit[1]
+def _eq_step(blk: _EqBlock, y: np.ndarray, lin_x: np.ndarray,
+             resid: np.ndarray, mu: float) -> np.ndarray:
+    """Minimize over one equality block's multipliers; updates resid in place."""
+    rhs = mu * lin_x
+    rhs += blk.op(resid) - blk.gram_dot(y)
+    y_new = -blk.solve(rhs)
+    resid += blk.adjoint(y_new - y)
+    return y_new
+
+
+# ---------------------------------------------------------------------------
+# one phase from a given state (the solve loop runs the same methods)
+# ---------------------------------------------------------------------------
+
+
+def _run_phase(state: SolverState, model: SdpModel, mu: float, phase) -> SolverState:
+    """Run one _Compiled phase on a copy of state, residuals taken fresh."""
     comp = _Compiled(model)
-    if len(_COMPILE_CACHE) > 64:
-        _COMPILE_CACHE.clear()
-    _COMPILE_CACHE[id(model)] = (model, comp)
-    return comp
-
-
-# ---------------------------------------------------------------------------
-# the four block updates
-# ---------------------------------------------------------------------------
-
-
-def _y_steps(comp: _Compiled, X, y1, y2, v_adj_resid, mu):
-    """Closed-form y1 then y2 minimization; returns new values and deltas."""
-    resid = v_adj_resid
-    y1_new = y1
-    if comp.graph.k:
-        rhs = mu * (comp.graph.op(X) - comp.graph.rhs)
-        rhs += comp.graph.op(resid) - comp.graph.gram_dot(y1)
-        y1_new = -comp.graph.solve(rhs)
-        resid = resid + comp.graph.adjoint(y1_new - y1)
-    y2_new = y2
-    if comp.other.k:
-        rhs = mu * (comp.other.op(X) - comp.other.rhs)
-        rhs += comp.other.op(resid) - comp.other.gram_dot(y2)
-        y2_new = -comp.other.solve(rhs)
-    return y1_new, y2_new
+    st = SolverState(*(np.array(a, dtype=float) for a in
+                       (state.X, state.y1, state.y2, state.v, state.S)))
+    phase(comp, st, comp.residual(st), comp.op_minus_rhs(st.X), mu)
+    return st
 
 
 def update_y(state: SolverState, model: SdpModel, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """y1 via the edge-indicator Gram, then y2 via the chain inverse."""
-    comp = _compiled(model)
-    resid = comp.residual(state)
-    return _y_steps(comp, state.X, state.y1, state.y2, resid, mu)
+    st = _run_phase(state, model, mu, _Compiled.y_phase)
+    return st.y1, st.y2
 
 
 def update_v(state: SolverState, model: SdpModel, mu: float) -> np.ndarray:
     """Exact nonnegative QP for each inequality group, in sequence."""
-    comp = _compiled(model)
-    resid = comp.residual(state)
-    v = state.v.copy()
-    for g, a, b in comp.group_slices():
-        if g.k == 0:
-            continue
-        old = v[a:b]
-        lin = g.op(state.X) - g.rhs
-        lin += (g.op(resid) - g.gram_dot(old)) / mu
-        new = g.qp(lin, mu)
-        resid += g.adjoint(new - old)
-        v[a:b] = new
-    return v
+    return _run_phase(state, model, mu, _Compiled.v_phase).v
 
 
-def update_s(state: SolverState, model: SdpModel, mu: float) -> np.ndarray:
-    """S = PSD projection of C - A1*(y1) - A2*(y2) - B*(v) - mu X."""
-    comp = _compiled(model)
-    resid = comp.residual(state)
-    w_arg = -(resid - state.S) - mu * state.X
-    return project_psd_dense(w_arg)
-
-
-def update_x(state: SolverState, model: SdpModel, mu: float) -> np.ndarray:
-    """Multiplier step X + (A1*(y1) + A2*(y2) + B*(v) + S - C)/mu."""
-    comp = _compiled(model)
-    return state.X + comp.residual(state) / mu
+def update_sx(state: SolverState, model: SdpModel, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """(S, X): the PSD projections of W and -W/mu, W = C - A*y - B*v - mu X."""
+    st = _run_phase(state, model, mu, _Compiled.sx_phase)
+    return st.S, st.X
 
 
 # ---------------------------------------------------------------------------
@@ -430,55 +414,31 @@ def initial_matrix(model: SdpModel, sem: Optional[BoundSemantics],
 
 def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
           cfg: Optional[SolverConfig] = None) -> SolveResult:
-    """Iterate y -> v -> S -> X until residual tolerance or max_iter."""
+    """Run the y, v and S/X phases until residual tolerance or max_iter."""
     cfg = cfg or SolverConfig()
-    comp = _Compiled(model, debug=cfg.debug)
+    comp = _Compiled(model)
     mu = cfg.mu0
     ratio, factor = cfg.mu_adapt
-    X = initial_matrix(model, sem, cfg.warm_start)
-    y1 = np.zeros(comp.graph.k)
-    y2 = np.zeros(comp.other.k)
-    v = np.zeros(sum(g.k for g in comp.groups))
-    S = project_psd_dense(comp.C.copy())
-    resid = S - comp.C
-    slices = comp.group_slices()
-    blocks = (comp.graph, comp.other, *comp.groups)
-    # op(X) - rhs per block: X changes only at the projection, so the values
-    # taken for one iteration's residual check serve the next y and v steps
-    ax = [blk.op(X) - blk.rhs for blk in blocks]
+    offset = sem.value_offset if sem is not None else 0.0
+    st = SolverState(
+        X=initial_matrix(model, sem, cfg.warm_start),
+        y1=np.zeros(comp.graph.k),
+        y2=np.zeros(comp.other.k),
+        v=np.zeros(comp.d.size),
+        S=project_psd_dense(comp.C.copy()),
+    )
+    resid = st.S - comp.C
+    # op(X) - rhs per block: X changes only in the S/X phase, which refreshes
+    # it, so one evaluation serves the residual check and the next y, v steps
+    ax = comp.op_minus_rhs(st.X)
     best_seen = math.inf
     status = "max_iter"
     pres = dres = gap = math.inf
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        if comp.graph.k:
-            rhs = mu * ax[0]
-            rhs += comp.graph.op(resid) - comp.graph.gram_dot(y1)
-            y1_new = -comp.graph.solve(rhs)
-            resid += comp.graph.adjoint(y1_new - y1)
-            y1 = y1_new
-        if comp.other.k:
-            rhs = mu * ax[1]
-            rhs += comp.other.op(resid) - comp.other.gram_dot(y2)
-            y2_new = -comp.other.solve(rhs)
-            resid += comp.other.adjoint(y2_new - y2)
-            y2 = y2_new
-        for (g, a, b), lin_x in zip(slices, ax[2:]):
-            if g.k == 0:
-                continue
-            old = v[a:b]
-            lin = lin_x + (g.op(resid) - g.gram_dot(old)) / mu
-            new = g.qp(lin, mu)
-            resid += g.adjoint(new - old)
-            v[a:b] = new
-        w_arg = -(resid - S) - mu * X
-        w_arg = 0.5 * (w_arg + w_arg.T)
-        lam, vec = np.linalg.eigh(w_arg)
-        S_new = (vec * np.maximum(lam, 0.0)) @ vec.T
-        X = (vec * (np.maximum(-lam, 0.0) / mu)) @ vec.T
-        resid += S_new - S
-        S = S_new
-        ax = [blk.op(X) - blk.rhs for blk in blocks]
+        comp.y_phase(st, resid, ax, mu)
+        comp.v_phase(st, resid, ax, mu)
+        comp.sx_phase(st, resid, ax, mu)
         peq = float(np.sum(ax[0] ** 2))
         peq += float(np.sum(ax[1] ** 2))
         pineq = 0.0
@@ -486,19 +446,14 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
             pineq += float(np.sum(np.minimum(lin_x, 0.0) ** 2))
         pres = math.sqrt(peq + pineq) / (1.0 + comp.b_norm)
         dres = float(np.linalg.norm(resid)) / (1.0 + comp.c_norm)
-        pobj = float(np.sum(comp.C * X))
+        pobj = float(np.sum(comp.C * st.X))
         dobj = float(
-            np.dot(comp.graph.rhs, y1)
-            + np.dot(comp.other.rhs, y2)
-            + np.dot(comp.d, v)
+            np.dot(comp.graph.rhs, st.y1)
+            + np.dot(comp.other.rhs, st.y2)
+            + np.dot(comp.d, st.v)
         )
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         worst = max(pres, dres, gap)
-        if cfg.verbose and it % max(1, 200 // cfg.verbose) == 0:
-            print(
-                f"iter={it} pres={pres:.3e} dres={dres:.3e} gap={gap:.3e} "
-                f"obj={comp.sign * pobj:.6f} mu={mu:.2e}"
-            )
         if worst <= cfg.eps:
             status = "converged"
             break
@@ -506,6 +461,8 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         if worst > 1e6 * best_seen and worst > 1.0:
             status = "diverged"
             break
+        if it % 200 == 0:
+            _log_progress(it, pres, dres, gap, comp.sign * pobj + offset, mu)
         if it % 25 == 0:
             # ADMM on the dual: the split constraint is A*(y)+B*(v)+S = C, so a
             # dominant dual residual calls for a heavier penalty (smaller mu).
@@ -513,11 +470,12 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
                 mu = max(mu / factor, 1e-4)
             elif pres > ratio * dres:
                 mu = min(mu * factor, 1e4)
-    pobj_user = comp.sign * float(np.sum(comp.C * X))
-    value = pobj_user + (sem.value_offset if sem is not None else 0.0)
+    pobj_user = comp.sign * float(np.sum(comp.C * st.X))
+    value = pobj_user + offset
+    _log_progress(it, pres, dres, gap, value, mu, status)
     return SolveResult(
         value=value,
-        X_final=X,
+        X_final=st.X,
         residuals=(pres, dres, gap),
         iterations=it,
         status=status,
@@ -525,6 +483,18 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         objective=pobj_user,
         kernels=comp.kernels,
     )
+
+
+def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
+                  mu: float, status: str = "running") -> None:
+    """One DEBUG record; value is in the bound's units (offset included)."""
+    if _log.isEnabledFor(logging.DEBUG):
+        rec = {"it": it, "pres": pres, "dres": dres, "gap": gap,
+               "value": value, "mu": mu}
+        _log.debug(
+            "solve %s: iter=%d pres=%.3e dres=%.3e gap=%.3e value=%.6f mu=%.2e",
+            status, it, pres, dres, gap, value, mu, extra={"solve": rec},
+        )
 
 
 def extract_bound(result: SolveResult, sem: Optional[BoundSemantics]) -> tuple[float, int]:

@@ -69,6 +69,19 @@ class TestBound:
         # a class weighing more than m = 2 would start from an invalid colouring
         assert warm is not None and validate_partition(inst, warm).ok
 
+    def test_verbose_keeps_stdout_machine_readable(self, capsys):
+        code, out, err = run_cli(
+            ["bound", "--gen", "gnp:30,0.5,1", "--m", "4", "--verbose", "1",
+             "--output-format", "json"], capsys
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert rows[0]["bound"] == "7.5000"
+        progress = [ln for ln in err.splitlines() if ln.startswith("bcsdp.solver:")]
+        assert "iter=200" in progress[0]
+        # progress values are in the bound's units (value_offset included)
+        assert "value=7.4999" in progress[-1]
+
     def test_unbounded_defaults_to_theta(self, capsys):
         code, out, err = run_cli(
             ["bound", "--gen", "cycle:5", "--output-format", "json"], capsys

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -32,9 +33,8 @@ from bcsdp.solver import (
     extract_bound,
     initial_matrix,
     solve,
-    update_s,
+    update_sx,
     update_v,
-    update_x,
     update_y,
     _Block,
     _Compiled,
@@ -171,26 +171,25 @@ class TestUpdateFormulas:
         st = fresh_state(model, sem)
         st.X = np.zeros((3, 3))
         # argument C - 0 already PSD -> S equals it
-        s = update_s(st, model, 1.0)
+        s, _ = update_sx(st, model, 1.0)
         assert np.allclose(s, model.objective, atol=1e-12)
         st.X = 5.0 * np.eye(3)  # argument strongly negative definite
         st.S = np.zeros((3, 3))
-        s = update_s(st, model, 1.0)
+        s, _ = update_sx(st, model, 1.0)
         assert np.allclose(s, 0.0, atol=1e-12)
 
     def test_x_affine_update(self, p3):
+        # the fused projection is the multiplier step taken with the new S
         model, sem = build_bounded(p3, 2)
         st = randomized_state(model, sem, 3)
-        x_new = update_x(st, model, 2.0)
-        from _reference import adjoint
-
+        s_new, x_new = update_sx(st, model, 2.0)
         a1, b1, a2, b2, groups = dense_blocks(model)
         mats = [m for (_, ms, _) in groups for m in ms]
         resid = (
             adjoint(a1, st.y1)
             + adjoint(a2, st.y2)
             + (adjoint(mats, st.v) if mats else 0.0)
-            + st.S
+            + s_new
             - model.objective
         )
         assert np.allclose(x_new, st.X + resid / 2.0, atol=1e-12)
@@ -198,7 +197,7 @@ class TestUpdateFormulas:
     def test_mu_limit_keeps_x(self, p3):
         model, sem = build_bounded(p3, 2)
         st = randomized_state(model, sem, 4)
-        x_new = update_x(st, model, 1e12)
+        _, x_new = update_sx(st, model, 1e12)
         assert np.max(np.abs(x_new - st.X)) <= 1e-9
 
 
@@ -261,12 +260,7 @@ class TestKernelReport:
         assert res.kernels == ("scaled_identity", "chain", "alphabeta")
 
     def test_room_model_reports_dense_blocks(self):
-        inst = TimetablingInstance(
-            graph=gen_gnp(8, 0.5, 1), m=2,
-            event_sizes=(20, 50, 100, 20, 50, 100, 20, 50),
-            room_capacities=(60, 120),
-        )
-        model = build_room_assignment(inst)
+        model = rooms_model()
         res = solve(model, None, SolverConfig(max_iter=5))
         assert [kind for kind, _, _ in model.ineq_groups] == [
             "rowsum", "generic", "pairs"
@@ -288,7 +282,7 @@ class TestP3Fixture:
         st = SolverState(st.X, y1, y2, st.v, st.S)
         v = update_v(st, model, 1.0)
         assert np.allclose(v, 0.0)
-        s1 = update_s(st, model, 1.0)
+        s1, x1 = update_sx(st, model, 1.0)
         want_s = np.array(
             [
                 [0.2071068, 0.1464466, 0.1464466],
@@ -297,8 +291,6 @@ class TestP3Fixture:
             ]
         )
         assert np.allclose(s1, want_s, atol=1e-6)
-        st = SolverState(st.X, y1, y2, v, s1)
-        x1 = update_x(st, model, 1.0)
         want_x = np.array(
             [
                 [1.2071068, -0.8535534, -0.8535534],
@@ -315,17 +307,50 @@ class TestStateInvariants:
         g = gen_gnp(7, 0.5, 11)
         model, sem = build_bounded(g, 2)
         st = fresh_state(model, sem)
-        for it in range(12):
+        for _ in range(12):
             y1, y2 = update_y(st, model, 1.0)
-            st = SolverState(st.X, y1, y2, st.v, st.S, it)
+            st = SolverState(st.X, y1, y2, st.v, st.S)
             v = update_v(st, model, 1.0)
             assert np.all(v >= 0.0)
-            st = SolverState(st.X, st.y1, st.y2, v, st.S, it)
-            s = update_s(st, model, 1.0)
+            st = SolverState(st.X, st.y1, st.y2, v, st.S)
+            s, x = update_sx(st, model, 1.0)
             assert np.linalg.eigvalsh(s).min() >= -1e-10
-            st = SolverState(st.X, st.y1, st.y2, st.v, s, it)
-            x = update_x(st, model, 1.0)
-            st = SolverState(x, st.y1, st.y2, st.v, st.S, it)
+            st = SolverState(x, st.y1, st.y2, st.v, s)
+
+
+def rooms_model():
+    """A tt8-style room-assignment model whose blocks take the dense kernels."""
+    inst = TimetablingInstance(
+        graph=gen_gnp(8, 0.5, 1), m=2,
+        event_sizes=(20, 50, 100, 20, 50, 100, 20, 50),
+        room_capacities=(60, 120),
+    )
+    return build_room_assignment(inst)
+
+
+LOOP_CASES = {
+    "bounded-gnp12": lambda: build_bounded(gen_gnp(12, 0.5, 1), 3),
+    "theta-gnp9": lambda: (build_theta(gen_gnp(9, 0.5, 1), "lovasz"), None),
+    "rooms-tt8": lambda: (rooms_model(), None),
+}
+
+
+class TestLoopIsTheStep:
+    """solve() runs exactly the phases that update_y/update_v/update_sx expose."""
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_solve_matches_chained_updates(self, case, k):
+        model, sem = LOOP_CASES[case]()
+        cfg = SolverConfig(max_iter=k)  # k < 25, so mu stays at mu0
+        res = solve(model, sem, cfg)
+        assert res.iterations == k
+        st = fresh_state(model, sem)
+        for _ in range(k):
+            st.y1, st.y2 = update_y(st, model, cfg.mu0)
+            st.v = update_v(st, model, cfg.mu0)
+            st.S, st.X = update_sx(st, model, cfg.mu0)
+        assert np.max(np.abs(res.X_final - st.X)) <= 1e-10
 
 
 class TestSolveBehaviour:
@@ -348,10 +373,16 @@ class TestSolveBehaviour:
         cold = solve(model, sem, SolverConfig())
         assert res.value == pytest.approx(cold.value, abs=5e-3)
 
-    def test_debug_structure_check(self, p3):
-        model, sem = build_bounded(p3, 2)
-        res = solve(model, sem, SolverConfig(debug=True, max_iter=50))
-        assert res.iterations == 50 or res.status == "converged"
+    def test_progress_records(self, caplog):
+        model, sem = build_bounded(gen_gnp(30, 0.5, 1), 4)
+        with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
+            res = solve(model, sem, SolverConfig(max_iter=450))
+        recs = [r.solve for r in caplog.records if hasattr(r, "solve")]
+        assert [r["it"] for r in recs] == [200, 400, 450]
+        assert set(recs[-1]) == {"it", "pres", "dres", "gap", "value", "mu"}
+        # the value is in the bound's units: the offset is included
+        assert recs[-1]["value"] == res.value
+        assert recs[-1]["pres"] == res.residuals[0]
 
     def test_infeasible_model_does_not_converge(self):
         from bcsdp.relax import SdpModel, StructureTags, SymRow
