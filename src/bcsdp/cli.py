@@ -42,7 +42,6 @@ from .ingest import (
 )
 from .oracle import exact_bounded_chromatic, sandwich_check
 from .relax import (
-    BoundSemantics,
     build_bounded,
     build_laminar,
     build_precoloured,
@@ -174,6 +173,8 @@ def resolve_m(doc: InstanceDocument, args) -> int | None:
     if args.m is not None:
         return args.m
     if args.m_offset is not None:
+        # the offset is taken from a colouring of the bare graph
+        _refuse_unmodelled(doc.instance, "--m-offset", "weights", "precolouring")
         res = exact_bounded_chromatic(
             TimetablingInstance.colouring(doc.instance.graph, doc.instance.graph.n),
             time_limit=args.oracle_limit,
@@ -207,11 +208,11 @@ def scope_instance(inst: TimetablingInstance, m: int) -> TimetablingInstance:
     )
 
 
-def _refuse_unmodelled(inst: TimetablingInstance, relax: str, *fields: str) -> None:
-    """Fail instead of silently bounding a problem without these fields."""
+def _refuse_unmodelled(inst: TimetablingInstance, what: str, *fields: str) -> None:
+    """Fail instead of silently solving a problem without these fields."""
     for name in fields:
         if getattr(inst, name):
-            raise CliError(f"relaxation {relax!r} cannot model the instance's {name}")
+            raise CliError(f"{what} cannot model the instance's {name}")
 
 
 def build_model(inst: TimetablingInstance, relax: str, m: int | None, args):
@@ -223,24 +224,17 @@ def build_model(inst: TimetablingInstance, relax: str, m: int | None, args):
     scoped = scope_instance(inst, m)
     if relax == "bounded":
         if scoped.precolouring:
-            _refuse_unmodelled(scoped, "bounded (pre-coloured)", "weights")
+            _refuse_unmodelled(scoped, "relaxation 'bounded (pre-coloured)'", "weights")
             return build_precoloured(g, m, scoped.precolouring)
         if scoped.weights is not None:
             return build_weighted(g, m, scoped.weights)
         return build_bounded(g, m)
     if relax == "laminar":
-        _refuse_unmodelled(scoped, relax, "weights")
+        _refuse_unmodelled(scoped, f"relaxation {relax!r}", "weights")
         return build_laminar(scoped, counting=args.counting, features=args.features)
     if relax == "rooms":
-        _refuse_unmodelled(scoped, relax, "weights", "precolouring")
-        model = build_room_assignment(scoped, room_stability=args.room_stability)
-        sem = BoundSemantics(
-            transform="scaled",
-            anchor_vertex=0,
-            value_offset=1.0,
-            value_map="bound t = X[0,0] + 1",
-        )
-        return model, sem
+        _refuse_unmodelled(scoped, f"relaxation {relax!r}", "weights", "precolouring")
+        return build_room_assignment(scoped, room_stability=args.room_stability)
     raise CliError(f"unknown relaxation {relax!r}")
 
 

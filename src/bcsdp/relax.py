@@ -14,14 +14,13 @@ sum(c * (2 - [i==j]) * X_ij).
 
 Bounded-colouring models
 ------------------------
-The shifted variable is X = Y - J, where Y carries the colouring semantics
-(diagonal t, zero on edges).  The default `scaled` transform keeps order n and
-reads the bound off the anchor diagonal entry: bound = X_ww + 1.  Row-sum
+Each relaxation is stated over (Y, t) with Y - J PSD, where Y carries the
+colouring semantics (diagonal t, zero on edges).  The model's variable is the
+shifted X = Y - J of order n, and the bound is read off the anchor diagonal
+entry: t = X_00 + 1 (`_scaled_row` writes this substitution).  Row-sum
 constraints use the diagonal-equality rows to anchor the bound at their own
 column, sum_u X_uv - m X_vv <= m - n, which keeps the inequality block's Gram
 matrix in exact alpha*I + beta*J form for the solver's closed-form kernels.
-The `rewritten` transform doubles the order with an explicit slack block and
-exists for cross-validation.
 """
 
 from __future__ import annotations
@@ -40,15 +39,11 @@ __all__ = [
     "SdpModel",
     "StructureTags",
     "BoundSemantics",
-    "ModelSketch",
-    "SketchRow",
-    "bounded_sketch",
-    "to_standard_form",
     "build_theta",
     "build_bounded",
     "build_precoloured",
     "build_weighted",
-    "reduce_precolouring",
+    "reduce_precolouring_atoms",
     "build_laminar",
     "build_room_assignment",
     "verify_structure",
@@ -119,12 +114,12 @@ class StructureTags:
 
 @dataclass(frozen=True)
 class BoundSemantics:
-    """How a model's objective maps back to the colouring bound t."""
+    """How a model's objective maps back to the colouring bound t.
 
-    transform: str  # "scaled" | "rewritten"
-    anchor_vertex: int
+    Every bounded model reads t = X_00 + 1, so value_offset is 1.
+    """
+
     value_offset: float
-    value_map: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,217 +158,152 @@ class SdpModel:
 
 
 # ---------------------------------------------------------------------------
-# sketches: relaxations stated over (Y, t) with Y - J PSD
+# model assembly
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SketchRow:
-    """Affine row over (Y, t): <A, Y> + t_coeff * t  (= | <=)  rhs."""
+def _model(dim: int, objective: np.ndarray, sense: str,
+           eq_graph: Sequence[SymRow], eq_other: Sequence[SymRow],
+           blocks: Sequence[tuple[str, Sequence[SymRow]]]) -> SdpModel:
+    """The model with its inequality groups recorded and its structure verified.
 
-    entries: tuple[tuple[int, int, float], ...]
-    t_coeff: float
-    rhs: float
-    relation: str  # "eq" | "le"
-    spread_vertex: int | None = None  # diagonal allowed to absorb t (via A2)
-    group: str = "generic"
-
-    @staticmethod
-    def make(entries: dict[tuple[int, int], float], t_coeff: float, rhs: float,
-             relation: str, spread_vertex: int | None = None,
-             group: str = "generic") -> "SketchRow":
-        canon: dict[tuple[int, int], float] = {}
-        for (i, j), c in entries.items():
-            key = (min(i, j), max(i, j))
-            canon[key] = canon.get(key, 0.0) + c
-        items = tuple(sorted((i, j, c) for (i, j), c in canon.items() if c != 0.0))
-        return SketchRow(items, t_coeff, rhs, relation, spread_vertex, group)
-
-    def coeff_sum(self) -> float:
-        return sum(c * (2.0 if i != j else 1.0) for i, j, c in self.entries)
-
-
-@dataclass(frozen=True)
-class ModelSketch:
-    """A relaxation with a single Y - J PSD constraint, objective min/max t."""
-
-    n: int
-    zero_pairs: tuple[tuple[int, int], ...]  # Y_uv = 0
-    rows: tuple[SketchRow, ...]
-    nonneg_pairs: tuple[tuple[int, int], ...]  # Y_uv >= 0
-    sense: str = "min"
-    printed_sense: str = "min"
-
-
-def bounded_sketch(g: ConflictGraph, m: int) -> ModelSketch:
-    """The m-bounded colouring relaxation over (Y, t): the bare transformed
-    constraint system (edge zeros, diagonal chain, n row sums)."""
-    if not 1 <= m <= max(g.n, 1):
-        raise ValueError(f"require 1 <= m <= n, got m={m}, n={g.n}")
-    rows = [_row_sum_sketch_row(g.n, v, m) for v in range(g.n)]
-    return ModelSketch(
-        n=g.n,
-        zero_pairs=tuple(sorted(g.edges)),
-        rows=tuple(rows),
-        nonneg_pairs=(),
-    )
-
-
-def _row_sum_sketch_row(n: int, v: int, m: float,
-                        weights: Sequence[float] | None = None) -> SketchRow:
-    entries: dict[tuple[int, int], float] = {}
-    for u in range(n):
-        w = 1.0 if weights is None else float(weights[u])
-        if u == v:
-            entries[(v, v)] = entries.get((v, v), 0.0) + w
-        else:
-            entries[(min(u, v), max(u, v))] = w / 2.0
-    return SketchRow.make(entries, t_coeff=-float(m), rhs=0.0, relation="le",
-                          spread_vertex=v, group="rowsum")
-
-
-def _scaled_rows(sketch: ModelSketch, anchor: int):
-    """Transform sketch rows to X = Y - J coordinates with t = X_ww + 1."""
-    eq_rows: list[SymRow] = []
-    ineq_rows: list[tuple[str, SymRow]] = []
-    for row in sketch.rows:
-        entries: dict[tuple[int, int], float] = {
-            (i, j): c for i, j, c in row.entries
-        }
-        diag = row.spread_vertex if row.spread_vertex is not None else anchor
-        entries[(diag, diag)] = entries.get((diag, diag), 0.0) + row.t_coeff
-        rhs = row.rhs - row.coeff_sum() - row.t_coeff
-        if row.relation == "eq":
-            eq_rows.append(SymRow.from_entries(entries, rhs))
-        else:
-            # <= becomes >= by negation
-            neg = {k: -c for k, c in entries.items()}
-            ineq_rows.append((row.group, SymRow.from_entries(neg, -rhs)))
-    return eq_rows, ineq_rows
-
-
-def _assemble_ineq(groups: list[tuple[str, list[SymRow]]]):
-    rows: list[SymRow] = []
+    `blocks` are the named inequality groups in order.  An all-zero row reads
+    0 >= rhs: it is dropped, or rejected when rhs > 0; empty groups are left
+    out of ineq_groups.
+    """
+    ineq: list[SymRow] = []
     spans: list[tuple[str, int, int]] = []
-    for kind, block in groups:
-        kept = []
+    for kind, block in blocks:
+        start = len(ineq)
         for row in block:
-            if not row.coeff:
-                # all-zero row: 0 >= rhs is vacuous or infeasible
-                if row.rhs > 1e-12:
-                    raise ValueError("infeasible constraint: 0 >= positive rhs")
-                continue
-            kept.append(row)
-        if not kept:
-            continue
-        start = len(rows)
-        rows.extend(kept)
-        spans.append((kind, start, len(rows)))
-    return tuple(rows), tuple(spans)
+            if row.coeff:
+                ineq.append(row)
+            elif row.rhs > 1e-12:
+                raise ValueError("infeasible constraint: 0 >= positive rhs")
+        if len(ineq) > start:
+            spans.append((kind, start, len(ineq)))
+    model = SdpModel(
+        dim=dim,
+        objective=objective,
+        eq_graph=tuple(eq_graph),
+        eq_other=tuple(eq_other),
+        ineq=tuple(ineq),
+        sense=sense,
+        structure=StructureTags(),
+        ineq_groups=tuple(spans),
+    )
+    return replace(model, structure=verify_structure(model))
 
 
-def to_standard_form(sketch: ModelSketch, transform: str,
-                     anchor: int = 0) -> tuple[SdpModel, BoundSemantics]:
-    """Emit a sketch as a standard-form model under the named transform."""
-    n = sketch.n
-    if not 0 <= anchor < n:
-        raise ValueError("anchor vertex out of range")
-    if transform == "scaled":
-        objective = np.zeros((n, n))
-        objective[anchor, anchor] = 1.0
-        eq_graph = tuple(
-            SymRow.from_entries({(u, v): 0.5}, -1.0) for u, v in sketch.zero_pairs
-        )
-        chain = [
-            SymRow.from_entries({(anchor, anchor): 1.0, (v, v): -1.0}, 0.0)
-            for v in range(n) if v != anchor
-        ]
-        extra_eq, tagged_ineq = _scaled_rows(sketch, anchor)
-        pair_rows = [
-            SymRow.from_entries({(u, v): 0.5}, -1.0) for u, v in sketch.nonneg_pairs
-        ]
-        grouped: dict[str, list[SymRow]] = {}
-        for kind, row in tagged_ineq:
-            grouped.setdefault(kind, []).append(row)
-        blocks = [(k, grouped[k]) for k in grouped]
-        blocks.append(("pairs", pair_rows))
-        ineq, spans = _assemble_ineq(blocks)
-        model = SdpModel(
-            dim=n,
-            objective=objective,
-            eq_graph=eq_graph,
-            eq_other=tuple(chain) + tuple(extra_eq),
-            ineq=ineq,
-            sense="min",
-            structure=StructureTags(),
-            ineq_groups=spans,
-        )
-        model = replace(model, structure=verify_structure(model))
-        sem = BoundSemantics(
-            transform="scaled",
-            anchor_vertex=anchor,
-            value_offset=1.0,
-            value_map=(
-                f"bound t = X[{anchor},{anchor}] + 1; printed sense "
-                f"{sketch.printed_sense}, solved as {sketch.sense}"
-            ),
-        )
-        return model, sem
-    if transform == "rewritten":
-        if any(r.relation != "le" or r.group != "rowsum" for r in sketch.rows):
-            raise ValueError("unsupported sketch shape for the rewritten transform")
-        dim = 2 * n
-        objective = np.zeros((dim, dim))
-        objective[anchor, anchor] = 1.0
-        eq_graph = tuple(
-            SymRow.from_entries({(n + u, n + v): 0.5}, -1.0)
-            for u, v in sketch.zero_pairs
-        )
-        chain = [
-            SymRow.from_entries(
-                {(n + anchor, n + anchor): 1.0, (n + v, n + v): -1.0}, 0.0
-            )
-            for v in range(n) if v != anchor
-        ]
-        link = []
-        for u in range(n):
-            for v in range(u, n):
-                c = 1.0 if u == v else 0.5
-                link.append(
-                    SymRow.from_entries({(u, v): c, (n + u, n + v): -c}, 1.0)
-                )
-        rowsum = []
-        for row in sketch.rows:
-            v = row.spread_vertex
-            entries = {(i, j): -c for i, j, c in row.entries}
-            entries[(v, v)] = entries.get((v, v), 0.0) - row.t_coeff
-            rowsum.append(SymRow.from_entries(entries, -row.rhs))
-        pair_rows = [
-            SymRow.from_entries({(u, v): 0.5}, 0.0) for u, v in sketch.nonneg_pairs
-        ]
-        ineq, spans = _assemble_ineq([("rowsum", rowsum), ("pairs", pair_rows)])
-        model = SdpModel(
-            dim=dim,
-            objective=objective,
-            eq_graph=eq_graph,
-            eq_other=tuple(chain) + tuple(link),
-            ineq=ineq,
-            sense="min",
-            structure=StructureTags(),
-            ineq_groups=spans,
-        )
-        model = replace(model, structure=verify_structure(model))
-        sem = BoundSemantics(
-            transform="rewritten",
-            anchor_vertex=anchor,
-            value_offset=0.0,
-            value_map=(
-                f"bound t = Y[{anchor},{anchor}]; printed sense "
-                f"{sketch.printed_sense}, solved as {sketch.sense}"
-            ),
-        )
-        return model, sem
-    raise ValueError(f"unknown transform {transform!r}")
+def _scaled_row(entries: dict[tuple[int, int], float], t_coeff: float, diag: int,
+                relation: str) -> SymRow:
+    """The row <A, Y> + t_coeff * t (= | <=) 0 over (Y, t), in X = Y - J.
+
+    `entries` holds A at canonical positions (i <= j) and is consumed.  With
+    Y = X + J and t = X_dd + 1 the row reads
+    <A, X> + t_coeff * X_dd (= | <=) -<A, J> - t_coeff; a "<=" row is negated
+    into the model's ">=" form.
+    """
+    a_j = sum(c * (2.0 if i != j else 1.0) for (i, j), c in entries.items())
+    entries[(diag, diag)] = entries.get((diag, diag), 0.0) + t_coeff
+    rhs = -a_j - t_coeff
+    if relation == "<=":
+        return SymRow.from_entries({k: -c for k, c in entries.items()}, -rhs)
+    return SymRow.from_entries(entries, rhs)
+
+
+def _column(v: int, members: Iterable[int],
+            weights: Sequence[float] | None = None) -> dict[tuple[int, int], float]:
+    """Entries of sum_{u in members} c_u Y_uv (c_u = 1 without weights)."""
+    entries: dict[tuple[int, int], float] = {}
+    for u in members:
+        w = 1.0 if weights is None else float(weights[u])
+        entries[(min(u, v), max(u, v))] = w if u == v else w / 2.0
+    return entries
+
+
+def _row_sums(n: int, m: int, weights: Sequence[float] | None = None) -> list[SymRow]:
+    """sum_u c_u Y_uv <= m t for every v, with t read at X_vv.
+
+    Anchoring each row at its own column keeps the group's Gram matrix in
+    exact alpha*I + beta*J form for the solver's closed-form kernels.
+    """
+    return [_scaled_row(_column(v, range(n), weights), -float(m), v, "<=")
+            for v in range(n)]
+
+
+def _entry_rows(pairs: Iterable[tuple[int, int]], rhs: float,
+                coeff: float = 0.5) -> list[SymRow]:
+    """One row coeff * (X_uv + X_vu) against rhs per pair (u, v) with u < v."""
+    return [SymRow((u,), (v,), (coeff,), rhs) for u, v in pairs]
+
+
+def _diagonal_chain(n: int) -> list[SymRow]:
+    """X_00 = X_vv for every vertex v > 0: Y has the same diagonal t throughout."""
+    return [SymRow.from_entries({(0, 0): 1.0, (v, v): -1.0}, 0.0) for v in range(1, n)]
+
+
+def _check_precolouring(classes: Sequence[frozenset[int]], m: int, n: int) -> None:
+    """Reject a class larger than m, overlapping classes or a vertex not in 0..n-1."""
+    seen: set[int] = set()
+    for cls in classes:
+        if len(cls) > m:
+            raise ValueError("pre-colouring class larger than m")
+        if seen & cls:
+            raise ValueError("pre-colouring classes must be disjoint")
+        if any(not 0 <= v < n for v in cls):
+            raise ValueError("pre-colouring vertex out of range")
+        seen |= cls
+
+
+def _pin_precolouring(classes: Sequence[frozenset[int]],
+                      zero_pairs: set[tuple[int, int]]
+                      ) -> tuple[list[SymRow], set[tuple[int, int]]]:
+    """Y_uv = t inside each pre-class (E3) and Y_uv = 0 across classes (E4).
+
+    Adds the E4 pairs to zero_pairs; returns the E3 rows and every pinned pair.
+    """
+    rows: list[SymRow] = []
+    pinned: set[tuple[int, int]] = set()
+    for a, cls in enumerate(classes):
+        for u in cls:
+            for v in cls:
+                if u < v:
+                    pinned.add((u, v))
+                    rows.append(_scaled_row({(u, v): 0.5}, -1.0, 0, "="))
+        for other in classes[a + 1:]:
+            for u in cls:
+                for v in other:
+                    pair = (min(u, v), max(u, v))
+                    pinned.add(pair)
+                    zero_pairs.add(pair)
+    return rows, pinned
+
+
+def _scaled_model(
+    n: int,
+    zero_pairs: Iterable[tuple[int, int]],
+    eq_rows: Sequence[SymRow],
+    blocks: Sequence[tuple[str, Sequence[SymRow]]],
+    nonneg_pairs: Iterable[tuple[int, int]] = (),
+) -> tuple[SdpModel, BoundSemantics]:
+    """min t over X = Y - J of order n, with bound t = X_00 + 1.
+
+    Adds Y_uv = 0 on zero_pairs, the diagonal chain X_00 = X_vv anchored at
+    vertex 0 and Y_uv >= 0 on nonneg_pairs (a "pairs" group after `blocks`)
+    to the builder's own eq_rows and inequality blocks.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    objective = np.zeros((n, n))
+    objective[0, 0] = 1.0
+    model = _model(
+        n, objective, "min",
+        _entry_rows(sorted(zero_pairs), -1.0),
+        _diagonal_chain(n) + list(eq_rows),
+        [*blocks, ("pairs", _entry_rows(sorted(nonneg_pairs), -1.0))],
+    )
+    return model, BoundSemantics(value_offset=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,39 +323,24 @@ def build_theta(g: ConflictGraph, variant: str = "lovasz") -> SdpModel:
     if variant not in ("lovasz", "strict", "strong"):
         raise ValueError(f"unknown theta variant {variant!r}")
     h = g.complement()
-    eq_graph: tuple[SymRow, ...] = ()
+    eq_graph: list[SymRow] = []
     pair_rows: list[SymRow] = []
     if variant in ("lovasz", "strict"):
-        eq_graph = tuple(
-            SymRow.from_entries({(u, v): 0.5}, 0.0) for u, v in sorted(h.edges)
-        )
+        eq_graph = _entry_rows(sorted(h.edges), 0.0)
     if variant == "strict":
-        pair_rows = [
-            SymRow.from_entries({(u, v): 0.5}, 0.0) for u, v in h.non_edges()
-        ]
+        pair_rows = _entry_rows(h.non_edges(), 0.0)
     if variant == "strong":
-        pair_rows = [
-            SymRow.from_entries({(u, v): -0.5}, 0.0) for u, v in sorted(h.edges)
-        ]
+        pair_rows = _entry_rows(sorted(h.edges), 0.0, coeff=-0.5)
     trace_row = SymRow.from_entries({(v, v): 1.0 for v in range(g.n)}, 1.0)
-    ineq, spans = _assemble_ineq([("pairs", pair_rows)])
-    model = SdpModel(
-        dim=g.n,
-        objective=np.ones((g.n, g.n)),
-        eq_graph=eq_graph,
-        eq_other=(trace_row,),
-        ineq=ineq,
-        sense="max",
-        structure=StructureTags(),
-        ineq_groups=spans,
-    )
-    return replace(model, structure=verify_structure(model))
+    return _model(g.n, np.ones((g.n, g.n)), "max", eq_graph, (trace_row,),
+                  [("pairs", pair_rows)])
 
 
-def build_bounded(g: ConflictGraph, m: int,
-                  transform: str = "scaled") -> tuple[SdpModel, BoundSemantics]:
-    """min t with Y_vv = t, zero edges, row sums <= tm, Y >= 0, Y - J PSD."""
-    return to_standard_form(bounded_sketch(g, m), transform)
+def build_bounded(g: ConflictGraph, m: int) -> tuple[SdpModel, BoundSemantics]:
+    """min t with Y_vv = t, zero edges, row sums <= tm, Y - J PSD."""
+    if not 1 <= m <= max(g.n, 1):
+        raise ValueError(f"require 1 <= m <= n, got m={m}, n={g.n}")
+    return _scaled_model(g.n, g.edges, (), [("rowsum", _row_sums(g.n, m))])
 
 
 def build_precoloured(
@@ -438,54 +353,19 @@ def build_precoloured(
     unpinned non-edges (L3) and the aggregate counting bound (L4).
     """
     classes = [frozenset(c) for c in pre]
-    seen: set[int] = set()
-    for cls in classes:
-        if len(cls) > m:
-            raise ValueError("pre-colouring class larger than m")
-        if seen & cls:
-            raise ValueError("pre-colouring classes must be disjoint")
-        if any(not 0 <= v < g.n for v in cls):
-            raise ValueError("pre-colouring vertex out of range")
-        seen |= cls
+    _check_precolouring(classes, m, g.n)
     n = g.n
     zero_pairs = set(g.edges)
-    pinned: set[tuple[int, int]] = set()
-    rows: list[SketchRow] = []
-    for a in range(len(classes)):
-        for u in classes[a]:
-            for v in classes[a]:
-                if u < v:
-                    pinned.add((u, v))
-                    rows.append(SketchRow.make(
-                        {(u, v): 0.5}, t_coeff=-1.0, rhs=0.0, relation="eq"
-                    ))
-        for b in range(a + 1, len(classes)):
-            for u in classes[a]:
-                for v in classes[b]:
-                    pair = (min(u, v), max(u, v))
-                    pinned.add(pair)
-                    zero_pairs.add(pair)
-    for v in range(n):
-        rows.append(_row_sum_sketch_row(n, v, m))
-    for u in range(n):
-        row = _row_sum_sketch_row(n, u, m)
-        rows.append(replace(row, group="colsum"))
+    eq_rows, pinned = _pin_precolouring(classes, zero_pairs)
+    rowsum = _row_sums(n, m)
     # L4: <J, Y> <= n m t
-    rows.append(SketchRow.make(
-        {(i, j): (1.0 if i == j else 1.0) for i in range(n) for j in range(i, n)},
-        t_coeff=-float(n * m), rhs=0.0, relation="le", group="generic",
-    ))
-    nonneg = tuple(
-        p for p in g.complement().edges if p not in pinned
+    total = _scaled_row({(i, j): 1.0 for i in range(n) for j in range(i, n)},
+                        -float(n * m), 0, "<=")
+    nonneg = (p for p in g.complement().edges if p not in pinned)
+    return _scaled_model(
+        n, zero_pairs, eq_rows,
+        [("rowsum", rowsum), ("colsum", rowsum), ("generic", [total])], nonneg,
     )
-    sketch = ModelSketch(
-        n=n,
-        zero_pairs=tuple(sorted(zero_pairs)),
-        rows=tuple(rows),
-        nonneg_pairs=tuple(sorted(nonneg)),
-        printed_sense="max",
-    )
-    return to_standard_form(sketch, "scaled")
 
 
 def build_weighted(
@@ -496,42 +376,22 @@ def build_weighted(
         raise ValueError("weight vector length must equal vertex count")
     if any(w < 1 for w in c):
         raise ValueError("weights must be >= 1")
-    rows = [
-        _row_sum_sketch_row(g.n, v, m, weights=[float(w) for w in c])
-        for v in range(g.n)
-    ]
-    rows += [replace(r, group="colsum") for r in rows]
-    sketch = ModelSketch(
-        n=g.n,
-        zero_pairs=tuple(sorted(g.edges)),
-        rows=tuple(rows),
-        nonneg_pairs=(),
-        printed_sense="max",
-    )
-    return to_standard_form(sketch, "scaled")
-
-
-def reduce_precolouring(
-    g: ConflictGraph, m: int, pre: Sequence[Iterable[int]]
-) -> tuple[ConflictGraph, tuple[int, ...]]:
-    """Contract each pre-class to one weighted vertex; edges are unioned."""
-    graph, weights, _ = reduce_precolouring_atoms(g, m, pre)
-    return graph, weights
+    rowsum = _row_sums(g.n, m, weights=c)
+    return _scaled_model(g.n, g.edges, (), [("rowsum", rowsum), ("colsum", rowsum)])
 
 
 def reduce_precolouring_atoms(
     g: ConflictGraph, m: int, pre: Sequence[Iterable[int]]
 ) -> tuple[ConflictGraph, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """As reduce_precolouring, also returning the member list of each new vertex."""
-    classes = [tuple(sorted(set(cls))) for cls in pre]
-    seen: set[int] = set()
-    for cls in classes:
-        if len(cls) > m:
-            raise ValueError("pre-colouring class larger than m")
-        if seen & set(cls):
-            raise ValueError("pre-colouring classes must be disjoint")
-        seen |= set(cls)
-    atoms: list[tuple[int, ...]] = list(classes)
+    """Contract each pre-class to one weighted vertex; edges are unioned.
+
+    Returns the contracted graph, the weight (member count) of each new vertex
+    and the member list of each new vertex.
+    """
+    classes = [frozenset(cls) for cls in pre]
+    _check_precolouring(classes, m, g.n)
+    seen = frozenset().union(*classes)
+    atoms = [tuple(sorted(cls)) for cls in classes]
     atoms += [(v,) for v in range(g.n) if v not in seen]
     index: dict[int, int] = {}
     for a, members in enumerate(atoms):
@@ -602,90 +462,55 @@ def build_laminar(
         for f, vs in feature_sets.items():
             if vs and not inst.rooms_with_feature(f):
                 raise ValueError(f"feature {f} required but available in no room")
-    rows: list[SketchRow] = []
+    rowsum: list[SymRow] = []
+    generic: list[SymRow] = []
     emitted: set[tuple] = set()
 
-    def push(row: SketchRow) -> None:
-        key = (row.entries, row.t_coeff, row.rhs, row.relation)
+    def push(block: list[SymRow], entries: dict[tuple[int, int], float],
+             t_coeff: float, diag: int = 0) -> None:
+        # one row per distinct row over (Y, t), wherever its t is read
+        key = (tuple(sorted(entries.items())), t_coeff)
         if key not in emitted:
             emitted.add(key)
-            rows.append(row)
+            block.append(_scaled_row(entries, t_coeff, diag, "<="))
 
     for v in range(n):
-        push(_row_sum_sketch_row(n, v, m))
+        push(rowsum, _column(v, range(n)), -float(m), v)
 
-    def subset_column_row(members: Sequence[int], v: int, rooms: int) -> SketchRow:
-        entries: dict[tuple[int, int], float] = {}
-        for u in members:
-            if u == v:
-                entries[(v, v)] = entries.get((v, v), 0.0) + 1.0
-            else:
-                entries[(min(u, v), max(u, v))] = 0.5
-        return SketchRow.make(entries, t_coeff=-float(rooms), rhs=0.0,
-                              relation="le", spread_vertex=v,
-                              group="rowsum" if len(members) == n else "generic")
-
-    def subset_total_row(members: Sequence[int], rooms: int) -> SketchRow:
-        # <A, Y> = sum_{u in members} sum_{v in V} Y_uv
-        entries: dict[tuple[int, int], float] = {}
-        mem = set(members)
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    weight = 1.0 if i in mem else 0.0
-                else:
-                    weight = ((i in mem) + (j in mem)) / 2.0
-                if weight:
-                    entries[(i, j)] = weight
-        return SketchRow.make(entries, t_coeff=-float(m * rooms), rhs=0.0,
-                              relation="le", group="generic")
+    def push_subset(members: Sequence[int], rooms: int, total: bool) -> None:
+        for v in members:
+            push(rowsum if len(members) == n else generic,
+                 _column(v, members), -float(rooms), v)
+        if total:
+            # sum_{u in members} sum_{v in V} Y_uv <= m * rooms * t
+            mem = set(members)
+            entries = {}
+            for i in range(n):
+                for j in range(i, n):
+                    if i == j:
+                        weight = 1.0 if i in mem else 0.0
+                    else:
+                        weight = ((i in mem) + (j in mem)) / 2.0
+                    if weight:
+                        entries[(i, j)] = weight
+            push(generic, entries, -float(m * rooms))
 
     for p in thresholds:
-        members = level_sets[p]
-        for v in members:
-            push(subset_column_row(members, v, room_counts[p]))
-        if counting:
-            push(subset_total_row(members, room_counts[p]))
+        push_subset(level_sets[p], room_counts[p], counting)
     if features:
         for f in range(inst.feature_count):
-            members = feature_sets[f]
-            if not members:
-                continue
-            avail = len(inst.rooms_with_feature(f))
-            for v in members:
-                push(subset_column_row(members, v, avail))
-            push(subset_total_row(members, avail))
+            if feature_sets[f]:
+                push_subset(feature_sets[f], len(inst.rooms_with_feature(f)), True)
 
     zero_pairs = set(g.edges)
-    pinned: set[tuple[int, int]] = set()
-    if inst.precolouring:
-        classes = list(inst.precolouring)
-        for a, cls in enumerate(classes):
-            for u in cls:
-                for v in cls:
-                    if u < v:
-                        pinned.add((u, v))
-                        push(SketchRow.make({(u, v): 0.5}, t_coeff=-1.0,
-                                            rhs=0.0, relation="eq"))
-            for b in range(a + 1, len(classes)):
-                for u in classes[a]:
-                    for v in classes[b]:
-                        pair = (min(u, v), max(u, v))
-                        pinned.add(pair)
-                        zero_pairs.add(pair)
-    sketch = ModelSketch(
-        n=n,
-        zero_pairs=tuple(sorted(zero_pairs)),
-        rows=tuple(rows),
-        nonneg_pairs=(),
-        printed_sense="max",
-    )
-    return to_standard_form(sketch, "scaled")
+    eq_rows, _ = _pin_precolouring(inst.precolouring, zero_pairs)
+    return _scaled_model(n, zero_pairs, eq_rows,
+                         [("rowsum", rowsum), ("generic", generic)])
 
 
 def build_room_assignment(
     inst: TimetablingInstance, room_stability: bool = False
-) -> SdpModel:
+) -> tuple[SdpModel, BoundSemantics]:
     """Bounded colouring augmented with an explicit event-room block.
 
     The matrix variable has order n + m; the top-left block carries the
@@ -694,6 +519,8 @@ def build_room_assignment(
     """
     g = inst.graph
     n, m = g.n, inst.m
+    if not 1 <= m <= n:
+        raise ValueError(f"require 1 <= m <= n, got m={m}, n={n}")
     compat: list[list[int]] = []
     for v in range(n):
         rooms = inst.compatible_rooms(v)
@@ -704,22 +531,18 @@ def build_room_assignment(
         compat.append(rooms)
     anchor = 0
     dim = n + m
-    base, _ = build_bounded(g, m)
     objective = np.zeros((dim, dim))
     objective[anchor, anchor] = 1.0
-    eq_graph = list(base.eq_graph)
     compat_sets = [set(r) for r in compat]
-    for v in range(n):
-        for r in range(m):
-            if r not in compat_sets[v]:
-                eq_graph.append(SymRow.from_entries({(v, n + r): 0.5}, 0.0))
-    eq_other = list(base.eq_other)
+    eq_graph = _entry_rows(sorted(g.edges), -1.0) + _entry_rows(
+        ((v, n + r) for v in range(n) for r in range(m) if r not in compat_sets[v]),
+        0.0,
+    )
+    eq_other = _diagonal_chain(n)
     for v in range(n):
         entries = {(v, n + r): 0.5 for r in compat_sets[v]}
         entries[(anchor, anchor)] = entries.get((anchor, anchor), 0.0) - 1.0
         eq_other.append(SymRow.from_entries(entries, 1.0))
-    rowsum = list(base.group_rows("rowsum"))
-    pairs = list(base.group_rows("pairs"))
     generic: list[SymRow] = []
     for v in range(n):
         rooms = sorted(compat_sets[v])
@@ -754,23 +577,14 @@ def build_room_assignment(
                              (anchor, anchor): 1.0},
                             -1.0,
                         ))
-    for v in range(n):
-        for r in sorted(compat_sets[v]):
-            pairs.append(SymRow.from_entries({(v, n + r): 0.5}, 0.0))
-    ineq, spans = _assemble_ineq(
-        [("rowsum", rowsum), ("generic", generic), ("pairs", pairs)]
+    pairs = _entry_rows(
+        ((v, n + r) for v in range(n) for r in sorted(compat_sets[v])), 0.0
     )
-    model = SdpModel(
-        dim=dim,
-        objective=objective,
-        eq_graph=tuple(eq_graph),
-        eq_other=tuple(eq_other),
-        ineq=ineq,
-        sense="min",
-        structure=StructureTags(),
-        ineq_groups=spans,
+    model = _model(
+        dim, objective, "min", eq_graph, eq_other,
+        [("rowsum", _row_sums(n, m)), ("generic", generic), ("pairs", pairs)],
     )
-    return replace(model, structure=verify_structure(model))
+    return model, BoundSemantics(value_offset=1.0)
 
 
 # ---------------------------------------------------------------------------

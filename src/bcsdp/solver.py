@@ -380,16 +380,15 @@ def initial_matrix(model: SdpModel, sem: Optional[BoundSemantics],
                    warm_start: Optional[Partition]) -> np.ndarray:
     """Feasible-leaning start: block indicator of a colouring when one applies.
 
-    Scaled transform: X = t M - J for the warm-start partition's indicator M
+    Bounded models: X = t M - J for the warm-start partition's indicator M
     (singleton classes when absent), which satisfies the edge, chain and
     row-sum constraints outright.
     """
-    dim = model.dim
+    n = model.dim
     if sem is None:
         if model.eq_other and abs(model.eq_other[0].rhs - 1.0) < 1e-12:
-            return np.eye(dim) / dim  # trace-one theta models
-        return np.eye(dim)
-    n = dim if sem.transform == "scaled" else dim // 2
+            return np.eye(n) / n  # trace-one theta models
+        return np.eye(n)
     indicator = np.eye(n)
     t = float(n)
     if warm_start is not None and warm_start.vertex_set() == frozenset(range(n)):
@@ -399,17 +398,7 @@ def initial_matrix(model: SdpModel, sem: Optional[BoundSemantics],
                 for v in cls:
                     indicator[u, v] = 1.0
         t = float(len(warm_start.classes))
-    if sem.transform == "scaled":
-        out = t * indicator - np.ones((n, n))
-        if dim > n:  # room-assignment models carry extra blocks
-            full = np.zeros((dim, dim))
-            full[:n, :n] = out
-            return full
-        return out
-    out = np.zeros((dim, dim))
-    out[:n, :n] = t * indicator
-    out[n:, n:] = t * indicator - np.ones((n, n))
-    return out
+    return t * indicator - np.ones((n, n))
 
 
 def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,

@@ -116,6 +116,21 @@ class TestBound:
         assert f"cannot model the instance's {field}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("weights, pre, field", [
+        ((2, 2, 1, 1, 1, 1), (), "weights"),
+        (None, (frozenset({0, 2}),), "precolouring"),
+    ])
+    def test_m_offset_refuses_unmodelled_field(self, capsys, tmp_path, weights,
+                                               pre, field):
+        # m would come from a colouring of the bare graph, another problem
+        _, path = native_file(tmp_path, weights, pre)
+        code, out, err = run_cli(
+            ["bound", str(path), "--relax", "bounded", "--m-offset", "0"], capsys
+        )
+        assert code == 1
+        assert f"--m-offset cannot model the instance's {field}" in err
+        assert out == ""
+
 
 class TestColour:
     def test_empty_graph_gap_zero(self, capsys, tmp_path):

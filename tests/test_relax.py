@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from bcsdp.graphs import (
 )
 from bcsdp.relax import (
     SymRow,
-    bounded_sketch,
     build_bounded,
     build_laminar,
     build_precoloured,
@@ -17,8 +18,7 @@ from bcsdp.relax import (
     build_theta,
     build_weighted,
     check_laminar,
-    reduce_precolouring,
-    to_standard_form,
+    reduce_precolouring_atoms,
 )
 
 from _reference import gram_of, dense_blocks
@@ -34,35 +34,13 @@ class TestSymRow:
 
 class TestScaledTransform:
     def test_p3_counts(self, p3):
-        model, sem = to_standard_form(bounded_sketch(p3, 2), "scaled")
+        model, sem = build_bounded(p3, 2)
         assert model.dim == 3
         assert len(model.eq_graph) == 2
         assert all(row.rhs == -1.0 for row in model.eq_graph)
         assert len(model.eq_other) == 2
         assert len(model.ineq) == 3
         assert sem.value_offset == 1.0
-
-    def test_p3_rewritten_order(self, p3):
-        model, sem = to_standard_form(bounded_sketch(p3, 2), "rewritten")
-        assert model.dim == 6
-        assert sem.value_offset == 0.0
-
-    def test_rejects_unknown_transform(self, p3):
-        with pytest.raises(ValueError):
-            to_standard_form(bounded_sketch(p3, 2), "other")
-
-    def test_rewritten_rejects_general_sketch(self):
-        model_sketch = bounded_sketch(empty_graph(3), 2)
-        from dataclasses import replace
-        from bcsdp.relax import SketchRow
-
-        bad = replace(
-            model_sketch,
-            rows=model_sketch.rows
-            + (SketchRow.make({(0, 1): 0.5}, -1.0, 0.0, "eq"),),
-        )
-        with pytest.raises(ValueError):
-            to_standard_form(bad, "rewritten")
 
     def test_structure_tags_verified(self):
         g = gen_gnp(8, 0.5, 3)
@@ -132,8 +110,9 @@ class TestBuilders:
         inst = TimetablingInstance(
             graph=empty_graph(1), m=1, event_sizes=(1,), room_capacities=(1,)
         )
-        model = build_room_assignment(inst)
+        model, sem = build_room_assignment(inst)
         assert model.dim == 2
+        assert sem.value_offset == 1.0
 
     def test_room_assignment_infeasible_event(self):
         inst = TimetablingInstance(
@@ -149,18 +128,18 @@ class TestBuilders:
 
 class TestReducePrecolouring:
     def test_contract_empty_graph(self):
-        g, w = reduce_precolouring(empty_graph(3), 2, [{0, 1}])
+        g, w, _ = reduce_precolouring_atoms(empty_graph(3), 2, [{0, 1}])
         assert g.n == 2
         assert w == (2, 1)
 
     def test_edge_inside_class_infeasible(self):
         g = path_graph(2)
         with pytest.raises(ValueError):
-            reduce_precolouring(g, 2, [{0, 1}])
+            reduce_precolouring_atoms(g, 2, [{0, 1}])
 
     def test_edges_unioned(self):
         g = path_graph(3)  # edges (0,1),(1,2)
-        q, w = reduce_precolouring(g, 2, [{0, 2}])
+        q, w, _ = reduce_precolouring_atoms(g, 2, [{0, 2}])
         assert q.n == 2 and q.num_edges == 1
         assert w == (2, 1)
 
@@ -207,3 +186,102 @@ class TestLaminar:
         base, _ = build_laminar(inst, counting=False)
         with_counting, _ = build_laminar(inst, counting=True)
         assert len(with_counting.ineq) > len(base.ineq)
+
+
+
+def _model_digest(built) -> str:
+    """sha256 over everything a builder emits: order, sense, objective bytes,
+    every row of every block as (idx_i, idx_j, coeff, rhs), and ineq_groups."""
+    model = built[0] if isinstance(built, tuple) else built
+    h = hashlib.sha256()
+    h.update(repr((model.dim, model.sense, model.ineq_groups)).encode())
+    h.update(model.objective.tobytes())
+    for block in (model.eq_graph, model.eq_other, model.ineq):
+        h.update(repr([(r.idx_i, r.idx_j, r.coeff, r.rhs) for r in block]).encode())
+    return h.hexdigest()
+
+
+def _golden_instance(precolouring=()):
+    """gnp:12 with six events of size 5, six of size 1, capacities (10, 2, 2)
+    and one feature held by events {0, 1} and room 0."""
+    return TimetablingInstance(
+        graph=gen_gnp(12, 0.5, 3),
+        m=3,
+        event_sizes=(5,) * 6 + (1,) * 6,
+        room_capacities=(10, 2, 2),
+        feature_count=1,
+        event_features=frozenset({(0, 0), (1, 0)}),
+        room_features=frozenset({(0, 0)}),
+        precolouring=precolouring,
+    )
+
+
+def _g12():
+    return gen_gnp(12, 0.5, 3)
+
+
+# Builder calls and the digests of their emitted models, recorded before the
+# builders were rewritten without the intermediate sketch rows; any change to
+# an emitted number, row order or group changes the digest.
+GOLDEN_MODELS = {
+    "bounded-n1-m1": (
+        lambda: build_bounded(gen_gnp(1, 0.5, 7), 1),
+        "d822acd95498973a696dfc0a2a4ed81c63d4c8a63125b522aa04846371770d2f"),
+    "bounded-n5-m1": (
+        lambda: build_bounded(gen_gnp(5, 0.5, 7), 1),
+        "a27033a02f2b95d36efd1f0fbf1c6ac458c95573c03f5ff6e33fc882682113a6"),
+    "bounded-n5-m3": (
+        lambda: build_bounded(gen_gnp(5, 0.5, 7), 3),
+        "8440a983281e75099da87f1b3e41e855bc66fbb8d721d381ca8487f9fd98b5c9"),
+    "bounded-n40-m1": (
+        lambda: build_bounded(gen_gnp(40, 0.5, 7), 1),
+        "655497c955ef008696a77808d5d7df3f20f4285426d9c0f533ea7251243eaa29"),
+    "bounded-n40-m3": (
+        lambda: build_bounded(gen_gnp(40, 0.5, 7), 3),
+        "5666f888be976c5316436a04b085f7980258ee0a041cb40026bc22130bc7f6a4"),
+    "precoloured": (
+        lambda: build_precoloured(_g12(), 3, [{0, 3, 9}, {1, 4}]),
+        "d3cd7816284c81536dd852297263ff1237966d9e34772207276ff0c1c01ef82e"),
+    "weighted": (
+        lambda: build_weighted(_g12(), 3, (1, 2, 1, 3, 1, 1, 2, 1, 1, 2, 1, 1)),
+        "e140acb6d4796fe0dc6ed88ce1c283f826d8f35b02957b8e7c8bb97afe5ab861"),
+    "laminar": (
+        lambda: build_laminar(_golden_instance()),
+        "29948d2bc54d7bc9f772a5f140be938c6fb78c35372c5b9a245e8f276fe0f1c5"),
+    "laminar-counting": (
+        lambda: build_laminar(_golden_instance(), counting=True),
+        "ed7d365c765eb8ee6470b2c3dafdfd97de05295979b21e2b605e102fe0d2350f"),
+    "laminar-features": (
+        lambda: build_laminar(_golden_instance(), features=True),
+        "1a041630889c76aea336d40b8b7de58133337636ed380524c48464349b0697f1"),
+    "laminar-counting-features": (
+        lambda: build_laminar(_golden_instance(), counting=True, features=True),
+        "c966dc99bd342450aded5d84473e50ff028530c50199e2e4c32c55c3d55d5a7a"),
+    "laminar-precoloured": (
+        lambda: build_laminar(
+            _golden_instance((frozenset({1, 4}), frozenset({8, 10}))),
+            counting=True, features=True),
+        "89a1eaccfb018d0385a6229857e2debc0fcdd97cf2930f50c8e22554c12b9411"),
+    "rooms": (
+        lambda: build_room_assignment(_golden_instance()),
+        "d6cfc6b2755859503815991012ff1f893a807edc0a79d59cf739078d018a1774"),
+    "rooms-stability": (
+        lambda: build_room_assignment(_golden_instance(), room_stability=True),
+        "d00bc0b09631dd4333e22cd245905996f88e796b4b04d8f877ac0b285a5b68be"),
+    "theta-lovasz": (
+        lambda: build_theta(_g12(), "lovasz"),
+        "5b2e32233fae610977937b7edbbe0c2693d0603e1986349a31ccf49025cd6887"),
+    "theta-strict": (
+        lambda: build_theta(_g12(), "strict"),
+        "143282f038fc2cd8c8636b747f7f85106b8077c290912c37688ef9b6ca1c2e77"),
+    "theta-strong": (
+        lambda: build_theta(_g12(), "strong"),
+        "335ee8add17b6d6c5930c99378d11e74534b4a5a3001360f848f2af2708d2ca0"),
+}
+
+
+class TestModelGolden:
+    @pytest.mark.parametrize("case", list(GOLDEN_MODELS))
+    def test_emitted_model_unchanged(self, case):
+        build, digest = GOLDEN_MODELS[case]
+        assert _model_digest(build()) == digest

@@ -325,7 +325,8 @@ def rooms_model():
         event_sizes=(20, 50, 100, 20, 50, 100, 20, 50),
         room_capacities=(60, 120),
     )
-    return build_room_assignment(inst)
+    model, _ = build_room_assignment(inst)
+    return model
 
 
 LOOP_CASES = {
@@ -517,10 +518,7 @@ class TestRoomValues:
         inst = TimetablingInstance(
             graph=empty_graph(1), m=1, event_sizes=(1,), room_capacities=(2,)
         )
-        model = build_room_assignment(inst)
-        from bcsdp.relax import BoundSemantics
-
-        sem = BoundSemantics("scaled", 0, 1.0, "t = X00 + 1")
+        model, sem = build_room_assignment(inst)
         res = solve(model, sem, SolverConfig(max_iter=4000))
         t_val = res.X_final[0, 0] + 1.0
         assert res.X_final[0, 1] == pytest.approx(t_val, abs=5e-2)
@@ -530,10 +528,7 @@ class TestRoomValues:
             graph=complete_graph(2), m=1, event_sizes=(1, 1),
             room_capacities=(2,),
         )
-        model = build_room_assignment(inst)
-        from bcsdp.relax import BoundSemantics
-
-        sem = BoundSemantics("scaled", 0, 1.0, "t = X00 + 1")
+        model, sem = build_room_assignment(inst)
         res = solve(model, sem, SolverConfig(max_iter=4000))
         assert res.value >= 2.0 - 5e-2
 
