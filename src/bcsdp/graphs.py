@@ -7,8 +7,9 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "counting_bound",
     "validate_partition",
     "class_violations",
+    "ClassCounts",
 ]
 
 
@@ -371,6 +373,48 @@ def class_violations(inst: TimetablingInstance, members: Iterable[int]) -> list[
 
 def class_feasible(inst: TimetablingInstance, members: Iterable[int]) -> bool:
     return not class_violations(inst, members)
+
+
+class ClassCounts:
+    """The counts class_violations bounds, kept as int tuples per event group.
+
+    For each group (a set of events that always share a class, such as a
+    pre-colouring class) profile[a] is its weight, its count of events larger
+    than each distinct room capacity and its count of events needing each
+    feature; limits is m, the rooms larger than each capacity and the rooms
+    offering each feature.  A class with no conflict edge inside keeps every
+    rule of class_violations iff the sum of its groups' profiles is <= limits
+    entry-wise, so a running total per class makes each test O(1) in the
+    class size.
+    """
+
+    def __init__(self, inst: TimetablingInstance, groups: Sequence[Sequence[int]]):
+        caps = sorted(set(inst.room_capacities))
+        feats = range(inst.feature_count)
+        self.limits = (
+            inst.m,
+            *(sum(1 for r in inst.room_capacities if r > c) for c in caps),
+            *(sum(1 for r in range(inst.m) if (r, f) in inst.room_features)
+              for f in feats),
+        )
+        self.profile = [(
+            sum(inst.vertex_weight(v) for v in mem),
+            *(sum(1 for v in mem if inst.event_sizes[v] > c) for c in caps),
+            *(sum(1 for v in mem if (v, f) in inst.event_features) for f in feats),
+        ) for mem in groups]
+        self.empty = (0,) * len(self.limits)
+
+    def fits(self, total: tuple[int, ...]) -> bool:
+        """Whether a class with this profile total keeps every count rule."""
+        return all(map(operator.le, total, self.limits))
+
+    def admits(self, total: tuple[int, ...], a: int) -> bool:
+        """Whether a class with this total still fits after adding group a."""
+        return self.fits(self.plus(total, self.profile[a]))
+
+    @staticmethod
+    def plus(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(operator.add, u, v))
 
 
 def validate_partition(inst: TimetablingInstance, part: Partition) -> ValidationReport:

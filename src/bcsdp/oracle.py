@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (
+    ClassCounts,
     ConflictGraph,
     Partition,
     TimetablingInstance,
@@ -36,55 +37,19 @@ class OracleResult:
 
 
 class _Atoms:
-    """Pre-colouring-contracted view of an instance, with packed counters."""
+    """Pre-colouring-contracted view of an instance, with ClassCounts."""
 
     def __init__(self, inst: TimetablingInstance):
         graph, _, members = reduce_precolouring_atoms(
             inst.graph, inst.m, inst.precolouring
         )
-        self.inst = inst
         self.graph = graph
         self.members = members
         self.k = graph.n
         self.adj = graph.adjacency_bitsets()
-        self.weight = [
-            sum(inst.vertex_weight(v) for v in mem) for mem in members
-        ]
-        caps = sorted(set(inst.room_capacities))
-        self.cap_values = [c for c in caps]
-        self.rooms_gt = [
-            sum(1 for r in inst.room_capacities if r > c) for c in caps
-        ]
-        self.cap_cnt = [
-            [sum(1 for v in mem if inst.event_sizes[v] > c) for c in caps]
-            for mem in members
-        ]
-        self.feat_have = [
-            sum(1 for r in range(inst.m) if (r, f) in inst.room_features)
-            for f in range(inst.feature_count)
-        ]
-        self.feat_cnt = [
-            [
-                sum(1 for v in mem if (v, f) in inst.event_features)
-                for f in range(inst.feature_count)
-            ]
-            for mem in members
-        ]
-        self.trivial = (
-            all(c == 0 for row in self.cap_cnt for c in row)
-            and inst.feature_count == 0
-        )
-
-    def atom_feasible_alone(self, a: int) -> bool:
-        if self.weight[a] > self.inst.m:
-            return False
-        for ci in range(len(self.cap_values)):
-            if self.cap_cnt[a][ci] > self.rooms_gt[ci]:
-                return False
-        for f in range(self.inst.feature_count):
-            if self.feat_cnt[a][f] > self.feat_have[f]:
-                return False
-        return True
+        self.counts = ClassCounts(inst, members)
+        # a class total's first entry is its weight
+        self.weight = [p[0] for p in self.counts.profile]
 
     def expand(self, atom_classes: list[list[int]]) -> Partition:
         return Partition.from_lists(
@@ -125,13 +90,13 @@ def max_clique(g: ConflictGraph, time_limit: float = 10.0) -> int:
 def _greedy_atoms(atoms: _Atoms) -> Optional[list[list[int]]]:
     """Saturation-degree greedy over atoms; None if some atom fits nowhere."""
     k = atoms.k
-    for a in range(k):
-        if not atoms.atom_feasible_alone(a):
-            return None
+    counts = atoms.counts
+    if not all(map(counts.fits, counts.profile)):
+        return None
     unassigned = set(range(k))
     classes: list[list[int]] = []
     class_mask: list[int] = []
-    class_state: list[tuple] = []  # (weight, cap counters, feat counters)
+    class_state: list[tuple[int, ...]] = []  # ClassCounts totals
     assigned_class: dict[int, int] = {}
     while unassigned:
         best_a, best_key = None, None
@@ -147,47 +112,20 @@ def _greedy_atoms(atoms: _Atoms) -> Optional[list[list[int]]]:
         for ci in range(len(classes)):
             if class_mask[ci] & (1 << a):
                 continue
-            if _fits(atoms, class_state[ci], a):
+            if counts.admits(class_state[ci], a):
                 classes[ci].append(a)
                 class_mask[ci] |= atoms.adj[a]
-                class_state[ci] = _absorb(atoms, class_state[ci], a)
+                class_state[ci] = counts.plus(class_state[ci], counts.profile[a])
                 assigned_class[a] = ci
                 placed = True
                 break
         if not placed:
             classes.append([a])
             class_mask.append(atoms.adj[a])
-            class_state.append(_absorb(atoms, _empty_state(atoms), a))
+            class_state.append(counts.profile[a])
             assigned_class[a] = len(classes) - 1
         unassigned.discard(a)
     return classes
-
-
-def _empty_state(atoms: _Atoms) -> tuple:
-    return (0, (0,) * len(atoms.cap_values), (0,) * atoms.inst.feature_count)
-
-
-def _fits(atoms: _Atoms, state: tuple, a: int) -> bool:
-    weight, caps, feats = state
-    if weight + atoms.weight[a] > atoms.inst.m:
-        return False
-    if not atoms.trivial:
-        for ci in range(len(caps)):
-            if caps[ci] + atoms.cap_cnt[a][ci] > atoms.rooms_gt[ci]:
-                return False
-        for f in range(len(feats)):
-            if feats[f] + atoms.feat_cnt[a][f] > atoms.feat_have[f]:
-                return False
-    return True
-
-
-def _absorb(atoms: _Atoms, state: tuple, a: int) -> tuple:
-    weight, caps, feats = state
-    return (
-        weight + atoms.weight[a],
-        tuple(c + d for c, d in zip(caps, atoms.cap_cnt[a])),
-        tuple(c + d for c, d in zip(feats, atoms.feat_cnt[a])),
-    )
 
 
 def exact_bounded_chromatic(
@@ -200,6 +138,7 @@ def exact_bounded_chromatic(
     opening is always the last branch.  Times out with best-known bounds.
     """
     atoms = _Atoms(inst)
+    counts = atoms.counts
     k = atoms.k
     deadline = time.monotonic() + time_limit
     if k == 0:
@@ -223,7 +162,7 @@ def exact_bounded_chromatic(
     assigned: list[int] = [-1] * k
     class_members: list[list[int]] = []
     class_conflict: list[int] = []  # union of adj masks
-    class_state: list[tuple] = []
+    class_state: list[tuple[int, ...]] = []
     remaining_weight = total_weight
 
     def node_bound() -> int:
@@ -262,12 +201,12 @@ def exact_bounded_chromatic(
         for ci in range(len(class_members)):
             if class_conflict[ci] & bit:
                 continue
-            if not _fits(atoms, class_state[ci], a):
+            if not counts.admits(class_state[ci], a):
                 continue
             saved = class_state[ci]
             class_members[ci].append(a)
             class_conflict[ci] |= atoms.adj[a]
-            class_state[ci] = _absorb(atoms, saved, a)
+            class_state[ci] = counts.plus(saved, counts.profile[a])
             assigned[a] = ci
             remaining_weight -= atoms.weight[a]
             ok = recurse()
@@ -283,7 +222,7 @@ def exact_bounded_chromatic(
         if len(class_members) + 1 <= best_ub - 1:
             class_members.append([a])
             class_conflict.append(atoms.adj[a])
-            class_state.append(_absorb(atoms, _empty_state(atoms), a))
+            class_state.append(counts.profile[a])
             assigned[a] = len(class_members) - 1
             remaining_weight -= atoms.weight[a]
             ok = recurse()

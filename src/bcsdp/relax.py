@@ -349,35 +349,34 @@ def build_precoloured(
     """Bounded colouring with pre-assigned classes pinned inside Y.
 
     Adds Y_uv = t within each pre-class (E3), Y_uv = 0 across distinct
-    classes (E4), both row and column sum bounds (L1)(L2), nonnegativity on
-    unpinned non-edges (L3) and the aggregate counting bound (L4).
+    classes (E4), the row-sum bounds (L1; Y is symmetric, so they are also
+    the column-sum bounds L2), nonnegativity on unpinned non-edges (L3) and
+    the aggregate counting bound (L4).
     """
     classes = [frozenset(c) for c in pre]
     _check_precolouring(classes, m, g.n)
     n = g.n
     zero_pairs = set(g.edges)
     eq_rows, pinned = _pin_precolouring(classes, zero_pairs)
-    rowsum = _row_sums(n, m)
     # L4: <J, Y> <= n m t
     total = _scaled_row({(i, j): 1.0 for i in range(n) for j in range(i, n)},
                         -float(n * m), 0, "<=")
     nonneg = (p for p in g.complement().edges if p not in pinned)
     return _scaled_model(
         n, zero_pairs, eq_rows,
-        [("rowsum", rowsum), ("colsum", rowsum), ("generic", [total])], nonneg,
+        [("rowsum", _row_sums(n, m)), ("generic", [total])], nonneg,
     )
 
 
 def build_weighted(
     g: ConflictGraph, m: int, c: Sequence[int]
 ) -> tuple[SdpModel, BoundSemantics]:
-    """c-weighted bounded colouring: weighted row/column sums <= tm."""
+    """c-weighted bounded colouring: weighted row sums (= column sums) <= tm."""
     if len(c) != g.n:
         raise ValueError("weight vector length must equal vertex count")
     if any(w < 1 for w in c):
         raise ValueError("weights must be >= 1")
-    rowsum = _row_sums(g.n, m, weights=c)
-    return _scaled_model(g.n, g.edges, (), [("rowsum", rowsum), ("colsum", rowsum)])
+    return _scaled_model(g.n, g.edges, (), [("rowsum", _row_sums(g.n, m, weights=c))])
 
 
 def reduce_precolouring_atoms(

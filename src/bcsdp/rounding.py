@@ -12,11 +12,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphs import (
+    ClassCounts,
     Partition,
     TimetablingInstance,
     class_violations,
@@ -59,13 +61,16 @@ class RoundingDiagnostics:
 
 
 class _AtomView:
-    """Pre-colouring classes treated as indivisible rounding units."""
+    """Pre-colouring classes treated as indivisible rounding units.
+
+    Edges are tested on the bitmasks; every other class rule on running
+    ClassCounts totals, one per class.
+    """
 
     def __init__(self, inst: TimetablingInstance):
         _, _, members = reduce_precolouring_atoms(
             inst.graph, inst.m, inst.precolouring
         )
-        self.inst = inst
         self.members = members
         self.k = len(members)
         adj = inst.graph.adjacency_bitsets()
@@ -78,14 +83,10 @@ class _AtomView:
         self.vertex_bits = [
             sum(1 << v for v in mem) for mem in members
         ]
+        self.counts = ClassCounts(inst, members)
 
     def conflicts(self, a: int, chosen_bits: int) -> bool:
         return bool(self.masks[a] & chosen_bits)
-
-    def class_ok(self, members: list[int], extra: int) -> bool:
-        verts = [v for a in members for v in self.members[a]]
-        verts += list(self.members[extra])
-        return not class_violations(self.inst, verts)
 
 
 def greedy_colouring(inst: TimetablingInstance, seed: int = 0) -> Partition:
@@ -105,8 +106,10 @@ def greedy_colouring(inst: TimetablingInstance, seed: int = 0) -> Partition:
                 f"infeasible: events {atoms.members[a]} fit no room arrangement"
             )
     degree = [atoms.masks[a].bit_count() for a in range(atoms.k)]
+    counts = atoms.counts
     classes: list[list[int]] = []
     class_bits: list[int] = []
+    totals: list[tuple[int, ...]] = []
     placed: dict[int, int] = {}
     while len(placed) < atoms.k:
         best_a, best_key = -1, None
@@ -124,15 +127,17 @@ def greedy_colouring(inst: TimetablingInstance, seed: int = 0) -> Partition:
         for ci in range(len(classes)):
             if atoms.conflicts(a, class_bits[ci]):
                 continue
-            if atoms.class_ok(classes[ci], a):
+            if counts.admits(totals[ci], a):
                 classes[ci].append(a)
                 class_bits[ci] |= atoms.vertex_bits[a]
+                totals[ci] = counts.plus(totals[ci], counts.profile[a])
                 placed[a] = ci
                 done = True
                 break
         if not done:
             classes.append([a])
             class_bits.append(atoms.vertex_bits[a])
+            totals.append(counts.profile[a])
             placed[a] = len(classes) - 1
     part = Partition.from_lists(
         [[v for a in cls for v in atoms.members[a]] for cls in classes]
@@ -194,10 +199,10 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     With k atoms (pre-colouring classes and free vertices) of Gram dimension
     d, set-up builds a k x k int8 atom-conflict matrix once per call.  A
     round then costs one k x d scoring product, an O(k log k) sort and an
-    O(k |class|) degree update, plus a class_violations call per admitted
-    candidate; see _compact for the post-pass.  A DEBUG record on this
-    module's logger reports the attempt count, the best attempt and the
-    class-count range.
+    O(k |class|) degree update, plus one compare of the class's running
+    ClassCounts total against the limits per candidate; see _compact
+    for the post-pass.  A DEBUG record on this module's logger reports the
+    attempt count, the best attempt and the class-count range.
     """
     cfg = cfg or RoundingConfig()
     atoms = _AtomView(inst)
@@ -224,12 +229,11 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
         ends = atom_of[np.array(list(inst.graph.edges))]
         conflict[ends[:, 0], ends[:, 1]] = 1
         conflict[ends[:, 1], ends[:, 0]] = 1
-    weights = [sum(inst.vertex_weight(v) for v in mem) for mem in atoms.members]
     best: Optional[list[list[int]]] = None
     counts: list[int] = []
     for attempt in range(cfg.attempts):
         rng = np.random.default_rng((cfg.seed, attempt))
-        classes = _kms_attempt(atoms, atom_vec, conflict, weights, k_bound, rng)
+        classes = _kms_attempt(atoms, atom_vec, conflict, k_bound, rng)
         classes = _compact(atoms, classes)
         counts.append(len(classes))
         if best is None or len(classes) < len(best):
@@ -250,13 +254,12 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
 
 
 def _kms_attempt(atoms: _AtomView, atom_vec: np.ndarray, conflict: np.ndarray,
-                 weights: Sequence[int], k_bound: int,
-                 rng: np.random.Generator) -> list[list[int]]:
+                 k_bound: int, rng: np.random.Generator) -> list[list[int]]:
     alive = np.ones(atoms.k, dtype=bool)
     # degree of each atom in the conflict graph induced on the alive atoms
     degree = conflict.sum(axis=1, dtype=np.int64)
     classes: list[list[int]] = []
-    m = atoms.inst.m
+    counts = atoms.counts
     while alive.any():
         rem = np.flatnonzero(alive)
         cap = _kms_threshold(k_bound, int(degree[rem].max()))
@@ -265,20 +268,17 @@ def _kms_attempt(atoms: _AtomView, atom_vec: np.ndarray, conflict: np.ndarray,
         pick = np.lexsort((rem, -scores))
         chosen: list[int] = []
         chosen_bits = 0
-        weight = 0
+        total = counts.empty
         for a, score in zip(rem[pick].tolist(), scores[pick].tolist()):
             if score < cap and chosen:
                 break
             if atoms.masks[a] & chosen_bits:
                 continue
-            w = weights[a]
-            if weight + w > m:
-                continue
-            if not atoms.class_ok(chosen, a):
+            if not counts.admits(total, a):
                 continue
             chosen.append(a)
             chosen_bits |= atoms.vertex_bits[a]
-            weight += w
+            total = counts.plus(total, counts.profile[a])
             if score < cap:
                 break  # stall guard admitted a single top scorer
         if not chosen:  # no remaining atom fits even an empty class
@@ -301,46 +301,48 @@ def _compact(atoms: _AtomView, classes: list[list[int]]) -> list[list[int]]:
     """Deterministic post-pass: merge whole classes, then dissolve small ones
     by relocating members, until no move reduces the class count.
 
-    Each sweep caches every class's vertex bits and neighbour mask, so with C
-    classes over k atoms a sweep costs O(k) to build the caches and O(C^2)
-    single-AND merge tests, plus a class_violations call per conflict-free
-    pair or relocation; every successful move starts a new sweep.
+    Each class is kept as (sorted atoms, vertex bits, neighbour mask, profile
+    total), updated by every move, so with C classes a sweep costs an
+    O(C log C) sort and O(C^2) single-AND merge tests, plus a compare of
+    profile totals against the limits per conflict-free pair or relocation;
+    every successful move starts a new sweep.
     """
-    inst = atoms.inst
-    classes = [sorted(c) for c in classes]
+    counts = atoms.counts
+    groups = [(sorted(c), _class_bits(atoms.vertex_bits, c),
+               _class_bits(atoms.masks, c),
+               reduce(counts.plus, (counts.profile[a] for a in c))) for c in classes]
     changed = True
     while changed:
         changed = False
-        classes.sort(key=lambda c: (len(c), c))
-        bits = [_class_bits(atoms.vertex_bits, c) for c in classes]
-        nbrs = [_class_bits(atoms.masks, c) for c in classes]
-        for i in range(len(classes)):
-            for j in range(len(classes)):
-                if i == j or nbrs[i] & bits[j]:
+        groups.sort(key=lambda g: (len(g[0]), g[0]))
+        for i, (mem_i, bits_i, nbrs_i, total_i) in enumerate(groups):
+            for j, (mem_j, bits_j, nbrs_j, total_j) in enumerate(groups):
+                if i == j or nbrs_i & bits_j:
                     continue
-                union = [v for a in classes[i] + classes[j] for v in atoms.members[a]]
-                if class_violations(inst, union):
+                total = counts.plus(total_i, total_j)
+                if not counts.fits(total):
                     continue
-                classes[j] = sorted(classes[j] + classes[i])
-                del classes[i]
+                groups[j] = (sorted(mem_j + mem_i), bits_i | bits_j,
+                             nbrs_i | nbrs_j, total)
+                del groups[i]
                 changed = True
                 break
             if changed:
                 break
         if changed:
             continue
-        for i in range(len(classes)):
-            trial = [list(c) for c in classes]
-            trial_bits = list(bits)
+        for i in range(len(groups)):
+            trial = list(groups)
             emptied = True
-            for a in trial[i]:
+            for a in groups[i][0]:
                 placed = False
-                for j in range(len(trial)):
-                    if j == i or atoms.masks[a] & trial_bits[j]:
+                for j, (mem, bits, nbrs, total) in enumerate(trial):
+                    if j == i or atoms.masks[a] & bits:
                         continue
-                    if atoms.class_ok(trial[j], a):
-                        trial[j].append(a)
-                        trial_bits[j] |= atoms.vertex_bits[a]
+                    if counts.admits(total, a):
+                        trial[j] = (mem + [a], bits | atoms.vertex_bits[a],
+                                    nbrs | atoms.masks[a],
+                                    counts.plus(total, counts.profile[a]))
                         placed = True
                         break
                 if not placed:
@@ -348,10 +350,10 @@ def _compact(atoms: _AtomView, classes: list[list[int]]) -> list[list[int]]:
                     break
             if emptied:
                 del trial[i]
-                classes = [sorted(c) for c in trial]
+                groups = [(sorted(g[0]), *g[1:]) for g in trial]
                 changed = True
                 break
-    return classes
+    return [g[0] for g in groups]
 
 
 def iterative_round(

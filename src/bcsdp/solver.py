@@ -6,11 +6,17 @@ the v phase solves the exact nonnegative QP of each inequality group, and the
 S/X phase closes the iteration.  Writing W = C - A1*(y1) - A2*(y2) - B*(v) -
 mu X, the S-subproblem is the PSD projection S = proj(W), and the multiplier
 step X <- X + (A1*(y1) + A2*(y2) + B*(v) + S - C) / mu collapses to
-X = proj(-W)/mu, so one eigendecomposition serves both and keeps X exactly
-PSD.  solve() runs the phases in a loop; update_y, update_v and update_sx run
-one phase from a given state, so the tests check the code the loop runs.
-Progress goes to logging (DEBUG records of the "bcsdp.solver" logger with an
-extra "solve" dict), never to stdout.
+X = proj(-W)/mu.  Since W = proj(W) - proj(-W), only the smaller eigen-side
+of W is built, as one product P = B B' of its r scaled eigenvectors, and the
+other side is W + P or P - W.  An S/X step therefore costs one full eigh, or,
+once the previous W's smaller side is at most n/10, a dsyevr of +-W for the
+eigenpairs in (0, inf] only, plus one n^2 r product.  SolverState.rank carries
+W's positive-eigenvalue count from step to step; SolveResult.partial_steps
+counts the steps that took dsyevr.  solve() runs the phases in a loop;
+update_y, update_v and update_sx run one phase from a given state, so the
+tests check the code the loop runs.  Progress goes to logging (DEBUG records
+of the "bcsdp.solver" logger with an extra "solve" dict, rank included),
+never to stdout.
 
 Each constraint block (eq_graph, eq_other, each inequality group) is compiled
 once into a scipy.sparse CSR A over vec(X): the operator is A vec(X), the
@@ -37,6 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import dsyevr
 
 from .graphs import Partition
 from .linalg import project_psd_dense
@@ -88,6 +95,9 @@ class SolverState:
     y2: np.ndarray
     v: np.ndarray
     S: np.ndarray
+    # W's positive-eigenvalue count at the last S/X step (None before the
+    # first); zeros count too when only W's negative side was solved
+    rank: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,7 @@ class SolveResult:
     eps: float
     objective: float  # raw objective <C, X> in the model's sense
     kernels: tuple[str, ...] = ()  # kernel kind per block: graph, other, groups
+    partial_steps: int = 0  # S/X steps that took the partial eigensolve
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +329,57 @@ class _Compiled:
             resid += g.adjoint(new - old)
             st.v[a:b] = new
 
-    def sx_phase(self, st: SolverState, resid: np.ndarray, ax: list, mu: float) -> None:
-        """One eigh of W = C - A*y - B*v - mu X: S = proj(W), X = proj(-W)/mu."""
-        w_arg = -(resid - st.S) - mu * st.X
-        w_arg = 0.5 * (w_arg + w_arg.T)
-        lam, vec = np.linalg.eigh(w_arg)
-        S_new = (vec * np.maximum(lam, 0.0)) @ vec.T
-        st.X = (vec * (np.maximum(-lam, 0.0) / mu)) @ vec.T
+    def sx_phase(self, st: SolverState, resid: np.ndarray, ax: list, mu: float) -> bool:
+        """S = proj(W), X = proj(-W)/mu from the smaller eigen-side of W.
+
+        W = C - A*y - B*v - mu X = P+ - P-, so with P = B B' built from the r
+        eigenpairs of the smaller side (B = V_r sqrt(lam_r)) the other side
+        is exact subtraction: S = P, X = (P - W)/mu, or X = P/mu, S = W + P.
+        When the previous W's smaller side was at most n/10, dsyevr returns
+        every eigenpair of +-W in (0, inf], so the projection stays exact
+        whatever the count turns out to be; otherwise one full eigh.  Cost:
+        eigh, or dsyevr on the smaller side, plus one n^2 r product.  Sets
+        st.rank to W's positive-eigenvalue count and returns whether the
+        partial eigensolve ran.
+        """
+        w = -(resid - st.S) - mu * st.X
+        w = 0.5 * (w + w.T)
+        n = w.shape[0]
+        partial = st.rank is not None and min(st.rank, n - st.rank) <= n / 10
+        if partial:
+            positive = st.rank <= n - st.rank
+            # w is symmetric, so w.T is the same matrix in LAPACK's column order
+            lam, vec, count, _, info = dsyevr(
+                w.T if positive else -w.T, range="V", vl=0.0, vu=np.inf,
+                overwrite_a=not positive,
+            )
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+            lam, vec = lam[:count], vec[:, :count]
+            st.rank = count if positive else n - count
+        else:
+            lam, vec = np.linalg.eigh(w)
+            npos = int(np.count_nonzero(lam > 0.0))
+            nneg = int(np.count_nonzero(lam < 0.0))
+            positive = npos <= nneg
+            if positive:
+                lam, vec = lam[n - npos:], vec[:, n - npos:]
+            else:
+                lam, vec = -lam[:nneg], vec[:, :nneg]
+            st.rank = npos
+        half = vec * np.sqrt(lam)
+        proj = half @ half.T
+        if positive:
+            S_new = proj
+            st.X = np.subtract(proj, w, out=w)
+        else:
+            S_new = np.add(w, proj, out=w)
+            st.X = proj
+        st.X /= mu
         resid += S_new - st.S
         st.S = S_new
         ax[:] = self.op_minus_rhs(st.X)
+        return partial
 
 
 def _eq_step(blk: _EqBlock, y: np.ndarray, lin_x: np.ndarray,
@@ -349,7 +401,8 @@ def _run_phase(state: SolverState, model: SdpModel, mu: float, phase) -> SolverS
     """Run one _Compiled phase on a copy of state, residuals taken fresh."""
     comp = _Compiled(model)
     st = SolverState(*(np.array(a, dtype=float) for a in
-                       (state.X, state.y1, state.y2, state.v, state.S)))
+                       (state.X, state.y1, state.y2, state.v, state.S)),
+                     rank=state.rank)
     phase(comp, st, comp.residual(st), comp.op_minus_rhs(st.X), mu)
     return st
 
@@ -365,10 +418,15 @@ def update_v(state: SolverState, model: SdpModel, mu: float) -> np.ndarray:
     return _run_phase(state, model, mu, _Compiled.v_phase).v
 
 
-def update_sx(state: SolverState, model: SdpModel, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """(S, X): the PSD projections of W and -W/mu, W = C - A*y - B*v - mu X."""
+def update_sx(state: SolverState, model: SdpModel,
+              mu: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """(S, X, rank): the PSD projections of W and -W/mu, W = C - A*y - B*v - mu X.
+
+    state.rank picks the eigensolver as in solve(); the returned rank is the
+    one the next step reads.
+    """
     st = _run_phase(state, model, mu, _Compiled.sx_phase)
-    return st.S, st.X
+    return st.S, st.X, st.rank
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +481,11 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
     best_seen = math.inf
     status = "max_iter"
     pres = dres = gap = math.inf
-    it = 0
+    it = partial_steps = 0
     for it in range(1, cfg.max_iter + 1):
         comp.y_phase(st, resid, ax, mu)
         comp.v_phase(st, resid, ax, mu)
-        comp.sx_phase(st, resid, ax, mu)
+        partial_steps += comp.sx_phase(st, resid, ax, mu)
         peq = float(np.sum(ax[0] ** 2))
         peq += float(np.sum(ax[1] ** 2))
         pineq = 0.0
@@ -451,7 +509,8 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
             status = "diverged"
             break
         if it % 200 == 0:
-            _log_progress(it, pres, dres, gap, comp.sign * pobj + offset, mu)
+            _log_progress(it, pres, dres, gap, comp.sign * pobj + offset, mu,
+                          st.rank)
         if it % 25 == 0:
             # ADMM on the dual: the split constraint is A*(y)+B*(v)+S = C, so a
             # dominant dual residual calls for a heavier penalty (smaller mu).
@@ -461,7 +520,7 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
                 mu = min(mu * factor, 1e4)
     pobj_user = comp.sign * float(np.sum(comp.C * st.X))
     value = pobj_user + offset
-    _log_progress(it, pres, dres, gap, value, mu, status)
+    _log_progress(it, pres, dres, gap, value, mu, st.rank, status)
     return SolveResult(
         value=value,
         X_final=st.X,
@@ -471,18 +530,24 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         eps=cfg.eps,
         objective=pobj_user,
         kernels=comp.kernels,
+        partial_steps=partial_steps,
     )
 
 
 def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
-                  mu: float, status: str = "running") -> None:
-    """One DEBUG record; value is in the bound's units (offset included)."""
+                  mu: float, rank: Optional[int], status: str = "running") -> None:
+    """One DEBUG record; value is in the bound's units (offset included).
+
+    rank is the last W's positive-eigenvalue count, so a solve whose smaller
+    side never falls to n/10 (never reaching the partial eigensolve) shows.
+    """
     if _log.isEnabledFor(logging.DEBUG):
         rec = {"it": it, "pres": pres, "dres": dres, "gap": gap,
-               "value": value, "mu": mu}
+               "value": value, "mu": mu, "rank": rank}
         _log.debug(
-            "solve %s: iter=%d pres=%.3e dres=%.3e gap=%.3e value=%.6f mu=%.2e",
-            status, it, pres, dres, gap, value, mu, extra={"solve": rec},
+            "solve %s: iter=%d pres=%.3e dres=%.3e gap=%.3e value=%.6f mu=%.2e "
+            "rank=%s", status, it, pres, dres, gap, value, mu, rank,
+            extra={"solve": rec},
         )
 
 

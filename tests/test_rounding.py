@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -314,6 +315,25 @@ class TestKmsProperties:
         assert sorted(a for c in out for a in c) == list(range(atoms.k))
         for c in out:
             assert not class_violations(inst, [v for a in c for v in atoms.members[a]])
+
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=small_timetables(), data=st.data())
+    def test_class_counts_match_class_violations(self, inst, data):
+        # ClassCounts tests running totals; class_violations is the reference
+        # for every rule but edges, which rounding tests on the bitmasks
+        atoms = _AtomView(inst)
+        counts = atoms.counts
+        order = data.draw(st.permutations(range(atoms.k)))
+        size = data.draw(st.integers(0, atoms.k - 1))
+        chosen, extra = list(order[:size]), order[size]
+        total = counts.empty
+        for a in chosen:
+            total = tuple(t + p for t, p in zip(total, counts.profile[a]))
+        no_edges = dataclasses.replace(inst, graph=empty_graph(inst.graph.n))
+        verts = [v for a in chosen + [extra] for v in atoms.members[a]]
+        assert counts.admits(total, extra) == (not class_violations(no_edges, verts))
 
 
 class TestKmsReporting:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcsdp.graphs import (
@@ -171,18 +171,18 @@ class TestUpdateFormulas:
         st = fresh_state(model, sem)
         st.X = np.zeros((3, 3))
         # argument C - 0 already PSD -> S equals it
-        s, _ = update_sx(st, model, 1.0)
+        s, _, _ = update_sx(st, model, 1.0)
         assert np.allclose(s, model.objective, atol=1e-12)
         st.X = 5.0 * np.eye(3)  # argument strongly negative definite
         st.S = np.zeros((3, 3))
-        s, _ = update_sx(st, model, 1.0)
+        s, _, _ = update_sx(st, model, 1.0)
         assert np.allclose(s, 0.0, atol=1e-12)
 
     def test_x_affine_update(self, p3):
         # the fused projection is the multiplier step taken with the new S
         model, sem = build_bounded(p3, 2)
         st = randomized_state(model, sem, 3)
-        s_new, x_new = update_sx(st, model, 2.0)
+        s_new, x_new, _ = update_sx(st, model, 2.0)
         a1, b1, a2, b2, groups = dense_blocks(model)
         mats = [m for (_, ms, _) in groups for m in ms]
         resid = (
@@ -197,7 +197,7 @@ class TestUpdateFormulas:
     def test_mu_limit_keeps_x(self, p3):
         model, sem = build_bounded(p3, 2)
         st = randomized_state(model, sem, 4)
-        _, x_new = update_sx(st, model, 1e12)
+        _, x_new, _ = update_sx(st, model, 1e12)
         assert np.max(np.abs(x_new - st.X)) <= 1e-9
 
 
@@ -282,7 +282,7 @@ class TestP3Fixture:
         st = SolverState(st.X, y1, y2, st.v, st.S)
         v = update_v(st, model, 1.0)
         assert np.allclose(v, 0.0)
-        s1, x1 = update_sx(st, model, 1.0)
+        s1, x1, _ = update_sx(st, model, 1.0)
         want_s = np.array(
             [
                 [0.2071068, 0.1464466, 0.1464466],
@@ -313,9 +313,9 @@ class TestStateInvariants:
             v = update_v(st, model, 1.0)
             assert np.all(v >= 0.0)
             st = SolverState(st.X, st.y1, st.y2, v, st.S)
-            s, x = update_sx(st, model, 1.0)
+            s, x, rank = update_sx(st, model, 1.0)
             assert np.linalg.eigvalsh(s).min() >= -1e-10
-            st = SolverState(x, st.y1, st.y2, st.v, s)
+            st = SolverState(x, st.y1, st.y2, st.v, s, rank)
 
 
 def rooms_model():
@@ -350,8 +350,64 @@ class TestLoopIsTheStep:
         for _ in range(k):
             st.y1, st.y2 = update_y(st, model, cfg.mu0)
             st.v = update_v(st, model, cfg.mu0)
-            st.S, st.X = update_sx(st, model, cfg.mu0)
+            st.S, st.X, st.rank = update_sx(st, model, cfg.mu0)
         assert np.max(np.abs(res.X_final - st.X)) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["bounded-gnp12", "theta-gnp9"])
+    def test_case_enters_the_partial_path(self, case):
+        # so the k = 20 comparison above covers the full eigh and dsyevr steps
+        model, sem = LOOP_CASES[case]()
+        res = solve(model, sem, SolverConfig(max_iter=20))
+        assert 0 < res.partial_steps < res.iterations
+
+
+@st.composite
+def sx_cases(draw):
+    """W with a chosen spectrum and a seeded rank that picks the S/X branch.
+
+    Unrotated W is diagonal, so zero eigenvalues are exactly zero; the
+    spectrum may be all-zero, PSD, NSD or repeat a value.  rank None runs the
+    full eigh; 0 or n forces dsyevr on the positive or the negative side
+    whatever W's true counts are.
+    """
+    n = draw(st.integers(1, 8))
+    values = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -0.3, 4.0, -4.0])
+    lam = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    sign = draw(st.sampled_from(["any", "psd", "nsd"]))
+    if sign == "psd":
+        lam = np.abs(lam)
+    elif sign == "nsd":
+        lam = -np.abs(lam)
+    w = np.diag(lam)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = (q * lam) @ q.T
+    rank = draw(st.sampled_from([None, 0, n]))
+    return w, rank, draw(st.sampled_from([0.25, 1.0, 3.0]))
+
+
+class TestSxProjection:
+    @settings(max_examples=150, deadline=None)
+    @given(sx_cases())
+    @example((np.zeros((1, 1)), 0, 1.0))  # W = 0 at n = 1, dsyevr on W
+    @example((np.zeros((4, 4)), None, 1.0))  # W = 0, full eigh
+    @example((np.array([[-2.0]]), 1, 3.0))  # n = 1, dsyevr on -W
+    @example((np.diag([3.0, 3.0, 3.0, -1.0, 0.0]), 0, 1.0))  # large side forced
+    def test_update_sx_is_both_projections(self, case):
+        w, rank, mu = case
+        from bcsdp.relax import SdpModel, StructureTags
+
+        n = w.shape[0]
+        model = SdpModel(dim=n, objective=w, eq_graph=(), eq_other=(), ineq=(),
+                         sense="min", structure=StructureTags())
+        # no constraints and X = 0, so W = C - mu X is the objective itself
+        state = SolverState(X=np.zeros((n, n)), y1=np.zeros(0), y2=np.zeros(0),
+                            v=np.zeros(0), S=np.zeros((n, n)), rank=rank)
+        s, x, new_rank = update_sx(state, model, mu)
+        assert np.max(np.abs(s - project_psd_dense(w))) <= 1e-10
+        assert np.max(np.abs(x - project_psd_dense(-w) / mu)) <= 1e-10
+        assert 0 <= new_rank <= n
 
 
 class TestSolveBehaviour:
@@ -380,10 +436,22 @@ class TestSolveBehaviour:
             res = solve(model, sem, SolverConfig(max_iter=450))
         recs = [r.solve for r in caplog.records if hasattr(r, "solve")]
         assert [r["it"] for r in recs] == [200, 400, 450]
-        assert set(recs[-1]) == {"it", "pres", "dres", "gap", "value", "mu"}
+        assert set(recs[-1]) == {"it", "pres", "dres", "gap", "value", "mu", "rank"}
         # the value is in the bound's units: the offset is included
         assert recs[-1]["value"] == res.value
         assert recs[-1]["pres"] == res.residuals[0]
+
+    def test_rank_and_partial_steps_reported(self, caplog):
+        model, sem = build_bounded(gen_gnp(30, 0.5, 1), 4)
+        with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
+            res = solve(model, sem, SolverConfig(max_iter=450))
+        ranks = [r.solve["rank"] for r in caplog.records if hasattr(r, "solve")]
+        assert all(isinstance(k, int) and 0 <= k <= model.dim for k in ranks)
+        # the last W's smaller side is within n/10, so dsyevr ran by then
+        assert min(ranks[-1], model.dim - ranks[-1]) <= model.dim / 10
+        assert 0 < res.partial_steps < res.iterations
+        # the first step has no count to go by, so it always runs the full eigh
+        assert solve(model, sem, SolverConfig(max_iter=1)).partial_steps == 0
 
     def test_infeasible_model_does_not_converge(self):
         from bcsdp.relax import SdpModel, StructureTags, SymRow
