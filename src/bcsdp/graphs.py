@@ -371,10 +371,6 @@ def class_violations(inst: TimetablingInstance, members: Iterable[int]) -> list[
     return out
 
 
-def class_feasible(inst: TimetablingInstance, members: Iterable[int]) -> bool:
-    return not class_violations(inst, members)
-
-
 class ClassCounts:
     """The counts class_violations bounds, kept as int tuples per event group.
 

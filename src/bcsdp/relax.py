@@ -25,7 +25,7 @@ matrix in exact alpha*I + beta*J form for the solver's closed-form kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -37,7 +37,6 @@ from .graphs import ConflictGraph, TimetablingInstance
 __all__ = [
     "SymRow",
     "SdpModel",
-    "StructureTags",
     "BoundSemantics",
     "build_theta",
     "build_bounded",
@@ -49,7 +48,6 @@ __all__ = [
     "verify_structure",
     "constraint_matrix",
     "gram_matrix",
-    "gram_equals",
     "check_laminar",
 ]
 
@@ -90,29 +88,6 @@ class SymRow:
 
 
 @dataclass(frozen=True)
-class StructureTags:
-    """Algebraic structure of a model's constraint blocks, verified on emission.
-
-    a1_edge_indicator: every eq_graph row touches one canonical position and
-        positions are pairwise distinct, so Gram(A1) = a1_gram_scale * I.
-    a2_diagonal_chain: eq_other is the anchored diagonal chain, so
-        Gram(A2) = J + I with closed-form inverse I - J/n.
-    b_row_sum: the row-sum inequality group has Gram = b_alpha*I + b_beta*J
-        (a scaled identity, beta = 0, when rows are written one-sidedly over
-        vec(X); symmetric rows pick up the exact correction recorded here).
-    objective_single_entry: C has exactly one nonzero entry.
-    """
-
-    a1_edge_indicator: bool = False
-    a1_gram_scale: float = 0.5
-    a2_diagonal_chain: bool = False
-    b_row_sum: bool = False
-    b_alpha: float = 0.0
-    b_beta: float = 0.0
-    objective_single_entry: bool = False
-
-
-@dataclass(frozen=True)
 class BoundSemantics:
     """How a model's objective maps back to the colouring bound t.
 
@@ -130,8 +105,7 @@ class SdpModel:
     eq_other: tuple[SymRow, ...]
     ineq: tuple[SymRow, ...]
     sense: str  # "min" | "max"
-    structure: StructureTags
-    # named inequality blocks as (kind, start, stop); kinds: rowsum | pairs | generic
+    # named inequality blocks as (kind, start, stop), tiling ineq in order
     ineq_groups: tuple[tuple[str, int, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -148,13 +122,15 @@ class SdpModel:
             for i, j in zip(row.idx_i, row.idx_j):
                 if not (0 <= i <= j < self.dim):
                     raise ValueError("constraint entry out of range")
-
-    def group_rows(self, kind: str) -> list[SymRow]:
-        out: list[SymRow] = []
-        for k, a, b in self.ineq_groups:
-            if k == kind:
-                out.extend(self.ineq[a:b])
-        return out
+        end = 0
+        for kind, start, stop in self.ineq_groups:
+            if kind not in ("rowsum", "pairs", "generic"):
+                raise ValueError(f"unknown inequality group kind {kind!r}")
+            if start != end or stop < start:
+                raise ValueError("ineq_groups must tile ineq contiguously, in order")
+            end = stop
+        if end != len(self.ineq):
+            raise ValueError("ineq_groups must cover every ineq row")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +141,7 @@ class SdpModel:
 def _model(dim: int, objective: np.ndarray, sense: str,
            eq_graph: Sequence[SymRow], eq_other: Sequence[SymRow],
            blocks: Sequence[tuple[str, Sequence[SymRow]]]) -> SdpModel:
-    """The model with its inequality groups recorded and its structure verified.
+    """The model with its inequality groups recorded.
 
     `blocks` are the named inequality groups in order.  An all-zero row reads
     0 >= rhs: it is dropped, or rejected when rhs > 0; empty groups are left
@@ -182,17 +158,15 @@ def _model(dim: int, objective: np.ndarray, sense: str,
                 raise ValueError("infeasible constraint: 0 >= positive rhs")
         if len(ineq) > start:
             spans.append((kind, start, len(ineq)))
-    model = SdpModel(
+    return SdpModel(
         dim=dim,
         objective=objective,
         eq_graph=tuple(eq_graph),
         eq_other=tuple(eq_other),
         ineq=tuple(ineq),
         sense=sense,
-        structure=StructureTags(),
         ineq_groups=tuple(spans),
     )
-    return replace(model, structure=verify_structure(model))
 
 
 def _scaled_row(entries: dict[tuple[int, int], float], t_coeff: float, diag: int,
@@ -587,7 +561,7 @@ def build_room_assignment(
 
 
 # ---------------------------------------------------------------------------
-# sparse constraint blocks and structure verification
+# the one compile of the constraint blocks
 # ---------------------------------------------------------------------------
 
 
@@ -621,54 +595,19 @@ def gram_matrix(a: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
     return (a @ a.T).tocsr()
 
 
-def gram_equals(gram: scipy.sparse.csr_matrix, diag, off: float,
-                tol: float = 1e-12) -> bool:
-    """True iff gram is `diag` on its diagonal and `off` elsewhere, within tol.
+def verify_structure(
+    model: SdpModel,
+) -> list[tuple[np.ndarray, scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]]:
+    """Compile every constraint block once: its rhs, CSR and Gram matrix.
 
-    `diag` is a scalar or one value per row.  The check reads the stored
-    entries only, so a large sparse Gram is never densified.
+    Blocks come in the solver's order: eq_graph, eq_other, then each
+    ineq_groups slice of ineq.  The solver reads each block's kernel off the
+    Gram returned here; nothing else builds a block's CSR or Gram.
     """
-    k = gram.shape[0]
-    if np.any(np.abs(gram.diagonal() - diag) > tol):
-        return False
-    coo = gram.tocoo()
-    outside = coo.row != coo.col
-    if np.any(np.abs(coo.data[outside] - off) > tol):
-        return False
-    # entries not stored are zero
-    return abs(off) <= tol or int(np.count_nonzero(outside)) == k * (k - 1)
-
-
-def verify_structure(model: SdpModel, tol: float = 1e-12) -> StructureTags:
-    """Recompute structure flags from the Gram matrices of the emitted rows."""
-    a1 = False
-    scale = 0.5
-    if model.eq_graph:
-        gram = gram_matrix(constraint_matrix(model.eq_graph, model.dim))
-        first = float(gram[0, 0])
-        a1 = gram_equals(gram, first, 0.0, tol)
-        if a1:
-            scale = first
-    a2 = bool(model.eq_other) and gram_equals(
-        gram_matrix(constraint_matrix(model.eq_other, model.dim)), 2.0, 1.0, tol
-    )
-    rowsum_rows = model.group_rows("rowsum")
-    b_flag = False
-    alpha = beta = 0.0
-    if rowsum_rows:
-        gram = gram_matrix(constraint_matrix(rowsum_rows, model.dim))
-        beta = float(gram[0, 1]) if len(rowsum_rows) > 1 else 0.0
-        alpha = float(gram[0, 0]) - beta
-        b_flag = gram_equals(gram, alpha + beta, beta, tol)
-        if not b_flag:
-            alpha = beta = 0.0
-    single = int(np.count_nonzero(model.objective)) == 1
-    return StructureTags(
-        a1_edge_indicator=a1,
-        a1_gram_scale=scale,
-        a2_diagonal_chain=a2,
-        b_row_sum=b_flag,
-        b_alpha=alpha,
-        b_beta=beta,
-        objective_single_entry=single,
-    )
+    blocks = [model.eq_graph, model.eq_other,
+              *(model.ineq[a:b] for _, a, b in model.ineq_groups)]
+    out = []
+    for rows in blocks:
+        a = constraint_matrix(rows, model.dim)
+        out.append((np.array([r.rhs for r in rows], dtype=float), a, gram_matrix(a)))
+    return out

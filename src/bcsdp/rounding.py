@@ -528,16 +528,13 @@ def _reduced_model(eq_rows, rows, active, frame, f1_mat, trace_cap, n, r):
             ineq.append(red)
     trace_entries = {(i, i): -1.0 for i in range(r)}
     ineq.append(SymRow.from_entries(trace_entries, -cap))
-    from .relax import SdpModel as _SdpModel, StructureTags as _Tags
-
-    model = _SdpModel(
+    model = SdpModel(
         dim=dim,
         objective=obj,
         eq_graph=(),
         eq_other=tuple(eq_other),
         ineq=tuple(ineq),
         sense="min",
-        structure=_Tags(),
         ineq_groups=(("generic", 0, len(ineq)),),
     )
     return model, True

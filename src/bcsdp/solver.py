@@ -19,17 +19,18 @@ of the "bcsdp.solver" logger with an extra "solve" dict, rank included),
 never to stdout.
 
 Each constraint block (eq_graph, eq_other, each inequality group) is compiled
-once into a scipy.sparse CSR A over vec(X): the operator is A vec(X), the
-adjoint is A^T y, and the sparse Gram A A^T chooses the block's kernel, so
-compile memory is O(nnz).  Structured kernels replace dense linear algebra
-where that Gram has the structure: a scaled identity (edge-indicator
-equalities; a scalar divide, or a per-row clamp for inequalities), J + I (the
-anchored diagonal chain, closed-form inverse I - J/n, checked numerically
-with a dense fallback), and alpha I + beta J (row-sum inequality groups, whose
-nonnegative QP is solved exactly by a sorted-breakpoint scan ending in a
-per-coordinate clamp at zero).  Anything else falls back to cached dense
-factorizations of the Gram and an exact active-set NNLS.  SolveResult.kernels
-names the kernel chosen for each block.
+once, by the one relax.verify_structure call in _Compiled, into a
+scipy.sparse CSR A over vec(X) and its sparse Gram A A^T: the operator is
+A vec(X), the adjoint is A^T y, and the Gram chooses the block's kernel here
+and nowhere else, so compile memory is O(nnz).  Structured kernels replace
+dense linear algebra where that Gram has the structure: a scaled identity
+(edge-indicator equalities; a scalar divide, or a per-row clamp for
+inequalities), J + I (the anchored diagonal chain, closed-form inverse
+I - J/n, checked numerically with a dense fallback), and alpha I + beta J
+(row-sum inequality groups, whose nonnegative QP is solved exactly by a
+sorted-breakpoint scan ending in a per-coordinate clamp at zero).  Anything
+else falls back to cached dense factorizations of the Gram and an exact
+active-set NNLS.  SolveResult.kernels names the kernel chosen for each block.
 """
 
 from __future__ import annotations
@@ -38,23 +39,18 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 from scipy.linalg.lapack import dsyevr
 
+from . import relax
 from .graphs import Partition
 from .linalg import project_psd_dense
-from .relax import (
-    BoundSemantics,
-    SdpModel,
-    SymRow,
-    constraint_matrix,
-    gram_equals,
-    gram_matrix,
-)
+from .relax import BoundSemantics, SdpModel
 
 __all__ = [
     "SolverConfig",
@@ -118,19 +114,38 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-class _Block:
-    """One constraint block compiled once into a CSR A over vec(X).
+def _gram_equals(gram: scipy.sparse.csr_matrix, diag, off: float,
+                 tol: float = 1e-12) -> bool:
+    """True iff gram is `diag` on its diagonal and `off` elsewhere, within tol.
 
-    op(X) = A vec(X), the adjoint is A^T y reshaped to n x n, and the Gram
-    matrix A A^T that picks the block's kernel is read from the same matrix.
+    `diag` is a scalar or one value per row.  The check reads the stored
+    entries only, so a large sparse Gram is never densified.
+    """
+    k = gram.shape[0]
+    if np.any(np.abs(gram.diagonal() - diag) > tol):
+        return False
+    coo = gram.tocoo()
+    outside = coo.row != coo.col
+    if np.any(np.abs(coo.data[outside] - off) > tol):
+        return False
+    # entries not stored are zero
+    return abs(off) <= tol or int(np.count_nonzero(outside)) == k * (k - 1)
+
+
+class _Block:
+    """One constraint block: its rhs and its CSR A over vec(X).
+
+    op(X) = A vec(X) and the adjoint is A^T y reshaped to n x n.  A and its
+    Gram A A^T come from relax.verify_structure; the subclasses pick the
+    block's kernel from that Gram.
     """
 
-    def __init__(self, rows: Sequence[SymRow], dim: int):
-        self.k = len(rows)
+    def __init__(self, dim: int, rhs: np.ndarray, A: scipy.sparse.csr_matrix):
+        self.k = rhs.size
         self.dim = dim
-        self.rhs = np.array([r.rhs for r in rows], dtype=float)
-        self.A = constraint_matrix(rows, dim)
-        self.At = self.A.T  # a CSC view of the same arrays, made once
+        self.rhs = rhs
+        self.A = A
+        self.At = A.T  # a CSC view of the same arrays, made once
         self.kind = "empty"
 
     def op(self, x: np.ndarray) -> np.ndarray:
@@ -143,18 +158,18 @@ class _Block:
 class _EqBlock(_Block):
     """Equality block with an exact solve of Gram * y = rhs."""
 
-    def __init__(self, rows: Sequence[SymRow], dim: int):
-        super().__init__(rows, dim)
+    def __init__(self, dim: int, rhs: np.ndarray, A: scipy.sparse.csr_matrix,
+                 gram: scipy.sparse.csr_matrix):
+        super().__init__(dim, rhs, A)
         if self.k == 0:
             return
-        gram = gram_matrix(self.A)
         scale = float(gram[0, 0])
-        if scale > 0 and gram_equals(gram, scale, 0.0):
+        if scale > 0 and _gram_equals(gram, scale, 0.0):
             self.kind = "scaled_identity"
             self.scale = scale
             return
         k = self.k
-        if gram_equals(gram, 2.0, 1.0):
+        if _gram_equals(gram, 2.0, 1.0):
             # J + I: verify the closed-form inverse I - J/(k+1) numerically
             inv = np.eye(k) - np.ones((k, k)) / (k + 1)
             if np.max(np.abs(gram @ inv - np.eye(k))) <= 1e-10:
@@ -196,19 +211,19 @@ class _EqBlock(_Block):
 class _IneqBlock(_Block):
     """One inequality group with its exact nonnegative-QP kernel."""
 
-    def __init__(self, rows: Sequence[SymRow], dim: int):
-        super().__init__(rows, dim)
+    def __init__(self, dim: int, rhs: np.ndarray, A: scipy.sparse.csr_matrix,
+                 gram: scipy.sparse.csr_matrix):
+        super().__init__(dim, rhs, A)
         if self.k == 0:
             return
-        gram = gram_matrix(self.A)
         diag = gram.diagonal()
-        if gram_equals(gram, diag, 0.0):
+        if _gram_equals(gram, diag, 0.0):
             self.kind = "diag"
             self.diag = diag
             return
         beta = float(gram[0, 1])
         alpha = float(gram[0, 0]) - beta
-        if gram_equals(gram, alpha + beta, beta) and alpha > 0 and beta >= 0:
+        if _gram_equals(gram, alpha + beta, beta) and alpha > 0 and beta >= 0:
             self.kind = "alphabeta"
             self.alpha, self.beta = alpha, beta
             return
@@ -276,12 +291,11 @@ class _Compiled:
     def __init__(self, model: SdpModel):
         self.sign = 1.0 if model.sense == "min" else -1.0
         self.C = self.sign * model.objective.astype(float)
-        self.graph = _EqBlock(model.eq_graph, model.dim)
-        self.other = _EqBlock(model.eq_other, model.dim)
-        spans = list(model.ineq_groups)
-        if not spans and model.ineq:
-            spans = [("generic", 0, len(model.ineq))]
-        self.groups = [_IneqBlock(model.ineq[a:b], model.dim) for _, a, b in spans]
+        # through the module attribute, so a wrapper set on relax sees the call
+        graph, other, *groups = relax.verify_structure(model)
+        self.graph = _EqBlock(model.dim, *graph)
+        self.other = _EqBlock(model.dim, *other)
+        self.groups = [_IneqBlock(model.dim, *g) for g in groups]
         self.blocks = (self.graph, self.other, *self.groups)
         ends = list(accumulate((g.k for g in self.groups), initial=0))
         self.slices = list(zip(self.groups, ends, ends[1:]))  # (group, start, end) in v

@@ -87,11 +87,8 @@ def dense_blocks(model: SdpModel):
     b1 = np.array([row.rhs for row in model.eq_graph])
     a2 = [row.dense(model.dim) for row in model.eq_other]
     b2 = np.array([row.rhs for row in model.eq_other])
-    spans = model.ineq_groups or (
-        (("generic", 0, len(model.ineq)),) if model.ineq else ()
-    )
     groups = []
-    for kind, a, b in spans:
+    for kind, a, b in model.ineq_groups:
         mats = [row.dense(model.dim) for row in model.ineq[a:b]]
         rhs = np.array([row.rhs for row in model.ineq[a:b]])
         groups.append((kind, mats, rhs))

@@ -10,6 +10,7 @@ from bcsdp.graphs import (
     path_graph,
 )
 from bcsdp.relax import (
+    SdpModel,
     SymRow,
     build_bounded,
     build_laminar,
@@ -19,7 +20,9 @@ from bcsdp.relax import (
     build_weighted,
     check_laminar,
     reduce_precolouring_atoms,
+    verify_structure,
 )
+from bcsdp.solver import _Compiled
 
 from _reference import gram_of, dense_blocks
 
@@ -42,36 +45,62 @@ class TestScaledTransform:
         assert len(model.ineq) == 3
         assert sem.value_offset == 1.0
 
-    def test_structure_tags_verified(self):
-        g = gen_gnp(8, 0.5, 3)
-        model, _ = build_bounded(g, 3)
-        tags = model.structure
-        assert tags.a1_edge_indicator and tags.a1_gram_scale == 0.5
-        assert tags.a2_diagonal_chain
-        assert tags.b_row_sum
-        n = 8
-        assert tags.b_alpha == pytest.approx((3 - 1) ** 2 + (n - 2) / 2)
-        assert tags.b_beta == pytest.approx(0.5)
-        assert tags.objective_single_entry
+    @staticmethod
+    def _closed_form_grams(model, m):
+        """Edge rows 1/2 I, the chain J + I, the row sums alpha I + beta J."""
+        n = model.dim
+        alpha, beta = (m - 1) ** 2 + (n - 2) / 2, 0.5
+        return (0.5 * np.eye(len(model.eq_graph)),
+                np.ones((n - 1, n - 1)) + np.eye(n - 1),
+                alpha * np.eye(n) + beta * np.ones((n, n)))
+
+    def test_compiled_grams_have_closed_forms(self):
+        model, _ = build_bounded(gen_gnp(8, 0.5, 3), 3)
+        compiled = verify_structure(model)
+        want = self._closed_form_grams(model, 3)
+        assert len(compiled) == len(want)
+        for (_, _, gram), closed in zip(compiled, want):
+            assert np.allclose(gram.toarray(), closed, atol=1e-14)
 
     def test_gram_identities_hold_densely(self):
-        g = gen_gnp(7, 0.4, 1)
-        model, _ = build_bounded(g, 2)
-        a1, _, a2, _, groups = dense_blocks(model)
-        if a1:
-            gram1 = gram_of(a1)
-            assert np.allclose(gram1, 0.5 * np.eye(len(a1)), atol=1e-14)
-        gram2 = gram_of(a2)
-        k = len(a2)
-        assert np.allclose(gram2, np.ones((k, k)) + np.eye(k), atol=1e-14)
-        kind, mats, _ = groups[0]
-        assert kind == "rowsum"
-        gram = gram_of(mats)
-        tags = model.structure
-        want = tags.b_alpha * np.eye(len(mats)) + tags.b_beta * np.ones(
-            (len(mats), len(mats))
-        )
-        assert np.allclose(gram, want, atol=1e-14)
+        model, _ = build_bounded(gen_gnp(7, 0.4, 1), 2)
+        a1, b1, a2, b2, groups = dense_blocks(model)
+        assert [kind for kind, _, _ in groups] == ["rowsum"]
+        dense = [(a1, b1), (a2, b2), *((mats, rhs) for _, mats, rhs in groups)]
+        compiled = verify_structure(model)
+        want = self._closed_form_grams(model, 2)
+        for (rhs, _, gram), (mats, dense_rhs), closed in zip(compiled, dense, want):
+            assert np.allclose(gram_of(mats), closed, atol=1e-14)
+            assert np.allclose(gram.toarray(), gram_of(mats), atol=1e-14)
+            assert np.array_equal(rhs, dense_rhs)
+
+
+class TestIneqGroups:
+    @staticmethod
+    def _model(groups):
+        rows = tuple(SymRow.from_entries({(i, i): 1.0}, 0.0) for i in range(3))
+        return SdpModel(dim=3, objective=np.eye(3), eq_graph=(), eq_other=(),
+                        ineq=rows, sense="min", ineq_groups=groups)
+
+    def test_tiling_groups_accepted(self):
+        model = self._model((("rowsum", 0, 2), ("pairs", 2, 3)))
+        assert [g.k for g in _Compiled(model).groups] == [2, 1]
+
+    def test_ungrouped_rows_rejected(self):
+        with pytest.raises(ValueError):
+            self._model(())
+
+    def test_gap_rejected(self):
+        with pytest.raises(ValueError):
+            self._model((("rowsum", 0, 1), ("pairs", 2, 3)))
+
+    def test_overlap_rejected(self):
+        with pytest.raises(ValueError):
+            self._model((("rowsum", 0, 2), ("pairs", 1, 3)))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            self._model((("rowsum", 0, 2), ("colsum", 2, 3)))
 
 
 class TestBuilders:

@@ -134,7 +134,7 @@ class TestUpdateFormulas:
 
     def test_v_clamp_identity_when_interior(self):
         # one >= row whose unconstrained minimizer is already positive
-        from bcsdp.relax import SdpModel, StructureTags, SymRow
+        from bcsdp.relax import SdpModel, SymRow
 
         row = SymRow.from_entries({(0, 0): 1.0}, 0.0)
         model = SdpModel(
@@ -144,7 +144,6 @@ class TestUpdateFormulas:
             eq_other=(),
             ineq=(row,),
             sense="min",
-            structure=StructureTags(),
             ineq_groups=(("pairs", 0, 1),),
         )
         st = SolverState(
@@ -231,14 +230,15 @@ class TestSparseBlocks:
         a = rng.standard_normal((dim, dim))
         x = a + a.T
         y = rng.standard_normal(len(rows))
-        block = _Block(rows, dim)
+        csr = constraint_matrix(rows, dim)
+        block = _Block(dim, np.array([r.rhs for r in rows]), csr)
         op = block.op(x)
         assert np.max(np.abs(op - [r.value(x) for r in rows])) <= 1e-12
         adj = block.adjoint(y)
         assert abs(float(op @ y) - float(np.sum(x * adj))) <= 1e-12
         mats = [r.dense(dim) for r in rows]
         assert np.max(np.abs(adj - adjoint(mats, y))) <= 1e-12
-        gram = gram_matrix(constraint_matrix(rows, dim)).toarray()
+        gram = gram_matrix(csr).toarray()
         assert np.max(np.abs(gram - gram_of(mats))) <= 1e-12
 
     def test_compile_memory_grows_with_nnz(self):
@@ -268,6 +268,32 @@ class TestKernelReport:
         assert res.kernels == (
             "scaled_identity", "dense", "alphabeta", "dense", "diag"
         )
+
+
+class TestOneCompile:
+    def test_blocks_compiled_once_per_solve(self, monkeypatch):
+        import bcsdp.relax as relax
+
+        calls = {"verify": 0, "csr": 0, "gram": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # patched on the module, as perfbench's relax.verify span is
+        monkeypatch.setattr(relax, "verify_structure",
+                            counting("verify", relax.verify_structure))
+        monkeypatch.setattr(relax, "constraint_matrix",
+                            counting("csr", relax.constraint_matrix))
+        monkeypatch.setattr(relax, "gram_matrix", counting("gram", relax.gram_matrix))
+        model, sem = build_bounded(gen_gnp(12, 0.5, 1), 3)
+        assert calls == {"verify": 0, "csr": 0, "gram": 0}
+        res = solve(model, sem, SolverConfig(max_iter=5))
+        blocks = len(res.kernels)
+        assert blocks == 3
+        assert calls == {"verify": 1, "csr": blocks, "gram": blocks}
 
 
 class TestP3Fixture:
@@ -396,11 +422,11 @@ class TestSxProjection:
     @example((np.diag([3.0, 3.0, 3.0, -1.0, 0.0]), 0, 1.0))  # large side forced
     def test_update_sx_is_both_projections(self, case):
         w, rank, mu = case
-        from bcsdp.relax import SdpModel, StructureTags
+        from bcsdp.relax import SdpModel
 
         n = w.shape[0]
         model = SdpModel(dim=n, objective=w, eq_graph=(), eq_other=(), ineq=(),
-                         sense="min", structure=StructureTags())
+                         sense="min")
         # no constraints and X = 0, so W = C - mu X is the objective itself
         state = SolverState(X=np.zeros((n, n)), y1=np.zeros(0), y2=np.zeros(0),
                             v=np.zeros(0), S=np.zeros((n, n)), rank=rank)
@@ -454,7 +480,7 @@ class TestSolveBehaviour:
         assert solve(model, sem, SolverConfig(max_iter=1)).partial_steps == 0
 
     def test_infeasible_model_does_not_converge(self):
-        from bcsdp.relax import SdpModel, StructureTags, SymRow
+        from bcsdp.relax import SdpModel, SymRow
 
         rows = (
             SymRow.from_entries({(0, 0): 1.0}, 1.0),
@@ -467,7 +493,6 @@ class TestSolveBehaviour:
             eq_other=rows,
             ineq=(),
             sense="min",
-            structure=StructureTags(),
         )
         res = solve(model, None, SolverConfig(max_iter=300))
         assert res.status != "converged"
