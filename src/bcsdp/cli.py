@@ -270,18 +270,7 @@ def cmd_bound(args) -> int:
     m = resolve_m(doc, args)
     relax = args.relax or ("bounded" if m is not None else "lovasz")
     model, sem = build_model(doc.instance, relax, m, args)
-    warm = None
-    if not args.no_warm and sem is not None and m is not None:
-        try:
-            warm = greedy_colouring(scope_instance(doc.instance, m), seed=args.seed)
-        except ValueError:
-            warm = None
-    cfg = SolverConfig(
-        eps=args.eps,
-        max_iter=args.max_iter,
-        mu0=args.mu0,
-        warm_start=warm,
-    )
+    cfg = SolverConfig(eps=args.eps, max_iter=args.max_iter, mu0=args.mu0)
     t0 = time.perf_counter()
     res = solve(model, sem, cfg)
     seconds = time.perf_counter() - t0
@@ -299,9 +288,10 @@ def cmd_bound(args) -> int:
         "seconds": f"{seconds:.3f}",
         "status": res.status,
         "kernels": "|".join(res.kernels),
+        "partial_steps": res.partial_steps,
     }
     fields = ["instance", "m", "relaxation", "bound", "certified",
-              "iterations", "seconds", "status", "kernels"]
+              "iterations", "seconds", "status", "kernels", "partial_steps"]
     _emit([row], fields, args.output_format, args.out)
     return 0 if res.status == "converged" else 3
 
@@ -322,14 +312,7 @@ def cmd_colour(args) -> int:
         certified = counting_bound(inst.graph.n, m)
     else:
         model, sem = build_model(inst, "bounded", m, args)
-        warm = None
-        try:
-            warm = greedy_colouring(inst, seed=args.seed)
-        except ValueError:
-            pass
-        res = solve(model, sem, SolverConfig(
-            eps=args.eps, max_iter=args.max_iter, warm_start=warm,
-        ))
+        res = solve(model, sem, SolverConfig(eps=args.eps, max_iter=args.max_iter))
         if res.status == "diverged":
             print(f"error: solver diverged on {doc.name}", file=sys.stderr)
             return 2
@@ -449,8 +432,7 @@ def _bench_row_kneser(spec: str, oracle_limit: float) -> dict:
             row[f"chi_{key}"] = ""
             continue
         model, sem = build_bounded(g, m)
-        warm = greedy_colouring(TimetablingInstance.colouring(g, m), seed=0)
-        res = solve(model, sem, SolverConfig(warm_start=warm))
+        res = solve(model, sem)
         row[f"bound_{key}"] = _fmt_float(res.value)
         ores = exact_bounded_chromatic(
             TimetablingInstance.colouring(g, m), time_limit=oracle_limit
@@ -528,10 +510,7 @@ def _bench_toronto(args) -> tuple[list[dict], list[str], int]:
                 bound, certified = extract_bound(res, sem)
             else:
                 model, sem = build_bounded(sub, m)
-                warm = greedy_colouring(
-                    TimetablingInstance.colouring(sub, m), seed=0
-                )
-                res = solve(model, sem, SolverConfig(eps=args.eps, warm_start=warm))
+                res = solve(model, sem, SolverConfig(eps=args.eps))
                 bound, certified = extract_bound(res, sem)
             row["bound"] = _fmt_float(bound)
             row["certified"] = certified
@@ -577,8 +556,7 @@ def _bench_itc(args) -> tuple[list[dict], list[str], int]:
                               SolverConfig(eps=args.eps))
             row["theta"] = _fmt_float(theta_res.value)
             model, sem = build_bounded(g, m)
-            warm = greedy_colouring(TimetablingInstance.colouring(g, m), seed=0)
-            res = solve(model, sem, SolverConfig(eps=args.eps, warm_start=warm))
+            res = solve(model, sem, SolverConfig(eps=args.eps))
             row["bounded"] = _fmt_float(res.value)
             inst = TimetablingInstance.colouring(g, m)
             y = res.X_final + np.ones_like(res.X_final)
@@ -686,8 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=1e-5)
         p.add_argument("--max-iter", type=int, default=20000)
         p.add_argument("--mu0", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0, help="warm-start greedy seed")
-        p.add_argument("--no-warm", action="store_true")
         p.add_argument("--verbose", type=int, default=0, help="N>0: progress to stderr")
 
     p_bound = sub.add_parser("bound", help="compute a lower bound")

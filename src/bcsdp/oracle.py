@@ -273,9 +273,7 @@ def sandwich_check(g: ConflictGraph, m: int, time_limit: float = 60.0,
     greedy = greedy_colouring(inst, seed=0)
     theta_res = solve(build_theta(g, "lovasz"), None, SolverConfig())
     model, sem = build_bounded(g, m)
-    bound_res = solve(
-        model, sem, SolverConfig(warm_start=greedy)
-    )
+    bound_res = solve(model, sem)
     bound, certified = extract_bound(bound_res, sem)
     oracle = exact_bounded_chromatic(inst, time_limit=time_limit)
     failures = []

@@ -4,7 +4,7 @@ Two recovery routes: hyperplane-cap randomized rounding over the Gram
 vectors of the solution matrix, and iterative eigenvalue rounding that
 re-solves progressively smaller SDPs while fixing settled eigenspaces.
 Both always return partitions that pass validate_partition; a saturation
-greedy provides warm starts and the fallback upper bound.
+greedy provides the fallback upper bound.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class _AtomView:
 def greedy_colouring(inst: TimetablingInstance, seed: int = 0) -> Partition:
     """Saturation-degree greedy respecting bound, capacities, features, pre-classes.
 
-    The seed breaks ties among equally saturated vertices so that repeated
-    calls can diversify warm starts.
+    The seed breaks ties among equally saturated vertices, so repeated calls
+    with different seeds can give different colourings.
     """
     atoms = _AtomView(inst)
     if atoms.k == 0:

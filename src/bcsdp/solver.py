@@ -48,7 +48,6 @@ import scipy.sparse
 from scipy.linalg.lapack import dsyevr
 
 from . import relax
-from .graphs import Partition
 from .linalg import project_psd_dense
 from .relax import BoundSemantics, SdpModel
 
@@ -73,7 +72,6 @@ class SolverConfig:
     max_iter: int = 20000
     mu0: float = 1.0
     mu_adapt: tuple[float, float] = (10.0, 2.0)  # trigger ratio, factor
-    warm_start: Optional[Partition] = None
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -448,29 +446,21 @@ def update_sx(state: SolverState, model: SdpModel,
 # ---------------------------------------------------------------------------
 
 
-def initial_matrix(model: SdpModel, sem: Optional[BoundSemantics],
-                   warm_start: Optional[Partition]) -> np.ndarray:
-    """Feasible-leaning start: block indicator of a colouring when one applies.
+def initial_matrix(model: SdpModel, sem: Optional[BoundSemantics]) -> np.ndarray:
+    """The start point: X0 = n I - J for bounded models, a scaled identity else.
 
-    Bounded models: X = t M - J for the warm-start partition's indicator M
-    (singleton classes when absent), which satisfies the edge, chain and
-    row-sum constraints outright.
+    n I - J is t M - J for the singleton colouring (t = n classes, M = I), so
+    it satisfies the edge, chain and row-sum constraints outright.  The first
+    W is then close to -mu X0, which is negative off the all-ones direction,
+    so W's smaller (positive) side is small from the first step and every
+    later S/X step takes the partial eigensolve.
     """
     n = model.dim
     if sem is None:
         if model.eq_other and abs(model.eq_other[0].rhs - 1.0) < 1e-12:
             return np.eye(n) / n  # trace-one theta models
         return np.eye(n)
-    indicator = np.eye(n)
-    t = float(n)
-    if warm_start is not None and warm_start.vertex_set() == frozenset(range(n)):
-        indicator = np.zeros((n, n))
-        for cls in warm_start.classes:
-            for u in cls:
-                for v in cls:
-                    indicator[u, v] = 1.0
-        t = float(len(warm_start.classes))
-    return t * indicator - np.ones((n, n))
+    return n * np.eye(n) - np.ones((n, n))
 
 
 def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
@@ -482,7 +472,7 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
     ratio, factor = cfg.mu_adapt
     offset = sem.value_offset if sem is not None else 0.0
     st = SolverState(
-        X=initial_matrix(model, sem, cfg.warm_start),
+        X=initial_matrix(model, sem),
         y1=np.zeros(comp.graph.k),
         y2=np.zeros(comp.other.k),
         v=np.zeros(comp.d.size),

@@ -58,10 +58,9 @@ def report(criterion: str, passed: bool, detail: str, skipped: bool = False) -> 
     print(f"[ACCEPT] {criterion}: {status} - {detail}")
 
 
-def solve_bounded(g, m, eps=1e-5, warm_seed=0):
+def solve_bounded(g, m, eps=1e-5):
     model, sem = build_bounded(g, m)
-    warm = greedy_colouring(TimetablingInstance.colouring(g, m), warm_seed)
-    res = solve(model, sem, SolverConfig(eps=eps, warm_start=warm))
+    res = solve(model, sem, SolverConfig(eps=eps))
     return res, sem
 
 

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-import bcsdp.cli as cli
 from bcsdp.cli import main, read_partition, select_component
 from bcsdp.graphs import ConflictGraph, TimetablingInstance, validate_partition
 from bcsdp.ingest import InstanceDocument, parse_native, write_native
@@ -50,33 +49,19 @@ class TestBound:
         # oracle colouring of K(8,2) has a 7-star class: m = 7 - 3 = 4
         assert float(row["bound"]) == pytest.approx(7.0, abs=0.05)
         assert row["kernels"] == "scaled_identity|chain|alphabeta"
-
-    def test_warm_start_respects_weights(self, capsys, tmp_path, monkeypatch):
-        inst, path = native_file(tmp_path, weights=(2, 2, 1, 1, 1, 1))
-        warm_starts = []
-        solve = cli.solve
-
-        def record(model, sem, cfg):
-            warm_starts.append(cfg.warm_start)
-            return solve(model, sem, cfg)
-
-        monkeypatch.setattr(cli, "solve", record)
-        code, _, _ = run_cli(
-            ["bound", str(path), "--m", "2", "--output-format", "json"], capsys
-        )
-        assert code == 0
-        (warm,) = warm_starts
-        # a class weighing more than m = 2 would start from an invalid colouring
-        assert warm is not None and validate_partition(inst, warm).ok
+        # from the n I - J start every step after the first takes dsyevr
+        assert row["partial_steps"] == row["iterations"] - 1
 
     def test_verbose_keeps_stdout_machine_readable(self, capsys):
-        code, out, err = run_cli(
-            ["bound", "--gen", "gnp:30,0.5,1", "--m", "4", "--verbose", "1",
-             "--output-format", "json"], capsys
-        )
+        argv = ["bound", "--gen", "gnp:30,0.5,1", "--m", "4", "--output-format", "json"]
+        code, quiet, _ = run_cli(argv, capsys)
         assert code == 0
-        rows = json.loads(out)
-        assert rows[0]["bound"] == "7.5000"
+        code, out, err = run_cli([*argv, "--verbose", "1"], capsys)
+        assert code == 0
+        # the row is the one printed without --verbose, all but its timing
+        (row,), (quiet_row,) = json.loads(out), json.loads(quiet)
+        del row["seconds"], quiet_row["seconds"]
+        assert row == quiet_row
         progress = [ln for ln in err.splitlines() if ln.startswith("bcsdp.solver:")]
         assert "iter=200" in progress[0]
         # progress values are in the bound's units (value_offset included)

@@ -27,10 +27,9 @@ from bcsdp.rounding import (
 from bcsdp.solver import SolverConfig, extract_bound, solve
 
 
-def solved_bounded(g, m, warm_inst=None):
+def solved_bounded(g, m):
     model, sem = build_bounded(g, m)
-    warm = greedy_colouring(warm_inst or TimetablingInstance.colouring(g, m), 0)
-    res = solve(model, sem, SolverConfig(warm_start=warm))
+    res = solve(model, sem)
     return model, sem, res
 
 

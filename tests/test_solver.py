@@ -11,7 +11,9 @@ from bcsdp.graphs import (
     TimetablingInstance,
     complete_graph,
     empty_graph,
+    gen_forbidden_intersection,
     gen_gnp,
+    gen_kneser,
 )
 from bcsdp.linalg import project_psd_dense
 from bcsdp.relax import (
@@ -25,7 +27,6 @@ from bcsdp.relax import (
     constraint_matrix,
     gram_matrix,
 )
-from bcsdp.rounding import greedy_colouring
 from bcsdp.solver import (
     SolveResult,
     SolverConfig,
@@ -50,7 +51,7 @@ from _reference import (
 
 
 def fresh_state(model, sem):
-    x0 = initial_matrix(model, sem, None)
+    x0 = initial_matrix(model, sem)
     s0 = project_psd_dense(
         (model.objective if model.sense == "min" else -model.objective).copy()
     )
@@ -446,16 +447,6 @@ class TestSolveBehaviour:
         assert np.array_equal(r1.X_final, r2.X_final)
         assert r1.iterations == r2.iterations
 
-    def test_warm_start_converges(self):
-        g = gen_gnp(10, 0.5, 5)
-        inst = TimetablingInstance.colouring(g, 3)
-        warm = greedy_colouring(inst, 0)
-        model, sem = build_bounded(g, 3)
-        res = solve(model, sem, SolverConfig(warm_start=warm))
-        assert res.status == "converged"
-        cold = solve(model, sem, SolverConfig())
-        assert res.value == pytest.approx(cold.value, abs=5e-3)
-
     def test_progress_records(self, caplog):
         model, sem = build_bounded(gen_gnp(30, 0.5, 1), 4)
         with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
@@ -504,6 +495,31 @@ class TestSolveBehaviour:
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(mu0=-1.0)
+
+
+class TestStartPoint:
+    """Every bounded solve starts at the singleton colouring n I - J.
+
+    That start leaves W's smaller eigen-side small from the first step, so
+    the partial eigensolve runs from step 2.  A rank-<=k start t M - J (a
+    greedy colouring's block indicator) keeps that side above n/10 and runs
+    the full eigh for its first hundred steps on each of these models.
+    """
+
+    PREFIX = 100  # steps that must all take the partial path after the first
+
+    @pytest.mark.parametrize("graph, m", [
+        (gen_kneser(8, 2), 6),
+        (gen_forbidden_intersection(6, 2 / 3), 10),
+        (gen_gnp(45, 0.5, 1), 5),
+    ], ids=["kneser-8-2", "fi-6-2/3", "gnp-45"])
+    def test_partial_eigensolve_from_step_two(self, graph, m):
+        model, sem = build_bounded(graph, m)
+        n = model.dim
+        assert np.array_equal(initial_matrix(model, sem), n * np.eye(n) - np.ones((n, n)))
+        assert solve(model, sem).status == "converged"
+        early = solve(model, sem, SolverConfig(max_iter=self.PREFIX))
+        assert early.partial_steps == early.iterations - 1 == self.PREFIX - 1
 
 
 class TestExtractBound:
