@@ -371,7 +371,9 @@ def iterative_round(
     reduced SDP re-solved on the middle frame; constraints whose reduced
     inner product falls under delta are dropped.  Classes are reconstructed
     by clustering rows of F1 F1', with a validity-repairing fallback, so the
-    returned partition always validates.
+    returned partition always validates.  The greedy colouring that caps the
+    trace is returned instead when it has fewer classes, or when a re-solve
+    diverges.
     """
     from . import solver as solver_mod
 
@@ -438,15 +440,18 @@ def iterative_round(
                 tuple(violations), _violation_bound(rows, n), rounds,
                 ("subsolver diverged; partial diagnostics",),
             )
-            fallback = greedy_colouring(inst, seed=cfg.seed)
-            return fallback, diag_out
+            return upper, diag_out
         current = 0.5 * (res.X_final[:r, :r] + res.X_final[:r, :r].T)
         if res.status == "max_iter":
             delta = min(0.49, delta * 4 + 1e-3)
     f1_mat = np.column_stack(f1) if f1 else np.zeros((n, 0))
     part = _classes_from_frame(inst, f1_mat, notes)
-    rooms = assign_rooms(inst, part)
-    part = Partition(part.classes, rooms)
+    if upper.num_classes < part.num_classes:
+        notes.append(f"frame gave {part.num_classes} classes; "
+                     f"returned the greedy colouring's {upper.num_classes}")
+        part = upper
+    else:
+        part = Partition(part.classes, assign_rooms(inst, part))
     gram = f1_mat @ f1_mat.T
     for idx, row in enumerate(rows):
         violations[idx] = max(0.0, row.rhs - row.value(gram))

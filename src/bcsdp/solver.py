@@ -20,17 +20,18 @@ never to stdout.
 
 Each constraint block (eq_graph, eq_other, each inequality group) is compiled
 once, by the one relax.verify_structure call in _Compiled, into a
-scipy.sparse CSR A over vec(X) and its sparse Gram A A^T: the operator is
-A vec(X), the adjoint is A^T y, and the Gram chooses the block's kernel here
-and nowhere else, so compile memory is O(nnz).  Structured kernels replace
-dense linear algebra where that Gram has the structure: a scaled identity
-(edge-indicator equalities; a scalar divide, or a per-row clamp for
-inequalities), J + I (the anchored diagonal chain, closed-form inverse
-I - J/n, checked numerically with a dense fallback), and alpha I + beta J
-(row-sum inequality groups, whose nonnegative QP is solved exactly by a
-sorted-breakpoint scan ending in a per-coordinate clamp at zero).  Anything
-else falls back to cached dense factorizations of the Gram and an exact
-active-set NNLS.  SolveResult.kernels names the kernel chosen for each block.
+scipy.sparse CSR A over vec(X) and its sparse Gram G = A A^T: the operator is
+A vec(X), the adjoint is A^T y, and G alone chooses the block's kernel, here
+and nowhere else, so compile memory is O(nnz).  There are three kernels,
+shared by equality blocks (solve G y = r) and inequality groups (the
+nonnegative QP).  "diag": G is diagonal and positive (edge-indicator rows); a
+per-row divide, or a per-row clamp at zero.  "alphabeta": G = alpha I +
+beta J (the anchored diagonal chain has J + I, the row sums alpha I + beta J);
+the closed form (r - beta sum(r)/(alpha + k beta))/alpha, or an exact
+sorted-breakpoint scan ending in a per-coordinate clamp.  "dense": anything
+else; one eigen-factorization of G, which gives the min-norm pseudo-inverse
+solve and the factor of an exact active-set NNLS.  SolveResult.kernels names
+the kernel of each block ("empty" for a block without rows).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 from scipy.linalg.lapack import dsyevr
@@ -65,13 +65,17 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
+# every 25 iterations, mu is divided or multiplied by _MU_FACTOR when one
+# residual exceeds _MU_RATIO times the other
+_MU_RATIO = 10.0
+_MU_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     eps: float = 1e-5
     max_iter: int = 20000
     mu0: float = 1.0
-    mu_adapt: tuple[float, float] = (10.0, 2.0)  # trigger ratio, factor
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -131,97 +135,31 @@ def _gram_equals(gram: scipy.sparse.csr_matrix, diag, off: float,
 
 
 class _Block:
-    """One constraint block: its rhs and its CSR A over vec(X).
+    """One constraint block: its rhs, its CSR A over vec(X) and its kernel.
 
-    op(X) = A vec(X) and the adjoint is A^T y reshaped to n x n.  A and its
-    Gram A A^T come from relax.verify_structure; the subclasses pick the
-    block's kernel from that Gram.
+    op(X) = A vec(X) and the adjoint is A^T y reshaped to n x n.  The Gram
+    G = A A^T picks the kernel ("diag", "alphabeta" or "dense", see the
+    module docstring); equality blocks call solve, inequality groups qp.
     """
 
-    def __init__(self, dim: int, rhs: np.ndarray, A: scipy.sparse.csr_matrix):
+    def __init__(self, dim: int, rhs: np.ndarray, A: scipy.sparse.csr_matrix,
+                 gram: scipy.sparse.csr_matrix):
         self.k = rhs.size
         self.dim = dim
         self.rhs = rhs
         self.A = A
         self.At = A.T  # a CSC view of the same arrays, made once
         self.kind = "empty"
-
-    def op(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x.ravel()
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return (self.At @ y).reshape(self.dim, self.dim)
-
-
-class _EqBlock(_Block):
-    """Equality block with an exact solve of Gram * y = rhs."""
-
-    def __init__(self, dim: int, rhs: np.ndarray, A: scipy.sparse.csr_matrix,
-                 gram: scipy.sparse.csr_matrix):
-        super().__init__(dim, rhs, A)
-        if self.k == 0:
-            return
-        scale = float(gram[0, 0])
-        if scale > 0 and _gram_equals(gram, scale, 0.0):
-            self.kind = "scaled_identity"
-            self.scale = scale
-            return
-        k = self.k
-        if _gram_equals(gram, 2.0, 1.0):
-            # J + I: verify the closed-form inverse I - J/(k+1) numerically
-            inv = np.eye(k) - np.ones((k, k)) / (k + 1)
-            if np.max(np.abs(gram @ inv - np.eye(k))) <= 1e-10:
-                self.kind = "chain"
-                self._chain_n = k + 1
-                return
-        self.gram = gram.toarray()
-        try:
-            self._cho = scipy.linalg.cho_factor(self.gram)
-            self.kind = "dense"
-        except np.linalg.LinAlgError:
-            # dependent rows: fall back to the min-norm (pseudoinverse) solve
-            w, vec = np.linalg.eigh(self.gram)
-            keep = w > 1e-11 * max(float(w.max()), 1.0)
-            self._pinv_vec = vec[:, keep]
-            self._pinv_lam = w[keep]
-            self.kind = "pinv"
-
-    def gram_dot(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "scaled_identity":
-            return self.scale * y
-        if self.kind == "chain":
-            return y + np.sum(y)
-        if self.kind in ("dense", "pinv"):
-            return self.gram @ y
-        return y
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.kind == "scaled_identity":
-            return rhs / self.scale
-        if self.kind == "chain":
-            return rhs - np.sum(rhs) / self._chain_n
-        if self.kind == "pinv":
-            proj = self._pinv_vec.T @ rhs
-            return self._pinv_vec @ (proj / self._pinv_lam)
-        return scipy.linalg.cho_solve(self._cho, rhs)
-
-
-class _IneqBlock(_Block):
-    """One inequality group with its exact nonnegative-QP kernel."""
-
-    def __init__(self, dim: int, rhs: np.ndarray, A: scipy.sparse.csr_matrix,
-                 gram: scipy.sparse.csr_matrix):
-        super().__init__(dim, rhs, A)
         if self.k == 0:
             return
         diag = gram.diagonal()
-        if _gram_equals(gram, diag, 0.0):
+        if np.all(diag > 0) and _gram_equals(gram, diag, 0.0):
             self.kind = "diag"
             self.diag = diag
             return
-        beta = float(gram[0, 1])
-        alpha = float(gram[0, 0]) - beta
-        if _gram_equals(gram, alpha + beta, beta) and alpha > 0 and beta >= 0:
+        beta = float(gram[0, 1]) if self.k > 1 else 0.0
+        alpha = float(diag[0]) - beta
+        if alpha > 0 and beta >= 0 and _gram_equals(gram, alpha + beta, beta):
             self.kind = "alphabeta"
             self.alpha, self.beta = alpha, beta
             return
@@ -232,17 +170,30 @@ class _IneqBlock(_Block):
         self._lam = w[keep]
         self._vec = vec[:, keep]
 
-    def gram_dot(self, v: np.ndarray) -> np.ndarray:
+    def op(self, x: np.ndarray) -> np.ndarray:
+        return self.A @ x.ravel()
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return (self.At @ y).reshape(self.dim, self.dim)
+
+    def gram_dot(self, y: np.ndarray) -> np.ndarray:
         if self.kind == "diag":
-            return self.diag * v
+            return self.diag * y
         if self.kind == "alphabeta":
-            return self.alpha * v + self.beta * np.sum(v)
-        if self.kind == "dense":
-            return self.gram @ v
-        return v
+            return self.alpha * y + self.beta * np.sum(y)
+        return self.gram @ y
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Min-norm solution of G y = r: exact when G is nonsingular."""
+        if self.kind == "diag":
+            return r / self.diag
+        if self.kind == "alphabeta":
+            shift = self.beta * np.sum(r) / (self.alpha + self.k * self.beta)
+            return (r - shift) / self.alpha
+        return self._vec @ ((self._vec.T @ r) / self._lam)
 
     def qp(self, g: np.ndarray, mu: float) -> np.ndarray:
-        """argmin over v >= 0 of g'v + (1/2mu) v' Gram v, solved exactly."""
+        """argmin over v >= 0 of g'v + (1/2mu) v' G v, solved exactly."""
         a = -mu * g
         if self.kind == "diag":
             return np.maximum(0.0, a / self.diag)
@@ -280,8 +231,9 @@ def _alphabeta_qp(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 class _Compiled:
     """One CSR per constraint block, with the kernel its sparse Gram selects.
 
-    Memory is O(nnz) plus the dense Gram of blocks that fall back to the
-    dense/pinv kernels.  The three phase methods are the whole iteration:
+    Memory is O(nnz) plus the dense Gram and eigen-factor of blocks that
+    take the "dense" kernel; "diag" and "alphabeta" keep O(k) numbers.  The
+    three phase methods are the whole iteration:
     each advances a SolverState, the running dual residual and the per-block
     op(X) - rhs list in place.
     """
@@ -291,9 +243,9 @@ class _Compiled:
         self.C = self.sign * model.objective.astype(float)
         # through the module attribute, so a wrapper set on relax sees the call
         graph, other, *groups = relax.verify_structure(model)
-        self.graph = _EqBlock(model.dim, *graph)
-        self.other = _EqBlock(model.dim, *other)
-        self.groups = [_IneqBlock(model.dim, *g) for g in groups]
+        self.graph = _Block(model.dim, *graph)
+        self.other = _Block(model.dim, *other)
+        self.groups = [_Block(model.dim, *g) for g in groups]
         self.blocks = (self.graph, self.other, *self.groups)
         ends = list(accumulate((g.k for g in self.groups), initial=0))
         self.slices = list(zip(self.groups, ends, ends[1:]))  # (group, start, end) in v
@@ -394,7 +346,7 @@ class _Compiled:
         return partial
 
 
-def _eq_step(blk: _EqBlock, y: np.ndarray, lin_x: np.ndarray,
+def _eq_step(blk: _Block, y: np.ndarray, lin_x: np.ndarray,
              resid: np.ndarray, mu: float) -> np.ndarray:
     """Minimize over one equality block's multipliers; updates resid in place."""
     rhs = mu * lin_x
@@ -469,7 +421,6 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
     cfg = cfg or SolverConfig()
     comp = _Compiled(model)
     mu = cfg.mu0
-    ratio, factor = cfg.mu_adapt
     offset = sem.value_offset if sem is not None else 0.0
     st = SolverState(
         X=initial_matrix(model, sem),
@@ -518,10 +469,10 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         if it % 25 == 0:
             # ADMM on the dual: the split constraint is A*(y)+B*(v)+S = C, so a
             # dominant dual residual calls for a heavier penalty (smaller mu).
-            if dres > ratio * pres:
-                mu = max(mu / factor, 1e-4)
-            elif pres > ratio * dres:
-                mu = min(mu * factor, 1e4)
+            if dres > _MU_RATIO * pres:
+                mu = max(mu / _MU_FACTOR, 1e-4)
+            elif pres > _MU_RATIO * dres:
+                mu = min(mu * _MU_FACTOR, 1e4)
     pobj_user = comp.sign * float(np.sum(comp.C * st.X))
     value = pobj_user + offset
     _log_progress(it, pres, dres, gap, value, mu, st.rank, status)

@@ -48,7 +48,7 @@ class TestBound:
         row = json.loads(out)[0]
         # oracle colouring of K(8,2) has a 7-star class: m = 7 - 3 = 4
         assert float(row["bound"]) == pytest.approx(7.0, abs=0.05)
-        assert row["kernels"] == "scaled_identity|chain|alphabeta"
+        assert row["kernels"] == "diag|alphabeta|alphabeta"
         # from the n I - J start every step after the first takes dsyevr
         assert row["partial_steps"] == row["iterations"] - 1
 

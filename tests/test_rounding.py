@@ -172,6 +172,17 @@ class TestIterative:
             assert validate_partition(inst, part).ok
             assert all(v >= 0 for v in diag.constraint_violations)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_never_worse_than_greedy(self, seed):
+        # at seeds 1, 2 and 4 the final frame clusters into 16 singletons
+        g = gen_gnp(16, 0.5, seed)
+        inst = TimetablingInstance.colouring(g, 3)
+        model, sem, res = solved_bounded(g, 3)
+        cfg = RoundingConfig()
+        part, _ = iterative_round(model, res.X_final, inst, cfg)
+        assert validate_partition(inst, part).ok
+        assert part.num_classes <= greedy_colouring(inst, seed=cfg.seed).num_classes
+
     def test_violations_within_bound(self):
         g = gen_gnp(8, 0.5, 80)
         inst = TimetablingInstance.colouring(g, 3)

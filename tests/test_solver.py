@@ -47,6 +47,8 @@ from _reference import (
     dense_v_reference,
     dense_y_reference,
     gram_of,
+    projected_gradient_qp,
+    qp_kkt_residual,
 )
 
 
@@ -232,7 +234,7 @@ class TestSparseBlocks:
         x = a + a.T
         y = rng.standard_normal(len(rows))
         csr = constraint_matrix(rows, dim)
-        block = _Block(dim, np.array([r.rhs for r in rows]), csr)
+        block = _Block(dim, np.array([r.rhs for r in rows]), csr, gram_matrix(csr))
         op = block.op(x)
         assert np.max(np.abs(op - [r.value(x) for r in rows])) <= 1e-12
         adj = block.adjoint(y)
@@ -258,7 +260,7 @@ class TestKernelReport:
     def test_bounded_gnp_kernels(self):
         model, sem = build_bounded(gen_gnp(12, 0.5, 1), 3)
         res = solve(model, sem, SolverConfig(max_iter=5))
-        assert res.kernels == ("scaled_identity", "chain", "alphabeta")
+        assert res.kernels == ("diag", "alphabeta", "alphabeta")
 
     def test_room_model_reports_dense_blocks(self):
         model = rooms_model()
@@ -267,8 +269,61 @@ class TestKernelReport:
             "rowsum", "generic", "pairs"
         ]
         assert res.kernels == (
-            "scaled_identity", "dense", "alphabeta", "dense", "diag"
+            "diag", "dense", "alphabeta", "dense", "diag"
         )
+
+
+def block_of(entries: list[dict], dim: int) -> _Block:
+    rows = [SymRow.from_entries(e, 0.0) for e in entries]
+    csr = constraint_matrix(rows, dim)
+    return _Block(dim, np.zeros(len(rows)), csr, gram_matrix(csr))
+
+
+class TestBlockKernels:
+    """The merged block's kernels on Grams that no model in the suite reaches."""
+
+    def test_dependent_equality_rows_take_the_min_norm_solve(self):
+        row = {(0, 1): 1.0}
+        blk = block_of([row, {(0, 2): 1.0, (1, 1): 1.0}, row], 3)
+        assert blk.kind == "dense"
+        gram = gram_matrix(blk.A).toarray()
+        assert np.linalg.matrix_rank(gram) == 2
+        r = np.random.default_rng(3).standard_normal(3)
+        want = np.linalg.lstsq(gram, r, rcond=None)[0]
+        assert np.max(np.abs(blk.solve(r) - want)) <= 1e-12
+
+    def test_unequal_positive_diagonal_takes_diag(self):
+        blk = block_of([{(0, 0): 1.0}, {(0, 1): 1.0}, {(1, 2): 3.0}], 3)
+        assert blk.kind == "diag"
+        assert np.array_equal(blk.diag, [1.0, 2.0, 18.0])
+        r = np.array([1.0, -4.0, 9.0])
+        assert np.array_equal(blk.solve(r), [1.0, -2.0, 0.5])
+
+    def test_alpha_beta_gram_is_inverted_exactly(self):
+        # rows share the entry (0, 0): G = 0.25 I + 2.25 J
+        blk = block_of([{(0, 0): 1.5, (i, i): 0.5} for i in range(1, 6)], 6)
+        assert blk.kind == "alphabeta"
+        assert (blk.alpha, blk.beta) == (0.25, 2.25)
+        gram = gram_matrix(blk.A).toarray()
+        r = np.random.default_rng(4).standard_normal(5)
+        assert np.max(np.abs(gram @ blk.solve(r) - r)) <= 1e-12
+        assert np.max(np.abs(blk.gram_dot(r) - gram @ r)) <= 1e-12
+
+    def test_dense_group_qp_matches_projected_gradient(self):
+        rng = np.random.default_rng(5)
+        pairs = [(0, 0), (0, 1), (1, 2), (2, 2), (0, 2)]
+        entries = [{p: float(c) for p, c in zip(pairs, rng.standard_normal(5))}
+                   for _ in range(4)]
+        blk = block_of(entries, 3)
+        assert blk.kind == "dense"
+        gram = gram_matrix(blk.A).toarray()
+        for mu in (0.3, 1.0, 4.0):
+            g = rng.standard_normal(4)
+            v = blk.qp(g, mu)
+            want = projected_gradient_qp(g, gram, mu)
+            assert np.all(v >= 0.0)
+            assert qp_kkt_residual(g, gram, mu, v) <= 1e-9
+            assert np.max(np.abs(v - want)) <= 1e-8
 
 
 class TestOneCompile:
