@@ -40,7 +40,7 @@ from .ingest import (
     parse_toronto,
     write_native,
 )
-from .oracle import exact_bounded_chromatic, sandwich_check
+from .oracle import OracleResult, exact_bounded_chromatic, sandwich_check
 from .relax import (
     build_bounded,
     build_laminar,
@@ -167,11 +167,12 @@ def select_component(doc: InstanceDocument, k: int) -> InstanceDocument:
     )
 
 
-def resolve_m(doc: InstanceDocument, args) -> int | None:
+def resolve_m(doc: InstanceDocument, args) -> tuple[int | None, OracleResult | None]:
+    """The room count, and the oracle search --m-offset ran to find it."""
     if args.m is not None and args.m_offset is not None:
         raise CliError("--m and --m-offset are mutually exclusive")
     if args.m is not None:
-        return args.m
+        return args.m, None
     if args.m_offset is not None:
         # the offset is taken from a colouring of the bare graph
         _refuse_unmodelled(doc.instance, "--m-offset", "weights", "precolouring")
@@ -185,8 +186,8 @@ def resolve_m(doc: InstanceDocument, args) -> int | None:
         m = largest + args.m_offset
         if m < 1:
             raise CliError(f"--m-offset yields m={m} < 1 (largest class {largest})")
-        return m
-    return None
+        return m, res
+    return None, None
 
 
 def scope_instance(inst: TimetablingInstance, m: int) -> TimetablingInstance:
@@ -267,7 +268,7 @@ def cmd_bound(args) -> int:
     doc = make_generated(args.gen) if args.gen else load_document(args.input, args.format)
     if args.component:
         doc = select_component(doc, args.component)
-    m = resolve_m(doc, args)
+    m, ores = resolve_m(doc, args)
     relax = args.relax or ("bounded" if m is not None else "lovasz")
     model, sem = build_model(doc.instance, relax, m, args)
     cfg = SolverConfig(eps=args.eps, max_iter=args.max_iter, mu0=args.mu0)
@@ -289,9 +290,11 @@ def cmd_bound(args) -> int:
         "status": res.status,
         "kernels": "|".join(res.kernels),
         "partial_steps": res.partial_steps,
+        "oracle_nodes": "" if ores is None else ores.nodes_explored,
     }
     fields = ["instance", "m", "relaxation", "bound", "certified",
-              "iterations", "seconds", "status", "kernels", "partial_steps"]
+              "iterations", "seconds", "status", "kernels", "partial_steps",
+              "oracle_nodes"]
     _emit([row], fields, args.output_format, args.out)
     return 0 if res.status == "converged" else 3
 
@@ -300,7 +303,7 @@ def cmd_colour(args) -> int:
     doc = make_generated(args.gen) if args.gen else load_document(args.input, args.format)
     if args.component:
         doc = select_component(doc, args.component)
-    m = resolve_m(doc, args)
+    m, ores = resolve_m(doc, args)
     if m is None:
         raise CliError("colour needs --m or --m-offset")
     inst = scope_instance(doc.instance, m)
@@ -335,9 +338,10 @@ def cmd_colour(args) -> int:
         "certified_lower": certified,
         "gap": part.num_classes - certified,
         "seconds": f"{seconds:.3f}",
+        "oracle_nodes": "" if ores is None else ores.nodes_explored,
     }
     fields = ["instance", "m", "method", "classes", "valid",
-              "certified_lower", "gap", "seconds"]
+              "certified_lower", "gap", "seconds", "oracle_nodes"]
     _emit([row], fields, args.output_format, None)
     if not report.ok:
         for v in report.violations:

@@ -5,11 +5,14 @@ DSATUR-ordered branch and bound over colour classes with class-size,
 capacity, feature and pre-colouring pruning.  Pre-coloured vertices are
 contracted to weighted atoms before the search.  Exactness at desk scale is
 certified against full partition enumeration in the test suite.
+
+Saturation is carried, not recomputed: over k atoms, a node costs one O(k)
+scan for its target, and each move and each undo costs O(deg) saturation
+updates plus an O(1) restore of the class's conflict mask and count totals.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -87,44 +90,65 @@ def max_clique(g: ConflictGraph, time_limit: float = 10.0) -> int:
     return best
 
 
+class _Dsatur:
+    """DSATUR order (Brélaz 1979) kept incrementally: one integer key per atom.
+
+    An unplaced atom's key is sat·(k+1)² + deg·(k+1) + (k − a), where sat
+    counts the classes holding a neighbour; integer order is exactly that of
+    (sat, deg, −a).  A placed atom carries −(k+1)³ on top, so the target is
+    the largest key when that key is positive.  Placing atom a in a class
+    whose conflict mask was ``mask`` raises sat for each bit of
+    adj[a] & ~mask; undoing it lowers the same bits.
+    """
+
+    def __init__(self, atoms: _Atoms):
+        k = atoms.k
+        self.adj = atoms.adj
+        self.step = (k + 1) ** 2
+        self.placed = (k + 1) * self.step
+        self.key = [atoms.graph.degree(a) * (k + 1) + k - a for a in range(k)]
+
+    def target(self) -> int:
+        """The unplaced atom of largest (sat, deg, −a), or −1 if none is left."""
+        best = max(self.key)
+        return self.key.index(best) if best > 0 else -1
+
+    def bump(self, a: int, mask: int, sign: int) -> None:
+        """Place (sign 1) or unplace (sign −1) a in a class of conflict mask."""
+        key = self.key
+        key[a] -= sign * self.placed
+        step = sign * self.step
+        new = self.adj[a] & ~mask
+        while new:
+            low = new & -new
+            key[low.bit_length() - 1] += step
+            new ^= low
+
+
 def _greedy_atoms(atoms: _Atoms) -> Optional[list[list[int]]]:
     """Saturation-degree greedy over atoms; None if some atom fits nowhere."""
-    k = atoms.k
     counts = atoms.counts
     if not all(map(counts.fits, counts.profile)):
         return None
-    unassigned = set(range(k))
+    order = _Dsatur(atoms)
     classes: list[list[int]] = []
     class_mask: list[int] = []
     class_state: list[tuple[int, ...]] = []  # ClassCounts totals
-    assigned_class: dict[int, int] = {}
-    while unassigned:
-        best_a, best_key = None, None
-        for a in unassigned:
-            sat = len(
-                {assigned_class[b] for b in atoms.graph.neighbors(a) if b in assigned_class}
-            )
-            key = (sat, atoms.graph.degree(a), -a)
-            if best_key is None or key > best_key:
-                best_a, best_key = a, key
-        a = best_a
-        placed = False
-        for ci in range(len(classes)):
-            if class_mask[ci] & (1 << a):
-                continue
-            if counts.admits(class_state[ci], a):
-                classes[ci].append(a)
-                class_mask[ci] |= atoms.adj[a]
-                class_state[ci] = counts.plus(class_state[ci], counts.profile[a])
-                assigned_class[a] = ci
-                placed = True
+    for _ in range(atoms.k):
+        a = order.target()
+        bit = 1 << a
+        for ci, mask in enumerate(class_mask):
+            if not mask & bit and counts.admits(class_state[ci], a):
                 break
-        if not placed:
-            classes.append([a])
-            class_mask.append(atoms.adj[a])
-            class_state.append(counts.profile[a])
-            assigned_class[a] = len(classes) - 1
-        unassigned.discard(a)
+        else:
+            ci = len(classes)
+            classes.append([])
+            class_mask.append(0)
+            class_state.append(counts.empty)
+        order.bump(a, class_mask[ci], 1)
+        classes[ci].append(a)
+        class_mask[ci] |= atoms.adj[a]
+        class_state[ci] = counts.plus(class_state[ci], counts.profile[a])
     return classes
 
 
@@ -136,6 +160,9 @@ def exact_bounded_chromatic(
     Branch and bound over class assignments in saturation-degree order; a
     vertex may open class j only when classes 0..j-1 are nonempty, and
     opening is always the last branch.  Times out with best-known bounds.
+    Each node costs one O(k) scan for its target over k atoms; each move and
+    each undo updates saturation in O(deg) and restores the class's saved
+    conflict mask and count totals in O(1).
     """
     atoms = _Atoms(inst)
     counts = atoms.counts
@@ -148,86 +175,64 @@ def exact_bounded_chromatic(
         raise ValueError("instance infeasible: some event/pre-class fits no room")
     best_classes = [list(c) for c in greedy]
     best_ub = len(best_classes)
-    total_weight = sum(atoms.weight)
-    root_lb = counting_bound(total_weight, inst.m)
+    # a class holds at most m weight and the L open classes hold all placed
+    # weight, so L + ceil((unplaced - spare room) / m) is max(L, weight_lb)
+    weight_lb = counting_bound(sum(atoms.weight), inst.m)
     clique = max_clique(atoms.graph, time_limit=min(5.0, time_limit / 4))
-    root_lb = max(root_lb, clique, 1)
+    root_lb = max(weight_lb, clique, 1)
     nodes = 0
     timed_out = False
     if root_lb >= best_ub:
         part = atoms.expand(best_classes)
         return OracleResult(best_ub, part, 0, False, best_ub, best_ub)
 
-    order_deg = [atoms.graph.degree(a) for a in range(k)]
-    assigned: list[int] = [-1] * k
+    adj = atoms.adj
+    order = _Dsatur(atoms)
     class_members: list[list[int]] = []
     class_conflict: list[int] = []  # union of adj masks
     class_state: list[tuple[int, ...]] = []
-    remaining_weight = total_weight
-
-    def node_bound() -> int:
-        spare = sum(inst.m - st[0] for st in class_state)
-        extra = max(0, math.ceil((remaining_weight - spare) / inst.m))
-        return len(class_members) + extra
 
     def recurse() -> bool:
         """Depth-first; returns False on timeout."""
-        nonlocal best_ub, best_classes, nodes, remaining_weight, timed_out
+        nonlocal best_ub, best_classes, nodes, timed_out
         nodes += 1
         if nodes % 4096 == 0 and time.monotonic() > deadline:
             timed_out = True
             return False
-        target = -1
-        best_key = None
-        for a in range(k):
-            if assigned[a] >= 0:
-                continue
-            sat = 0
-            for ci in range(len(class_members)):
-                if class_conflict[ci] & (1 << a):
-                    sat += 1
-            key = (sat, order_deg[a], -a)
-            if best_key is None or key > best_key:
-                target, best_key = a, key
-        if target < 0:
+        a = order.target()
+        if a < 0:
             if len(class_members) < best_ub:
                 best_ub = len(class_members)
                 best_classes = [list(c) for c in class_members]
             return True
-        if len(class_members) >= best_ub or node_bound() >= best_ub:
+        if max(len(class_members), weight_lb) >= best_ub:
             return True
-        a = target
         bit = 1 << a
         for ci in range(len(class_members)):
-            if class_conflict[ci] & bit:
-                continue
-            if not counts.admits(class_state[ci], a):
+            mask = class_conflict[ci]
+            if mask & bit:
                 continue
             saved = class_state[ci]
+            if not counts.admits(saved, a):
+                continue
             class_members[ci].append(a)
-            class_conflict[ci] |= atoms.adj[a]
+            class_conflict[ci] = mask | adj[a]
             class_state[ci] = counts.plus(saved, counts.profile[a])
-            assigned[a] = ci
-            remaining_weight -= atoms.weight[a]
+            order.bump(a, mask, 1)
             ok = recurse()
-            remaining_weight += atoms.weight[a]
-            assigned[a] = -1
+            order.bump(a, mask, -1)
             class_members[ci].pop()
+            class_conflict[ci] = mask
             class_state[ci] = saved
-            class_conflict[ci] = 0
-            for b in class_members[ci]:
-                class_conflict[ci] |= atoms.adj[b]
             if not ok:
                 return False
         if len(class_members) + 1 <= best_ub - 1:
             class_members.append([a])
-            class_conflict.append(atoms.adj[a])
+            class_conflict.append(adj[a])
             class_state.append(counts.profile[a])
-            assigned[a] = len(class_members) - 1
-            remaining_weight -= atoms.weight[a]
+            order.bump(a, 0, 1)
             ok = recurse()
-            remaining_weight += atoms.weight[a]
-            assigned[a] = -1
+            order.bump(a, 0, -1)
             class_members.pop()
             class_conflict.pop()
             class_state.pop()

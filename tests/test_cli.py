@@ -51,6 +51,8 @@ class TestBound:
         assert row["kernels"] == "diag|alphabeta|alphabeta"
         # from the n I - J start every step after the first takes dsyevr
         assert row["partial_steps"] == row["iterations"] - 1
+        # the search that chose m: K(8,2) coloured with m = n rooms
+        assert row["oracle_nodes"] == 270
 
     def test_verbose_keeps_stdout_machine_readable(self, capsys):
         argv = ["bound", "--gen", "gnp:30,0.5,1", "--m", "4", "--output-format", "json"]
@@ -62,6 +64,8 @@ class TestBound:
         (row,), (quiet_row,) = json.loads(out), json.loads(quiet)
         del row["seconds"], quiet_row["seconds"]
         assert row == quiet_row
+        # --m runs no oracle search
+        assert row["oracle_nodes"] == ""
         progress = [ln for ln in err.splitlines() if ln.startswith("bcsdp.solver:")]
         assert "iter=200" in progress[0]
         # progress values are in the bound's units (value_offset included)
@@ -154,6 +158,18 @@ class TestColour:
         assert code == 0
         row = json.loads(out)[0]
         assert row["classes"] == 5
+        assert row["oracle_nodes"] == ""
+
+    def test_m_offset_reports_oracle_nodes(self, capsys):
+        code, out, err = run_cli(
+            ["colour", "--gen", "kneser:5,2", "--m-offset", "-1", "--method", "greedy",
+             "--output-format", "json"], capsys
+        )
+        assert code == 0
+        row = json.loads(out)[0]
+        # the Petersen graph's optimal 3-colouring has a 4-vertex class
+        assert row["m"] == 3
+        assert row["oracle_nodes"] == 5
 
     def test_weights_reach_kms(self, capsys, tmp_path):
         inst, path = native_file(tmp_path, weights=(2, 2, 1, 1, 1, 1))

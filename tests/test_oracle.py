@@ -3,12 +3,19 @@ import pytest
 from bcsdp.graphs import (
     TimetablingInstance,
     complete_graph,
+    counting_bound,
     empty_graph,
     gen_gnp,
     gen_kneser,
     validate_partition,
 )
-from bcsdp.oracle import exact_bounded_chromatic, max_clique, sandwich_check
+from bcsdp.oracle import (
+    _Atoms,
+    _greedy_atoms,
+    exact_bounded_chromatic,
+    max_clique,
+    sandwich_check,
+)
 
 from conftest import named_small_graphs
 from _reference import enumerate_chi_m
@@ -202,3 +209,95 @@ class TestSandwich:
             for m in (2, 3):
                 rep = sandwich_check(g, m)
                 assert rep.passed, (seed, m, rep.failures)
+
+
+def _mixed_instance() -> TimetablingInstance:
+    """Capacities, a feature, a three-vertex pre-colouring class and weights."""
+    g = gen_gnp(34, 0.5, 5)
+    return TimetablingInstance(
+        graph=g,
+        m=8,
+        event_sizes=tuple(10 + (7 * v) % 35 for v in range(g.n)),
+        room_capacities=tuple(50 - 5 * r for r in range(8)),
+        feature_count=1,
+        event_features=frozenset({(2, 0), (5, 0), (9, 0), (13, 0)}),
+        room_features=frozenset({(0, 0), (2, 0)}),
+        precolouring=(frozenset({0, 1, 10}),),
+        weights=tuple(1 + (v % 4 == 0) for v in range(g.n)),
+    )
+
+
+# (nodes_explored, chi_m, lower_bound, upper_bound, witness classes in order)
+_GOLDEN_GNP45 = {
+    1: (963, 9, 9, 9, [
+        [4, 15, 25, 28, 43], [6, 22, 31, 40], [2, 13, 18, 37], [0, 7, 9, 14, 27, 33],
+        [10, 12, 16, 17, 20], [5, 21, 29, 39], [1, 3, 8, 11, 30, 34, 36],
+        [23, 24, 32, 42, 44], [19, 26, 35, 38, 41]]),
+    2: (610, 9, 9, 9, [
+        [6, 26, 30, 33], [0, 3, 10, 17, 18, 22, 32], [9, 13, 21, 40, 42],
+        [11, 14, 16, 36, 43], [4, 8, 12, 15, 24, 35], [5, 19, 31, 34, 41],
+        [1, 23, 27, 28, 29], [2, 25, 38, 44], [7, 20, 37, 39]]),
+    3: (1833, 9, 9, 9, [
+        [2, 6, 9, 17, 33], [13, 25, 30, 36], [4, 23, 24, 27, 28], [0, 14, 19, 22, 41],
+        [8, 18, 31, 39], [5, 16, 29, 35, 43], [15, 21, 32, 34, 38, 40],
+        [1, 10, 12, 20, 37, 42], [3, 7, 11, 26, 44]]),
+    4: (7806, 8, 8, 8, [
+        [8, 14, 21, 32, 38], [0, 7, 10, 15, 17, 42], [2, 12, 29, 30, 34, 37],
+        [4, 13, 19, 36, 41, 44], [9, 18, 20, 23, 39, 43], [3, 5, 26, 27, 35],
+        [1, 6, 11, 16, 31], [22, 24, 25, 28, 33, 40]]),
+}
+
+
+def _pinned(res) -> tuple:
+    return (res.nodes_explored, res.chi_m, res.lower_bound, res.upper_bound,
+            [sorted(c) for c in res.witness.classes])
+
+
+class TestSearchGolden:
+    """The search tree and witness recorded from the exhaustive-scan DSATUR.
+
+    Node counts pin the branching order (saturation, then degree, then the
+    lower atom index) and every prune; witnesses pin which optimum is found.
+    """
+
+    @pytest.mark.parametrize("seed", sorted(_GOLDEN_GNP45))
+    def test_gnp45_plain_colouring(self, seed):
+        g = gen_gnp(45, 0.5, seed)
+        res = exact_bounded_chromatic(TimetablingInstance.colouring(g, g.n))
+        assert not res.timed_out
+        assert _pinned(res) == _GOLDEN_GNP45[seed]
+
+    def test_capacities_features_precolouring_weights(self):
+        inst = _mixed_instance()
+        res = exact_bounded_chromatic(inst)
+        assert not res.timed_out
+        assert _pinned(res) == (437, 8, 8, 8, [
+            [0, 1, 10, 15], [6, 8, 13, 33], [7, 17, 24], [2, 3, 11, 28, 30, 32],
+            [4, 20, 22, 26, 29], [18, 19, 23, 27], [5, 12, 14, 21, 25], [9, 16, 31]])
+        assert validate_partition(inst, res.witness).ok
+
+    def test_timeout_at_first_clock_check(self):
+        # the clock is read every 4096 nodes, so a zero limit stops there; the
+        # clique bound races the same zero limit, so lower_bound is not pinned
+        g = gen_gnp(45, 0.5, 4)
+        inst = TimetablingInstance.colouring(g, g.n)
+        res = exact_bounded_chromatic(inst, time_limit=0.0)
+        assert res.timed_out and res.chi_m is None
+        assert res.nodes_explored == 4096
+        assert res.upper_bound == 9
+        assert [sorted(c) for c in res.witness.classes] == [
+            [11, 12, 17, 28, 38], [4, 8, 27, 41, 42], [2, 15, 29, 30, 34, 37],
+            [9, 13, 19, 20, 36, 44], [1, 6, 16, 23, 39], [3, 18, 22, 24, 43],
+            [14, 21, 32, 40], [10, 25, 26, 31, 35], [0, 5, 7, 33]]
+        assert counting_bound(g.n, g.n) <= res.lower_bound <= res.upper_bound
+
+    def test_root_greedy(self):
+        # atom indices in placement order: pins the greedy's selection order
+        plain = _Atoms(TimetablingInstance.colouring(gen_gnp(45, 0.5, 1), 45))
+        assert _greedy_atoms(plain) == [
+            [28, 25, 4, 23], [6, 31, 11, 40], [13, 2, 36, 16, 19],
+            [33, 0, 27, 9, 41, 14], [17, 12, 20, 10, 18], [29, 39, 24, 22, 42],
+            [1, 8, 5, 32, 21, 30], [44, 3, 38], [35, 15, 37, 43], [26, 7], [34]]
+        assert _greedy_atoms(_Atoms(_mixed_instance())) == [
+            [0, 13], [5, 23, 31, 10], [6, 18, 24, 3], [26, 28, 29, 9, 30], [20, 4, 12],
+            [21, 25, 17, 7], [27, 8, 19, 1], [11, 15, 14], [22, 2], [16]]
