@@ -48,6 +48,7 @@ from .relax import (
     build_room_assignment,
     build_theta,
     build_weighted,
+    reduce_precolouring_atoms,
 )
 from .rounding import RoundingConfig, greedy_colouring, iterative_round, kms_round
 from .solver import SolverConfig, extract_bound, solve
@@ -232,7 +233,7 @@ def build_model(inst: TimetablingInstance, relax: str, m: int | None, args):
         return build_bounded(g, m)
     if relax == "laminar":
         _refuse_unmodelled(scoped, f"relaxation {relax!r}", "weights")
-        return build_laminar(scoped, counting=args.counting, features=args.features)
+        return build_laminar(scoped, features=args.features)
     if relax == "rooms":
         _refuse_unmodelled(scoped, f"relaxation {relax!r}", "weights", "precolouring")
         return build_room_assignment(scoped, room_stability=args.room_stability)
@@ -307,6 +308,8 @@ def cmd_colour(args) -> int:
     if m is None:
         raise CliError("colour needs --m or --m-offset")
     inst = scope_instance(doc.instance, m)
+    if args.method == "iterative":
+        _refuse_unmodelled(inst, "--method iterative", "precolouring")
     rcfg = RoundingConfig(attempts=args.attempts, seed=args.round_seed,
                           delta=args.delta)
     t0 = time.perf_counter()
@@ -321,8 +324,12 @@ def cmd_colour(args) -> int:
             return 2
         _, certified = extract_bound(res, sem)
         if args.method == "kms":
-            y = res.X_final + np.ones_like(res.X_final)
-            part = kms_round(y, inst, rcfg)
+            # the model lives on atoms; KMS reads it in vertex order
+            _, _, members = reduce_precolouring_atoms(inst.graph, m, inst.precolouring)
+            atom_of = np.empty(inst.graph.n, dtype=np.intp)
+            for a, mem in enumerate(members):
+                atom_of[list(mem)] = a
+            part = kms_round(res.X_final[np.ix_(atom_of, atom_of)] + 1.0, inst, rcfg)
         else:
             part, _diag = iterative_round(model, res.X_final, inst, rcfg)
     seconds = time.perf_counter() - t0
@@ -657,8 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int)
         p.add_argument("--m-offset", type=int, dest="m_offset",
                        help="m = (largest class of an unbounded optimum) + offset")
-        p.add_argument("--counting", action="store_true",
-                       help="laminar: add aggregated counting rows")
         p.add_argument("--features", action="store_true",
                        help="laminar: add feature rows (requires laminar family)")
         p.add_argument("--room-stability", action="store_true")

@@ -21,6 +21,10 @@ entry: t = X_00 + 1 (`_scaled_row` writes this substitution).  Row-sum
 constraints use the diagonal-equality rows to anchor the bound at their own
 column, sum_u X_uv - m X_vv <= m - n, which keeps the inequality block's Gram
 matrix in exact alpha*I + beta*J form for the solver's closed-form kernels.
+
+Pre-coloured and laminar models are stated over atoms, not vertices: each
+pre-class is contracted to one atom weighted by its member count
+(`reduce_precolouring_atoms`), and every other vertex is an atom of its own.
 """
 
 from __future__ import annotations
@@ -217,66 +221,22 @@ def _diagonal_chain(n: int) -> list[SymRow]:
     return [SymRow.from_entries({(0, 0): 1.0, (v, v): -1.0}, 0.0) for v in range(1, n)]
 
 
-def _check_precolouring(classes: Sequence[frozenset[int]], m: int, n: int) -> None:
-    """Reject a class larger than m, overlapping classes or a vertex not in 0..n-1."""
-    seen: set[int] = set()
-    for cls in classes:
-        if len(cls) > m:
-            raise ValueError("pre-colouring class larger than m")
-        if seen & cls:
-            raise ValueError("pre-colouring classes must be disjoint")
-        if any(not 0 <= v < n for v in cls):
-            raise ValueError("pre-colouring vertex out of range")
-        seen |= cls
-
-
-def _pin_precolouring(classes: Sequence[frozenset[int]],
-                      zero_pairs: set[tuple[int, int]]
-                      ) -> tuple[list[SymRow], set[tuple[int, int]]]:
-    """Y_uv = t inside each pre-class (E3) and Y_uv = 0 across classes (E4).
-
-    Adds the E4 pairs to zero_pairs; returns the E3 rows and every pinned pair.
-    """
-    rows: list[SymRow] = []
-    pinned: set[tuple[int, int]] = set()
-    for a, cls in enumerate(classes):
-        for u in cls:
-            for v in cls:
-                if u < v:
-                    pinned.add((u, v))
-                    rows.append(_scaled_row({(u, v): 0.5}, -1.0, 0, "="))
-        for other in classes[a + 1:]:
-            for u in cls:
-                for v in other:
-                    pair = (min(u, v), max(u, v))
-                    pinned.add(pair)
-                    zero_pairs.add(pair)
-    return rows, pinned
-
-
 def _scaled_model(
     n: int,
     zero_pairs: Iterable[tuple[int, int]],
-    eq_rows: Sequence[SymRow],
     blocks: Sequence[tuple[str, Sequence[SymRow]]],
-    nonneg_pairs: Iterable[tuple[int, int]] = (),
 ) -> tuple[SdpModel, BoundSemantics]:
     """min t over X = Y - J of order n, with bound t = X_00 + 1.
 
-    Adds Y_uv = 0 on zero_pairs, the diagonal chain X_00 = X_vv anchored at
-    vertex 0 and Y_uv >= 0 on nonneg_pairs (a "pairs" group after `blocks`)
-    to the builder's own eq_rows and inequality blocks.
+    Adds Y_uv = 0 on zero_pairs and the diagonal chain X_00 = X_vv anchored
+    at vertex 0 to the builder's inequality blocks.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     objective = np.zeros((n, n))
     objective[0, 0] = 1.0
-    model = _model(
-        n, objective, "min",
-        _entry_rows(sorted(zero_pairs), -1.0),
-        _diagonal_chain(n) + list(eq_rows),
-        [*blocks, ("pairs", _entry_rows(sorted(nonneg_pairs), -1.0))],
-    )
+    model = _model(n, objective, "min", _entry_rows(sorted(zero_pairs), -1.0),
+                   _diagonal_chain(n), blocks)
     return model, BoundSemantics(value_offset=1.0)
 
 
@@ -314,32 +274,22 @@ def build_bounded(g: ConflictGraph, m: int) -> tuple[SdpModel, BoundSemantics]:
     """min t with Y_vv = t, zero edges, row sums <= tm, Y - J PSD."""
     if not 1 <= m <= max(g.n, 1):
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={g.n}")
-    return _scaled_model(g.n, g.edges, (), [("rowsum", _row_sums(g.n, m))])
+    return _scaled_model(g.n, g.edges, [("rowsum", _row_sums(g.n, m))])
 
 
 def build_precoloured(
     g: ConflictGraph, m: int, pre: Sequence[Iterable[int]]
 ) -> tuple[SdpModel, BoundSemantics]:
-    """Bounded colouring with pre-assigned classes pinned inside Y.
+    """Bounded colouring with pre-assigned classes: the weighted model on atoms.
 
-    Adds Y_uv = t within each pre-class (E3), Y_uv = 0 across distinct
-    classes (E4), the row-sum bounds (L1; Y is symmetric, so they are also
-    the column-sum bounds L2), nonnegativity on unpinned non-edges (L3) and
-    the aggregate counting bound (L4).
+    Each pre-class is contracted to one atom weighted by its member count
+    (`reduce_precolouring_atoms`).  Any Y that keeps every pre-class in one
+    period is Y = P Y' P^T with P the atom membership matrix, and
+    Y - J = P (Y' - J) P^T, so the contraction is exact and the atom model is
+    strictly feasible.
     """
-    classes = [frozenset(c) for c in pre]
-    _check_precolouring(classes, m, g.n)
-    n = g.n
-    zero_pairs = set(g.edges)
-    eq_rows, pinned = _pin_precolouring(classes, zero_pairs)
-    # L4: <J, Y> <= n m t
-    total = _scaled_row({(i, j): 1.0 for i in range(n) for j in range(i, n)},
-                        -float(n * m), 0, "<=")
-    nonneg = (p for p in g.complement().edges if p not in pinned)
-    return _scaled_model(
-        n, zero_pairs, eq_rows,
-        [("rowsum", _row_sums(n, m)), ("generic", [total])], nonneg,
-    )
+    atoms, weights, _ = reduce_precolouring_atoms(g, m, pre)
+    return build_weighted(atoms, m, weights)
 
 
 def build_weighted(
@@ -350,7 +300,7 @@ def build_weighted(
         raise ValueError("weight vector length must equal vertex count")
     if any(w < 1 for w in c):
         raise ValueError("weights must be >= 1")
-    return _scaled_model(g.n, g.edges, (), [("rowsum", _row_sums(g.n, m, weights=c))])
+    return _scaled_model(g.n, g.edges, [("rowsum", _row_sums(g.n, m, weights=c))])
 
 
 def reduce_precolouring_atoms(
@@ -359,11 +309,20 @@ def reduce_precolouring_atoms(
     """Contract each pre-class to one weighted vertex; edges are unioned.
 
     Returns the contracted graph, the weight (member count) of each new vertex
-    and the member list of each new vertex.
+    and the member list of each new vertex: the pre-classes in order, then
+    every other vertex as a singleton in vertex order.  A pre-class larger
+    than m, overlapping another or holding an edge is rejected.
     """
     classes = [frozenset(cls) for cls in pre]
-    _check_precolouring(classes, m, g.n)
-    seen = frozenset().union(*classes)
+    seen: set[int] = set()
+    for cls in classes:
+        if len(cls) > m:
+            raise ValueError("pre-colouring class larger than m")
+        if seen & cls:
+            raise ValueError("pre-colouring classes must be disjoint")
+        if any(not 0 <= v < g.n for v in cls):
+            raise ValueError("pre-colouring vertex out of range")
+        seen |= cls
     atoms = [tuple(sorted(cls)) for cls in classes]
     atoms += [(v,) for v in range(g.n) if v not in seen]
     index: dict[int, int] = {}
@@ -394,18 +353,18 @@ def check_laminar(sets: Sequence[frozenset[int]]) -> bool:
 
 
 def build_laminar(
-    inst: TimetablingInstance,
-    counting: bool = False,
-    features: bool = False,
+    inst: TimetablingInstance, features: bool = False
 ) -> tuple[SdpModel, BoundSemantics]:
-    """Timetabling relaxation with capacity threshold constraints.
+    """Timetabling relaxation with capacity threshold constraints, on atoms.
 
+    The model lives on the contracted pre-classes of `build_precoloured`.
     For every distinct attendance p, events of size >= p may only share a
-    class up to the number of rooms of capacity >= p (PR); `counting` adds the
-    aggregated block bound (CB), `features` the analogous feature rows
-    (FR)(FC), requiring the family of feature/threshold sets to be laminar.
-    Symmetric row/column twins collapse to one row each, which makes the
-    emitted system coincide with build_bounded when no threshold binds.
+    class up to the number of rooms of capacity >= p (PR): one row per atom
+    holding such an event, with each atom's member count among those events
+    as its column weight.  `features` adds the analogous feature rows (FR),
+    requiring the family of feature/threshold sets to be laminar.  Rows that
+    coincide collapse to one, which makes the emitted system coincide with
+    build_bounded when no threshold binds.
     """
     g = inst.graph
     n = g.n
@@ -435,50 +394,32 @@ def build_laminar(
         for f, vs in feature_sets.items():
             if vs and not inst.rooms_with_feature(f):
                 raise ValueError(f"feature {f} required but available in no room")
+    atoms, _, members = reduce_precolouring_atoms(g, m, inst.precolouring)
     rowsum: list[SymRow] = []
     generic: list[SymRow] = []
     emitted: set[tuple] = set()
 
-    def push(block: list[SymRow], entries: dict[tuple[int, int], float],
-             t_coeff: float, diag: int = 0) -> None:
-        # one row per distinct row over (Y, t), wherever its t is read
-        key = (tuple(sorted(entries.items())), t_coeff)
-        if key not in emitted:
-            emitted.add(key)
-            block.append(_scaled_row(entries, t_coeff, diag, "<="))
+    def push_subset(vertices: Sequence[int], rooms: int) -> None:
+        # sum_a |a & vertices| Y'_ab <= rooms * t for every atom b meeting vertices
+        inside = set(vertices)
+        count = [sum(v in inside for v in mem) for mem in members]
+        holders = [a for a in range(atoms.n) if count[a]]
+        for b in holders:
+            entries = _column(b, holders, count)
+            key = (tuple(sorted(entries.items())), rooms)
+            if key not in emitted:  # one row per distinct row over (Y', t)
+                emitted.add(key)
+                block = rowsum if len(vertices) == n else generic
+                block.append(_scaled_row(entries, -float(rooms), b, "<="))
 
-    for v in range(n):
-        push(rowsum, _column(v, range(n)), -float(m), v)
-
-    def push_subset(members: Sequence[int], rooms: int, total: bool) -> None:
-        for v in members:
-            push(rowsum if len(members) == n else generic,
-                 _column(v, members), -float(rooms), v)
-        if total:
-            # sum_{u in members} sum_{v in V} Y_uv <= m * rooms * t
-            mem = set(members)
-            entries = {}
-            for i in range(n):
-                for j in range(i, n):
-                    if i == j:
-                        weight = 1.0 if i in mem else 0.0
-                    else:
-                        weight = ((i in mem) + (j in mem)) / 2.0
-                    if weight:
-                        entries[(i, j)] = weight
-            push(generic, entries, -float(m * rooms))
-
+    push_subset(range(n), m)
     for p in thresholds:
-        push_subset(level_sets[p], room_counts[p], counting)
+        push_subset(level_sets[p], room_counts[p])
     if features:
         for f in range(inst.feature_count):
             if feature_sets[f]:
-                push_subset(feature_sets[f], len(inst.rooms_with_feature(f)), True)
-
-    zero_pairs = set(g.edges)
-    eq_rows, _ = _pin_precolouring(inst.precolouring, zero_pairs)
-    return _scaled_model(n, zero_pairs, eq_rows,
-                         [("rowsum", rowsum), ("generic", generic)])
+                push_subset(feature_sets[f], len(inst.rooms_with_feature(f)))
+    return _scaled_model(atoms.n, atoms.edges, [("rowsum", rowsum), ("generic", generic)])
 
 
 def build_room_assignment(

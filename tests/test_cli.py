@@ -185,6 +185,36 @@ class TestColour:
         assert row["gap"] >= 0
         assert validate_partition(inst, read_partition(out_file.read_text())).ok
 
+    def test_precoloured_kms_gap_nonnegative(self, capsys, tmp_path):
+        # two pre-classes may share a period: one class suffices; the atoms
+        # (1, 3), (2,), (0,) are not in vertex order
+        inst = TimetablingInstance(
+            ConflictGraph(4, frozenset()), m=4,
+            precolouring=(frozenset({1, 3}), frozenset({2})),
+        )
+        path = tmp_path / "pre.bcsdp"
+        path.write_text(write_native(InstanceDocument("pre", inst, "native")))
+        out_file = tmp_path / "part.txt"
+        code, out, err = run_cli(
+            ["colour", str(path), "--m", "4", "--method", "kms",
+             "--out", str(out_file), "--output-format", "json"], capsys
+        )
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["valid"] is True
+        assert row["certified_lower"] == row["classes"] == 1
+        assert row["gap"] >= 0
+        assert validate_partition(inst, read_partition(out_file.read_text())).ok
+
+    def test_iterative_refuses_precolouring(self, capsys, tmp_path):
+        _, path = native_file(tmp_path, precolouring=(frozenset({0, 2}),))
+        code, out, err = run_cli(
+            ["colour", str(path), "--m", "2", "--method", "iterative"], capsys
+        )
+        assert code == 1
+        assert "--method iterative cannot model the instance's precolouring" in err
+        assert out == ""
+
     def test_iterative_method(self, capsys):
         code, out, err = run_cli(
             ["colour", "--gen", "empty:6", "--m", "3", "--method", "iterative",

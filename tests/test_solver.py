@@ -16,6 +16,7 @@ from bcsdp.graphs import (
     gen_kneser,
 )
 from bcsdp.linalg import project_psd_dense
+from bcsdp.oracle import exact_bounded_chromatic
 from bcsdp.relax import (
     SymRow,
     build_bounded,
@@ -628,6 +629,66 @@ class TestPrecolouredValues:
         model, sem = build_precoloured(p3, 1, [])
         res = solve(model, sem, SolverConfig())
         assert res.value == pytest.approx(3.0, abs=2e-3)
+
+
+def _pre(*classes):
+    return tuple(frozenset(c) for c in classes)
+
+
+# Pre-coloured and laminar instances whose models are built on atoms.  A
+# pre-class stays in one period, and two pre-classes may share one: the
+# singleton pre-classes below may all go into one period.
+ATOM_CASES = {
+    "empty4-two-singletons": TimetablingInstance(
+        empty_graph(4), m=4, precolouring=_pre({0}, {1})),
+    "gnp12s1-three-singletons": TimetablingInstance(
+        gen_gnp(12, 0.5, 1), m=4, precolouring=_pre({0}, {1}, {2})),
+    "gnp12s3-two-classes": TimetablingInstance(
+        gen_gnp(12, 0.5, 3), m=3, precolouring=_pre({0, 3, 9}, {1, 4})),
+    # one room fits the seven size-2 events; events {10, 11} need the
+    # feature only room 1 has
+    "gnp12s3-sizes-feature": TimetablingInstance(
+        gen_gnp(12, 0.5, 3), m=3,
+        event_sizes=tuple(2 if v in (0, 1, 2, 5, 6, 7, 8) else 1 for v in range(12)),
+        room_capacities=(2, 1, 1), feature_count=1,
+        event_features=frozenset({(10, 0), (11, 0)}),
+        room_features=frozenset({(1, 0)}),
+        precolouring=_pre({0, 3, 9}, {1, 4})),
+}
+
+
+class TestAtomModels:
+    @pytest.mark.parametrize("builder", ["precoloured", "laminar-features"])
+    @pytest.mark.parametrize("case", list(ATOM_CASES))
+    def test_certified_is_a_lower_bound(self, case, builder):
+        inst = ATOM_CASES[case]
+        if builder == "precoloured":
+            model, sem = build_precoloured(inst.graph, inst.m, inst.precolouring)
+        else:
+            model, sem = build_laminar(inst, features=True)
+        res = solve(model, sem, SolverConfig())
+        assert res.status == "converged"
+        _, certified = extract_bound(res, sem)
+        assert certified <= exact_bounded_chromatic(inst).chi_m
+
+    def test_atom_order_and_tight_bounds(self):
+        # 12 events in 9 atoms; seven size-2 events need seven periods, and
+        # without sizes χ_m is 5
+        inst = ATOM_CASES["gnp12s3-sizes-feature"]
+        for (model, sem), want in (
+            (build_precoloured(inst.graph, inst.m, inst.precolouring), 5),
+            (build_laminar(inst), 7),
+        ):
+            assert model.dim == 9
+            assert extract_bound(solve(model, sem, SolverConfig()), sem)[1] == want
+
+    def test_preclass_holding_an_edge_refused(self):
+        g = gen_gnp(30, 0.5, 1)  # 0-5 is an edge
+        with pytest.raises(ValueError, match="share a class"):
+            build_precoloured(g, 4, [{0, 5}, {2, 7, 9}])
+        inst = TimetablingInstance(g, m=4, precolouring=_pre({0, 5}, {2, 7, 9}))
+        with pytest.raises(ValueError, match="share a class"):
+            build_laminar(inst)
 
 
 class TestWeightedValues:
