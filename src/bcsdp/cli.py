@@ -42,13 +42,13 @@ from .ingest import (
 )
 from .oracle import OracleResult, exact_bounded_chromatic, sandwich_check
 from .relax import (
+    Atoms,
     build_bounded,
     build_laminar,
     build_precoloured,
     build_room_assignment,
     build_theta,
     build_weighted,
-    reduce_precolouring_atoms,
 )
 from .rounding import RoundingConfig, greedy_colouring, iterative_round, kms_round
 from .solver import SolverConfig, extract_bound, solve
@@ -314,7 +314,7 @@ def cmd_colour(args) -> int:
                           delta=args.delta)
     t0 = time.perf_counter()
     if args.method == "greedy":
-        part = greedy_colouring(inst, seed=args.round_seed)
+        part = greedy_colouring(inst)
         certified = counting_bound(inst.graph.n, m)
     else:
         model, sem = build_model(inst, "bounded", m, args)
@@ -325,10 +325,7 @@ def cmd_colour(args) -> int:
         _, certified = extract_bound(res, sem)
         if args.method == "kms":
             # the model lives on atoms; KMS reads it in vertex order
-            _, _, members = reduce_precolouring_atoms(inst.graph, m, inst.precolouring)
-            atom_of = np.empty(inst.graph.n, dtype=np.intp)
-            for a, mem in enumerate(members):
-                atom_of[list(mem)] = a
+            atom_of = Atoms(inst).atom_of
             part = kms_round(res.X_final[np.ix_(atom_of, atom_of)] + 1.0, inst, rcfg)
         else:
             part, _diag = iterative_round(model, res.X_final, inst, rcfg)
@@ -688,7 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_col.add_argument("--method", default="kms",
                        choices=["kms", "iterative", "greedy"])
     p_col.add_argument("--attempts", type=int, default=50)
-    p_col.add_argument("--round-seed", type=int, default=0, dest="round_seed")
+    p_col.add_argument("--round-seed", type=int, default=0, dest="round_seed",
+                       help="seed of the kms attempts")
     p_col.add_argument("--delta", type=float, default=1e-6)
     p_col.set_defaults(func=cmd_colour)
 

@@ -2,9 +2,11 @@
 
 The search replaces the ILP used for the published optimum columns: a
 DSATUR-ordered branch and bound over colour classes with class-size,
-capacity, feature and pre-colouring pruning.  Pre-coloured vertices are
-contracted to weighted atoms before the search.  Exactness at desk scale is
-certified against full partition enumeration in the test suite.
+capacity, feature and pre-colouring pruning.  The search runs on
+`relax.Atoms`, the pre-classes contracted to weighted atoms, and starts from
+`greedy_atoms`, the same DSATUR order without backtracking, which is also the
+greedy colouring of `rounding`.  Exactness at desk scale is certified against
+full partition enumeration in the test suite.
 
 Saturation is carried, not recomputed: over k atoms, a node costs one O(k)
 scan for its target, and each move and each undo costs O(deg) saturation
@@ -17,16 +19,16 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (
-    ClassCounts,
-    ConflictGraph,
-    Partition,
-    TimetablingInstance,
-    counting_bound,
-)
-from .relax import build_bounded, build_theta, reduce_precolouring_atoms
+from .graphs import ConflictGraph, Partition, TimetablingInstance, counting_bound
+from .relax import Atoms, build_bounded, build_theta
 
-__all__ = ["OracleResult", "exact_bounded_chromatic", "sandwich_check", "max_clique"]
+__all__ = [
+    "OracleResult",
+    "exact_bounded_chromatic",
+    "greedy_atoms",
+    "sandwich_check",
+    "max_clique",
+]
 
 
 @dataclass(frozen=True)
@@ -37,30 +39,6 @@ class OracleResult:
     timed_out: bool
     lower_bound: int
     upper_bound: Optional[int]
-
-
-class _Atoms:
-    """Pre-colouring-contracted view of an instance, with ClassCounts."""
-
-    def __init__(self, inst: TimetablingInstance):
-        graph, _, members = reduce_precolouring_atoms(
-            inst.graph, inst.m, inst.precolouring
-        )
-        self.graph = graph
-        self.members = members
-        self.k = graph.n
-        self.adj = graph.adjacency_bitsets()
-        self.counts = ClassCounts(inst, members)
-        # a class total's first entry is its weight
-        self.weight = [p[0] for p in self.counts.profile]
-
-    def expand(self, atom_classes: list[list[int]]) -> Partition:
-        return Partition.from_lists(
-            [
-                [v for a in cls for v in self.members[a]]
-                for cls in atom_classes
-            ]
-        )
 
 
 def max_clique(g: ConflictGraph, time_limit: float = 10.0) -> int:
@@ -101,7 +79,7 @@ class _Dsatur:
     adj[a] & ~mask; undoing it lowers the same bits.
     """
 
-    def __init__(self, atoms: _Atoms):
+    def __init__(self, atoms: Atoms):
         k = atoms.k
         self.adj = atoms.adj
         self.step = (k + 1) ** 2
@@ -125,11 +103,13 @@ class _Dsatur:
             new ^= low
 
 
-def _greedy_atoms(atoms: _Atoms) -> Optional[list[list[int]]]:
-    """Saturation-degree greedy over atoms; None if some atom fits nowhere."""
+def greedy_atoms(atoms: Atoms) -> list[list[int]]:
+    """Saturation-degree greedy in the search's DSATUR order, deterministic.
+
+    Each atom joins the first class that admits it; classes list atoms in
+    placement order.
+    """
     counts = atoms.counts
-    if not all(map(counts.fits, counts.profile)):
-        return None
     order = _Dsatur(atoms)
     classes: list[list[int]] = []
     class_mask: list[int] = []
@@ -159,25 +139,23 @@ def exact_bounded_chromatic(
 
     Branch and bound over class assignments in saturation-degree order; a
     vertex may open class j only when classes 0..j-1 are nonempty, and
-    opening is always the last branch.  Times out with best-known bounds.
+    opening is always the last branch.  Times out with best-known bounds;
+    an atom that fits no class on its own raises ValueError (`Atoms`).
     Each node costs one O(k) scan for its target over k atoms; each move and
     each undo updates saturation in O(deg) and restores the class's saved
     conflict mask and count totals in O(1).
     """
-    atoms = _Atoms(inst)
+    atoms = Atoms(inst)
     counts = atoms.counts
-    k = atoms.k
     deadline = time.monotonic() + time_limit
-    if k == 0:
+    if atoms.k == 0:
         return OracleResult(0, Partition.from_lists([]), 0, False, 0, 0)
-    greedy = _greedy_atoms(atoms)
-    if greedy is None:
-        raise ValueError("instance infeasible: some event/pre-class fits no room")
-    best_classes = [list(c) for c in greedy]
+    best_classes = greedy_atoms(atoms)
     best_ub = len(best_classes)
     # a class holds at most m weight and the L open classes hold all placed
-    # weight, so L + ceil((unplaced - spare room) / m) is max(L, weight_lb)
-    weight_lb = counting_bound(sum(atoms.weight), inst.m)
+    # weight, so L + ceil((unplaced - spare room) / m) is max(L, weight_lb);
+    # a profile's first entry is the atom's weight
+    weight_lb = counting_bound(sum(p[0] for p in counts.profile), inst.m)
     clique = max_clique(atoms.graph, time_limit=min(5.0, time_limit / 4))
     root_lb = max(weight_lb, clique, 1)
     nodes = 0
@@ -269,13 +247,12 @@ def sandwich_check(g: ConflictGraph, m: int, time_limit: float = 60.0,
     Checks omega <= theta <= bounded (real-valued links, within tol plus the
     solver's own accuracy) and counting <= certified <= chi_m <= greedy.
     """
-    from .rounding import greedy_colouring
     from .solver import SolverConfig, extract_bound, solve
 
     inst = TimetablingInstance.colouring(g, m)
     omega = max_clique(g)
     cnt = counting_bound(g.n, m)
-    greedy = greedy_colouring(inst, seed=0)
+    greedy = len(greedy_atoms(Atoms(inst)))
     theta_res = solve(build_theta(g, "lovasz"), None, SolverConfig())
     model, sem = build_bounded(g, m)
     bound_res = solve(model, sem)
@@ -292,10 +269,8 @@ def sandwich_check(g: ConflictGraph, m: int, time_limit: float = 60.0,
     if oracle.chi_m is not None:
         if certified > oracle.chi_m:
             failures.append(f"certified {certified} > chi_m {oracle.chi_m}")
-        if oracle.chi_m > greedy.num_classes:
-            failures.append(
-                f"chi_m {oracle.chi_m} > greedy {greedy.num_classes}"
-            )
+        if oracle.chi_m > greedy:
+            failures.append(f"chi_m {oracle.chi_m} > greedy {greedy}")
     else:
         failures.append("oracle timed out")
     return SandwichReport(
@@ -305,7 +280,7 @@ def sandwich_check(g: ConflictGraph, m: int, time_limit: float = 60.0,
         bounded=bound,
         certified=certified,
         chi_m=oracle.chi_m,
-        greedy_classes=greedy.num_classes,
+        greedy_classes=greedy,
         passed=not failures,
         failures=tuple(failures),
     )

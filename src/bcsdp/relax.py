@@ -25,6 +25,8 @@ matrix in exact alpha*I + beta*J form for the solver's closed-form kernels.
 Pre-coloured and laminar models are stated over atoms, not vertices: each
 pre-class is contracted to one atom weighted by its member count
 (`reduce_precolouring_atoms`), and every other vertex is an atom of its own.
+`Atoms` holds that contraction as the oracle, the greedy and KMS rounding
+read it: atom bitsets, the vertex-to-atom index and each atom's class counts.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse
 
-from .graphs import ConflictGraph, TimetablingInstance
+from .graphs import ClassCounts, ConflictGraph, Partition, TimetablingInstance
 
 __all__ = [
     "SymRow",
@@ -47,6 +49,7 @@ __all__ = [
     "build_precoloured",
     "build_weighted",
     "reduce_precolouring_atoms",
+    "Atoms",
     "build_laminar",
     "build_room_assignment",
     "verify_structure",
@@ -341,6 +344,40 @@ def reduce_precolouring_atoms(
     return ConflictGraph(len(atoms), frozenset(edges)), weights, tuple(atoms)
 
 
+class Atoms:
+    """An instance's pre-classes contracted to atoms, with their class counts.
+
+    members[a] lists the vertices of atom a < k, in `reduce_precolouring_atoms`
+    order; graph is the contracted conflict graph and adj its bitsets over atom
+    indices; atom_of[v] is the atom holding vertex v; counts holds each
+    atom's `ClassCounts` profile.  An atom that fits no class on its own (too
+    heavy, or more large or featured events than matching rooms) makes the
+    instance infeasible and is refused here.
+    """
+
+    def __init__(self, inst: TimetablingInstance):
+        self.graph, _, self.members = reduce_precolouring_atoms(
+            inst.graph, inst.m, inst.precolouring
+        )
+        self.k = self.graph.n
+        self.adj = self.graph.adjacency_bitsets()
+        self.atom_of = np.empty(inst.graph.n, dtype=np.intp)
+        for a, mem in enumerate(self.members):
+            self.atom_of[list(mem)] = a
+        self.counts = ClassCounts(inst, self.members)
+        for mem, profile in zip(self.members, self.counts.profile):
+            if not self.counts.fits(profile):
+                raise ValueError(
+                    f"infeasible: events {list(mem)} fit no room arrangement"
+                )
+
+    def expand(self, atom_classes: Sequence[Sequence[int]]) -> Partition:
+        """The vertex partition of classes given as lists of atoms."""
+        return Partition.from_lists(
+            [v for a in cls for v in self.members[a]] for cls in atom_classes
+        )
+
+
 def check_laminar(sets: Sequence[frozenset[int]]) -> bool:
     """True iff every two sets are nested or disjoint."""
     ordered = sorted(sets, key=len, reverse=True)
@@ -357,18 +394,18 @@ def build_laminar(
 ) -> tuple[SdpModel, BoundSemantics]:
     """Timetabling relaxation with capacity threshold constraints, on atoms.
 
-    The model lives on the contracted pre-classes of `build_precoloured`.
-    For every distinct attendance p, events of size >= p may only share a
-    class up to the number of rooms of capacity >= p (PR): one row per atom
-    holding such an event, with each atom's member count among those events
-    as its column weight.  `features` adds the analogous feature rows (FR),
+    The model lives on the contracted pre-classes of `build_precoloured`,
+    and an atom that fits no room arrangement is refused (`Atoms`).  For
+    every distinct attendance p, events of size >= p may only share a class
+    up to the number of rooms of capacity >= p (PR): one row per atom holding
+    such an event, with each atom's member count among those events as its
+    column weight.  `features` adds the analogous feature rows (FR),
     requiring the family of feature/threshold sets to be laminar.  Rows that
     coincide collapse to one, which makes the emitted system coincide with
     build_bounded when no threshold binds.
     """
-    g = inst.graph
-    n = g.n
-    m = inst.m
+    atoms = Atoms(inst)
+    n = inst.graph.n
     sizes = inst.event_sizes
     caps = inst.room_capacities
     thresholds = sorted(set(sizes))
@@ -376,9 +413,6 @@ def build_laminar(
         p: tuple(v for v in range(n) if sizes[v] >= p) for p in thresholds
     }
     room_counts = {p: sum(1 for r in caps if r >= p) for p in thresholds}
-    for p in thresholds:
-        if room_counts[p] < 1:
-            raise ValueError(f"no room fits events of size {p}")
     feature_sets = {
         f: tuple(v for v in range(n) if (v, f) in inst.event_features)
         for f in range(inst.feature_count)
@@ -391,10 +425,6 @@ def build_laminar(
                 "feature/capacity family is not laminar; feature rows need "
                 "nested or disjoint event sets"
             )
-        for f, vs in feature_sets.items():
-            if vs and not inst.rooms_with_feature(f):
-                raise ValueError(f"feature {f} required but available in no room")
-    atoms, _, members = reduce_precolouring_atoms(g, m, inst.precolouring)
     rowsum: list[SymRow] = []
     generic: list[SymRow] = []
     emitted: set[tuple] = set()
@@ -402,8 +432,8 @@ def build_laminar(
     def push_subset(vertices: Sequence[int], rooms: int) -> None:
         # sum_a |a & vertices| Y'_ab <= rooms * t for every atom b meeting vertices
         inside = set(vertices)
-        count = [sum(v in inside for v in mem) for mem in members]
-        holders = [a for a in range(atoms.n) if count[a]]
+        count = [sum(v in inside for v in mem) for mem in atoms.members]
+        holders = [a for a in range(atoms.k) if count[a]]
         for b in holders:
             entries = _column(b, holders, count)
             key = (tuple(sorted(entries.items())), rooms)
@@ -412,14 +442,15 @@ def build_laminar(
                 block = rowsum if len(vertices) == n else generic
                 block.append(_scaled_row(entries, -float(rooms), b, "<="))
 
-    push_subset(range(n), m)
+    push_subset(range(n), inst.m)
     for p in thresholds:
         push_subset(level_sets[p], room_counts[p])
     if features:
         for f in range(inst.feature_count):
             if feature_sets[f]:
                 push_subset(feature_sets[f], len(inst.rooms_with_feature(f)))
-    return _scaled_model(atoms.n, atoms.edges, [("rowsum", rowsum), ("generic", generic)])
+    return _scaled_model(atoms.k, atoms.graph.edges,
+                         [("rowsum", rowsum), ("generic", generic)])
 
 
 def build_room_assignment(

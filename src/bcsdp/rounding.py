@@ -3,29 +3,27 @@
 Two recovery routes: hyperplane-cap randomized rounding over the Gram
 vectors of the solution matrix, and iterative eigenvalue rounding that
 re-solves progressively smaller SDPs while fixing settled eigenspaces.
-Both always return partitions that pass validate_partition; a saturation
-greedy provides the fallback upper bound.
+Both always return partitions that pass validate_partition; the oracle's
+deterministic DSATUR greedy (`oracle.greedy_atoms`) provides the fallback
+upper bound.  Greedy and hyperplane-cap rounding work on `relax.Atoms`: a
+pre-class is one unit, and a conflict is one AND of atom bitsets.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (
-    ClassCounts,
-    Partition,
-    TimetablingInstance,
-    class_violations,
-    validate_partition,
-)
+from .graphs import Partition, TimetablingInstance, class_violations, validate_partition
 from .linalg import cholesky_psd
-from .relax import SdpModel, SymRow, reduce_precolouring_atoms
+from .oracle import greedy_atoms
+from .relax import Atoms, SdpModel, SymRow
 
 __all__ = [
     "RoundingConfig",
@@ -60,96 +58,22 @@ class RoundingDiagnostics:
     notes: tuple[str, ...] = ()
 
 
-class _AtomView:
-    """Pre-colouring classes treated as indivisible rounding units.
-
-    Edges are tested on the bitmasks; every other class rule on running
-    ClassCounts totals, one per class.
-    """
-
-    def __init__(self, inst: TimetablingInstance):
-        _, _, members = reduce_precolouring_atoms(
-            inst.graph, inst.m, inst.precolouring
-        )
-        self.members = members
-        self.k = len(members)
-        adj = inst.graph.adjacency_bitsets()
-        self.masks = []
-        for mem in members:
-            mask = 0
-            for v in mem:
-                mask |= adj[v]
-            self.masks.append(mask)
-        self.vertex_bits = [
-            sum(1 << v for v in mem) for mem in members
-        ]
-        self.counts = ClassCounts(inst, members)
-
-    def conflicts(self, a: int, chosen_bits: int) -> bool:
-        return bool(self.masks[a] & chosen_bits)
-
-
-def greedy_colouring(inst: TimetablingInstance, seed: int = 0) -> Partition:
+def greedy_colouring(inst: TimetablingInstance) -> Partition:
     """Saturation-degree greedy respecting bound, capacities, features, pre-classes.
 
-    The seed breaks ties among equally saturated vertices, so repeated calls
-    with different seeds can give different colourings.
+    The oracle's DSATUR greedy (`greedy_atoms`) over the instance's atoms,
+    expanded to events and matched to rooms; deterministic.
     """
-    atoms = _AtomView(inst)
-    if atoms.k == 0:
-        return Partition.from_lists([])
-    rng = np.random.default_rng(seed)
-    jitter = rng.random(atoms.k)
-    for a in range(atoms.k):
-        if class_violations(inst, atoms.members[a]):
-            raise ValueError(
-                f"infeasible: events {atoms.members[a]} fit no room arrangement"
-            )
-    degree = [atoms.masks[a].bit_count() for a in range(atoms.k)]
-    counts = atoms.counts
-    classes: list[list[int]] = []
-    class_bits: list[int] = []
-    totals: list[tuple[int, ...]] = []
-    placed: dict[int, int] = {}
-    while len(placed) < atoms.k:
-        best_a, best_key = -1, None
-        for a in range(atoms.k):
-            if a in placed:
-                continue
-            sat = sum(
-                1 for bits in class_bits if atoms.masks[a] & bits
-            )
-            key = (sat, degree[a], jitter[a])
-            if best_key is None or key > best_key:
-                best_a, best_key = a, key
-        a = best_a
-        done = False
-        for ci in range(len(classes)):
-            if atoms.conflicts(a, class_bits[ci]):
-                continue
-            if counts.admits(totals[ci], a):
-                classes[ci].append(a)
-                class_bits[ci] |= atoms.vertex_bits[a]
-                totals[ci] = counts.plus(totals[ci], counts.profile[a])
-                placed[a] = ci
-                done = True
-                break
-        if not done:
-            classes.append([a])
-            class_bits.append(atoms.vertex_bits[a])
-            totals.append(counts.profile[a])
-            placed[a] = len(classes) - 1
-    part = Partition.from_lists(
-        [[v for a in cls for v in atoms.members[a]] for cls in classes]
-    )
-    rooms = assign_rooms(inst, part)
-    return Partition(part.classes, rooms)
+    atoms = Atoms(inst)
+    part = atoms.expand(greedy_atoms(atoms))
+    return Partition(part.classes, assign_rooms(inst, part))
 
 
 def assign_rooms(inst: TimetablingInstance, part: Partition) -> Optional[dict[int, int]]:
     """Per-class event-room matching (augmenting paths); None when trivial."""
     caps = set(inst.room_capacities)
-    if len(caps) == 1 and inst.feature_count == 0 and min(caps) >= max(inst.event_sizes):
+    sizes = inst.event_sizes
+    if len(caps) == 1 and inst.feature_count == 0 and min(caps) >= max(sizes, default=0):
         return None
     assignment: dict[int, int] = {}
     for cls in part.classes:
@@ -193,24 +117,23 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     bound, capacity and feature counts; leftovers wait for later rounds.  The
     best of cfg.attempts attempts is returned (fewest classes, then earliest
     attempt); a top-scorer is admitted when a round would otherwise stall, so
-    every run ends with a valid partition, unless some atom fits no class on
-    its own, which raises ValueError.
+    every run ends with a valid partition.  An instance with an atom that
+    fits no class on its own raises ValueError (`Atoms`).
 
     With k atoms (pre-colouring classes and free vertices) of Gram dimension
     d, set-up builds a k x k int8 atom-conflict matrix once per call.  A
     round then costs one k x d scoring product, an O(k log k) sort and an
-    O(k |class|) degree update, plus one compare of the class's running
+    O(k |class|) degree update, plus one AND of the atom's adjacency bitset
+    with the class's atom bits and one compare of the class's running
     ClassCounts total against the limits per candidate; see _compact
     for the post-pass.  A DEBUG record on this module's logger reports the
     attempt count, the best attempt and the class-count range.
     """
     cfg = cfg or RoundingConfig()
-    atoms = _AtomView(inst)
-    n = inst.graph.n
+    atoms = Atoms(inst)
     if atoms.k == 0:
         return Partition.from_lists([])
-    diag = np.clip(np.diag(x), 0.0, None)
-    t_hat = float(np.mean(diag)) if n else 1.0
+    t_hat = float(np.mean(np.clip(np.diag(x), 0.0, None)))
     k_bound = max(int(math.ceil(t_hat - 1e-6)), 1)
     L = cholesky_psd(x)
     norms = np.linalg.norm(L, axis=1)
@@ -221,14 +144,10 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
         vec = unit[list(mem)].sum(axis=0)
         nv = np.linalg.norm(vec)
         atom_vec[a] = vec / nv if nv > 0 else vec
-    atom_of = np.empty(n, dtype=np.intp)
-    for a, mem in enumerate(atoms.members):
-        atom_of[list(mem)] = a
     conflict = np.zeros((atoms.k, atoms.k), dtype=np.int8)
-    if inst.graph.edges:
-        ends = atom_of[np.array(list(inst.graph.edges))]
-        conflict[ends[:, 0], ends[:, 1]] = 1
-        conflict[ends[:, 1], ends[:, 0]] = 1
+    ends = np.array(list(atoms.graph.edges), dtype=np.intp).reshape(-1, 2)
+    conflict[ends[:, 0], ends[:, 1]] = 1
+    conflict[ends[:, 1], ends[:, 0]] = 1
     best: Optional[list[list[int]]] = None
     counts: list[int] = []
     for attempt in range(cfg.attempts):
@@ -246,14 +165,11 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
             "classes %(min_classes)d..%(max_classes)d", stats,
             extra={"kms": stats},
         )
-    part = Partition.from_lists(
-        [[v for a in cls for v in atoms.members[a]] for cls in best]
-    )
-    rooms = assign_rooms(inst, part)
-    return Partition(part.classes, rooms)
+    part = atoms.expand(best)
+    return Partition(part.classes, assign_rooms(inst, part))
 
 
-def _kms_attempt(atoms: _AtomView, atom_vec: np.ndarray, conflict: np.ndarray,
+def _kms_attempt(atoms: Atoms, atom_vec: np.ndarray, conflict: np.ndarray,
                  k_bound: int, rng: np.random.Generator) -> list[list[int]]:
     alive = np.ones(atoms.k, dtype=bool)
     # degree of each atom in the conflict graph induced on the alive atoms
@@ -272,44 +188,34 @@ def _kms_attempt(atoms: _AtomView, atom_vec: np.ndarray, conflict: np.ndarray,
         for a, score in zip(rem[pick].tolist(), scores[pick].tolist()):
             if score < cap and chosen:
                 break
-            if atoms.masks[a] & chosen_bits:
+            if atoms.adj[a] & chosen_bits:
                 continue
             if not counts.admits(total, a):
                 continue
             chosen.append(a)
-            chosen_bits |= atoms.vertex_bits[a]
+            chosen_bits |= 1 << a
             total = counts.plus(total, counts.profile[a])
             if score < cap:
                 break  # stall guard admitted a single top scorer
-        if not chosen:  # no remaining atom fits even an empty class
-            stuck = atoms.members[int(rem[pick[0]])]
-            raise ValueError(f"infeasible: events {stuck} fit no room arrangement")
         classes.append(chosen)
         alive[chosen] = False
         degree -= conflict[:, chosen].sum(axis=1, dtype=np.int64)
     return classes
 
 
-def _class_bits(per_atom: Sequence[int], cls: Sequence[int]) -> int:
-    bits = 0
-    for a in cls:
-        bits |= per_atom[a]
-    return bits
-
-
-def _compact(atoms: _AtomView, classes: list[list[int]]) -> list[list[int]]:
+def _compact(atoms: Atoms, classes: list[list[int]]) -> list[list[int]]:
     """Deterministic post-pass: merge whole classes, then dissolve small ones
     by relocating members, until no move reduces the class count.
 
-    Each class is kept as (sorted atoms, vertex bits, neighbour mask, profile
+    Each class is kept as (sorted atoms, atom bits, neighbour mask, profile
     total), updated by every move, so with C classes a sweep costs an
     O(C log C) sort and O(C^2) single-AND merge tests, plus a compare of
     profile totals against the limits per conflict-free pair or relocation;
     every successful move starts a new sweep.
     """
     counts = atoms.counts
-    groups = [(sorted(c), _class_bits(atoms.vertex_bits, c),
-               _class_bits(atoms.masks, c),
+    groups = [(sorted(c), sum(1 << a for a in c),
+               reduce(operator.or_, (atoms.adj[a] for a in c)),
                reduce(counts.plus, (counts.profile[a] for a in c))) for c in classes]
     changed = True
     while changed:
@@ -337,11 +243,11 @@ def _compact(atoms: _AtomView, classes: list[list[int]]) -> list[list[int]]:
             for a in groups[i][0]:
                 placed = False
                 for j, (mem, bits, nbrs, total) in enumerate(trial):
-                    if j == i or atoms.masks[a] & bits:
+                    if j == i or atoms.adj[a] & bits:
                         continue
                     if counts.admits(total, a):
-                        trial[j] = (mem + [a], bits | atoms.vertex_bits[a],
-                                    nbrs | atoms.masks[a],
+                        trial[j] = (mem + [a], bits | 1 << a,
+                                    nbrs | atoms.adj[a],
                                     counts.plus(total, counts.profile[a]))
                         placed = True
                         break
@@ -384,7 +290,7 @@ def iterative_round(
     # x is in shifted coordinates (diagonal t - 1); recover the bound scale
     t_hat = float(np.mean(np.diag(x)[:n])) + 1.0
     box = _to_box_form(x[:n, :n], max(t_hat, 1.0))
-    upper = greedy_colouring(inst, seed=cfg.seed)
+    upper = greedy_colouring(inst)
     trace_cap = float(upper.num_classes)
     eq_rows, rows = _box_constraints(inst)
     f0: list[np.ndarray] = []

@@ -2,9 +2,11 @@ import pytest
 
 from bcsdp.graphs import (
     ConflictGraph,
+    TimetablingInstance,
     complete_graph,
     cycle_graph,
     empty_graph,
+    gen_gnp,
     gen_kneser,
     path_graph,
 )
@@ -65,3 +67,19 @@ def named_small_graphs() -> list[tuple[str, ConflictGraph]]:
         ("K3xK3", gen_kneser(4, 2)),
     ]
     return graphs
+
+
+def mixed_instance() -> TimetablingInstance:
+    """Capacities, a feature, a three-vertex pre-colouring class and weights."""
+    g = gen_gnp(34, 0.5, 5)
+    return TimetablingInstance(
+        graph=g,
+        m=8,
+        event_sizes=tuple(10 + (7 * v) % 35 for v in range(g.n)),
+        room_capacities=tuple(50 - 5 * r for r in range(8)),
+        feature_count=1,
+        event_features=frozenset({(2, 0), (5, 0), (9, 0), (13, 0)}),
+        room_features=frozenset({(0, 0), (2, 0)}),
+        precolouring=(frozenset({0, 1, 10}),),
+        weights=tuple(1 + (v % 4 == 0) for v in range(g.n)),
+    )

@@ -207,7 +207,7 @@ class TestCriterion4Sandwich:
             g = gen_gnp(12, 0.5, seed)
             for m in (2, 3, 4):
                 inst = TimetablingInstance.colouring(g, m)
-                greedy = greedy_colouring(inst, 0)
+                greedy = greedy_colouring(inst)
                 res, sem = solve_bounded(g, m)
                 bound, certified = extract_bound(res, sem)
                 cnt = counting_bound(12, m)

@@ -10,14 +10,14 @@ from bcsdp.graphs import (
     validate_partition,
 )
 from bcsdp.oracle import (
-    _Atoms,
-    _greedy_atoms,
     exact_bounded_chromatic,
+    greedy_atoms,
     max_clique,
     sandwich_check,
 )
+from bcsdp.relax import Atoms
 
-from conftest import named_small_graphs
+from conftest import mixed_instance, named_small_graphs
 from _reference import enumerate_chi_m
 
 
@@ -211,22 +211,6 @@ class TestSandwich:
                 assert rep.passed, (seed, m, rep.failures)
 
 
-def _mixed_instance() -> TimetablingInstance:
-    """Capacities, a feature, a three-vertex pre-colouring class and weights."""
-    g = gen_gnp(34, 0.5, 5)
-    return TimetablingInstance(
-        graph=g,
-        m=8,
-        event_sizes=tuple(10 + (7 * v) % 35 for v in range(g.n)),
-        room_capacities=tuple(50 - 5 * r for r in range(8)),
-        feature_count=1,
-        event_features=frozenset({(2, 0), (5, 0), (9, 0), (13, 0)}),
-        room_features=frozenset({(0, 0), (2, 0)}),
-        precolouring=(frozenset({0, 1, 10}),),
-        weights=tuple(1 + (v % 4 == 0) for v in range(g.n)),
-    )
-
-
 # (nodes_explored, chi_m, lower_bound, upper_bound, witness classes in order)
 _GOLDEN_GNP45 = {
     1: (963, 9, 9, 9, [
@@ -268,7 +252,7 @@ class TestSearchGolden:
         assert _pinned(res) == _GOLDEN_GNP45[seed]
 
     def test_capacities_features_precolouring_weights(self):
-        inst = _mixed_instance()
+        inst = mixed_instance()
         res = exact_bounded_chromatic(inst)
         assert not res.timed_out
         assert _pinned(res) == (437, 8, 8, 8, [
@@ -293,11 +277,11 @@ class TestSearchGolden:
 
     def test_root_greedy(self):
         # atom indices in placement order: pins the greedy's selection order
-        plain = _Atoms(TimetablingInstance.colouring(gen_gnp(45, 0.5, 1), 45))
-        assert _greedy_atoms(plain) == [
+        plain = Atoms(TimetablingInstance.colouring(gen_gnp(45, 0.5, 1), 45))
+        assert greedy_atoms(plain) == [
             [28, 25, 4, 23], [6, 31, 11, 40], [13, 2, 36, 16, 19],
             [33, 0, 27, 9, 41, 14], [17, 12, 20, 10, 18], [29, 39, 24, 22, 42],
             [1, 8, 5, 32, 21, 30], [44, 3, 38], [35, 15, 37, 43], [26, 7], [34]]
-        assert _greedy_atoms(_Atoms(_mixed_instance())) == [
+        assert greedy_atoms(Atoms(mixed_instance())) == [
             [0, 13], [5, 23, 31, 10], [6, 18, 24, 3], [26, 28, 29, 9, 30], [20, 4, 12],
             [21, 25, 17, 7], [27, 8, 19, 1], [11, 15, 14], [22, 2], [16]]

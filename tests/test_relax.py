@@ -205,6 +205,13 @@ class TestLaminar:
         with pytest.raises(ValueError):
             build_laminar(inst, features=True)
 
+    @pytest.mark.parametrize("features", [False, True])
+    def test_preclass_fitting_no_rooms_refused(self, features):
+        # {1, 4} holds two size-5 events and one room holds more than 2
+        inst = _golden_instance((frozenset({1, 4}), frozenset({8, 10})))
+        with pytest.raises(ValueError, match=r"events \[1, 4\] fit no room"):
+            build_laminar(inst, features=features)
+
 
 def _model_digest(built) -> str:
     """sha256 over everything a builder emits: order, sense, objective bytes,
@@ -242,8 +249,10 @@ def _g12():
 # and "weighted" re-recorded when their copy of the row-sum group, "colsum",
 # was dropped; "precoloured", "laminar-features" and "laminar-precoloured"
 # re-recorded when pre-classes were contracted to atoms and the aggregate
-# feature-total row was dropped); any change to an emitted number, row order
-# or group changes the digest.
+# feature-total row was dropped; "laminar-precoloured" moved from pre-class
+# {1, 4}, which fits no room arrangement and is now refused, to {1, 6}, whose
+# digest is the same before and after that refusal); any change to an emitted
+# number, row order or group changes the digest.
 GOLDEN_MODELS = {
     "bounded-n1-m1": (
         lambda: build_bounded(gen_gnp(1, 0.5, 7), 1),
@@ -274,9 +283,9 @@ GOLDEN_MODELS = {
         "0e03c58885bc2cecb6b5e733cfa338b8fb37193477f7e4476c7d3bed691835fa"),
     "laminar-precoloured": (
         lambda: build_laminar(
-            _golden_instance((frozenset({1, 4}), frozenset({8, 10}))),
+            _golden_instance((frozenset({1, 6}), frozenset({8, 10}))),
             features=True),
-        "c8f1985603d428514c7668e3b52b90aa74b55e01cf345fcac572081e55e15520"),
+        "b93e03f90eee8598968e29ddde2e67de298682fa14b408f646fc34d5a654cc80"),
     "rooms": (
         lambda: build_room_assignment(_golden_instance()),
         "d6cfc6b2755859503815991012ff1f893a807edc0a79d59cf739078d018a1774"),

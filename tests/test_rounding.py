@@ -15,16 +15,18 @@ from bcsdp.graphs import (
     gen_gnp,
     validate_partition,
 )
-from bcsdp.relax import build_bounded
+from bcsdp.oracle import exact_bounded_chromatic
+from bcsdp.relax import Atoms, build_bounded
 from bcsdp.rounding import (
     RoundingConfig,
-    _AtomView,
     _compact,
     greedy_colouring,
     iterative_round,
     kms_round,
 )
 from bcsdp.solver import SolverConfig, extract_bound, solve
+
+from conftest import mixed_instance
 
 
 def solved_bounded(g, m):
@@ -44,13 +46,13 @@ class TestRoundingConfig:
 class TestGreedy:
     def test_complete_graph_singletons(self):
         inst = TimetablingInstance.colouring(complete_graph(6), 3)
-        part = greedy_colouring(inst, 0)
+        part = greedy_colouring(inst)
         assert part.num_classes == 6
         assert validate_partition(inst, part).ok
 
     def test_empty_graph_packs(self):
         inst = TimetablingInstance.colouring(empty_graph(10), 2)
-        part = greedy_colouring(inst, 0)
+        part = greedy_colouring(inst)
         assert part.num_classes == 5
 
     def test_respects_precolouring(self):
@@ -58,7 +60,7 @@ class TestGreedy:
             graph=empty_graph(4), m=2,
             precolouring=(frozenset({0, 2}),),
         )
-        part = greedy_colouring(inst, 0)
+        part = greedy_colouring(inst)
         rep = validate_partition(inst, part)
         assert rep.ok, rep.violations
 
@@ -67,7 +69,7 @@ class TestGreedy:
             graph=empty_graph(4), m=2,
             event_sizes=(9, 9, 1, 1), room_capacities=(10, 2),
         )
-        part = greedy_colouring(inst, 0)
+        part = greedy_colouring(inst)
         rep = validate_partition(inst, part)
         assert rep.ok, rep.violations
         assert part.room_of is not None
@@ -78,7 +80,7 @@ class TestGreedy:
             feature_count=1, event_features=frozenset({(0, 0)}),
         )
         with pytest.raises(ValueError):
-            greedy_colouring(inst, 0)
+            greedy_colouring(inst)
 
 
 class TestKms:
@@ -181,7 +183,7 @@ class TestIterative:
         cfg = RoundingConfig()
         part, _ = iterative_round(model, res.X_final, inst, cfg)
         assert validate_partition(inst, part).ok
-        assert part.num_classes <= greedy_colouring(inst, seed=cfg.seed).num_classes
+        assert part.num_classes <= greedy_colouring(inst).num_classes
 
     def test_violations_within_bound(self):
         g = gen_gnp(8, 0.5, 80)
@@ -264,6 +266,26 @@ class TestKmsGolden:
         ]
         assert validate_partition(inst, part).ok
 
+    def test_mixed_instance_capacities_feature_preclass(self):
+        # the pre-class {0, 1, 10} is atom 0, so most atoms sit at another
+        # index than their vertex: a conflict test that mixes the two differs
+        inst = mixed_instance()
+        part = kms_round(planted_solution(34, 9, 5), inst,
+                         RoundingConfig(attempts=12, seed=3))
+        assert class_tuples(part) == (
+            (0, 1, 10, 15), (4, 20, 29), (7, 17, 26), (8, 9, 22), (19, 28, 31),
+            (6, 13, 18, 33), (16, 23, 24, 27), (2, 3, 11, 30, 32),
+            (5, 12, 14, 21, 25),
+        )
+        assert sorted(part.room_of.items()) == [
+            (0, 2), (1, 3), (2, 2), (3, 3), (4, 1), (5, 2), (6, 0), (7, 1),
+            (8, 1), (9, 2), (10, 1), (11, 1), (12, 4), (13, 2), (14, 1), (15, 0),
+            (16, 0), (17, 2), (18, 3), (19, 2), (20, 0), (21, 3), (22, 0),
+            (23, 3), (24, 2), (25, 0), (26, 0), (27, 1), (28, 1), (29, 2),
+            (30, 0), (31, 0), (32, 4), (33, 1),
+        ]
+        assert validate_partition(inst, part).ok
+
 
 @st.composite
 def small_timetables(draw):
@@ -307,9 +329,20 @@ class TestKmsProperties:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=small_timetables())
+    def test_greedy_valid_atoms_whole_at_least_chi_m(self, inst):
+        part = greedy_colouring(inst)
+        rep = validate_partition(inst, part)
+        assert rep.ok, rep.violations
+        for pre in inst.precolouring:
+            assert sum(1 for c in part.classes if c & pre) == 1
+        assert part.num_classes >= exact_bounded_chromatic(inst).chi_m
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
     @given(inst=small_timetables(), data=st.data())
     def test_compact_never_adds_classes(self, inst, data):
-        atoms = _AtomView(inst)
+        atoms = Atoms(inst)
         groups: dict[int, list[int]] = {}
         for a in range(atoms.k):
             groups.setdefault(data.draw(st.integers(0, atoms.k)), []).append(a)
@@ -333,7 +366,7 @@ class TestKmsProperties:
     def test_class_counts_match_class_violations(self, inst, data):
         # ClassCounts tests running totals; class_violations is the reference
         # for every rule but edges, which rounding tests on the bitmasks
-        atoms = _AtomView(inst)
+        atoms = Atoms(inst)
         counts = atoms.counts
         order = data.draw(st.permutations(range(atoms.k)))
         size = data.draw(st.integers(0, atoms.k - 1))
