@@ -265,6 +265,14 @@ def _fmt_float(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _fmt_dual(res) -> str:
+    """The dual lower bound behind `certified`, empty where there is none.
+
+    Printed in full (shortest round-trip repr), so its ceiling is `certified`.
+    """
+    return "" if res.lower is None else repr(res.lower)
+
+
 def cmd_bound(args) -> int:
     doc = make_generated(args.gen) if args.gen else load_document(args.input, args.format)
     if args.component:
@@ -272,7 +280,7 @@ def cmd_bound(args) -> int:
     m, ores = resolve_m(doc, args)
     relax = args.relax or ("bounded" if m is not None else "lovasz")
     model, sem = build_model(doc.instance, relax, m, args)
-    cfg = SolverConfig(eps=args.eps, max_iter=args.max_iter, mu0=args.mu0)
+    cfg = SolverConfig(eps=args.eps, max_iter=args.max_iter)
     t0 = time.perf_counter()
     res = solve(model, sem, cfg)
     seconds = time.perf_counter() - t0
@@ -292,10 +300,11 @@ def cmd_bound(args) -> int:
         "kernels": "|".join(res.kernels),
         "partial_steps": res.partial_steps,
         "oracle_nodes": "" if ores is None else ores.nodes_explored,
+        "dual_bound": _fmt_dual(res),
     }
     fields = ["instance", "m", "relaxation", "bound", "certified",
               "iterations", "seconds", "status", "kernels", "partial_steps",
-              "oracle_nodes"]
+              "oracle_nodes", "dual_bound"]
     _emit([row], fields, args.output_format, args.out)
     return 0 if res.status == "converged" else 3
 
@@ -313,6 +322,7 @@ def cmd_colour(args) -> int:
     rcfg = RoundingConfig(attempts=args.attempts, seed=args.round_seed,
                           delta=args.delta)
     t0 = time.perf_counter()
+    res = None
     if args.method == "greedy":
         part = greedy_colouring(inst)
         certified = counting_bound(inst.graph.n, m)
@@ -343,9 +353,10 @@ def cmd_colour(args) -> int:
         "gap": part.num_classes - certified,
         "seconds": f"{seconds:.3f}",
         "oracle_nodes": "" if ores is None else ores.nodes_explored,
+        "dual_bound": "" if res is None else _fmt_dual(res),
     }
     fields = ["instance", "m", "method", "classes", "valid",
-              "certified_lower", "gap", "seconds", "oracle_nodes"]
+              "certified_lower", "gap", "seconds", "oracle_nodes", "dual_bound"]
     _emit([row], fields, args.output_format, None)
     if not report.ok:
         for v in report.violations:
@@ -669,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver(p):
         p.add_argument("--eps", type=float, default=1e-5)
         p.add_argument("--max-iter", type=int, default=20000)
-        p.add_argument("--mu0", type=float, default=1.0)
         p.add_argument("--verbose", type=int, default=0, help="N>0: progress to stderr")
 
     p_bound = sub.add_parser("bound", help="compute a lower bound")

@@ -99,9 +99,13 @@ class BoundSemantics:
     """How a model's objective maps back to the colouring bound t.
 
     Every bounded model reads t = X_00 + 1, so value_offset is 1.
+    trace_ratio, where set, is T with tr(X) = T <C, X> on every feasible X:
+    the models of `_scaled_model` (objective X_00, diagonal chain) have
+    T = n, which lets the solver certify t from its dual iterate.
     """
 
     value_offset: float
+    trace_ratio: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +244,8 @@ def _scaled_model(
     objective[0, 0] = 1.0
     model = _model(n, objective, "min", _entry_rows(sorted(zero_pairs), -1.0),
                    _diagonal_chain(n), blocks)
-    return model, BoundSemantics(value_offset=1.0)
+    # the chain gives tr(X) = n X_00 = n <C, X>
+    return model, BoundSemantics(value_offset=1.0, trace_ratio=float(n))
 
 
 # ---------------------------------------------------------------------------

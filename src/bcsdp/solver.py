@@ -18,6 +18,14 @@ tests check the code the loop runs.  Progress goes to logging (DEBUG records
 of the "bcsdp.solver" logger with an extra "solve" dict, rank included),
 never to stdout.
 
+The penalty mu starts at (1 + ||C||) / (1 + ||b||), the ratio of the norms
+that scale the dual and primal residuals, and adapts every 25 iterations.
+At exit, on a model whose BoundSemantics carries a trace identity
+tr(X) = T <C, X> (every relax._scaled_model), _Compiled.dual_bound turns the
+dual iterate into a lower bound on the optimum, SolveResult.lower, which
+holds whether or not the solve converged; extract_bound certifies its
+ceiling.
+
 Each constraint block (eq_graph, eq_other, each inequality group) is compiled
 once, by the one relax.verify_structure call in _Compiled, into a
 scipy.sparse CSR A over vec(X) and its sparse Gram G = A A^T: the operator is
@@ -43,7 +51,6 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 from scipy.linalg.lapack import dsyevr
 
@@ -65,25 +72,25 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-# every 25 iterations, mu is divided or multiplied by _MU_FACTOR when one
-# residual exceeds _MU_RATIO times the other
+# mu starts at _Compiled.mu0; every 25 iterations it is divided or multiplied
+# by _MU_FACTOR when one residual exceeds _MU_RATIO times the other, and it
+# stays within [_MU_MIN, _MU_MAX]
 _MU_RATIO = 10.0
 _MU_FACTOR = 2.0
+_MU_MIN = 1e-4
+_MU_MAX = 1e4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     eps: float = 1e-5
     max_iter: int = 20000
-    mu0: float = 1.0
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
 
 
 @dataclass
@@ -109,6 +116,9 @@ class SolveResult:
     objective: float  # raw objective <C, X> in the model's sense
     kernels: tuple[str, ...] = ()  # kernel kind per block: graph, other, groups
     partial_steps: int = 0  # S/X steps that took the partial eigensolve
+    # the dual lower bound in the bound's units, rounding margin included;
+    # None where the model has no trace identity (theta and room models)
+    lower: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +212,11 @@ class _Block:
         sq = np.sqrt(self._lam)
         A = (sq[:, None] * self._vec.T) / math.sqrt(mu)
         b = -math.sqrt(mu) * (self._vec.T @ g) / sq
-        v, _ = scipy.optimize.nnls(A, b)
+        # nnls is this kernel's only use of scipy.optimize, which costs about
+        # 0.2 s to import; bounded and KMS runs never take this kernel
+        from scipy.optimize import nnls
+
+        v, _ = nnls(A, b)
         return v
 
 
@@ -256,6 +270,7 @@ class _Compiled:
             + float(np.sum(self.d**2))
         )
         self.c_norm = float(np.linalg.norm(self.C))
+        self.mu0 = min(max((1.0 + self.c_norm) / (1.0 + self.b_norm), _MU_MIN), _MU_MAX)
 
     @property
     def kernels(self) -> tuple[str, ...]:
@@ -270,6 +285,40 @@ class _Compiled:
         for g, a, b in self.slices:
             r += g.adjoint(state.v[a:b])
         return r
+
+    def dual_bound(self, st: SolverState, trace: float, offset: float) -> float:
+        """offset plus a lower bound on <C, X> over feasible X, from y and v >= 0.
+
+        Z = C - A*(y) - B*(v) gives <C, X> >= b'y + d'v + lam_min(Z) tr(X),
+        and on a model where every feasible X has tr(X) = trace * <C, X>,
+        <C, X> >= (b'y + d'v) / (1 - trace * min(0, lam_min(Z))).  Z is formed
+        afresh rather than from the loop's running residual.  The margin
+        stands in for directed rounding (Jansson, Chaykin & Keil 2007): with
+        K the rows plus the order, a bound on the terms any computed sum
+        holds, it takes every sum, dot product and eigenvalue to be off by
+        at most 2 K u times the magnitudes it sums (their Frobenius norm for
+        the eigenvalue), u the unit roundoff.
+        """
+        n = self.C.shape[0]
+        Z = self.C.copy()
+        mag = np.abs(self.C)
+        dobj = dmag = 0.0
+        terms = ((self.graph, st.y1), (self.other, st.y2),
+                 *((g, st.v[a:b]) for g, a, b in self.slices))
+        for blk, y in terms:
+            if blk.k == 0:
+                continue
+            Z -= blk.adjoint(y)
+            mag += (abs(blk.At) @ np.abs(y)).reshape(n, n)
+            dobj += float(np.dot(blk.rhs, y))
+            dmag += float(np.dot(np.abs(blk.rhs), np.abs(y)))
+        lam = float(np.linalg.eigvalsh(0.5 * (Z + Z.T))[0])
+        K = sum(blk.k for blk in self.blocks) + n
+        tol = K * float(np.finfo(float).eps)  # 2 K u, the unit roundoff u = eps / 2
+        lam -= tol * float(np.linalg.norm(mag))
+        dobj -= tol * dmag
+        bound = dobj / (1.0 - trace * min(0.0, lam))
+        return offset + bound - tol * (abs(offset) + abs(bound))
 
     def op_minus_rhs(self, X: np.ndarray) -> list[np.ndarray]:
         """op(X) - rhs for each block: graph, other, then each group."""
@@ -420,7 +469,7 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
     """Run the y, v and S/X phases until residual tolerance or max_iter."""
     cfg = cfg or SolverConfig()
     comp = _Compiled(model)
-    mu = cfg.mu0
+    mu = comp.mu0
     offset = sem.value_offset if sem is not None else 0.0
     st = SolverState(
         X=initial_matrix(model, sem),
@@ -470,11 +519,14 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
             # ADMM on the dual: the split constraint is A*(y)+B*(v)+S = C, so a
             # dominant dual residual calls for a heavier penalty (smaller mu).
             if dres > _MU_RATIO * pres:
-                mu = max(mu / _MU_FACTOR, 1e-4)
+                mu = max(mu / _MU_FACTOR, _MU_MIN)
             elif pres > _MU_RATIO * dres:
-                mu = min(mu * _MU_FACTOR, 1e4)
+                mu = min(mu * _MU_FACTOR, _MU_MAX)
     pobj_user = comp.sign * float(np.sum(comp.C * st.X))
     value = pobj_user + offset
+    lower = None
+    if sem is not None and sem.trace_ratio is not None and status != "diverged":
+        lower = comp.dual_bound(st, sem.trace_ratio, offset)
     _log_progress(it, pres, dres, gap, value, mu, st.rank, status)
     return SolveResult(
         value=value,
@@ -486,6 +538,7 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         objective=pobj_user,
         kernels=comp.kernels,
         partial_steps=partial_steps,
+        lower=lower,
     )
 
 
@@ -507,9 +560,18 @@ def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
 
 
 def extract_bound(result: SolveResult, sem: Optional[BoundSemantics]) -> tuple[float, int]:
-    """Safeguarded certificate: (value, ceil(value - 10 eps max(1, |value|)))."""
+    """(value, certified): the primal value and an integer lower bound.
+
+    Where the solve carries a dual bound (result.lower, set on models with a
+    trace identity), certified is ceil(result.lower), a lower bound on every
+    feasible objective whether or not the solve converged.  Elsewhere (theta
+    and room models) it is the safeguarded ceil(value - 10 eps max(1, |value|)),
+    which holds only near convergence.
+    """
     if result.status == "diverged":
         raise ValueError("cannot certify a diverged solve")
     bound = result.value
+    if result.lower is not None:
+        return bound, math.ceil(result.lower)
     safeguard = 10.0 * result.eps * max(1.0, abs(bound))
     return bound, math.ceil(bound - safeguard)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,17 @@ class TestBound:
         row = json.loads(out)[0]
         assert row["relaxation"] == "lovasz"
         assert float(row["bound"]) == pytest.approx(2.2361, abs=1e-2)
+        assert row["dual_bound"] == ""  # theta models keep the primal rule
+
+    @pytest.mark.parametrize("max_iter", ["3", "20000"])
+    def test_certified_is_the_ceiling_of_dual_bound(self, capsys, max_iter):
+        code, out, err = run_cli(
+            ["bound", "--gen", "gnp:12,0.5,3", "--m", "2", "--max-iter", max_iter,
+             "--output-format", "json"], capsys
+        )
+        row = json.loads(out)[0]
+        assert code == (0 if row["status"] == "converged" else 3)
+        assert math.ceil(float(row["dual_bound"])) == row["certified"] <= 6  # χ_m
 
     def test_missing_input_errors(self, capsys):
         code, out, err = run_cli(["bound", "--m", "2"], capsys)
@@ -149,6 +161,7 @@ class TestColour:
         row = json.loads(out)[0]
         assert row["classes"] == 4
         assert row["valid"] is True
+        assert math.ceil(float(row["dual_bound"])) == row["certified_lower"] == 4
 
     def test_k5_singletons(self, capsys):
         code, out, err = run_cli(
@@ -159,6 +172,7 @@ class TestColour:
         row = json.loads(out)[0]
         assert row["classes"] == 5
         assert row["oracle_nodes"] == ""
+        assert row["dual_bound"] == ""  # greedy certifies with the counting bound
 
     def test_m_offset_reports_oracle_nodes(self, capsys):
         code, out, err = run_cli(

@@ -401,20 +401,24 @@ class TestStateInvariants:
             st = SolverState(x, st.y1, st.y2, st.v, s, rank)
 
 
-def rooms_model():
+def rooms_build():
     """A tt8-style room-assignment model whose blocks take the dense kernels."""
     inst = TimetablingInstance(
         graph=gen_gnp(8, 0.5, 1), m=2,
         event_sizes=(20, 50, 100, 20, 50, 100, 20, 50),
         room_capacities=(60, 120),
     )
-    model, _ = build_room_assignment(inst)
-    return model
+    return build_room_assignment(inst)
+
+
+def rooms_model():
+    return rooms_build()[0]
 
 
 LOOP_CASES = {
     "bounded-gnp12": lambda: build_bounded(gen_gnp(12, 0.5, 1), 3),
-    "theta-gnp9": lambda: (build_theta(gen_gnp(9, 0.5, 1), "lovasz"), None),
+    # its first partial eigensolve comes at step 13, so k = 20 takes both paths
+    "theta-gnp9": lambda: (build_theta(gen_gnp(9, 0.7, 8), "lovasz"), None),
     "rooms-tt8": lambda: (rooms_model(), None),
 }
 
@@ -426,14 +430,14 @@ class TestLoopIsTheStep:
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     def test_solve_matches_chained_updates(self, case, k):
         model, sem = LOOP_CASES[case]()
-        cfg = SolverConfig(max_iter=k)  # k < 25, so mu stays at mu0
-        res = solve(model, sem, cfg)
+        res = solve(model, sem, SolverConfig(max_iter=k))
         assert res.iterations == k
+        mu = _Compiled(model).mu0  # k < 25, so mu stays at the compiled start
         st = fresh_state(model, sem)
         for _ in range(k):
-            st.y1, st.y2 = update_y(st, model, cfg.mu0)
-            st.v = update_v(st, model, cfg.mu0)
-            st.S, st.X, st.rank = update_sx(st, model, cfg.mu0)
+            st.y1, st.y2 = update_y(st, model, mu)
+            st.v = update_v(st, model, mu)
+            st.S, st.X, st.rank = update_sx(st, model, mu)
         assert np.max(np.abs(res.X_final - st.X)) <= 1e-10
 
     @pytest.mark.parametrize("case", ["bounded-gnp12", "theta-gnp9"])
@@ -549,8 +553,6 @@ class TestSolveBehaviour:
             SolverConfig(eps=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(mu0=-1.0)
 
 
 class TestStartPoint:
@@ -560,9 +562,14 @@ class TestStartPoint:
     the partial eigensolve runs from step 2.  A rank-<=k start t M - J (a
     greedy colouring's block indicator) keeps that side above n/10 and runs
     the full eigh for its first hundred steps on each of these models.
+    With mu started at the residual scale, the iterate moves faster and W's
+    positive count leaves n/10 for a while from step 14: 20 of 28 at step 14
+    on kneser-8-2, 6 to 10 of 45 over steps 14-26 on gnp-45, and 14 or 44 of
+    64 over steps 19-41 on fi-6-2/3.  So steps 15-43 take some full eighs,
+    and a 100-step prefix takes 98, 86 and 75 of 99 partial steps.
     """
 
-    PREFIX = 100  # steps that must all take the partial path after the first
+    PREFIX = 14  # steps that must all take the partial path after the first
 
     @pytest.mark.parametrize("graph, m", [
         (gen_kneser(8, 2), 6),
@@ -610,6 +617,51 @@ class TestExtractBound:
         )
         bound, certified = extract_bound(fake, None)
         assert certified == 4
+
+    def test_dual_bound_overrides_the_primal_rule(self):
+        fake = SolveResult(
+            value=4.00001,
+            X_final=np.zeros((1, 1)),
+            residuals=(1.0, 1.0, 1.0),
+            iterations=1,
+            status="max_iter",
+            eps=1e-5,
+            objective=3.00001,
+            lower=2.5,
+        )
+        assert extract_bound(fake, None) == (4.00001, 3)
+
+
+class TestDualCertificate:
+    """On scaled models certified is read off the dual iterate, at any exit."""
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 10, 30, SolverConfig().max_iter])
+    def test_certified_below_chi_m_at_every_exit(self, max_iter):
+        # the primal rule certified 12, 12, 12 and 10 at max_iter 1, 3, 10, 30
+        g = gen_gnp(12, 0.5, 3)
+        chi = exact_bounded_chromatic(TimetablingInstance.colouring(g, 2)).chi_m
+        assert chi == 6
+        model, sem = build_bounded(g, 2)
+        res = solve(model, sem, SolverConfig(max_iter=max_iter))
+        assert extract_bound(res, sem)[1] <= chi
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converged_value_above_the_optimum_certifies_it(self, seed):
+        # the SDP optimum is n/m = 20; the safeguarded value 20.002 certified 21
+        model, sem = build_bounded(gen_gnp(60, 0.5, seed), 3)
+        res = solve(model, sem)
+        assert res.status == "converged"
+        assert res.value > 20.0 > res.lower > 19.99
+        assert extract_bound(res, sem)[1] == 20
+
+    def test_rooms_and_theta_keep_the_primal_rule(self):
+        rooms = rooms_build()
+        assert rooms[1].trace_ratio is None  # the room block has no trace row
+        for model, sem in (rooms, (build_theta(gen_gnp(9, 0.5, 1), "lovasz"), None)):
+            res = solve(model, sem, SolverConfig(max_iter=50))
+            assert res.lower is None
+            safeguard = 10.0 * res.eps * max(1.0, abs(res.value))
+            assert extract_bound(res, sem)[1] == math.ceil(res.value - safeguard)
 
 
 class TestPrecolouredValues:
