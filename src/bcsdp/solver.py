@@ -306,8 +306,6 @@ class _Compiled:
         terms = ((self.graph, st.y1), (self.other, st.y2),
                  *((g, st.v[a:b]) for g, a, b in self.slices))
         for blk, y in terms:
-            if blk.k == 0:
-                continue
             Z -= blk.adjoint(y)
             mag += (abs(blk.At) @ np.abs(y)).reshape(n, n)
             dobj += float(np.dot(blk.rhs, y))
