@@ -298,13 +298,12 @@ def cmd_bound(args) -> int:
         "seconds": f"{seconds:.3f}",
         "status": res.status,
         "kernels": "|".join(res.kernels),
-        "partial_steps": res.partial_steps,
         "oracle_nodes": "" if ores is None else ores.nodes_explored,
         "dual_bound": _fmt_dual(res),
     }
     fields = ["instance", "m", "relaxation", "bound", "certified",
-              "iterations", "seconds", "status", "kernels", "partial_steps",
-              "oracle_nodes", "dual_bound"]
+              "iterations", "seconds", "status", "kernels", "oracle_nodes",
+              "dual_bound"]
     _emit([row], fields, args.output_format, args.out)
     return 0 if res.status == "converged" else 3
 

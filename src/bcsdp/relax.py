@@ -551,20 +551,18 @@ def constraint_matrix(rows: Sequence[SymRow], dim: int) -> scipy.sparse.csr_matr
     """
     counts = [len(r.coeff) for r in rows]
     total = sum(counts)
-    ii = np.fromiter(chain.from_iterable(r.idx_i for r in rows), np.intp, total)
-    jj = np.fromiter(chain.from_iterable(r.idx_j for r in rows), np.intp, total)
+    # int32 where the indices fit, as scipy stores them, so none is copied
+    idx = np.int32 if max(dim * dim, len(rows)) < 2**31 else np.int64
+    ii = np.fromiter(chain.from_iterable(r.idx_i for r in rows), idx, total)
+    jj = np.fromiter(chain.from_iterable(r.idx_j for r in rows), idx, total)
     cc = np.fromiter(chain.from_iterable(r.coeff for r in rows), float, total)
-    owner = np.repeat(np.arange(len(rows)), counts)
+    owner = np.repeat(np.arange(len(rows), dtype=idx), counts)
     off = ii != jj
-    coo = scipy.sparse.coo_matrix(
-        (
-            np.concatenate([cc, cc[off]]),
-            (np.concatenate([owner, owner[off]]),
-             np.concatenate([ii * dim + jj, (jj * dim + ii)[off]])),
-        ),
-        shape=(len(rows), dim * dim),
-    )
-    return coo.tocsr()
+    entries = (np.concatenate([cc, cc[off]]),
+               (np.concatenate([owner, owner[off]]),
+                np.concatenate([ii * dim + jj, (jj * dim + ii)[off]])))
+    del ii, jj, cc, owner, off  # freed before the CSR is built
+    return scipy.sparse.coo_matrix(entries, shape=(len(rows), dim * dim)).tocsr()
 
 
 def gram_matrix(a: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
@@ -574,17 +572,16 @@ def gram_matrix(a: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
 
 def verify_structure(
     model: SdpModel,
-) -> list[tuple[np.ndarray, scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]]:
-    """Compile every constraint block once: its rhs, CSR and Gram matrix.
+) -> tuple[np.ndarray, scipy.sparse.csr_matrix, scipy.sparse.csr_matrix, list[int]]:
+    """Compile every constraint row once: (rhs, A, G, ends).
 
-    Blocks come in the solver's order: eq_graph, eq_other, then each
-    ineq_groups slice of ineq.  The solver reads each block's kernel off the
-    Gram returned here; nothing else builds a block's CSR or Gram.
+    A is one CSR over all rows, stacked in the solver's block order: eq_graph,
+    eq_other, then ineq, which its ineq_groups tile; G = A A^T is its Gram.
+    Block i is rows ends[i] to ends[i + 1].  The solver reads each block's
+    kernel off its diagonal Gram block; nothing else builds a CSR or a Gram.
     """
-    blocks = [model.eq_graph, model.eq_other,
-              *(model.ineq[a:b] for _, a, b in model.ineq_groups)]
-    out = []
-    for rows in blocks:
-        a = constraint_matrix(rows, model.dim)
-        out.append((np.array([r.rhs for r in rows], dtype=float), a, gram_matrix(a)))
-    return out
+    rows = (*model.eq_graph, *model.eq_other, *model.ineq)
+    neq = len(model.eq_graph) + len(model.eq_other)
+    ends = [0, len(model.eq_graph), neq, *(neq + b for _, _, b in model.ineq_groups)]
+    a = constraint_matrix(rows, model.dim)
+    return np.array([r.rhs for r in rows], dtype=float), a, gram_matrix(a), ends

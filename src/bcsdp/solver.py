@@ -6,14 +6,21 @@ the v phase solves the exact nonnegative QP of each inequality group, and the
 S/X phase closes the iteration.  Writing W = C - A1*(y1) - A2*(y2) - B*(v) -
 mu X, the S-subproblem is the PSD projection S = proj(W), and the multiplier
 step X <- X + (A1*(y1) + A2*(y2) + B*(v) + S - C) / mu collapses to
-X = proj(-W)/mu.  Since W = proj(W) - proj(-W), only the smaller eigen-side
-of W is built, as one product P = B B' of its r scaled eigenvectors, and the
-other side is W + P or P - W.  An S/X step therefore costs one full eigh, or,
-once the previous W's smaller side is at most n/10, a dsyevr of +-W for the
-eigenpairs in (0, inf] only, plus one n^2 r product.  SolverState.rank carries
-W's positive-eigenvalue count from step to step; SolveResult.partial_steps
-counts the steps that took dsyevr.  solve() runs the phases in a loop;
-update_y, update_v and update_sx run one phase from a given state, so the
+X = proj(-W)/mu.  Since W = proj(W) - proj(-W), only one eigen-side of W is
+built, as one product P = B B' of its r scaled eigenvectors, and the other
+side is W + P or P - W.  Every S/X step calls dsyevr on +-W for the
+eigenpairs in (0, inf] only, which is exact whatever their count; it takes
+the side that was smaller at the previous step (SolverState.rank carries W's
+positive-eigenvalue count), and the positive side on the first.
+
+The same identity gives the dual residual for free: after an S/X step,
+A*(y) + B*(v) + S - C = S - W - mu X = mu (X+ - X).  So the loop keeps no
+n x n residual.  It keeps r = op(A*(y) + B*(v) + S - C), the residual seen
+through every constraint row, which the S/X step sets to mu (ax+ - ax) with
+ax = op(X) - rhs, and which each block update of the y and v phases corrects
+through its Gram coupling to the later blocks.  The dual residual norm is
+mu ||X+ - X||.  solve() runs the phases in a loop; update_y, update_v and
+update_sx run one phase from a given state, whose r is formed afresh, so the
 tests check the code the loop runs.  Progress goes to logging (DEBUG records
 of the "bcsdp.solver" logger with an extra "solve" dict, rank included),
 never to stdout.
@@ -26,28 +33,28 @@ dual iterate into a lower bound on the optimum, SolveResult.lower, which
 holds whether or not the solve converged; extract_bound certifies its
 ceiling.
 
-Each constraint block (eq_graph, eq_other, each inequality group) is compiled
-once, by the one relax.verify_structure call in _Compiled, into a
-scipy.sparse CSR A over vec(X) and its sparse Gram G = A A^T: the operator is
-A vec(X), the adjoint is A^T y, and G alone chooses the block's kernel, here
-and nowhere else, so compile memory is O(nnz).  There are three kernels,
-shared by equality blocks (solve G y = r) and inequality groups (the
-nonnegative QP).  "diag": G is diagonal and positive (edge-indicator rows); a
-per-row divide, or a per-row clamp at zero.  "alphabeta": G = alpha I +
-beta J (the anchored diagonal chain has J + I, the row sums alpha I + beta J);
-the closed form (r - beta sum(r)/(alpha + k beta))/alpha, or an exact
-sorted-breakpoint scan ending in a per-coordinate clamp.  "dense": anything
-else; one eigen-factorization of G, which gives the min-norm pseudo-inverse
-solve and the factor of an exact active-set NNLS.  SolveResult.kernels names
-the kernel of each block ("empty" for a block without rows).
+The constraint rows (eq_graph, eq_other, then each inequality group) are
+compiled once, by the one relax.verify_structure call in _Compiled, into one
+scipy.sparse CSR A over vec(X), stacked in that block order, and its sparse
+Gram G = A A^T: the operator is A vec(X), the adjoint is A^T y (a CSC view),
+and each block's diagonal Gram block alone chooses its kernel, here and
+nowhere else, so compile memory is O(nnz).  There are three kernels, shared
+by equality blocks (solve G y = r) and inequality groups (the nonnegative QP).
+"diag": G is diagonal and positive (edge-indicator rows); a per-row divide,
+or a per-row clamp at zero.  "alphabeta": G = alpha I + beta J (the anchored
+diagonal chain has J + I, the row sums alpha I + beta J); the closed form
+(r - beta sum(r)/(alpha + k beta))/alpha, or an exact sorted-breakpoint scan
+ending in a per-coordinate clamp.  "dense": anything else; one
+eigen-factorization of G, which gives the min-norm pseudo-inverse solve and
+the factor of an exact active-set NNLS.  SolveResult.kernels names the kernel
+of each block ("empty" for a block without rows).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -115,7 +122,6 @@ class SolveResult:
     eps: float
     objective: float  # raw objective <C, X> in the model's sense
     kernels: tuple[str, ...] = ()  # kernel kind per block: graph, other, groups
-    partial_steps: int = 0  # S/X steps that took the partial eigensolve
     # the dual lower bound in the bound's units, rounding margin included;
     # None where the model has no trace identity (theta and room models)
     lower: Optional[float] = None
@@ -145,20 +151,21 @@ def _gram_equals(gram: scipy.sparse.csr_matrix, diag, off: float,
 
 
 class _Block:
-    """One constraint block: its rhs, its CSR A over vec(X) and its kernel.
+    """One constraint block: a row range of the stacked A, its kernel, its coupling.
 
-    op(X) = A vec(X) and the adjoint is A^T y reshaped to n x n.  The Gram
-    G = A A^T picks the kernel ("diag", "alphabeta" or "dense", see the
-    module docstring); equality blocks call solve, inequality groups qp.
+    gram is the block's diagonal Gram block; it picks the kernel ("diag",
+    "alphabeta" or "dense", see the module docstring) and is kept only by the
+    "dense" kernel.  coupling is G[later rows, own rows] (None when it has no
+    entries): a change dy of this block's multipliers moves the later blocks'
+    entries of r by coupling @ dy.  Equality blocks take eq_step, inequality
+    groups qp_step; both read and correct r in place.
     """
 
-    def __init__(self, dim: int, rhs: np.ndarray, A: scipy.sparse.csr_matrix,
-                 gram: scipy.sparse.csr_matrix):
-        self.k = rhs.size
-        self.dim = dim
-        self.rhs = rhs
-        self.A = A
-        self.At = A.T  # a CSC view of the same arrays, made once
+    def __init__(self, start: int, end: int, gram: scipy.sparse.csr_matrix,
+                 coupling: Optional[scipy.sparse.csr_matrix] = None):
+        self.rows = slice(start, end)
+        self.k = end - start
+        self.coupling = coupling if coupling is not None and coupling.nnz else None
         self.kind = "empty"
         if self.k == 0:
             return
@@ -180,17 +187,11 @@ class _Block:
         self._lam = w[keep]
         self._vec = vec[:, keep]
 
-    def op(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x.ravel()
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return (self.At @ y).reshape(self.dim, self.dim)
-
     def gram_dot(self, y: np.ndarray) -> np.ndarray:
         if self.kind == "diag":
             return self.diag * y
         if self.kind == "alphabeta":
-            return self.alpha * y + self.beta * np.sum(y)
+            return self.alpha * y + self.beta * y.sum()
         return self.gram @ y
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -198,7 +199,7 @@ class _Block:
         if self.kind == "diag":
             return r / self.diag
         if self.kind == "alphabeta":
-            shift = self.beta * np.sum(r) / (self.alpha + self.k * self.beta)
+            shift = self.beta * r.sum() / (self.alpha + self.k * self.beta)
             return (r - shift) / self.alpha
         return self._vec @ ((self._vec.T @ r) / self._lam)
 
@@ -219,56 +220,68 @@ class _Block:
         v, _ = nnls(A, b)
         return v
 
+    def eq_step(self, y: np.ndarray, r: np.ndarray, ax: np.ndarray,
+                mu: float) -> np.ndarray:
+        """The minimizing multipliers: the min-norm -G^+(mu ax + r - G y)."""
+        rhs = mu * ax[self.rows]
+        rhs += r[self.rows] - self.gram_dot(y)
+        return self._couple(-self.solve(rhs), y, r)
+
+    def qp_step(self, v: np.ndarray, r: np.ndarray, ax: np.ndarray,
+                mu: float) -> np.ndarray:
+        """The exact nonnegative QP for this group's multipliers."""
+        lin = ax[self.rows] + (r[self.rows] - self.gram_dot(v)) / mu
+        return self._couple(self.qp(lin, mu), v, r)
+
+    def _couple(self, new: np.ndarray, old: np.ndarray, r: np.ndarray) -> np.ndarray:
+        if self.coupling is not None:
+            r[self.rows.stop:] += self.coupling @ (new - old)
+        return new
+
 
 def _alphabeta_qp(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Exact solution of min_{v>=0} -a'v + (1/2) v'(alpha I + beta J) v.
 
     For fixed sigma = sum(v) the optimum clamps coordinate-wise,
     v_i = max(0, (a_i - beta sigma)/alpha); sigma is the unique root of the
-    decreasing consistency map, located by scanning sorted breakpoints.
+    decreasing consistency map, at the first sorted breakpoint k whose
+    candidate sum(top k of a)/(alpha + k beta) keeps exactly the top k
+    coordinates positive (zero when none does).
     """
     if beta == 0.0:
         return np.maximum(0.0, a / alpha)
     a_sorted = np.sort(a)[::-1]
-    prefix = np.cumsum(a_sorted)
-    sigma = 0.0
-    for k in range(1, a.size + 1):
-        cand = prefix[k - 1] / (alpha + k * beta)
-        if a_sorted[k - 1] > beta * cand and (
-            k == a.size or a_sorted[k] <= beta * cand
-        ):
-            sigma = cand
-            break
+    cand = a_sorted.cumsum() / (alpha + np.arange(1, a.size + 1) * beta)
+    bound = beta * cand
+    hit = a_sorted > bound
+    hit[:-1] &= a_sorted[1:] <= bound[:-1]
+    k = int(hit.argmax())
+    sigma = cand[k] if hit[k] else 0.0
     return np.maximum(0.0, (a - beta * sigma) / alpha)
 
 
 class _Compiled:
-    """One CSR per constraint block, with the kernel its sparse Gram selects.
+    """One stacked CSR over every constraint row, and one _Block per block.
 
-    Memory is O(nnz) plus the dense Gram and eigen-factor of blocks that
-    take the "dense" kernel; "diag" and "alphabeta" keep O(k) numbers.  The
-    three phase methods are the whole iteration:
-    each advances a SolverState, the running dual residual and the per-block
-    op(X) - rhs list in place.
+    Memory is O(nnz): A, its Gram couplings, and the dense Gram and
+    eigen-factor of blocks that take the "dense" kernel; "diag" and
+    "alphabeta" keep O(k) numbers.  The three phase methods are the whole
+    iteration: each advances a SolverState and the stacked vectors r (the
+    dual residual seen through the rows) and ax (op(X) - rhs) in place.
     """
 
     def __init__(self, model: SdpModel):
         self.sign = 1.0 if model.sense == "min" else -1.0
-        self.C = self.sign * model.objective.astype(float)
+        C = self.sign * model.objective.astype(float)
+        self.C = 0.5 * (C + C.T)  # exactly C when the objective is symmetric
         # through the module attribute, so a wrapper set on relax sees the call
-        graph, other, *groups = relax.verify_structure(model)
-        self.graph = _Block(model.dim, *graph)
-        self.other = _Block(model.dim, *other)
-        self.groups = [_Block(model.dim, *g) for g in groups]
-        self.blocks = (self.graph, self.other, *self.groups)
-        ends = list(accumulate((g.k for g in self.groups), initial=0))
-        self.slices = list(zip(self.groups, ends, ends[1:]))  # (group, start, end) in v
-        self.d = np.concatenate([np.zeros(0), *(g.rhs for g in self.groups)])
-        self.b_norm = math.sqrt(
-            float(np.sum(self.graph.rhs**2))
-            + float(np.sum(self.other.rhs**2))
-            + float(np.sum(self.d**2))
-        )
+        self.rhs, self.A, gram, ends = relax.verify_structure(model)
+        self.At = self.A.T  # a CSC view of the same arrays
+        self.blocks = tuple(_Block(a, b, gram[a:b, a:b], gram[b:, a:b])
+                            for a, b in zip(ends, ends[1:]))
+        self.graph, self.other, *self.groups = self.blocks
+        self.neq = ends[2]  # equality rows come first; v is r's tail
+        self.b_norm = math.sqrt(float(np.sum(self.rhs**2)))
         self.c_norm = float(np.linalg.norm(self.C))
         self.mu0 = min(max((1.0 + self.c_norm) / (1.0 + self.b_norm), _MU_MIN), _MU_MAX)
 
@@ -277,22 +290,26 @@ class _Compiled:
         """Kernel kind per block: graph, other, then each inequality group."""
         return tuple(b.kind for b in self.blocks)
 
-    def residual(self, state: SolverState) -> np.ndarray:
-        """Dual-constraint residual A1*(y1) + A2*(y2) + B*(v) + S - C."""
-        r = state.S - self.C
-        r += self.graph.adjoint(state.y1)
-        r += self.other.adjoint(state.y2)
-        for g, a, b in self.slices:
-            r += g.adjoint(state.v[a:b])
-        return r
+    @staticmethod
+    def stack(st: SolverState) -> np.ndarray:
+        """y1, y2 and v as one multiplier vector, in row order."""
+        return np.concatenate((st.y1, st.y2, st.v))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        n = self.C.shape[0]
+        return (self.At @ y).reshape(n, n)
+
+    def residual(self, st: SolverState) -> tuple[np.ndarray, np.ndarray]:
+        """(r, ax) formed afresh: r = op(A*(y) + B*(v) + S - C), ax = op(X) - rhs."""
+        resid = st.S - self.C + self.adjoint(self.stack(st))
+        return self.A @ resid.ravel(), self.A @ st.X.ravel() - self.rhs
 
     def dual_bound(self, st: SolverState, trace: float, offset: float) -> float:
         """offset plus a lower bound on <C, X> over feasible X, from y and v >= 0.
 
         Z = C - A*(y) - B*(v) gives <C, X> >= b'y + d'v + lam_min(Z) tr(X),
         and on a model where every feasible X has tr(X) = trace * <C, X>,
-        <C, X> >= (b'y + d'v) / (1 - trace * min(0, lam_min(Z))).  Z is formed
-        afresh rather than from the loop's running residual.  The margin
+        <C, X> >= (b'y + d'v) / (1 - trace * min(0, lam_min(Z))).  The margin
         stands in for directed rounding (Jansson, Chaykin & Keil 2007): with
         K the rows plus the order, a bound on the terms any computed sum
         holds, it takes every sum, dot product and eigenvalue to be off by
@@ -300,107 +317,74 @@ class _Compiled:
         the eigenvalue), u the unit roundoff.
         """
         n = self.C.shape[0]
-        Z = self.C.copy()
-        mag = np.abs(self.C)
-        dobj = dmag = 0.0
-        terms = ((self.graph, st.y1), (self.other, st.y2),
-                 *((g, st.v[a:b]) for g, a, b in self.slices))
-        for blk, y in terms:
-            Z -= blk.adjoint(y)
-            mag += (abs(blk.At) @ np.abs(y)).reshape(n, n)
-            dobj += float(np.dot(blk.rhs, y))
-            dmag += float(np.dot(np.abs(blk.rhs), np.abs(y)))
-        lam = float(np.linalg.eigvalsh(0.5 * (Z + Z.T))[0])
-        K = sum(blk.k for blk in self.blocks) + n
+        y = self.stack(st)
+        Z = self.C - self.adjoint(y)  # exactly symmetric, as W is
+        abs_at = scipy.sparse.csc_matrix((np.abs(self.At.data), self.At.indices,
+                                          self.At.indptr), shape=self.At.shape)
+        mag = np.abs(self.C) + (abs_at @ np.abs(y)).reshape(n, n)
+        dobj = float(np.dot(self.rhs, y))
+        dmag = float(np.dot(np.abs(self.rhs), np.abs(y)))
+        lam = float(np.linalg.eigvalsh(Z)[0])
+        K = self.rhs.size + n
         tol = K * float(np.finfo(float).eps)  # 2 K u, the unit roundoff u = eps / 2
         lam -= tol * float(np.linalg.norm(mag))
         dobj -= tol * dmag
         bound = dobj / (1.0 - trace * min(0.0, lam))
         return offset + bound - tol * (abs(offset) + abs(bound))
 
-    def op_minus_rhs(self, X: np.ndarray) -> list[np.ndarray]:
-        """op(X) - rhs for each block: graph, other, then each group."""
-        return [blk.op(X) - blk.rhs for blk in self.blocks]
-
-    def y_phase(self, st: SolverState, resid: np.ndarray, ax: list, mu: float) -> None:
+    def y_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> None:
         """Closed-form y1 via the edge-indicator Gram, then y2 via the chain."""
         if self.graph.k:
-            st.y1 = _eq_step(self.graph, st.y1, ax[0], resid, mu)
+            st.y1 = self.graph.eq_step(st.y1, r, ax, mu)
         if self.other.k:
-            st.y2 = _eq_step(self.other, st.y2, ax[1], resid, mu)
+            st.y2 = self.other.eq_step(st.y2, r, ax, mu)
 
-    def v_phase(self, st: SolverState, resid: np.ndarray, ax: list, mu: float) -> None:
+    def v_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> None:
         """Exact nonnegative QP for each inequality group, in sequence."""
-        for (g, a, b), lin_x in zip(self.slices, ax[2:]):
-            if g.k == 0:
-                continue
-            old = st.v[a:b]
-            lin = lin_x + (g.op(resid) - g.gram_dot(old)) / mu
-            new = g.qp(lin, mu)
-            resid += g.adjoint(new - old)
-            st.v[a:b] = new
+        for g in self.groups:
+            if g.k:
+                at = slice(g.rows.start - self.neq, g.rows.stop - self.neq)
+                st.v[at] = g.qp_step(st.v[at], r, ax, mu)
 
-    def sx_phase(self, st: SolverState, resid: np.ndarray, ax: list, mu: float) -> bool:
-        """S = proj(W), X = proj(-W)/mu from the smaller eigen-side of W.
+    def sx_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> float:
+        """S = proj(W), X = proj(-W)/mu from one eigen-side of W.
 
         W = C - A*y - B*v - mu X = P+ - P-, so with P = B B' built from the r
-        eigenpairs of the smaller side (B = V_r sqrt(lam_r)) the other side
-        is exact subtraction: S = P, X = (P - W)/mu, or X = P/mu, S = W + P.
-        When the previous W's smaller side was at most n/10, dsyevr returns
-        every eigenpair of +-W in (0, inf], so the projection stays exact
-        whatever the count turns out to be; otherwise one full eigh.  Cost:
-        eigh, or dsyevr on the smaller side, plus one n^2 r product.  Sets
-        st.rank to W's positive-eigenvalue count and returns whether the
-        partial eigensolve ran.
+        eigenpairs of one side (B = V_r sqrt(lam_r)) the other side is exact
+        subtraction: S = P, X = (P - W)/mu, or X = P/mu, S = W + P.  dsyevr
+        returns every eigenpair of +-W in (0, inf], on the side that was the
+        smaller at the previous step (st.rank; the positive side when None).
+        Cost: one adjoint, dsyevr, one n^2 r product and one operator.  Sets
+        st.rank to W's positive-eigenvalue count, sets r to mu (ax+ - ax)
+        and ax to ax+, and returns the dual residual norm mu ||X+ - X||.
         """
-        w = -(resid - st.S) - mu * st.X
-        w = 0.5 * (w + w.T)
+        # W is exactly symmetric when X is: C is, each row of A holds a whole
+        # symmetric matrix, and proj below is a symmetric rank-r product
+        w = self.C - self.adjoint(self.stack(st))
+        w -= mu * st.X
         n = w.shape[0]
-        partial = st.rank is not None and min(st.rank, n - st.rank) <= n / 10
-        if partial:
-            positive = st.rank <= n - st.rank
-            # w is symmetric, so w.T is the same matrix in LAPACK's column order
-            lam, vec, count, _, info = dsyevr(
-                w.T if positive else -w.T, range="V", vl=0.0, vu=np.inf,
-                overwrite_a=not positive,
-            )
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
-            lam, vec = lam[:count], vec[:, :count]
-            st.rank = count if positive else n - count
-        else:
-            lam, vec = np.linalg.eigh(w)
-            npos = int(np.count_nonzero(lam > 0.0))
-            nneg = int(np.count_nonzero(lam < 0.0))
-            positive = npos <= nneg
-            if positive:
-                lam, vec = lam[n - npos:], vec[:, n - npos:]
-            else:
-                lam, vec = -lam[:nneg], vec[:, :nneg]
-            st.rank = npos
-        half = vec * np.sqrt(lam)
+        positive = st.rank is None or st.rank <= n - st.rank
+        # w is symmetric, so w.T is the same matrix in LAPACK's column order
+        lam, vec, count, _, info = dsyevr(
+            w.T if positive else -w.T, range="V", vl=0.0, vu=np.inf,
+            overwrite_a=not positive,
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+        st.rank = count if positive else n - count
+        half = vec[:, :count] * np.sqrt(lam[:count])
         proj = half @ half.T
         if positive:
-            S_new = proj
-            st.X = np.subtract(proj, w, out=w)
+            st.S, X = proj, np.subtract(proj, w, out=w)
         else:
-            S_new = np.add(w, proj, out=w)
-            st.X = proj
-        st.X /= mu
-        resid += S_new - st.S
-        st.S = S_new
-        ax[:] = self.op_minus_rhs(st.X)
-        return partial
-
-
-def _eq_step(blk: _Block, y: np.ndarray, lin_x: np.ndarray,
-             resid: np.ndarray, mu: float) -> np.ndarray:
-    """Minimize over one equality block's multipliers; updates resid in place."""
-    rhs = mu * lin_x
-    rhs += blk.op(resid) - blk.gram_dot(y)
-    y_new = -blk.solve(rhs)
-    resid += blk.adjoint(y_new - y)
-    return y_new
+            st.S, X = np.add(w, proj, out=w), proj
+        X /= mu
+        step = (X - st.X).ravel()
+        st.X = X
+        ax_new = self.A @ X.ravel() - self.rhs
+        np.multiply(mu, ax_new - ax, out=r)
+        ax[:] = ax_new
+        return mu * math.sqrt(float(step @ step))
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +393,12 @@ def _eq_step(blk: _Block, y: np.ndarray, lin_x: np.ndarray,
 
 
 def _run_phase(state: SolverState, model: SdpModel, mu: float, phase) -> SolverState:
-    """Run one _Compiled phase on a copy of state, residuals taken fresh."""
+    """Run one _Compiled phase on a copy of state, r and ax formed afresh."""
     comp = _Compiled(model)
     st = SolverState(*(np.array(a, dtype=float) for a in
                        (state.X, state.y1, state.y2, state.v, state.S)),
                      rank=state.rank)
-    phase(comp, st, comp.residual(st), comp.op_minus_rhs(st.X), mu)
+    phase(comp, st, *comp.residual(st), mu)
     return st
 
 
@@ -433,9 +417,10 @@ def update_sx(state: SolverState, model: SdpModel,
               mu: float) -> tuple[np.ndarray, np.ndarray, int]:
     """(S, X, rank): the PSD projections of W and -W/mu, W = C - A*y - B*v - mu X.
 
-    state.rank picks the eigensolver as in solve(); the returned rank is the
-    one the next step reads.
+    state.rank picks the eigen-side as in solve(); the returned rank is the
+    one the next step reads.  X is symmetrized first, as the loop's X is.
     """
+    state = replace(state, X=0.5 * (state.X + state.X.T))
     st = _run_phase(state, model, mu, _Compiled.sx_phase)
     return st.S, st.X, st.rank
 
@@ -451,8 +436,7 @@ def initial_matrix(model: SdpModel, sem: Optional[BoundSemantics]) -> np.ndarray
     n I - J is t M - J for the singleton colouring (t = n classes, M = I), so
     it satisfies the edge, chain and row-sum constraints outright.  The first
     W is then close to -mu X0, which is negative off the all-ones direction,
-    so W's smaller (positive) side is small from the first step and every
-    later S/X step takes the partial eigensolve.
+    so the first S/X step's dsyevr on W's positive side finds few eigenpairs.
     """
     n = model.dim
     if sem is None:
@@ -473,34 +457,24 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         X=initial_matrix(model, sem),
         y1=np.zeros(comp.graph.k),
         y2=np.zeros(comp.other.k),
-        v=np.zeros(comp.d.size),
+        v=np.zeros(comp.rhs.size - comp.neq),
         S=project_psd_dense(comp.C.copy()),
     )
-    resid = st.S - comp.C
-    # op(X) - rhs per block: X changes only in the S/X phase, which refreshes
-    # it, so one evaluation serves the residual check and the next y, v steps
-    ax = comp.op_minus_rhs(st.X)
+    # r = op(S0 - C) and ax = op(X0) - rhs; from then on the S/X phase sets
+    # both, so one evaluation serves the residual check and the next y, v steps
+    r, ax = comp.residual(st)
     best_seen = math.inf
     status = "max_iter"
     pres = dres = gap = math.inf
-    it = partial_steps = 0
+    it = 0
     for it in range(1, cfg.max_iter + 1):
-        comp.y_phase(st, resid, ax, mu)
-        comp.v_phase(st, resid, ax, mu)
-        partial_steps += comp.sx_phase(st, resid, ax, mu)
-        peq = float(np.sum(ax[0] ** 2))
-        peq += float(np.sum(ax[1] ** 2))
-        pineq = 0.0
-        for lin_x in ax[2:]:
-            pineq += float(np.sum(np.minimum(lin_x, 0.0) ** 2))
-        pres = math.sqrt(peq + pineq) / (1.0 + comp.b_norm)
-        dres = float(np.linalg.norm(resid)) / (1.0 + comp.c_norm)
-        pobj = float(np.sum(comp.C * st.X))
-        dobj = float(
-            np.dot(comp.graph.rhs, st.y1)
-            + np.dot(comp.other.rhs, st.y2)
-            + np.dot(comp.d, st.v)
-        )
+        comp.y_phase(st, r, ax, mu)
+        comp.v_phase(st, r, ax, mu)
+        dres = comp.sx_phase(st, r, ax, mu) / (1.0 + comp.c_norm)
+        eq, ineq = ax[:comp.neq], np.minimum(ax[comp.neq:], 0.0)
+        pres = math.sqrt(float(eq @ eq) + float(ineq @ ineq)) / (1.0 + comp.b_norm)
+        pobj = float((comp.C * st.X).sum())
+        dobj = float(np.dot(comp.rhs, comp.stack(st)))
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         worst = max(pres, dres, gap)
         if worst <= cfg.eps:
@@ -535,7 +509,6 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         eps=cfg.eps,
         objective=pobj_user,
         kernels=comp.kernels,
-        partial_steps=partial_steps,
         lower=lower,
     )
 
@@ -545,7 +518,7 @@ def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
     """One DEBUG record; value is in the bound's units (offset included).
 
     rank is the last W's positive-eigenvalue count, so a solve whose smaller
-    side never falls to n/10 (never reaching the partial eigensolve) shows.
+    eigen-side stays large (each dsyevr returning many eigenpairs) shows.
     """
     if _log.isEnabledFor(logging.DEBUG):
         rec = {"it": it, "pres": pres, "dres": dres, "gap": gap,

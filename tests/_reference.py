@@ -171,6 +171,28 @@ def projected_gradient_qp(g: np.ndarray, gram: np.ndarray, mu: float,
     return v
 
 
+def alphabeta_qp_loop(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """min_{v>=0} -a'v + (1/2) v'(alpha I + beta J) v by a breakpoint loop.
+
+    The scan visits the sorted breakpoints one at a time and stops at the
+    first k whose sum(top k)/(alpha + k beta) keeps exactly the top k
+    coordinates positive; sigma = sum(v) is that value, or 0 when none does.
+    """
+    if beta == 0.0:
+        return np.maximum(0.0, a / alpha)
+    a_sorted = np.sort(a)[::-1]
+    prefix = np.cumsum(a_sorted)
+    sigma = 0.0
+    for k in range(1, a.size + 1):
+        cand = prefix[k - 1] / (alpha + k * beta)
+        if a_sorted[k - 1] > beta * cand and (
+            k == a.size or a_sorted[k] <= beta * cand
+        ):
+            sigma = cand
+            break
+    return np.maximum(0.0, (a - beta * sigma) / alpha)
+
+
 def dense_v_reference(model: SdpModel, X, y1, y2, v, S, mu):
     """Sequential per-group QP minimization with dense algebra and FISTA."""
     a1, b1, a2, b2, groups = dense_blocks(model)

@@ -54,25 +54,36 @@ class TestScaledTransform:
                 np.ones((n - 1, n - 1)) + np.eye(n - 1),
                 alpha * np.eye(n) + beta * np.ones((n, n)))
 
+    @staticmethod
+    def _diagonal_blocks(model):
+        """(rhs, Gram) of each block, cut out of the one stacked compile."""
+        rhs, _, gram, ends = verify_structure(model)
+        gram = gram.toarray()
+        return [(rhs[a:b], gram[a:b, a:b]) for a, b in zip(ends, ends[1:])]
+
     def test_compiled_grams_have_closed_forms(self):
         model, _ = build_bounded(gen_gnp(8, 0.5, 3), 3)
-        compiled = verify_structure(model)
+        compiled = self._diagonal_blocks(model)
         want = self._closed_form_grams(model, 3)
         assert len(compiled) == len(want)
-        for (_, _, gram), closed in zip(compiled, want):
-            assert np.allclose(gram.toarray(), closed, atol=1e-14)
+        for (_, gram), closed in zip(compiled, want):
+            assert np.allclose(gram, closed, atol=1e-14)
 
     def test_gram_identities_hold_densely(self):
         model, _ = build_bounded(gen_gnp(7, 0.4, 1), 2)
         a1, b1, a2, b2, groups = dense_blocks(model)
         assert [kind for kind, _, _ in groups] == ["rowsum"]
         dense = [(a1, b1), (a2, b2), *((mats, rhs) for _, mats, rhs in groups)]
-        compiled = verify_structure(model)
+        compiled = self._diagonal_blocks(model)
         want = self._closed_form_grams(model, 2)
-        for (rhs, _, gram), (mats, dense_rhs), closed in zip(compiled, dense, want):
+        for (rhs, gram), (mats, dense_rhs), closed in zip(compiled, dense, want):
             assert np.allclose(gram_of(mats), closed, atol=1e-14)
-            assert np.allclose(gram.toarray(), gram_of(mats), atol=1e-14)
+            assert np.allclose(gram, gram_of(mats), atol=1e-14)
             assert np.array_equal(rhs, dense_rhs)
+        # the off-diagonal blocks are the Gram entries between blocks
+        _, _, gram, _ = verify_structure(model)
+        every = [m for mats, _ in dense for m in mats]
+        assert np.allclose(gram.toarray(), gram_of(every), atol=1e-14)
 
 
 class TestIneqGroups:

@@ -18,6 +18,7 @@ from bcsdp.graphs import (
 from bcsdp.linalg import project_psd_dense
 from bcsdp.oracle import exact_bounded_chromatic
 from bcsdp.relax import (
+    SdpModel,
     SymRow,
     build_bounded,
     build_laminar,
@@ -40,10 +41,12 @@ from bcsdp.solver import (
     update_y,
     _Block,
     _Compiled,
+    _alphabeta_qp,
 )
 
 from _reference import (
     adjoint,
+    alphabeta_qp_loop,
     dense_blocks,
     dense_v_reference,
     dense_y_reference,
@@ -234,15 +237,16 @@ class TestSparseBlocks:
         a = rng.standard_normal((dim, dim))
         x = a + a.T
         y = rng.standard_normal(len(rows))
-        csr = constraint_matrix(rows, dim)
-        block = _Block(dim, np.array([r.rhs for r in rows]), csr, gram_matrix(csr))
-        op = block.op(x)
+        model = SdpModel(dim=dim, objective=np.zeros((dim, dim)), eq_graph=(),
+                         eq_other=tuple(rows), ineq=(), sense="min")
+        comp = _Compiled(model)
+        op = comp.A @ x.ravel()
         assert np.max(np.abs(op - [r.value(x) for r in rows])) <= 1e-12
-        adj = block.adjoint(y)
+        adj = comp.adjoint(y)
         assert abs(float(op @ y) - float(np.sum(x * adj))) <= 1e-12
         mats = [r.dense(dim) for r in rows]
         assert np.max(np.abs(adj - adjoint(mats, y))) <= 1e-12
-        gram = gram_matrix(csr).toarray()
+        gram = gram_matrix(constraint_matrix(rows, dim)).toarray()
         assert np.max(np.abs(gram - gram_of(mats))) <= 1e-12
 
     def test_compile_memory_grows_with_nnz(self):
@@ -255,6 +259,19 @@ class TestSparseBlocks:
             tracemalloc.stop()
         # a dense k x n^2 Gram assembly of the chain block alone is 32.6 MB
         assert peak <= 8e6
+
+    def test_solve_memory(self):
+        model, sem = build_bounded(gen_gnp(160, 0.5, 1), 5)
+        tracemalloc.start()
+        try:
+            solve(model, sem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one compile and a few n x n buffers peak at about 3.3 MB; per-block
+        # CSRs kept beside the stacked one, with a CSR copy of A^T, peak at
+        # about 5 MB
+        assert peak <= 4.0e6
 
 
 class TestKernelReport:
@@ -274,10 +291,11 @@ class TestKernelReport:
         )
 
 
-def block_of(entries: list[dict], dim: int) -> _Block:
+def block_of(entries: list[dict], dim: int) -> tuple[_Block, np.ndarray]:
+    """The block of these rows and its dense Gram."""
     rows = [SymRow.from_entries(e, 0.0) for e in entries]
-    csr = constraint_matrix(rows, dim)
-    return _Block(dim, np.zeros(len(rows)), csr, gram_matrix(csr))
+    gram = gram_matrix(constraint_matrix(rows, dim))
+    return _Block(0, len(rows), gram), gram.toarray()
 
 
 class TestBlockKernels:
@@ -285,16 +303,15 @@ class TestBlockKernels:
 
     def test_dependent_equality_rows_take_the_min_norm_solve(self):
         row = {(0, 1): 1.0}
-        blk = block_of([row, {(0, 2): 1.0, (1, 1): 1.0}, row], 3)
+        blk, gram = block_of([row, {(0, 2): 1.0, (1, 1): 1.0}, row], 3)
         assert blk.kind == "dense"
-        gram = gram_matrix(blk.A).toarray()
         assert np.linalg.matrix_rank(gram) == 2
         r = np.random.default_rng(3).standard_normal(3)
         want = np.linalg.lstsq(gram, r, rcond=None)[0]
         assert np.max(np.abs(blk.solve(r) - want)) <= 1e-12
 
     def test_unequal_positive_diagonal_takes_diag(self):
-        blk = block_of([{(0, 0): 1.0}, {(0, 1): 1.0}, {(1, 2): 3.0}], 3)
+        blk, _ = block_of([{(0, 0): 1.0}, {(0, 1): 1.0}, {(1, 2): 3.0}], 3)
         assert blk.kind == "diag"
         assert np.array_equal(blk.diag, [1.0, 2.0, 18.0])
         r = np.array([1.0, -4.0, 9.0])
@@ -302,10 +319,9 @@ class TestBlockKernels:
 
     def test_alpha_beta_gram_is_inverted_exactly(self):
         # rows share the entry (0, 0): G = 0.25 I + 2.25 J
-        blk = block_of([{(0, 0): 1.5, (i, i): 0.5} for i in range(1, 6)], 6)
+        blk, gram = block_of([{(0, 0): 1.5, (i, i): 0.5} for i in range(1, 6)], 6)
         assert blk.kind == "alphabeta"
         assert (blk.alpha, blk.beta) == (0.25, 2.25)
-        gram = gram_matrix(blk.A).toarray()
         r = np.random.default_rng(4).standard_normal(5)
         assert np.max(np.abs(gram @ blk.solve(r) - r)) <= 1e-12
         assert np.max(np.abs(blk.gram_dot(r) - gram @ r)) <= 1e-12
@@ -315,9 +331,8 @@ class TestBlockKernels:
         pairs = [(0, 0), (0, 1), (1, 2), (2, 2), (0, 2)]
         entries = [{p: float(c) for p, c in zip(pairs, rng.standard_normal(5))}
                    for _ in range(4)]
-        blk = block_of(entries, 3)
+        blk, gram = block_of(entries, 3)
         assert blk.kind == "dense"
-        gram = gram_matrix(blk.A).toarray()
         for mu in (0.3, 1.0, 4.0):
             g = rng.standard_normal(4)
             v = blk.qp(g, mu)
@@ -325,6 +340,32 @@ class TestBlockKernels:
             assert np.all(v >= 0.0)
             assert qp_kkt_residual(g, gram, mu, v) <= 1e-9
             assert np.max(np.abs(v - want)) <= 1e-8
+
+
+@st.composite
+def alphabeta_cases(draw):
+    """a with ties, k = 1 and all-nonpositive draws; alpha > 0, beta >= 0."""
+    k = draw(st.integers(1, 12))
+    value = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]) | st.floats(
+        -10.0, 10.0, allow_nan=False)
+    a = np.array(draw(st.lists(value, min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        a = -np.abs(a)
+    alpha = draw(st.sampled_from([0.25, 1.0, 12.5]) | st.floats(1e-3, 50.0))
+    beta = draw(st.sampled_from([0.0, 0.5, 2.25]) | st.floats(0.0, 50.0))
+    return a, alpha, beta
+
+
+class TestAlphabetaQp:
+    @settings(max_examples=300, deadline=None)
+    @given(alphabeta_cases())
+    @example((np.array([1.0]), 1.0, 0.5))  # k = 1
+    @example((np.array([2.0, 2.0, 2.0, -1.0]), 0.25, 2.25))  # ties at the top
+    @example((np.array([-1.0, 0.0, -3.0]), 1.0, 0.5))  # no positive coordinate
+    def test_vectorised_scan_equals_the_loop(self, case):
+        a, alpha, beta = case
+        assert np.array_equal(_alphabeta_qp(a, alpha, beta),
+                              alphabeta_qp_loop(a, alpha, beta))
 
 
 class TestOneCompile:
@@ -348,9 +389,9 @@ class TestOneCompile:
         model, sem = build_bounded(gen_gnp(12, 0.5, 1), 3)
         assert calls == {"verify": 0, "csr": 0, "gram": 0}
         res = solve(model, sem, SolverConfig(max_iter=5))
-        blocks = len(res.kernels)
-        assert blocks == 3
-        assert calls == {"verify": 1, "csr": blocks, "gram": blocks}
+        assert len(res.kernels) == 3
+        # one CSR and one Gram over the rows of all three blocks
+        assert calls == {"verify": 1, "csr": 1, "gram": 1}
 
 
 class TestP3Fixture:
@@ -417,10 +458,26 @@ def rooms_model():
 
 LOOP_CASES = {
     "bounded-gnp12": lambda: build_bounded(gen_gnp(12, 0.5, 1), 3),
-    # its first partial eigensolve comes at step 13, so k = 20 takes both paths
+    # its first W has 6 of 9 positive eigenvalues, so dsyevr solves W's
+    # positive side at step 1 and its negative side from step 2
     "theta-gnp9": lambda: (build_theta(gen_gnp(9, 0.7, 8), "lovasz"), None),
     "rooms-tt8": lambda: (rooms_model(), None),
 }
+
+
+def count_dsyevr(monkeypatch) -> list:
+    """Wrap the solver's dsyevr; the returned list gains one entry per call."""
+    import bcsdp.solver as solver
+
+    calls = []
+    real = solver.dsyevr
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs.get("range"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dsyevr", wrapper)
+    return calls
 
 
 class TestLoopIsTheStep:
@@ -441,11 +498,56 @@ class TestLoopIsTheStep:
         assert np.max(np.abs(res.X_final - st.X)) <= 1e-10
 
     @pytest.mark.parametrize("case", ["bounded-gnp12", "theta-gnp9"])
-    def test_case_enters_the_partial_path(self, case):
-        # so the k = 20 comparison above covers the full eigh and dsyevr steps
+    def test_case_enters_the_partial_path(self, case, monkeypatch):
+        # every step of the k = 20 comparison above runs dsyevr, the loop's
+        # one eigensolver (on both of W's sides over the two cases)
+        calls = count_dsyevr(monkeypatch)
         model, sem = LOOP_CASES[case]()
         res = solve(model, sem, SolverConfig(max_iter=20))
-        assert 0 < res.partial_steps < res.iterations
+        assert len(calls) == res.iterations == 20
+
+
+def dense_dual_residual(model, st) -> np.ndarray:
+    """A1*(y1) + A2*(y2) + B*(v) + S - C, assembled densely from the rows."""
+    a1, _, a2, _, groups = dense_blocks(model)
+    mats = [m for (_, ms, _) in groups for m in ms]
+    sign = 1.0 if model.sense == "min" else -1.0
+    out = st.S - sign * model.objective
+    for blk, y in ((a1, st.y1), (a2, st.y2), (mats, st.v)):
+        if blk:
+            out = out + adjoint(blk, y)
+    return out
+
+
+IDENTITY_CASES = {
+    **LOOP_CASES,
+    "weighted-gnp10": lambda: build_weighted(gen_gnp(10, 0.5, 2), 4,
+                                             (1, 2, 1, 3, 1, 1, 2, 1, 1, 2)),
+}
+
+
+class TestResidualIdentity:
+    """After an S/X step, A*(y) + B*(v) + S - C = mu (X+ - X).
+
+    W = C - A*(y) - B*(v) - mu X, S+ = proj(W) and X+ = proj(-W)/mu, so
+    S+ - mu X+ = W.  The loop reads the dual residual off this identity
+    instead of keeping it; here it is recomputed from scratch.
+    """
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_dual_residual_is_mu_times_the_x_step(self, case, k):
+        model, sem = IDENTITY_CASES[case]()
+        mu = _Compiled(model).mu0
+        st = fresh_state(model, sem)
+        for _ in range(k):
+            st.y1, st.y2 = update_y(st, model, mu)
+            st.v = update_v(st, model, mu)
+            x_old = st.X
+            st.S, st.X, st.rank = update_sx(st, model, mu)
+        resid = dense_dual_residual(model, st)
+        scale = 1.0 + np.max(np.abs(model.objective)) + np.max(np.abs(st.S))
+        assert np.max(np.abs(resid - mu * (st.X - x_old))) <= 1e-10 * scale
 
 
 @st.composite
@@ -518,17 +620,19 @@ class TestSolveBehaviour:
         assert recs[-1]["value"] == res.value
         assert recs[-1]["pres"] == res.residuals[0]
 
-    def test_rank_and_partial_steps_reported(self, caplog):
+    def test_rank_reported_and_every_step_takes_dsyevr(self, caplog, monkeypatch):
+        calls = count_dsyevr(monkeypatch)
         model, sem = build_bounded(gen_gnp(30, 0.5, 1), 4)
         with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
             res = solve(model, sem, SolverConfig(max_iter=450))
         ranks = [r.solve["rank"] for r in caplog.records if hasattr(r, "solve")]
         assert all(isinstance(k, int) and 0 <= k <= model.dim for k in ranks)
-        # the last W's smaller side is within n/10, so dsyevr ran by then
+        # the last W's smaller side, the one dsyevr solves next, is small
         assert min(ranks[-1], model.dim - ranks[-1]) <= model.dim / 10
-        assert 0 < res.partial_steps < res.iterations
-        # the first step has no count to go by, so it always runs the full eigh
-        assert solve(model, sem, SolverConfig(max_iter=1)).partial_steps == 0
+        assert len(calls) == res.iterations == 450
+        # the first step has no count to go by and takes W's positive side
+        calls.clear()
+        assert solve(model, sem, SolverConfig(max_iter=1)).iterations == len(calls) == 1
 
     def test_infeasible_model_does_not_converge(self):
         from bcsdp.relax import SdpModel, SymRow
@@ -558,31 +662,40 @@ class TestSolveBehaviour:
 class TestStartPoint:
     """Every bounded solve starts at the singleton colouring n I - J.
 
-    That start leaves W's smaller eigen-side small from the first step, so
-    the partial eigensolve runs from step 2.  A rank-<=k start t M - J (a
-    greedy colouring's block indicator) keeps that side above n/10 and runs
-    the full eigh for its first hundred steps on each of these models.
-    With mu started at the residual scale, the iterate moves faster and W's
-    positive count leaves n/10 for a while from step 14: 20 of 28 at step 14
-    on kneser-8-2, 6 to 10 of 45 over steps 14-26 on gnp-45, and 14 or 44 of
-    64 over steps 19-41 on fi-6-2/3.  So steps 15-43 take some full eighs,
-    and a 100-step prefix takes 98, 86 and 75 of 99 partial steps.
+    Every S/X step takes the partial eigensolve (dsyevr), and that start
+    keeps the side it solves small from the first step: W's positive count
+    is 1 or 2 over steps 1-13 on each of these models.  A rank-<=k start
+    t M - J (a greedy colouring's block indicator) keeps that side above
+    n/10 for its first hundred steps.  With mu started at the residual
+    scale, the iterate moves faster and W's positive count leaves n/10 for
+    a while from step 14: 20 of 28 at step 14 on kneser-8-2, 6 to 10 of 45
+    over steps 14-26 on gnp-45, and 14 or 44 of 64 over steps 19-41 on
+    fi-6-2/3.
     """
 
-    PREFIX = 14  # steps that must all take the partial path after the first
+    PREFIX = 14  # steps whose dsyevr must all find at most n/10 eigenpairs
 
     @pytest.mark.parametrize("graph, m", [
         (gen_kneser(8, 2), 6),
         (gen_forbidden_intersection(6, 2 / 3), 10),
         (gen_gnp(45, 0.5, 1), 5),
     ], ids=["kneser-8-2", "fi-6-2/3", "gnp-45"])
-    def test_partial_eigensolve_from_step_two(self, graph, m):
+    def test_partial_eigensolve_from_step_two(self, graph, m, monkeypatch):
         model, sem = build_bounded(graph, m)
         n = model.dim
         assert np.array_equal(initial_matrix(model, sem), n * np.eye(n) - np.ones((n, n)))
         assert solve(model, sem).status == "converged"
+        calls = count_dsyevr(monkeypatch)
         early = solve(model, sem, SolverConfig(max_iter=self.PREFIX))
-        assert early.partial_steps == early.iterations - 1 == self.PREFIX - 1
+        assert len(calls) == early.iterations == self.PREFIX
+        # the side each of those steps solved: W's positive side throughout
+        mu = _Compiled(model).mu0
+        st = fresh_state(model, sem)
+        for _ in range(self.PREFIX - 1):
+            st.y1, st.y2 = update_y(st, model, mu)
+            st.v = update_v(st, model, mu)
+            st.S, st.X, st.rank = update_sx(st, model, mu)
+            assert st.rank <= n / 10
 
 
 class TestExtractBound:
