@@ -8,10 +8,11 @@ mu X, the S-subproblem is the PSD projection S = proj(W), and the multiplier
 step X <- X + (A1*(y1) + A2*(y2) + B*(v) + S - C) / mu collapses to
 X = proj(-W)/mu.  Since W = proj(W) - proj(-W), only one eigen-side of W is
 built, as one product P = B B' of its r scaled eigenvectors, and the other
-side is W + P or P - W.  Every S/X step calls dsyevr on +-W for the
-eigenpairs in (0, inf] only, which is exact whatever their count; it takes
-the side that was smaller at the previous step (SolverState.rank carries W's
-positive-eigenvalue count), and the positive side on the first.
+side is W + P or P - W.  The side that was smaller at the previous step
+(SolverState.rank carries W's positive-eigenvalue count; the positive side
+on the first step) picks the eigensolver: while it is at most _DSYEVR_SIDE n,
+dsyevr on +-W returns the eigenpairs in (0, inf] only, which is exact
+whatever their count; past that, one full eigh is cheaper.
 
 The same identity gives the dual residual for free: after an S/X step,
 A*(y) + B*(v) + S - C = S - W - mu X = mu (X+ - X).  So the loop keeps no
@@ -86,6 +87,12 @@ _MU_RATIO = 10.0
 _MU_FACTOR = 2.0
 _MU_MIN = 1e-4
 _MU_MAX = 1e4
+
+# dsyevr on one side of W costs more with each eigenpair it returns; once the
+# previous step's smaller side is above this share of n, one full eigh of W is
+# cheaper (timed at one thread on n = 16-160: the crossover falls from about
+# 0.3 n at n = 24 to 0.13-0.19 n from n = 45 on)
+_DSYEVR_SIDE = 1 / 6
 
 
 @dataclass(frozen=True)
@@ -347,32 +354,46 @@ class _Compiled:
                 st.v[at] = g.qp_step(st.v[at], r, ax, mu)
 
     def sx_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> float:
-        """S = proj(W), X = proj(-W)/mu from one eigen-side of W.
+        """S = proj(W), X = proj(-W)/mu from the smaller eigen-side of W.
 
         W = C - A*y - B*v - mu X = P+ - P-, so with P = B B' built from the r
         eigenpairs of one side (B = V_r sqrt(lam_r)) the other side is exact
-        subtraction: S = P, X = (P - W)/mu, or X = P/mu, S = W + P.  dsyevr
-        returns every eigenpair of +-W in (0, inf], on the side that was the
-        smaller at the previous step (st.rank; the positive side when None).
-        Cost: one adjoint, dsyevr, one n^2 r product and one operator.  Sets
-        st.rank to W's positive-eigenvalue count, sets r to mu (ax+ - ax)
-        and ax to ax+, and returns the dual residual norm mu ||X+ - X||.
+        subtraction: S = P, X = (P - W)/mu, or X = P/mu, S = W + P.  While the
+        previous step's smaller side (st.rank; the positive side when None) is
+        at most _DSYEVR_SIDE n, dsyevr returns every eigenpair of +-W in
+        (0, inf] on that side, exact whatever their count; otherwise one full
+        eigh picks the smaller side.  Cost: one adjoint, dsyevr or eigh, one
+        n^2 r product and one operator.  Sets st.rank to W's positive-eigenvalue
+        count, sets r to mu (ax+ - ax) and ax to ax+, and returns the dual
+        residual norm mu ||X+ - X||.
         """
         # W is exactly symmetric when X is: C is, each row of A holds a whole
         # symmetric matrix, and proj below is a symmetric rank-r product
         w = self.C - self.adjoint(self.stack(st))
         w -= mu * st.X
         n = w.shape[0]
-        positive = st.rank is None or st.rank <= n - st.rank
-        # w is symmetric, so w.T is the same matrix in LAPACK's column order
-        lam, vec, count, _, info = dsyevr(
-            w.T if positive else -w.T, range="V", vl=0.0, vu=np.inf,
-            overwrite_a=not positive,
-        )
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
-        st.rank = count if positive else n - count
-        half = vec[:, :count] * np.sqrt(lam[:count])
+        if st.rank is None or min(st.rank, n - st.rank) <= _DSYEVR_SIDE * n:
+            positive = st.rank is None or st.rank <= n - st.rank
+            # w is symmetric, so w.T is the same matrix in LAPACK's column order
+            lam, vec, count, _, info = dsyevr(
+                w.T if positive else -w.T, range="V", vl=0.0, vu=np.inf,
+                overwrite_a=not positive,
+            )
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+            lam, vec = lam[:count], vec[:, :count]
+            st.rank = count if positive else n - count
+        else:
+            lam, vec = np.linalg.eigh(w)
+            npos = int(np.count_nonzero(lam > 0.0))
+            nneg = int(np.count_nonzero(lam < 0.0))
+            positive = npos <= nneg
+            if positive:
+                lam, vec = lam[n - npos:], vec[:, n - npos:]
+            else:
+                lam, vec = -lam[:nneg], vec[:, :nneg]
+            st.rank = npos
+        half = vec * np.sqrt(lam)
         proj = half @ half.T
         if positive:
             st.S, X = proj, np.subtract(proj, w, out=w)
@@ -518,7 +539,7 @@ def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
     """One DEBUG record; value is in the bound's units (offset included).
 
     rank is the last W's positive-eigenvalue count, so a solve whose smaller
-    eigen-side stays large (each dsyevr returning many eigenpairs) shows.
+    eigen-side stays above _DSYEVR_SIDE n (each step a full eigh) shows.
     """
     if _log.isEnabledFor(logging.DEBUG):
         rec = {"it": it, "pres": pres, "dres": dres, "gap": gap,

@@ -50,7 +50,7 @@ class TestBound:
         # oracle colouring of K(8,2) has a 7-star class: m = 7 - 3 = 4
         assert float(row["bound"]) == pytest.approx(7.0, abs=0.05)
         assert row["kernels"] == "diag|alphabeta|alphabeta"
-        # every step takes dsyevr, so no row counts the partial steps
+        # no column counts the partial eigensolve steps (DEBUG records carry rank)
         assert "partial_steps" not in row
         # the search that chose m: K(8,2) coloured with m = n rooms
         assert row["oracle_nodes"] == 270

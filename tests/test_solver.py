@@ -459,21 +459,25 @@ def rooms_model():
 LOOP_CASES = {
     "bounded-gnp12": lambda: build_bounded(gen_gnp(12, 0.5, 1), 3),
     # its first W has 6 of 9 positive eigenvalues, so dsyevr solves W's
-    # positive side at step 1 and its negative side from step 2
+    # positive side at step 1 and its negative side from step 2 to 15
     "theta-gnp9": lambda: (build_theta(gen_gnp(9, 0.7, 8), "lovasz"), None),
     "rooms-tt8": lambda: (rooms_model(), None),
 }
 
 
 def count_dsyevr(monkeypatch) -> list:
-    """Wrap the solver's dsyevr; the returned list gains one entry per call."""
+    """Wrap the solver's dsyevr; the returned list gains one entry per call.
+
+    The entry is the side of W the call solved: "+", or "-" when it was
+    given -W (the one call that may overwrite its copy).
+    """
     import bcsdp.solver as solver
 
     calls = []
     real = solver.dsyevr
 
     def wrapper(*args, **kwargs):
-        calls.append(kwargs.get("range"))
+        calls.append("-" if kwargs.get("overwrite_a") else "+")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "dsyevr", wrapper)
@@ -499,12 +503,13 @@ class TestLoopIsTheStep:
 
     @pytest.mark.parametrize("case", ["bounded-gnp12", "theta-gnp9"])
     def test_case_enters_the_partial_path(self, case, monkeypatch):
-        # every step of the k = 20 comparison above runs dsyevr, the loop's
-        # one eigensolver (on both of W's sides over the two cases)
+        # so the k = 20 comparison above covers the full eigh and dsyevr on
+        # each of W's sides: the steps without a dsyevr call take the eigh
         calls = count_dsyevr(monkeypatch)
         model, sem = LOOP_CASES[case]()
         res = solve(model, sem, SolverConfig(max_iter=20))
-        assert len(calls) == res.iterations == 20
+        assert 0 < len(calls) < res.iterations == 20
+        assert set(calls) == {"bounded-gnp12": {"+"}, "theta-gnp9": {"+", "-"}}[case]
 
 
 def dense_dual_residual(model, st) -> np.ndarray:
@@ -555,9 +560,10 @@ def sx_cases(draw):
     """W with a chosen spectrum and a seeded rank that picks the S/X branch.
 
     Unrotated W is diagonal, so zero eigenvalues are exactly zero; the
-    spectrum may be all-zero, PSD, NSD or repeat a value.  rank None runs the
-    full eigh; 0 or n forces dsyevr on the positive or the negative side
-    whatever W's true counts are.
+    spectrum may be all-zero, PSD, NSD or repeat a value.  rank None runs
+    dsyevr on the positive side; 0 or n forces dsyevr on the positive or the
+    negative side whatever W's true counts are; n // 2 runs the full eigh
+    from n = 2.
     """
     n = draw(st.integers(1, 8))
     values = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -0.3, 4.0, -4.0])
@@ -572,7 +578,7 @@ def sx_cases(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         w = (q * lam) @ q.T
-    rank = draw(st.sampled_from([None, 0, n]))
+    rank = draw(st.sampled_from([None, 0, n, n // 2]))
     return w, rank, draw(st.sampled_from([0.25, 1.0, 3.0]))
 
 
@@ -580,7 +586,7 @@ class TestSxProjection:
     @settings(max_examples=150, deadline=None)
     @given(sx_cases())
     @example((np.zeros((1, 1)), 0, 1.0))  # W = 0 at n = 1, dsyevr on W
-    @example((np.zeros((4, 4)), None, 1.0))  # W = 0, full eigh
+    @example((np.zeros((4, 4)), 2, 1.0))  # W = 0, full eigh
     @example((np.array([[-2.0]]), 1, 3.0))  # n = 1, dsyevr on -W
     @example((np.diag([3.0, 3.0, 3.0, -1.0, 0.0]), 0, 1.0))  # large side forced
     def test_update_sx_is_both_projections(self, case):
@@ -620,19 +626,21 @@ class TestSolveBehaviour:
         assert recs[-1]["value"] == res.value
         assert recs[-1]["pres"] == res.residuals[0]
 
-    def test_rank_reported_and_every_step_takes_dsyevr(self, caplog, monkeypatch):
+    def test_rank_and_partial_steps_reported(self, caplog, monkeypatch):
         calls = count_dsyevr(monkeypatch)
         model, sem = build_bounded(gen_gnp(30, 0.5, 1), 4)
         with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
             res = solve(model, sem, SolverConfig(max_iter=450))
         ranks = [r.solve["rank"] for r in caplog.records if hasattr(r, "solve")]
         assert all(isinstance(k, int) and 0 <= k <= model.dim for k in ranks)
-        # the last W's smaller side, the one dsyevr solves next, is small
+        # the last W's smaller side is within n/10, so dsyevr solves it next
         assert min(ranks[-1], model.dim - ranks[-1]) <= model.dim / 10
-        assert len(calls) == res.iterations == 450
+        # and some steps took the full eigh
+        assert 0 < len(calls) < res.iterations == 450
         # the first step has no count to go by and takes W's positive side
         calls.clear()
-        assert solve(model, sem, SolverConfig(max_iter=1)).iterations == len(calls) == 1
+        assert solve(model, sem, SolverConfig(max_iter=1)).iterations == 1
+        assert calls == ["+"]
 
     def test_infeasible_model_does_not_converge(self):
         from bcsdp.relax import SdpModel, SymRow
@@ -662,8 +670,8 @@ class TestSolveBehaviour:
 class TestStartPoint:
     """Every bounded solve starts at the singleton colouring n I - J.
 
-    Every S/X step takes the partial eigensolve (dsyevr), and that start
-    keeps the side it solves small from the first step: W's positive count
+    That start keeps W's positive side small from the first step, so the
+    early S/X steps take the partial eigensolve (dsyevr): W's positive count
     is 1 or 2 over steps 1-13 on each of these models.  A rank-<=k start
     t M - J (a greedy colouring's block indicator) keeps that side above
     n/10 for its first hundred steps.  With mu started at the residual
