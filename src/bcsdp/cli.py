@@ -43,6 +43,7 @@ from .ingest import (
 from .oracle import OracleResult, exact_bounded_chromatic, sandwich_check
 from .relax import (
     Atoms,
+    SdpModel,
     build_bounded,
     build_laminar,
     build_precoloured,
@@ -217,26 +218,27 @@ def _refuse_unmodelled(inst: TimetablingInstance, what: str, *fields: str) -> No
             raise CliError(f"{what} cannot model the instance's {name}")
 
 
-def build_model(inst: TimetablingInstance, relax: str, m: int | None, args):
+def build_model(inst: TimetablingInstance, relax: str, m: int | None,
+                args) -> SdpModel:
+    """The relaxation of inst, whose rooms scope_instance has set to m."""
     g = inst.graph
     if relax in ("lovasz", "strict", "strong"):
-        return build_theta(g, relax), None
+        return build_theta(g, relax)
     if m is None:
         raise CliError(f"relaxation {relax!r} needs --m or --m-offset")
-    scoped = scope_instance(inst, m)
     if relax == "bounded":
-        if scoped.precolouring:
-            _refuse_unmodelled(scoped, "relaxation 'bounded (pre-coloured)'", "weights")
-            return build_precoloured(g, m, scoped.precolouring)
-        if scoped.weights is not None:
-            return build_weighted(g, m, scoped.weights)
+        if inst.precolouring:
+            _refuse_unmodelled(inst, "relaxation 'bounded (pre-coloured)'", "weights")
+            return build_precoloured(g, m, inst.precolouring)
+        if inst.weights is not None:
+            return build_weighted(g, m, inst.weights)
         return build_bounded(g, m)
     if relax == "laminar":
-        _refuse_unmodelled(scoped, f"relaxation {relax!r}", "weights")
-        return build_laminar(scoped, features=args.features)
+        _refuse_unmodelled(inst, f"relaxation {relax!r}", "weights")
+        return build_laminar(inst, features=args.features)
     if relax == "rooms":
-        _refuse_unmodelled(scoped, f"relaxation {relax!r}", "weights", "precolouring")
-        return build_room_assignment(scoped, room_stability=args.room_stability)
+        _refuse_unmodelled(inst, f"relaxation {relax!r}", "weights", "precolouring")
+        return build_room_assignment(inst, room_stability=args.room_stability)
     raise CliError(f"unknown relaxation {relax!r}")
 
 
@@ -279,15 +281,16 @@ def cmd_bound(args) -> int:
         doc = select_component(doc, args.component)
     m, ores = resolve_m(doc, args)
     relax = args.relax or ("bounded" if m is not None else "lovasz")
-    model, sem = build_model(doc.instance, relax, m, args)
+    inst = doc.instance if m is None else scope_instance(doc.instance, m)
+    model = build_model(inst, relax, m, args)
     cfg = SolverConfig(eps=args.eps, max_iter=args.max_iter)
     t0 = time.perf_counter()
-    res = solve(model, sem, cfg)
+    res = solve(model, cfg)
     seconds = time.perf_counter() - t0
     if res.status == "diverged":
         print(f"error: solver diverged on {doc.name}", file=sys.stderr)
         return 2
-    bound, certified = extract_bound(res, sem)
+    bound, certified = extract_bound(res)
     row = {
         "instance": doc.name,
         "m": m if m is not None else "",
@@ -326,12 +329,12 @@ def cmd_colour(args) -> int:
         part = greedy_colouring(inst)
         certified = counting_bound(inst.graph.n, m)
     else:
-        model, sem = build_model(inst, "bounded", m, args)
-        res = solve(model, sem, SolverConfig(eps=args.eps, max_iter=args.max_iter))
+        model = build_model(inst, "bounded", m, args)
+        res = solve(model, SolverConfig(eps=args.eps, max_iter=args.max_iter))
         if res.status == "diverged":
             print(f"error: solver diverged on {doc.name}", file=sys.stderr)
             return 2
-        _, certified = extract_bound(res, sem)
+        _, certified = extract_bound(res)
         if args.method == "kms":
             # the model lives on atoms; KMS reads it in vertex order
             atom_of = Atoms(inst).atom_of
@@ -449,8 +452,7 @@ def _bench_row_kneser(spec: str, oracle_limit: float) -> dict:
             row[f"bound_{key}"] = ""
             row[f"chi_{key}"] = ""
             continue
-        model, sem = build_bounded(g, m)
-        res = solve(model, sem)
+        res = solve(build_bounded(g, m))
         row[f"bound_{key}"] = _fmt_float(res.value)
         ores = exact_bounded_chromatic(
             TimetablingInstance.colouring(g, m), time_limit=oracle_limit
@@ -522,14 +524,8 @@ def _bench_toronto(args) -> tuple[list[dict], list[str], int]:
                      "error": ""}
         try:
             t0 = time.perf_counter()
-            if m is None:
-                model, sem = build_theta(sub, "lovasz"), None
-                res = solve(model, sem, SolverConfig(eps=args.eps))
-                bound, certified = extract_bound(res, sem)
-            else:
-                model, sem = build_bounded(sub, m)
-                res = solve(model, sem, SolverConfig(eps=args.eps))
-                bound, certified = extract_bound(res, sem)
+            model = build_theta(sub, "lovasz") if m is None else build_bounded(sub, m)
+            bound, certified = extract_bound(solve(model, SolverConfig(eps=args.eps)))
             row["bound"] = _fmt_float(bound)
             row["certified"] = certified
             row["bound_seconds"] = f"{time.perf_counter() - t0:.3f}"
@@ -570,11 +566,9 @@ def _bench_itc(args) -> tuple[list[dict], list[str], int]:
             m = doc.instance.m
             row["courses"] = g.n
             row["rooms"] = m
-            theta_res = solve(build_theta(g, "lovasz"), None,
-                              SolverConfig(eps=args.eps))
+            theta_res = solve(build_theta(g, "lovasz"), SolverConfig(eps=args.eps))
             row["theta"] = _fmt_float(theta_res.value)
-            model, sem = build_bounded(g, m)
-            res = solve(model, sem, SolverConfig(eps=args.eps))
+            res = solve(build_bounded(g, m), SolverConfig(eps=args.eps))
             row["bounded"] = _fmt_float(res.value)
             inst = TimetablingInstance.colouring(g, m)
             y = res.X_final + np.ones_like(res.X_final)

@@ -75,9 +75,6 @@ class ConflictGraph:
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self._adjacency), default=0)
-
     def is_edge(self, u: int, v: int) -> bool:
         return u != v and _normalize_edge(u, v) in self.edges
 
@@ -320,15 +317,6 @@ class Partition:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def vertex_set(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for c in self.classes:
-            out |= c
-        return out
-
-    def class_index(self) -> dict[int, int]:
-        return {v: i for i, c in enumerate(self.classes) for v in c}
 
 
 @dataclass(frozen=True)

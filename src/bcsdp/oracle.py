@@ -253,10 +253,9 @@ def sandwich_check(g: ConflictGraph, m: int, time_limit: float = 60.0,
     omega = max_clique(g)
     cnt = counting_bound(g.n, m)
     greedy = len(greedy_atoms(Atoms(inst)))
-    theta_res = solve(build_theta(g, "lovasz"), None, SolverConfig())
-    model, sem = build_bounded(g, m)
-    bound_res = solve(model, sem)
-    bound, certified = extract_bound(bound_res, sem)
+    theta_res = solve(build_theta(g, "lovasz"), SolverConfig())
+    bound_res = solve(build_bounded(g, m))
+    bound, certified = extract_bound(bound_res)
     oracle = exact_bounded_chromatic(inst, time_limit=time_limit)
     failures = []
     slack = tol + 20 * max(theta_res.eps, bound_res.eps)

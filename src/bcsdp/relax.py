@@ -43,7 +43,6 @@ from .graphs import ClassCounts, ConflictGraph, Partition, TimetablingInstance
 __all__ = [
     "SymRow",
     "SdpModel",
-    "BoundSemantics",
     "build_theta",
     "build_bounded",
     "build_precoloured",
@@ -94,22 +93,17 @@ class SymRow:
         return out
 
 
-@dataclass(frozen=True)
-class BoundSemantics:
-    """How a model's objective maps back to the colouring bound t.
+@dataclass(frozen=True, eq=False)
+class SdpModel:
+    """One relaxation, and how its objective maps back to the bound.
 
-    Every bounded model reads t = X_00 + 1, so value_offset is 1.
+    The bound is the objective plus value_offset: every bounded model reads
+    t = X_00 + 1 over the shifted X = Y - J, so its offset is 1.
     trace_ratio, where set, is T with tr(X) = T <C, X> on every feasible X:
     the models of `_scaled_model` (objective X_00, diagonal chain) have
     T = n, which lets the solver certify t from its dual iterate.
     """
 
-    value_offset: float
-    trace_ratio: float | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class SdpModel:
     dim: int
     objective: np.ndarray
     eq_graph: tuple[SymRow, ...]
@@ -118,6 +112,8 @@ class SdpModel:
     sense: str  # "min" | "max"
     # named inequality blocks as (kind, start, stop), tiling ineq in order
     ineq_groups: tuple[tuple[str, int, int], ...] = ()
+    value_offset: float = 0.0
+    trace_ratio: float | None = None
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
@@ -151,7 +147,8 @@ class SdpModel:
 
 def _model(dim: int, objective: np.ndarray, sense: str,
            eq_graph: Sequence[SymRow], eq_other: Sequence[SymRow],
-           blocks: Sequence[tuple[str, Sequence[SymRow]]]) -> SdpModel:
+           blocks: Sequence[tuple[str, Sequence[SymRow]]],
+           value_offset: float = 0.0, trace_ratio: float | None = None) -> SdpModel:
     """The model with its inequality groups recorded.
 
     `blocks` are the named inequality groups in order.  An all-zero row reads
@@ -177,6 +174,8 @@ def _model(dim: int, objective: np.ndarray, sense: str,
         ineq=tuple(ineq),
         sense=sense,
         ineq_groups=tuple(spans),
+        value_offset=value_offset,
+        trace_ratio=trace_ratio,
     )
 
 
@@ -232,7 +231,7 @@ def _scaled_model(
     n: int,
     zero_pairs: Iterable[tuple[int, int]],
     blocks: Sequence[tuple[str, Sequence[SymRow]]],
-) -> tuple[SdpModel, BoundSemantics]:
+) -> SdpModel:
     """min t over X = Y - J of order n, with bound t = X_00 + 1.
 
     Adds Y_uv = 0 on zero_pairs and the diagonal chain X_00 = X_vv anchored
@@ -242,10 +241,9 @@ def _scaled_model(
         raise ValueError("need at least one vertex")
     objective = np.zeros((n, n))
     objective[0, 0] = 1.0
-    model = _model(n, objective, "min", _entry_rows(sorted(zero_pairs), -1.0),
-                   _diagonal_chain(n), blocks)
     # the chain gives tr(X) = n X_00 = n <C, X>
-    return model, BoundSemantics(value_offset=1.0, trace_ratio=float(n))
+    return _model(n, objective, "min", _entry_rows(sorted(zero_pairs), -1.0),
+                  _diagonal_chain(n), blocks, value_offset=1.0, trace_ratio=float(n))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +276,7 @@ def build_theta(g: ConflictGraph, variant: str = "lovasz") -> SdpModel:
                   [("pairs", pair_rows)])
 
 
-def build_bounded(g: ConflictGraph, m: int) -> tuple[SdpModel, BoundSemantics]:
+def build_bounded(g: ConflictGraph, m: int) -> SdpModel:
     """min t with Y_vv = t, zero edges, row sums <= tm, Y - J PSD."""
     if not 1 <= m <= max(g.n, 1):
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={g.n}")
@@ -287,7 +285,7 @@ def build_bounded(g: ConflictGraph, m: int) -> tuple[SdpModel, BoundSemantics]:
 
 def build_precoloured(
     g: ConflictGraph, m: int, pre: Sequence[Iterable[int]]
-) -> tuple[SdpModel, BoundSemantics]:
+) -> SdpModel:
     """Bounded colouring with pre-assigned classes: the weighted model on atoms.
 
     Each pre-class is contracted to one atom weighted by its member count
@@ -302,7 +300,7 @@ def build_precoloured(
 
 def build_weighted(
     g: ConflictGraph, m: int, c: Sequence[int]
-) -> tuple[SdpModel, BoundSemantics]:
+) -> SdpModel:
     """c-weighted bounded colouring: weighted row sums (= column sums) <= tm."""
     if len(c) != g.n:
         raise ValueError("weight vector length must equal vertex count")
@@ -396,7 +394,7 @@ def check_laminar(sets: Sequence[frozenset[int]]) -> bool:
 
 def build_laminar(
     inst: TimetablingInstance, features: bool = False
-) -> tuple[SdpModel, BoundSemantics]:
+) -> SdpModel:
     """Timetabling relaxation with capacity threshold constraints, on atoms.
 
     The model lives on the contracted pre-classes of `build_precoloured`,
@@ -460,7 +458,7 @@ def build_laminar(
 
 def build_room_assignment(
     inst: TimetablingInstance, room_stability: bool = False
-) -> tuple[SdpModel, BoundSemantics]:
+) -> SdpModel:
     """Bounded colouring augmented with an explicit event-room block.
 
     The matrix variable has order n + m; the top-left block carries the
@@ -530,11 +528,11 @@ def build_room_assignment(
     pairs = _entry_rows(
         ((v, n + r) for v in range(n) for r in sorted(compat_sets[v])), 0.0
     )
-    model = _model(
+    return _model(
         dim, objective, "min", eq_graph, eq_other,
         [("rowsum", _row_sums(n, m)), ("generic", generic), ("pairs", pairs)],
+        value_offset=1.0,
     )
-    return model, BoundSemantics(value_offset=1.0)
 
 
 # ---------------------------------------------------------------------------

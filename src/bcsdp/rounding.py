@@ -338,9 +338,7 @@ def iterative_round(
         if not ok:
             notes.append("trace budget exhausted; remaining frame dropped")
             break
-        res = solver_mod.solve(
-            sub, None, solver_mod.SolverConfig(max_iter=1200, eps=1e-5)
-        )
+        res = solver_mod.solve(sub, solver_mod.SolverConfig(max_iter=1200, eps=1e-5))
         if res.status == "diverged":
             diag_out = RoundingDiagnostics(
                 tuple(violations), _violation_bound(rows, n), rounds,

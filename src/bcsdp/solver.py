@@ -1,38 +1,41 @@
 """First-order augmented-Lagrangian (ADMM) solver for SdpModel.
 
-The scheme is that of Wen, Goldfarb & Yin (2010).  One iteration is three
-phases, methods of _Compiled: the y phase minimizes y1 then y2 in closed form,
-the v phase solves the exact nonnegative QP of each inequality group, and the
-S/X phase closes the iteration.  Writing W = C - A1*(y1) - A2*(y2) - B*(v) -
-mu X, the S-subproblem is the PSD projection S = proj(W), and the multiplier
-step X <- X + (A1*(y1) + A2*(y2) + B*(v) + S - C) / mu collapses to
-X = proj(-W)/mu.  Since W = proj(W) - proj(-W), only one eigen-side of W is
-built, as one product P = B B' of its r scaled eigenvectors, and the other
-side is W + P or P - W.  The side that was smaller at the previous step
-(SolverState.rank carries W's positive-eigenvalue count; the positive side
-on the first step) picks the eigensolver: while it is at most _DSYEVR_SIDE n,
-dsyevr on +-W returns the eigenpairs in (0, inf] only, which is exact
-whatever their count; past that, one full eigh is cheaper.
+The scheme is that of Wen, Goldfarb & Yin (2010).  The multipliers are one
+vector y in row order, equality rows first, so A*(y) spans every row and
+the inequality multipliers are y's tail.  One iteration is two phases,
+methods of _Compiled: the multiplier phase passes over the blocks in row
+order, minimizing each equality block's multipliers in closed form and
+solving the exact nonnegative QP of each inequality group, and the S/X phase
+closes the iteration.  Writing W = C - A*(y) - mu X, the S-subproblem is the
+PSD projection S = proj(W), and the multiplier step
+X <- X + (A*(y) + S - C) / mu collapses to X = proj(-W)/mu.  Since
+W = proj(W) - proj(-W), only one eigen-side of W is built, as one product
+P = B B' of its r scaled eigenvectors, and the other side is W + P or P - W.
+The side that was smaller at the previous step (SolverState.rank carries W's
+positive-eigenvalue count; the positive side on the first step) picks the
+eigensolver: while it is at most _DSYEVR_SIDE n, dsyevr on +-W returns the
+eigenpairs in (0, inf] only, which is exact whatever their count; past that,
+one full eigh is cheaper.
 
 The same identity gives the dual residual for free: after an S/X step,
-A*(y) + B*(v) + S - C = S - W - mu X = mu (X+ - X).  So the loop keeps no
-n x n residual.  It keeps r = op(A*(y) + B*(v) + S - C), the residual seen
-through every constraint row, which the S/X step sets to mu (ax+ - ax) with
-ax = op(X) - rhs, and which each block update of the y and v phases corrects
-through its Gram coupling to the later blocks.  The dual residual norm is
-mu ||X+ - X||.  solve() runs the phases in a loop; update_y, update_v and
-update_sx run one phase from a given state, whose r is formed afresh, so the
-tests check the code the loop runs.  Progress goes to logging (DEBUG records
-of the "bcsdp.solver" logger with an extra "solve" dict, rank included),
-never to stdout.
+A*(y) + S - C = S - W - mu X = mu (X+ - X).  So the loop keeps no n x n
+residual.  It keeps r = op(A*(y) + S - C), the residual seen through every
+constraint row, which the S/X step sets to mu (ax+ - ax) with
+ax = op(X) - rhs, and which each block update of the multiplier phase
+corrects through its Gram coupling to the later blocks.  The dual residual
+norm is mu ||X+ - X||.  solve() runs the phases in a loop;
+update_multipliers and update_sx run one phase from a given state, whose r
+is formed afresh, so the tests check the code the loop runs.  Progress goes
+to logging (DEBUG records of the "bcsdp.solver" logger with an extra "solve"
+dict, rank included), never to stdout.
 
 The penalty mu starts at (1 + ||C||) / (1 + ||b||), the ratio of the norms
 that scale the dual and primal residuals, and adapts every 25 iterations.
-At exit, on a model whose BoundSemantics carries a trace identity
-tr(X) = T <C, X> (every relax._scaled_model), _Compiled.dual_bound turns the
-dual iterate into a lower bound on the optimum, SolveResult.lower, which
-holds whether or not the solve converged; extract_bound certifies its
-ceiling.
+At exit, on a model that carries a trace identity tr(X) = T <C, X>
+(SdpModel.trace_ratio, set on every relax._scaled_model),
+_Compiled.dual_bound turns the dual iterate into a lower bound on the
+optimum, SolveResult.lower, which holds whether or not the solve converged;
+extract_bound certifies its ceiling.
 
 The constraint rows (eq_graph, eq_other, then each inequality group) are
 compiled once, by the one relax.verify_structure call in _Compiled, into one
@@ -64,15 +67,14 @@ from scipy.linalg.lapack import dsyevr
 
 from . import relax
 from .linalg import project_psd_dense
-from .relax import BoundSemantics, SdpModel
+from .relax import SdpModel
 
 __all__ = [
     "SolverConfig",
     "SolverState",
     "SolveResult",
     "solve",
-    "update_y",
-    "update_v",
+    "update_multipliers",
     "update_sx",
     "extract_bound",
     "initial_matrix",
@@ -110,9 +112,7 @@ class SolverConfig:
 @dataclass
 class SolverState:
     X: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    v: np.ndarray
+    y: np.ndarray  # one multiplier per constraint row, in row order
     S: np.ndarray
     # W's positive-eigenvalue count at the last S/X step (None before the
     # first); zeros count too when only W's negative side was solved
@@ -127,7 +127,6 @@ class SolveResult:
     iterations: int
     status: str  # converged | max_iter | diverged
     eps: float
-    objective: float  # raw objective <C, X> in the model's sense
     kernels: tuple[str, ...] = ()  # kernel kind per block: graph, other, groups
     # the dual lower bound in the bound's units, rounding margin included;
     # None where the model has no trace identity (theta and room models)
@@ -272,7 +271,7 @@ class _Compiled:
 
     Memory is O(nnz): A, its Gram couplings, and the dense Gram and
     eigen-factor of blocks that take the "dense" kernel; "diag" and
-    "alphabeta" keep O(k) numbers.  The three phase methods are the whole
+    "alphabeta" keep O(k) numbers.  The two phase methods are the whole
     iteration: each advances a SolverState and the stacked vectors r (the
     dual residual seen through the rows) and ax (op(X) - rhs) in place.
     """
@@ -286,8 +285,7 @@ class _Compiled:
         self.At = self.A.T  # a CSC view of the same arrays
         self.blocks = tuple(_Block(a, b, gram[a:b, a:b], gram[b:, a:b])
                             for a, b in zip(ends, ends[1:]))
-        self.graph, self.other, *self.groups = self.blocks
-        self.neq = ends[2]  # equality rows come first; v is r's tail
+        self.neq = ends[2]  # equality rows come first
         self.b_norm = math.sqrt(float(np.sum(self.rhs**2)))
         self.c_norm = float(np.linalg.norm(self.C))
         self.mu0 = min(max((1.0 + self.c_norm) / (1.0 + self.b_norm), _MU_MIN), _MU_MAX)
@@ -297,26 +295,22 @@ class _Compiled:
         """Kernel kind per block: graph, other, then each inequality group."""
         return tuple(b.kind for b in self.blocks)
 
-    @staticmethod
-    def stack(st: SolverState) -> np.ndarray:
-        """y1, y2 and v as one multiplier vector, in row order."""
-        return np.concatenate((st.y1, st.y2, st.v))
-
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         n = self.C.shape[0]
         return (self.At @ y).reshape(n, n)
 
     def residual(self, st: SolverState) -> tuple[np.ndarray, np.ndarray]:
-        """(r, ax) formed afresh: r = op(A*(y) + B*(v) + S - C), ax = op(X) - rhs."""
-        resid = st.S - self.C + self.adjoint(self.stack(st))
+        """(r, ax) formed afresh: r = op(A*(y) + S - C), ax = op(X) - rhs."""
+        resid = st.S - self.C + self.adjoint(st.y)
         return self.A @ resid.ravel(), self.A @ st.X.ravel() - self.rhs
 
     def dual_bound(self, st: SolverState, trace: float, offset: float) -> float:
-        """offset plus a lower bound on <C, X> over feasible X, from y and v >= 0.
+        """offset plus a lower bound on <C, X> over feasible X, from y.
 
-        Z = C - A*(y) - B*(v) gives <C, X> >= b'y + d'v + lam_min(Z) tr(X),
-        and on a model where every feasible X has tr(X) = trace * <C, X>,
-        <C, X> >= (b'y + d'v) / (1 - trace * min(0, lam_min(Z))).  The margin
+        With y's inequality tail >= 0, Z = C - A*(y) gives
+        <C, X> >= b'y + lam_min(Z) tr(X), and on a model where every feasible
+        X has tr(X) = trace * <C, X>,
+        <C, X> >= b'y / (1 - trace * min(0, lam_min(Z))).  The margin
         stands in for directed rounding (Jansson, Chaykin & Keil 2007): with
         K the rows plus the order, a bound on the terms any computed sum
         holds, it takes every sum, dot product and eigenvalue to be off by
@@ -324,7 +318,7 @@ class _Compiled:
         the eigenvalue), u the unit roundoff.
         """
         n = self.C.shape[0]
-        y = self.stack(st)
+        y = st.y
         Z = self.C - self.adjoint(y)  # exactly symmetric, as W is
         abs_at = scipy.sparse.csc_matrix((np.abs(self.At.data), self.At.indices,
                                           self.At.indptr), shape=self.At.shape)
@@ -339,24 +333,22 @@ class _Compiled:
         bound = dobj / (1.0 - trace * min(0.0, lam))
         return offset + bound - tol * (abs(offset) + abs(bound))
 
-    def y_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> None:
-        """Closed-form y1 via the edge-indicator Gram, then y2 via the chain."""
-        if self.graph.k:
-            st.y1 = self.graph.eq_step(st.y1, r, ax, mu)
-        if self.other.k:
-            st.y2 = self.other.eq_step(st.y2, r, ax, mu)
+    def multiplier_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray,
+                         mu: float) -> None:
+        """Each block's multipliers in row order, as one Gauss-Seidel pass.
 
-    def v_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> None:
-        """Exact nonnegative QP for each inequality group, in sequence."""
-        for g in self.groups:
-            if g.k:
-                at = slice(g.rows.start - self.neq, g.rows.stop - self.neq)
-                st.v[at] = g.qp_step(st.v[at], r, ax, mu)
+        Equality blocks (edge indicators, then the other equalities) take the
+        closed-form minimizer, inequality groups the exact nonnegative QP.
+        """
+        for b in self.blocks:
+            if b.k:
+                step = b.eq_step if b.rows.stop <= self.neq else b.qp_step
+                st.y[b.rows] = step(st.y[b.rows], r, ax, mu)
 
     def sx_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> float:
         """S = proj(W), X = proj(-W)/mu from the smaller eigen-side of W.
 
-        W = C - A*y - B*v - mu X = P+ - P-, so with P = B B' built from the r
+        W = C - A*y - mu X = P+ - P-, so with P = B B' built from the r
         eigenpairs of one side (B = V_r sqrt(lam_r)) the other side is exact
         subtraction: S = P, X = (P - W)/mu, or X = P/mu, S = W + P.  While the
         previous step's smaller side (st.rank; the positive side when None) is
@@ -369,7 +361,7 @@ class _Compiled:
         """
         # W is exactly symmetric when X is: C is, each row of A holds a whole
         # symmetric matrix, and proj below is a symmetric rank-r product
-        w = self.C - self.adjoint(self.stack(st))
+        w = self.C - self.adjoint(st.y)
         w -= mu * st.X
         n = w.shape[0]
         if st.rank is None or min(st.rank, n - st.rank) <= _DSYEVR_SIDE * n:
@@ -416,27 +408,20 @@ class _Compiled:
 def _run_phase(state: SolverState, model: SdpModel, mu: float, phase) -> SolverState:
     """Run one _Compiled phase on a copy of state, r and ax formed afresh."""
     comp = _Compiled(model)
-    st = SolverState(*(np.array(a, dtype=float) for a in
-                       (state.X, state.y1, state.y2, state.v, state.S)),
+    st = SolverState(*(np.array(a, dtype=float) for a in (state.X, state.y, state.S)),
                      rank=state.rank)
     phase(comp, st, *comp.residual(st), mu)
     return st
 
 
-def update_y(state: SolverState, model: SdpModel, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """y1 via the edge-indicator Gram, then y2 via the chain inverse."""
-    st = _run_phase(state, model, mu, _Compiled.y_phase)
-    return st.y1, st.y2
-
-
-def update_v(state: SolverState, model: SdpModel, mu: float) -> np.ndarray:
-    """Exact nonnegative QP for each inequality group, in sequence."""
-    return _run_phase(state, model, mu, _Compiled.v_phase).v
+def update_multipliers(state: SolverState, model: SdpModel, mu: float) -> np.ndarray:
+    """y after one pass over the blocks in row order (see multiplier_phase)."""
+    return _run_phase(state, model, mu, _Compiled.multiplier_phase).y
 
 
 def update_sx(state: SolverState, model: SdpModel,
               mu: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """(S, X, rank): the PSD projections of W and -W/mu, W = C - A*y - B*v - mu X.
+    """(S, X, rank): the PSD projections of W and -W/mu, W = C - A*y - mu X.
 
     state.rank picks the eigen-side as in solve(); the returned rank is the
     one the next step reads.  X is symmetrized first, as the loop's X is.
@@ -451,51 +436,50 @@ def update_sx(state: SolverState, model: SdpModel,
 # ---------------------------------------------------------------------------
 
 
-def initial_matrix(model: SdpModel, sem: Optional[BoundSemantics]) -> np.ndarray:
+def initial_matrix(model: SdpModel) -> np.ndarray:
     """The start point: X0 = n I - J for bounded models, a scaled identity else.
 
-    n I - J is t M - J for the singleton colouring (t = n classes, M = I), so
-    it satisfies the edge, chain and row-sum constraints outright.  The first
-    W is then close to -mu X0, which is negative off the all-ones direction,
-    so the first S/X step's dsyevr on W's positive side finds few eigenpairs.
+    A bounded model (value_offset 1) is stated over the shifted X = Y - J,
+    and n I - J is t M - J for the singleton colouring (t = n classes,
+    M = I), so it satisfies the edge, chain and row-sum constraints outright.
+    The first W is then close to -mu X0, which is negative off the all-ones
+    direction, so the first S/X step's dsyevr on W's positive side finds few
+    eigenpairs.
     """
     n = model.dim
-    if sem is None:
-        if model.eq_other and abs(model.eq_other[0].rhs - 1.0) < 1e-12:
-            return np.eye(n) / n  # trace-one theta models
-        return np.eye(n)
-    return n * np.eye(n) - np.ones((n, n))
+    if model.value_offset:
+        return n * np.eye(n) - np.ones((n, n))
+    if model.eq_other and abs(model.eq_other[0].rhs - 1.0) < 1e-12:
+        return np.eye(n) / n  # trace-one theta models
+    return np.eye(n)
 
 
-def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
-          cfg: Optional[SolverConfig] = None) -> SolveResult:
-    """Run the y, v and S/X phases until residual tolerance or max_iter."""
+def solve(model: SdpModel, cfg: Optional[SolverConfig] = None) -> SolveResult:
+    """Run the multiplier and S/X phases until residual tolerance or max_iter."""
     cfg = cfg or SolverConfig()
     comp = _Compiled(model)
     mu = comp.mu0
-    offset = sem.value_offset if sem is not None else 0.0
+    offset = model.value_offset
     st = SolverState(
-        X=initial_matrix(model, sem),
-        y1=np.zeros(comp.graph.k),
-        y2=np.zeros(comp.other.k),
-        v=np.zeros(comp.rhs.size - comp.neq),
+        X=initial_matrix(model),
+        y=np.zeros(comp.rhs.size),
         S=project_psd_dense(comp.C.copy()),
     )
     # r = op(S0 - C) and ax = op(X0) - rhs; from then on the S/X phase sets
-    # both, so one evaluation serves the residual check and the next y, v steps
+    # both, so one evaluation serves the residual check and the next
+    # multiplier phase
     r, ax = comp.residual(st)
     best_seen = math.inf
     status = "max_iter"
     pres = dres = gap = math.inf
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        comp.y_phase(st, r, ax, mu)
-        comp.v_phase(st, r, ax, mu)
+        comp.multiplier_phase(st, r, ax, mu)
         dres = comp.sx_phase(st, r, ax, mu) / (1.0 + comp.c_norm)
         eq, ineq = ax[:comp.neq], np.minimum(ax[comp.neq:], 0.0)
         pres = math.sqrt(float(eq @ eq) + float(ineq @ ineq)) / (1.0 + comp.b_norm)
         pobj = float((comp.C * st.X).sum())
-        dobj = float(np.dot(comp.rhs, comp.stack(st)))
+        dobj = float(np.dot(comp.rhs, st.y))
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         worst = max(pres, dres, gap)
         if worst <= cfg.eps:
@@ -509,17 +493,16 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
             _log_progress(it, pres, dres, gap, comp.sign * pobj + offset, mu,
                           st.rank)
         if it % 25 == 0:
-            # ADMM on the dual: the split constraint is A*(y)+B*(v)+S = C, so a
+            # ADMM on the dual: the split constraint is A*(y)+S = C, so a
             # dominant dual residual calls for a heavier penalty (smaller mu).
             if dres > _MU_RATIO * pres:
                 mu = max(mu / _MU_FACTOR, _MU_MIN)
             elif pres > _MU_RATIO * dres:
                 mu = min(mu * _MU_FACTOR, _MU_MAX)
-    pobj_user = comp.sign * float(np.sum(comp.C * st.X))
-    value = pobj_user + offset
+    value = comp.sign * float(np.sum(comp.C * st.X)) + offset
     lower = None
-    if sem is not None and sem.trace_ratio is not None and status != "diverged":
-        lower = comp.dual_bound(st, sem.trace_ratio, offset)
+    if model.trace_ratio is not None and status != "diverged":
+        lower = comp.dual_bound(st, model.trace_ratio, offset)
     _log_progress(it, pres, dres, gap, value, mu, st.rank, status)
     return SolveResult(
         value=value,
@@ -528,7 +511,6 @@ def solve(model: SdpModel, sem: Optional[BoundSemantics] = None,
         iterations=it,
         status=status,
         eps=cfg.eps,
-        objective=pobj_user,
         kernels=comp.kernels,
         lower=lower,
     )
@@ -551,7 +533,7 @@ def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
         )
 
 
-def extract_bound(result: SolveResult, sem: Optional[BoundSemantics]) -> tuple[float, int]:
+def extract_bound(result: SolveResult) -> tuple[float, int]:
     """(value, certified): the primal value and an integer lower bound.
 
     Where the solve carries a dual bound (result.lower, set on models with a

@@ -35,7 +35,7 @@ from bcsdp.rounding import (
     iterative_round,
     kms_round,
 )
-from bcsdp.solver import SolverConfig, extract_bound, solve, update_v, update_y
+from bcsdp.solver import SolverConfig, extract_bound, solve, update_multipliers
 
 from conftest import four_vertex_graphs, named_small_graphs
 from _reference import (
@@ -43,7 +43,7 @@ from _reference import (
     dense_y_reference,
     enumerate_chi_m,
 )
-from test_solver import randomized_state
+from test_solver import parts, randomized_state
 
 
 def data_root() -> Path:
@@ -59,9 +59,7 @@ def report(criterion: str, passed: bool, detail: str, skipped: bool = False) -> 
 
 
 def solve_bounded(g, m, eps=1e-5):
-    model, sem = build_bounded(g, m)
-    res = solve(model, sem, SolverConfig(eps=eps))
-    return res, sem
+    return solve(build_bounded(g, m), SolverConfig(eps=eps))
 
 
 TORONTO_TABLE = {
@@ -93,11 +91,11 @@ class TestCriterion1TorontoTable:
         for m, want in TORONTO_TABLE.items():
             t0 = time.perf_counter()
             if m is None:
-                res = solve(build_theta(sub, "lovasz"), None, SolverConfig())
-                bound, certified = extract_bound(res, None)
+                res = solve(build_theta(sub, "lovasz"), SolverConfig())
+                bound, certified = extract_bound(res)
             else:
-                res, sem = solve_bounded(sub, m)
-                bound, certified = extract_bound(res, sem)
+                res = solve_bounded(sub, m)
+                bound, certified = extract_bound(res)
             elapsed = time.perf_counter() - t0
             if certified != want:
                 failures.append(f"m={m}: certified {certified} != {want}")
@@ -133,7 +131,7 @@ class TestCriterion2KneserFiTable:
             g = gen_kneser(n, k)
             for offset, (want_val, want_chi) in cols.items():
                 m = big_c + offset
-                res, sem = solve_bounded(g, m)
+                res = solve_bounded(g, m)
                 if abs(res.value - want_val) > 0.05:
                     failures.append(
                         f"K({n},{k}) m={m}: {res.value:.4f} vs {want_val:.4f}"
@@ -147,7 +145,7 @@ class TestCriterion2KneserFiTable:
                             f"K({n},{k}) m={m}: oracle {ores.chi_m} vs {want_chi}"
                         )
         fi = gen_forbidden_intersection(6, 2 / 3)
-        res, sem = solve_bounded(fi, 10)
+        res = solve_bounded(fi, 10)
         if abs(res.value - 6.40) > 0.05:
             failures.append(f"FI(6,2/3) m=10: {res.value:.4f} vs 6.40")
         # The published optimum columns for the 2/3-distance row read
@@ -175,7 +173,7 @@ class TestCriterion3AnalyticValues:
         failures = []
         for n in range(2, 21):
             for m in {1, max(1, n // 2), n}:
-                res, _ = solve_bounded(complete_graph(n), m)
+                res = solve_bounded(complete_graph(n), m)
                 if abs(res.value - n) > 1e-3:
                     failures.append(f"K{n} m={m}: {res.value:.5f}")
         report("criterion-3a complete-graphs", not failures,
@@ -185,7 +183,7 @@ class TestCriterion3AnalyticValues:
     def test_empty_graphs(self):
         failures = []
         for n, m in ((10, 2), (12, 3), (8, 4), (6, 6), (9, 3)):
-            res, _ = solve_bounded(empty_graph(n), m)
+            res = solve_bounded(empty_graph(n), m)
             if abs(res.value - n / m) > 1e-3:
                 failures.append(f"empty n={n} m={m}: {res.value:.5f}")
         report("criterion-3b empty-graphs", not failures,
@@ -193,8 +191,7 @@ class TestCriterion3AnalyticValues:
         assert not failures, failures
 
     def test_c5_lovasz(self):
-        res = solve(build_theta(cycle_graph(5), "lovasz"), None,
-                    SolverConfig(eps=1e-6))
+        res = solve(build_theta(cycle_graph(5), "lovasz"), SolverConfig(eps=1e-6))
         ok = abs(res.value - 2.2361) <= 1e-3
         report("criterion-3c c5-theta", ok, f"value {res.value:.5f}")
         assert ok
@@ -208,8 +205,8 @@ class TestCriterion4Sandwich:
             for m in (2, 3, 4):
                 inst = TimetablingInstance.colouring(g, m)
                 greedy = greedy_colouring(inst)
-                res, sem = solve_bounded(g, m)
-                bound, certified = extract_bound(res, sem)
+                res = solve_bounded(g, m)
+                bound, certified = extract_bound(res)
                 cnt = counting_bound(12, m)
                 chi = exact_bounded_chromatic(inst, time_limit=60.0).chi_m
                 # integer chain; the real-valued link is covered by the
@@ -242,8 +239,8 @@ class TestCriterion5Rounding:
             big_c = max(len(c) for c in unbounded.witness.classes)
             m = max(1, big_c - 3)
             inst = TimetablingInstance.colouring(g, m)
-            res, sem = solve_bounded(g, m)
-            model, _ = build_bounded(g, m)
+            res = solve_bounded(g, m)
+            model = build_bounded(g, m)
             chi = exact_bounded_chromatic(inst, time_limit=120.0).chi_m
             y = res.X_final + np.ones_like(res.X_final)
             part = kms_round(y, inst, RoundingConfig(attempts=50, seed=seed))
@@ -276,23 +273,23 @@ class TestCriterion6StructuredKernels:
         models = []
         for g in four_vertex_graphs():
             for m in range(1, 5):
-                models.append(build_bounded(g, m)[0])
+                models.append(build_bounded(g, m))
         for seed in range(50):
             g = gen_gnp(8, 0.5, 1000 + seed)
-            models.append(build_bounded(g, 2 + seed % 3)[0])
+            models.append(build_bounded(g, 2 + seed % 3))
         worst_y = 0.0
         worst_v = 0.0
         for i, model in enumerate(models):
-            st = randomized_state(model, None, i)
+            st = randomized_state(model, i)
             mu = 0.5 + (i % 5) * 0.4
-            y1, y2 = update_y(st, model, mu)
-            ry1, ry2 = dense_y_reference(model, st.X, st.y1, st.y2, st.v, st.S, mu)
+            y1, y2, v = parts(model, update_multipliers(st, model, mu))
+            ry1, ry2 = dense_y_reference(model, st.X, *parts(model, st.y), st.S, mu)
             if len(y1):
                 worst_y = max(worst_y, float(np.max(np.abs(y1 - ry1))))
             if len(y2):
                 worst_y = max(worst_y, float(np.max(np.abs(y2 - ry2))))
-            v = update_v(st, model, mu)
-            rv = dense_v_reference(model, st.X, st.y1, st.y2, st.v, st.S, mu)
+            # the v step of the pass reads the y1, y2 of its own pass
+            rv = dense_v_reference(model, st.X, y1, y2, parts(model, st.y)[2], st.S, mu)
             if len(v):
                 worst_v = max(worst_v, float(np.max(np.abs(v - rv))))
         ok = worst_y <= 1e-10 and worst_v <= 1e-10
@@ -348,8 +345,8 @@ class TestCriterion8ItcComp01:
         notes = []
         if g.n != 30 or doc.instance.m != 6:
             notes.append(f"extracted {g.n} courses/{doc.instance.m} rooms")
-        theta = solve(build_theta(g, "lovasz"), None, SolverConfig())
-        res, sem = solve_bounded(g, doc.instance.m)
+        theta = solve(build_theta(g, "lovasz"), SolverConfig())
+        res = solve_bounded(g, doc.instance.m)
         inst = TimetablingInstance.colouring(g, doc.instance.m)
         y = res.X_final + np.ones_like(res.X_final)
         part = kms_round(y, inst, RoundingConfig(attempts=50, seed=0))
@@ -378,13 +375,13 @@ class TestCriterion9RuntimeScaling:
         times = []
         for n in sizes:
             g = gen_gnp(n, 0.5, 1)
-            model, sem = build_bounded(g, 5)
+            model = build_bounded(g, 5)
             cfg = SolverConfig(eps=1e-12, max_iter=150)
             t0 = time.perf_counter()
-            solve(model, sem, cfg)
+            solve(model, cfg)
             best = time.perf_counter() - t0
             t0 = time.perf_counter()
-            solve(model, sem, cfg)
+            solve(model, cfg)
             best = min(best, time.perf_counter() - t0)
             times.append(best)
         logs_n = np.log(np.array(sizes, dtype=float))

@@ -7,8 +7,14 @@ from pathlib import Path
 import pytest
 
 from bcsdp.cli import main, read_partition, select_component
-from bcsdp.graphs import ConflictGraph, TimetablingInstance, validate_partition
+from bcsdp.graphs import (
+    ConflictGraph,
+    TimetablingInstance,
+    gen_gnp,
+    validate_partition,
+)
 from bcsdp.ingest import InstanceDocument, parse_native, write_native
+from bcsdp.oracle import exact_bounded_chromatic
 
 
 def run_cli(args, capsys):
@@ -54,6 +60,22 @@ class TestBound:
         assert "partial_steps" not in row
         # the search that chose m: K(8,2) coloured with m = n rooms
         assert row["oracle_nodes"] == 270
+
+    @pytest.mark.parametrize("seed, m", [(1, 5), (2, 5), (3, 4)])
+    def test_m_offset_reads_the_oracle_witness(self, capsys, seed, m):
+        # m is the largest class of the witness the oracle returns, not a
+        # canonical quantity: each of these witnesses is optimal (9 classes),
+        # yet seeds 1 and 2 hold a 7-class and seed 3 only 6-classes.  A
+        # search-order change that returns another optimal witness moves m.
+        code, out, _ = run_cli(
+            ["bound", "--gen", f"gnp:45,0.5,{seed}", "--m-offset", "-2",
+             "--output-format", "json"], capsys
+        )
+        assert code == 0
+        g = gen_gnp(45, 0.5, seed)
+        res = exact_bounded_chromatic(TimetablingInstance.colouring(g, g.n))
+        largest = max(len(c) for c in res.witness.classes)
+        assert json.loads(out)[0]["m"] == largest - 2 == m
 
     def test_verbose_keeps_stdout_machine_readable(self, capsys):
         argv = ["bound", "--gen", "gnp:30,0.5,1", "--m", "4", "--output-format", "json"]

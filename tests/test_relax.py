@@ -37,13 +37,13 @@ class TestSymRow:
 
 class TestScaledTransform:
     def test_p3_counts(self, p3):
-        model, sem = build_bounded(p3, 2)
+        model = build_bounded(p3, 2)
         assert model.dim == 3
         assert len(model.eq_graph) == 2
         assert all(row.rhs == -1.0 for row in model.eq_graph)
         assert len(model.eq_other) == 2
         assert len(model.ineq) == 3
-        assert sem.value_offset == 1.0
+        assert model.value_offset == 1.0 and model.trace_ratio == 3.0
 
     @staticmethod
     def _closed_form_grams(model, m):
@@ -62,7 +62,7 @@ class TestScaledTransform:
         return [(rhs[a:b], gram[a:b, a:b]) for a, b in zip(ends, ends[1:])]
 
     def test_compiled_grams_have_closed_forms(self):
-        model, _ = build_bounded(gen_gnp(8, 0.5, 3), 3)
+        model = build_bounded(gen_gnp(8, 0.5, 3), 3)
         compiled = self._diagonal_blocks(model)
         want = self._closed_form_grams(model, 3)
         assert len(compiled) == len(want)
@@ -70,7 +70,7 @@ class TestScaledTransform:
             assert np.allclose(gram, closed, atol=1e-14)
 
     def test_gram_identities_hold_densely(self):
-        model, _ = build_bounded(gen_gnp(7, 0.4, 1), 2)
+        model = build_bounded(gen_gnp(7, 0.4, 1), 2)
         a1, b1, a2, b2, groups = dense_blocks(model)
         assert [kind for kind, _, _ in groups] == ["rowsum"]
         dense = [(a1, b1), (a2, b2), *((mats, rhs) for _, mats, rhs in groups)]
@@ -95,7 +95,7 @@ class TestIneqGroups:
 
     def test_tiling_groups_accepted(self):
         model = self._model((("rowsum", 0, 2), ("pairs", 2, 3)))
-        assert [g.k for g in _Compiled(model).groups] == [2, 1]
+        assert [g.k for g in _Compiled(model).blocks[2:]] == [2, 1]
 
     def test_ungrouped_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -150,9 +150,9 @@ class TestBuilders:
         inst = TimetablingInstance(
             graph=empty_graph(1), m=1, event_sizes=(1,), room_capacities=(1,)
         )
-        model, sem = build_room_assignment(inst)
+        model = build_room_assignment(inst)
         assert model.dim == 2
-        assert sem.value_offset == 1.0
+        assert model.value_offset == 1.0 and model.trace_ratio is None
 
     def test_room_assignment_infeasible_event(self):
         inst = TimetablingInstance(
@@ -194,8 +194,8 @@ class TestLaminar:
         inst = TimetablingInstance(
             graph=g, m=3, event_sizes=(2,) * 6, room_capacities=(4, 4, 4)
         )
-        lam, _ = build_laminar(inst)
-        bnd, _ = build_bounded(g, 3)
+        lam = build_laminar(inst)
+        bnd = build_bounded(g, 3)
 
         def canon(model):
             return sorted(
@@ -224,10 +224,9 @@ class TestLaminar:
             build_laminar(inst, features=features)
 
 
-def _model_digest(built) -> str:
+def _model_digest(model) -> str:
     """sha256 over everything a builder emits: order, sense, objective bytes,
     every row of every block as (idx_i, idx_j, coeff, rhs), and ineq_groups."""
-    model = built[0] if isinstance(built, tuple) else built
     h = hashlib.sha256()
     h.update(repr((model.dim, model.sense, model.ineq_groups)).encode())
     h.update(model.objective.tobytes())

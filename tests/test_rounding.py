@@ -30,9 +30,8 @@ from conftest import mixed_instance
 
 
 def solved_bounded(g, m):
-    model, sem = build_bounded(g, m)
-    res = solve(model, sem)
-    return model, sem, res
+    model = build_bounded(g, m)
+    return model, solve(model)
 
 
 class TestRoundingConfig:
@@ -87,7 +86,7 @@ class TestKms:
     def test_empty_graph_two_classes(self):
         g = empty_graph(4)
         inst = TimetablingInstance.colouring(g, 2)
-        model, sem, res = solved_bounded(g, 2)
+        model, res = solved_bounded(g, 2)
         y = res.X_final + np.ones_like(res.X_final)
         part = kms_round(y, inst, RoundingConfig(attempts=10, seed=1))
         assert part.num_classes == 2
@@ -95,7 +94,7 @@ class TestKms:
 
     def test_petersen_best_of_fifty(self, petersen):
         inst = TimetablingInstance.colouring(petersen, 3)
-        model, sem, res = solved_bounded(petersen, 3)
+        model, res = solved_bounded(petersen, 3)
         y = res.X_final + np.ones_like(res.X_final)
         part = kms_round(y, inst, RoundingConfig(attempts=50, seed=7))
         assert part.num_classes == 4
@@ -104,14 +103,14 @@ class TestKms:
     def test_complete_graph_singletons(self):
         g = complete_graph(5)
         inst = TimetablingInstance.colouring(g, 3)
-        model, sem, res = solved_bounded(g, 3)
+        model, res = solved_bounded(g, 3)
         y = res.X_final + np.ones_like(res.X_final)
         part = kms_round(y, inst, RoundingConfig(attempts=5, seed=0))
         assert part.num_classes == 5
 
     def test_determinism(self, petersen):
         inst = TimetablingInstance.colouring(petersen, 3)
-        model, sem, res = solved_bounded(petersen, 3)
+        model, res = solved_bounded(petersen, 3)
         y = res.X_final + np.ones_like(res.X_final)
         p1 = kms_round(y, inst, RoundingConfig(attempts=20, seed=3))
         p2 = kms_round(y, inst, RoundingConfig(attempts=20, seed=3))
@@ -121,8 +120,8 @@ class TestKms:
         for seed in range(5):
             g = gen_gnp(12, 0.5, seed + 60)
             inst = TimetablingInstance.colouring(g, 3)
-            model, sem, res = solved_bounded(g, 3)
-            _, certified = extract_bound(res, sem)
+            model, res = solved_bounded(g, 3)
+            _, certified = extract_bound(res)
             y = res.X_final + np.ones_like(res.X_final)
             part = kms_round(y, inst, RoundingConfig(attempts=20, seed=seed))
             assert validate_partition(inst, part).ok
@@ -133,8 +132,8 @@ class TestKms:
             graph=empty_graph(4), m=2,
             precolouring=(frozenset({0, 3}),),
         )
-        model, sem = build_bounded(inst.graph, 2)
-        res = solve(model, sem, SolverConfig())
+        model = build_bounded(inst.graph, 2)
+        res = solve(model, SolverConfig())
         y = res.X_final + np.ones_like(res.X_final)
         part = kms_round(y, inst, RoundingConfig(attempts=10, seed=2))
         rep = validate_partition(inst, part)
@@ -144,7 +143,7 @@ class TestKms:
 class TestIterative:
     def test_exact_indicator_passthrough(self):
         inst = TimetablingInstance.colouring(empty_graph(4), 2)
-        model, sem = build_bounded(empty_graph(4), 2)
+        model = build_bounded(empty_graph(4), 2)
         ind = np.zeros((4, 4))
         for cls in ((0, 1), (2, 3)):
             for u in cls:
@@ -157,8 +156,8 @@ class TestIterative:
 
     def test_empty_graph_two_classes(self):
         inst = TimetablingInstance.colouring(empty_graph(4), 2)
-        model, sem = build_bounded(empty_graph(4), 2)
-        res = solve(model, sem, SolverConfig())
+        model = build_bounded(empty_graph(4), 2)
+        res = solve(model, SolverConfig())
         part, diag = iterative_round(model, res.X_final, inst, RoundingConfig())
         assert part.num_classes == 2
         assert validate_partition(inst, part).ok
@@ -167,7 +166,7 @@ class TestIterative:
         for seed in range(4):
             g = gen_gnp(10, 0.5, seed + 70)
             inst = TimetablingInstance.colouring(g, 3)
-            model, sem, res = solved_bounded(g, 3)
+            model, res = solved_bounded(g, 3)
             part, diag = iterative_round(
                 model, res.X_final, inst, RoundingConfig(seed=seed)
             )
@@ -179,7 +178,7 @@ class TestIterative:
         # at seeds 1, 2 and 4 the final frame clusters into 16 singletons
         g = gen_gnp(16, 0.5, seed)
         inst = TimetablingInstance.colouring(g, 3)
-        model, sem, res = solved_bounded(g, 3)
+        model, res = solved_bounded(g, 3)
         cfg = RoundingConfig()
         part, _ = iterative_round(model, res.X_final, inst, cfg)
         assert validate_partition(inst, part).ok
@@ -188,7 +187,7 @@ class TestIterative:
     def test_violations_within_bound(self):
         g = gen_gnp(8, 0.5, 80)
         inst = TimetablingInstance.colouring(g, 3)
-        model, sem, res = solved_bounded(g, 3)
+        model, res = solved_bounded(g, 3)
         part, diag = iterative_round(model, res.X_final, inst, RoundingConfig())
         # reported violations stay within the singular-value budget
         assert max(diag.constraint_violations, default=0.0) <= diag.violation_bound + 1e-6

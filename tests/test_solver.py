@@ -36,9 +36,8 @@ from bcsdp.solver import (
     extract_bound,
     initial_matrix,
     solve,
+    update_multipliers,
     update_sx,
-    update_v,
-    update_y,
     _Block,
     _Compiled,
     _alphabeta_qp,
@@ -56,29 +55,31 @@ from _reference import (
 )
 
 
-def fresh_state(model, sem):
-    x0 = initial_matrix(model, sem)
+def fresh_state(model):
     s0 = project_psd_dense(
         (model.objective if model.sense == "min" else -model.objective).copy()
     )
-    v_len = len(model.ineq)
-    return SolverState(
-        X=x0,
-        y1=np.zeros(len(model.eq_graph)),
-        y2=np.zeros(len(model.eq_other)),
-        v=np.zeros(v_len),
-        S=s0,
-    )
+    rows = len(model.eq_graph) + len(model.eq_other) + len(model.ineq)
+    return SolverState(X=initial_matrix(model), y=np.zeros(rows), S=s0)
 
 
-def randomized_state(model, sem, seed):
+def parts(model, y):
+    """y split as (y1, y2, v): the eq_graph, eq_other and ineq multipliers."""
+    a = len(model.eq_graph)
+    b = a + len(model.eq_other)
+    return y[:a], y[a:b], y[b:]
+
+
+def randomized_state(model, seed):
     rng = np.random.default_rng(seed)
-    st = fresh_state(model, sem)
+    st = fresh_state(model)
     a = rng.standard_normal((model.dim, model.dim))
     st.X = project_psd_dense(0.5 * (a + a.T))
-    st.y1 = rng.standard_normal(len(model.eq_graph))
-    st.y2 = rng.standard_normal(len(model.eq_other))
-    st.v = np.abs(rng.standard_normal(len(model.ineq)))
+    st.y = np.concatenate((
+        rng.standard_normal(len(model.eq_graph)),
+        rng.standard_normal(len(model.eq_other)),
+        np.abs(rng.standard_normal(len(model.ineq))),
+    ))
     b = rng.standard_normal((model.dim, model.dim))
     st.S = project_psd_dense(0.5 * (b + b.T))
     return st
@@ -86,57 +87,57 @@ def randomized_state(model, sem, seed):
 
 class TestAnalyticValues:
     def test_complete_k5_m1(self):
-        model, sem = build_bounded(complete_graph(5), 1)
-        res = solve(model, sem, SolverConfig())
+        model = build_bounded(complete_graph(5), 1)
+        res = solve(model, SolverConfig())
         assert res.status == "converged"
         assert res.value == pytest.approx(5.0, abs=1e-3)
 
     def test_empty_graph_block_value(self):
-        model, sem = build_bounded(empty_graph(10), 2)
-        res = solve(model, sem, SolverConfig())
+        model = build_bounded(empty_graph(10), 2)
+        res = solve(model, SolverConfig())
         assert res.value == pytest.approx(5.0, abs=1e-3)
 
     def test_c5_theta(self, c5):
-        res = solve(build_theta(c5, "lovasz"), None, SolverConfig())
+        res = solve(build_theta(c5, "lovasz"), SolverConfig())
         assert res.value == pytest.approx(math.sqrt(5.0), abs=1e-3)
 
     def test_empty_graph_theta_all_variants(self):
         for variant in ("lovasz", "strict", "strong"):
-            res = solve(build_theta(empty_graph(4), variant), None, SolverConfig())
+            res = solve(build_theta(empty_graph(4), variant), SolverConfig())
             assert res.value == pytest.approx(1.0, abs=1e-3), variant
 
     def test_theta_k2_colouring_side(self):
-        res = solve(build_theta(complete_graph(2), "lovasz"), None, SolverConfig())
+        res = solve(build_theta(complete_graph(2), "lovasz"), SolverConfig())
         assert res.value == pytest.approx(2.0, abs=1e-3)
 
 
 class TestUpdateFormulas:
     def test_zero_residual_keeps_y(self, p3):
-        model, sem = build_bounded(p3, 2)
-        st = fresh_state(model, sem)  # dual-feasible start: S = C, y = v = 0
-        y1, y2 = update_y(st, model, 1.0)
+        model = build_bounded(p3, 2)
+        st = fresh_state(model)  # dual-feasible start: S = C, y = 0
+        y1, y2, _ = parts(model, update_multipliers(st, model, 1.0))
         assert np.allclose(y1, 0.0, atol=1e-14)
         assert np.allclose(y2, 0.0, atol=1e-14)
 
     def test_y_matches_dense_reference(self):
         for seed in range(4):
             g = gen_gnp(6, 0.5, seed)
-            model, sem = build_bounded(g, 2)
-            st = randomized_state(model, sem, seed)
-            y1, y2 = update_y(st, model, 0.7)
-            ry1, ry2 = dense_y_reference(
-                model, st.X, st.y1, st.y2, st.v, st.S, 0.7
-            )
+            model = build_bounded(g, 2)
+            st = randomized_state(model, seed)
+            y1, y2, _ = parts(model, update_multipliers(st, model, 0.7))
+            ry1, ry2 = dense_y_reference(model, st.X, *parts(model, st.y), st.S, 0.7)
             assert np.max(np.abs(y1 - ry1)) <= 1e-10
             assert np.max(np.abs(y2 - ry2)) <= 1e-10
 
     def test_v_matches_reference_and_kkt(self):
         for seed in range(4):
             g = gen_gnp(6, 0.5, seed + 10)
-            model, sem = build_bounded(g, 3)
-            st = randomized_state(model, sem, seed)
-            v = update_v(st, model, 1.3)
-            rv = dense_v_reference(model, st.X, st.y1, st.y2, st.v, st.S, 1.3)
+            model = build_bounded(g, 3)
+            st = randomized_state(model, seed)
+            # the v step of the pass reads the y1, y2 of its own pass
+            y1, y2, v = parts(model, update_multipliers(st, model, 1.3))
+            rv = dense_v_reference(model, st.X, y1, y2, parts(model, st.y)[2],
+                                   st.S, 1.3)
             assert np.max(np.abs(v - rv)) <= 1e-10
 
     def test_v_clamp_identity_when_interior(self):
@@ -155,26 +156,24 @@ class TestUpdateFormulas:
         )
         st = SolverState(
             X=np.array([[-2.0]]),  # violated constraint drives v positive
-            y1=np.zeros(0),
-            y2=np.zeros(0),
-            v=np.zeros(1),
+            y=np.zeros(1),
             S=np.zeros((1, 1)),
         )
-        v = update_v(st, model, 1.0)
+        v = update_multipliers(st, model, 1.0)
         a1, b1, a2, b2, groups = dense_blocks(model)
         g_lin = np.array([-2.0 - 0.0]) + (np.array([-1.0])) / 1.0
         # gradient at the returned point vanishes (interior optimum)
         assert v[0] == pytest.approx(-1.0 * g_lin[0], abs=1e-12)
 
     def test_v_all_negative_clamps_to_zero(self, p3):
-        model, sem = build_bounded(p3, 2)
-        st = fresh_state(model, sem)  # feasible start: minimizer at 0
-        v = update_v(st, model, 1.0)
+        model = build_bounded(p3, 2)
+        st = fresh_state(model)  # feasible start: minimizer at 0
+        v = parts(model, update_multipliers(st, model, 1.0))[2]
         assert np.allclose(v, 0.0)
 
     def test_s_projection_cases(self, p3):
-        model, sem = build_bounded(p3, 2)
-        st = fresh_state(model, sem)
+        model = build_bounded(p3, 2)
+        st = fresh_state(model)
         st.X = np.zeros((3, 3))
         # argument C - 0 already PSD -> S equals it
         s, _, _ = update_sx(st, model, 1.0)
@@ -186,23 +185,24 @@ class TestUpdateFormulas:
 
     def test_x_affine_update(self, p3):
         # the fused projection is the multiplier step taken with the new S
-        model, sem = build_bounded(p3, 2)
-        st = randomized_state(model, sem, 3)
+        model = build_bounded(p3, 2)
+        st = randomized_state(model, 3)
         s_new, x_new, _ = update_sx(st, model, 2.0)
         a1, b1, a2, b2, groups = dense_blocks(model)
         mats = [m for (_, ms, _) in groups for m in ms]
+        y1, y2, v = parts(model, st.y)
         resid = (
-            adjoint(a1, st.y1)
-            + adjoint(a2, st.y2)
-            + (adjoint(mats, st.v) if mats else 0.0)
+            adjoint(a1, y1)
+            + adjoint(a2, y2)
+            + (adjoint(mats, v) if mats else 0.0)
             + s_new
             - model.objective
         )
         assert np.allclose(x_new, st.X + resid / 2.0, atol=1e-12)
 
     def test_mu_limit_keeps_x(self, p3):
-        model, sem = build_bounded(p3, 2)
-        st = randomized_state(model, sem, 4)
+        model = build_bounded(p3, 2)
+        st = randomized_state(model, 4)
         _, x_new, _ = update_sx(st, model, 1e12)
         assert np.max(np.abs(x_new - st.X)) <= 1e-9
 
@@ -250,7 +250,7 @@ class TestSparseBlocks:
         assert np.max(np.abs(gram - gram_of(mats))) <= 1e-12
 
     def test_compile_memory_grows_with_nnz(self):
-        model, _ = build_bounded(gen_gnp(160, 0.5, 1), 5)
+        model = build_bounded(gen_gnp(160, 0.5, 1), 5)
         tracemalloc.start()
         try:
             _Compiled(model)
@@ -261,10 +261,10 @@ class TestSparseBlocks:
         assert peak <= 8e6
 
     def test_solve_memory(self):
-        model, sem = build_bounded(gen_gnp(160, 0.5, 1), 5)
+        model = build_bounded(gen_gnp(160, 0.5, 1), 5)
         tracemalloc.start()
         try:
-            solve(model, sem)
+            solve(model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -276,13 +276,13 @@ class TestSparseBlocks:
 
 class TestKernelReport:
     def test_bounded_gnp_kernels(self):
-        model, sem = build_bounded(gen_gnp(12, 0.5, 1), 3)
-        res = solve(model, sem, SolverConfig(max_iter=5))
+        model = build_bounded(gen_gnp(12, 0.5, 1), 3)
+        res = solve(model, SolverConfig(max_iter=5))
         assert res.kernels == ("diag", "alphabeta", "alphabeta")
 
     def test_room_model_reports_dense_blocks(self):
-        model = rooms_model()
-        res = solve(model, None, SolverConfig(max_iter=5))
+        model = rooms_build()
+        res = solve(model, SolverConfig(max_iter=5))
         assert [kind for kind, _, _ in model.ineq_groups] == [
             "rowsum", "generic", "pairs"
         ]
@@ -386,9 +386,9 @@ class TestOneCompile:
         monkeypatch.setattr(relax, "constraint_matrix",
                             counting("csr", relax.constraint_matrix))
         monkeypatch.setattr(relax, "gram_matrix", counting("gram", relax.gram_matrix))
-        model, sem = build_bounded(gen_gnp(12, 0.5, 1), 3)
+        model = build_bounded(gen_gnp(12, 0.5, 1), 3)
         assert calls == {"verify": 0, "csr": 0, "gram": 0}
-        res = solve(model, sem, SolverConfig(max_iter=5))
+        res = solve(model, SolverConfig(max_iter=5))
         assert len(res.kernels) == 3
         # one CSR and one Gram over the rows of all three blocks
         assert calls == {"verify": 1, "csr": 1, "gram": 1}
@@ -398,14 +398,12 @@ class TestP3Fixture:
     """One documented iteration on the path P3 (m = 2, scaled transform)."""
 
     def test_single_iteration_values(self, p3):
-        model, sem = build_bounded(p3, 2)
-        st = fresh_state(model, sem)
+        model = build_bounded(p3, 2)
+        st = fresh_state(model)
         assert np.allclose(st.X, 3 * np.eye(3) - np.ones((3, 3)))
-        y1, y2 = update_y(st, model, 1.0)
-        assert np.allclose(y1, 0.0) and np.allclose(y2, 0.0)
-        st = SolverState(st.X, y1, y2, st.v, st.S)
-        v = update_v(st, model, 1.0)
-        assert np.allclose(v, 0.0)
+        y = update_multipliers(st, model, 1.0)
+        assert np.allclose(y, 0.0)
+        st = SolverState(st.X, y, st.S)
         s1, x1, _ = update_sx(st, model, 1.0)
         want_s = np.array(
             [
@@ -429,17 +427,15 @@ class TestP3Fixture:
 class TestStateInvariants:
     def test_v_nonnegative_and_s_psd_along_iterations(self):
         g = gen_gnp(7, 0.5, 11)
-        model, sem = build_bounded(g, 2)
-        st = fresh_state(model, sem)
+        model = build_bounded(g, 2)
+        st = fresh_state(model)
         for _ in range(12):
-            y1, y2 = update_y(st, model, 1.0)
-            st = SolverState(st.X, y1, y2, st.v, st.S)
-            v = update_v(st, model, 1.0)
-            assert np.all(v >= 0.0)
-            st = SolverState(st.X, st.y1, st.y2, v, st.S)
+            y = update_multipliers(st, model, 1.0)
+            assert np.all(parts(model, y)[2] >= 0.0)
+            st = SolverState(st.X, y, st.S)
             s, x, rank = update_sx(st, model, 1.0)
             assert np.linalg.eigvalsh(s).min() >= -1e-10
-            st = SolverState(x, st.y1, st.y2, st.v, s, rank)
+            st = SolverState(x, st.y, s, rank)
 
 
 def rooms_build():
@@ -452,16 +448,12 @@ def rooms_build():
     return build_room_assignment(inst)
 
 
-def rooms_model():
-    return rooms_build()[0]
-
-
 LOOP_CASES = {
     "bounded-gnp12": lambda: build_bounded(gen_gnp(12, 0.5, 1), 3),
     # its first W has 6 of 9 positive eigenvalues, so dsyevr solves W's
     # positive side at step 1 and its negative side from step 2 to 15
-    "theta-gnp9": lambda: (build_theta(gen_gnp(9, 0.7, 8), "lovasz"), None),
-    "rooms-tt8": lambda: (rooms_model(), None),
+    "theta-gnp9": lambda: build_theta(gen_gnp(9, 0.7, 8), "lovasz"),
+    "rooms-tt8": rooms_build,
 }
 
 
@@ -485,19 +477,18 @@ def count_dsyevr(monkeypatch) -> list:
 
 
 class TestLoopIsTheStep:
-    """solve() runs exactly the phases that update_y/update_v/update_sx expose."""
+    """solve() runs exactly the phases that update_multipliers/update_sx expose."""
 
     @pytest.mark.parametrize("k", [1, 3, 20])
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     def test_solve_matches_chained_updates(self, case, k):
-        model, sem = LOOP_CASES[case]()
-        res = solve(model, sem, SolverConfig(max_iter=k))
+        model = LOOP_CASES[case]()
+        res = solve(model, SolverConfig(max_iter=k))
         assert res.iterations == k
         mu = _Compiled(model).mu0  # k < 25, so mu stays at the compiled start
-        st = fresh_state(model, sem)
+        st = fresh_state(model)
         for _ in range(k):
-            st.y1, st.y2 = update_y(st, model, mu)
-            st.v = update_v(st, model, mu)
+            st.y = update_multipliers(st, model, mu)
             st.S, st.X, st.rank = update_sx(st, model, mu)
         assert np.max(np.abs(res.X_final - st.X)) <= 1e-10
 
@@ -506,19 +497,19 @@ class TestLoopIsTheStep:
         # so the k = 20 comparison above covers the full eigh and dsyevr on
         # each of W's sides: the steps without a dsyevr call take the eigh
         calls = count_dsyevr(monkeypatch)
-        model, sem = LOOP_CASES[case]()
-        res = solve(model, sem, SolverConfig(max_iter=20))
+        model = LOOP_CASES[case]()
+        res = solve(model, SolverConfig(max_iter=20))
         assert 0 < len(calls) < res.iterations == 20
         assert set(calls) == {"bounded-gnp12": {"+"}, "theta-gnp9": {"+", "-"}}[case]
 
 
 def dense_dual_residual(model, st) -> np.ndarray:
-    """A1*(y1) + A2*(y2) + B*(v) + S - C, assembled densely from the rows."""
+    """A*(y) + S - C, assembled densely from the rows of each block."""
     a1, _, a2, _, groups = dense_blocks(model)
     mats = [m for (_, ms, _) in groups for m in ms]
     sign = 1.0 if model.sense == "min" else -1.0
     out = st.S - sign * model.objective
-    for blk, y in ((a1, st.y1), (a2, st.y2), (mats, st.v)):
+    for blk, y in zip((a1, a2, mats), parts(model, st.y)):
         if blk:
             out = out + adjoint(blk, y)
     return out
@@ -532,9 +523,9 @@ IDENTITY_CASES = {
 
 
 class TestResidualIdentity:
-    """After an S/X step, A*(y) + B*(v) + S - C = mu (X+ - X).
+    """After an S/X step, A*(y) + S - C = mu (X+ - X).
 
-    W = C - A*(y) - B*(v) - mu X, S+ = proj(W) and X+ = proj(-W)/mu, so
+    W = C - A*(y) - mu X, S+ = proj(W) and X+ = proj(-W)/mu, so
     S+ - mu X+ = W.  The loop reads the dual residual off this identity
     instead of keeping it; here it is recomputed from scratch.
     """
@@ -542,12 +533,11 @@ class TestResidualIdentity:
     @pytest.mark.parametrize("k", [1, 3, 20])
     @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
     def test_dual_residual_is_mu_times_the_x_step(self, case, k):
-        model, sem = IDENTITY_CASES[case]()
+        model = IDENTITY_CASES[case]()
         mu = _Compiled(model).mu0
-        st = fresh_state(model, sem)
+        st = fresh_state(model)
         for _ in range(k):
-            st.y1, st.y2 = update_y(st, model, mu)
-            st.v = update_v(st, model, mu)
+            st.y = update_multipliers(st, model, mu)
             x_old = st.X
             st.S, st.X, st.rank = update_sx(st, model, mu)
         resid = dense_dual_residual(model, st)
@@ -597,8 +587,8 @@ class TestSxProjection:
         model = SdpModel(dim=n, objective=w, eq_graph=(), eq_other=(), ineq=(),
                          sense="min")
         # no constraints and X = 0, so W = C - mu X is the objective itself
-        state = SolverState(X=np.zeros((n, n)), y1=np.zeros(0), y2=np.zeros(0),
-                            v=np.zeros(0), S=np.zeros((n, n)), rank=rank)
+        state = SolverState(X=np.zeros((n, n)), y=np.zeros(0), S=np.zeros((n, n)),
+                            rank=rank)
         s, x, new_rank = update_sx(state, model, mu)
         assert np.max(np.abs(s - project_psd_dense(w))) <= 1e-10
         assert np.max(np.abs(x - project_psd_dense(-w) / mu)) <= 1e-10
@@ -608,17 +598,17 @@ class TestSxProjection:
 class TestSolveBehaviour:
     def test_determinism(self):
         g = gen_gnp(8, 0.5, 2)
-        model, sem = build_bounded(g, 3)
-        r1 = solve(model, sem, SolverConfig(max_iter=500))
-        r2 = solve(model, sem, SolverConfig(max_iter=500))
+        model = build_bounded(g, 3)
+        r1 = solve(model, SolverConfig(max_iter=500))
+        r2 = solve(model, SolverConfig(max_iter=500))
         assert r1.value == r2.value
         assert np.array_equal(r1.X_final, r2.X_final)
         assert r1.iterations == r2.iterations
 
     def test_progress_records(self, caplog):
-        model, sem = build_bounded(gen_gnp(30, 0.5, 1), 4)
+        model = build_bounded(gen_gnp(30, 0.5, 1), 4)
         with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
-            res = solve(model, sem, SolverConfig(max_iter=450))
+            res = solve(model, SolverConfig(max_iter=450))
         recs = [r.solve for r in caplog.records if hasattr(r, "solve")]
         assert [r["it"] for r in recs] == [200, 400, 450]
         assert set(recs[-1]) == {"it", "pres", "dres", "gap", "value", "mu", "rank"}
@@ -628,9 +618,9 @@ class TestSolveBehaviour:
 
     def test_rank_and_partial_steps_reported(self, caplog, monkeypatch):
         calls = count_dsyevr(monkeypatch)
-        model, sem = build_bounded(gen_gnp(30, 0.5, 1), 4)
+        model = build_bounded(gen_gnp(30, 0.5, 1), 4)
         with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
-            res = solve(model, sem, SolverConfig(max_iter=450))
+            res = solve(model, SolverConfig(max_iter=450))
         ranks = [r.solve["rank"] for r in caplog.records if hasattr(r, "solve")]
         assert all(isinstance(k, int) and 0 <= k <= model.dim for k in ranks)
         # the last W's smaller side is within n/10, so dsyevr solves it next
@@ -639,7 +629,7 @@ class TestSolveBehaviour:
         assert 0 < len(calls) < res.iterations == 450
         # the first step has no count to go by and takes W's positive side
         calls.clear()
-        assert solve(model, sem, SolverConfig(max_iter=1)).iterations == 1
+        assert solve(model, SolverConfig(max_iter=1)).iterations == 1
         assert calls == ["+"]
 
     def test_infeasible_model_does_not_converge(self):
@@ -657,7 +647,7 @@ class TestSolveBehaviour:
             ineq=(),
             sense="min",
         )
-        res = solve(model, None, SolverConfig(max_iter=300))
+        res = solve(model, SolverConfig(max_iter=300))
         assert res.status != "converged"
 
     def test_solver_config_validation(self):
@@ -689,28 +679,50 @@ class TestStartPoint:
         (gen_gnp(45, 0.5, 1), 5),
     ], ids=["kneser-8-2", "fi-6-2/3", "gnp-45"])
     def test_partial_eigensolve_from_step_two(self, graph, m, monkeypatch):
-        model, sem = build_bounded(graph, m)
+        model = build_bounded(graph, m)
         n = model.dim
-        assert np.array_equal(initial_matrix(model, sem), n * np.eye(n) - np.ones((n, n)))
-        assert solve(model, sem).status == "converged"
+        assert np.array_equal(initial_matrix(model), n * np.eye(n) - np.ones((n, n)))
+        assert solve(model).status == "converged"
         calls = count_dsyevr(monkeypatch)
-        early = solve(model, sem, SolverConfig(max_iter=self.PREFIX))
+        early = solve(model, SolverConfig(max_iter=self.PREFIX))
         assert len(calls) == early.iterations == self.PREFIX
         # the side each of those steps solved: W's positive side throughout
         mu = _Compiled(model).mu0
-        st = fresh_state(model, sem)
+        st = fresh_state(model)
         for _ in range(self.PREFIX - 1):
-            st.y1, st.y2 = update_y(st, model, mu)
-            st.v = update_v(st, model, mu)
+            st.y = update_multipliers(st, model, mu)
             st.S, st.X, st.rank = update_sx(st, model, mu)
             assert st.rank <= n / 10
+
+    @pytest.mark.parametrize("case", [
+        "theta-lovasz", "theta-strict", "theta-strong", "rooms-tt8",
+        "bounded-gnp12", "weighted-gnp10", "precoloured-atoms", "laminar-atoms",
+    ])
+    def test_every_builder_start(self, case):
+        # theta models start at I/n (trace one); room models at (n + m) I - J
+        # over the whole order; scaled models at k I - J over their k atoms
+        kind, _, variant = case.partition("-")
+        inst = ATOM_CASES["gnp12s3-sizes-feature"]  # 12 events in 9 atoms
+        model = {
+            "theta": lambda: build_theta(gen_gnp(9, 0.5, 1), variant),
+            "rooms": rooms_build,
+            "bounded": LOOP_CASES["bounded-gnp12"],
+            "weighted": IDENTITY_CASES["weighted-gnp10"],
+            "precoloured": lambda: build_precoloured(inst.graph, inst.m, inst.precolouring),
+            "laminar": lambda: build_laminar(inst),
+        }[kind]()
+        n = model.dim
+        assert n == {"theta": 9, "rooms": 8 + 2, "bounded": 12, "weighted": 10,
+                     "precoloured": 9, "laminar": 9}[kind]
+        want = np.eye(n) / n if kind == "theta" else n * np.eye(n) - np.ones((n, n))
+        assert np.array_equal(initial_matrix(model), want)
 
 
 class TestExtractBound:
     def test_k5_certified(self):
-        model, sem = build_bounded(complete_graph(5), 1)
-        res = solve(model, sem, SolverConfig())
-        bound, certified = extract_bound(res, sem)
+        model = build_bounded(complete_graph(5), 1)
+        res = solve(model, SolverConfig())
+        bound, certified = extract_bound(res)
         assert certified == 5
 
     def test_diverged_raises(self):
@@ -721,10 +733,9 @@ class TestExtractBound:
             iterations=10,
             status="diverged",
             eps=1e-5,
-            objective=3.0,
         )
         with pytest.raises(ValueError):
-            extract_bound(fake, None)
+            extract_bound(fake)
 
     def test_safeguard_rounds_down_near_integer(self):
         fake = SolveResult(
@@ -734,9 +745,8 @@ class TestExtractBound:
             iterations=1,
             status="converged",
             eps=1e-5,
-            objective=4.00001,
         )
-        bound, certified = extract_bound(fake, None)
+        bound, certified = extract_bound(fake)
         assert certified == 4
 
     def test_dual_bound_overrides_the_primal_rule(self):
@@ -747,10 +757,9 @@ class TestExtractBound:
             iterations=1,
             status="max_iter",
             eps=1e-5,
-            objective=3.00001,
             lower=2.5,
         )
-        assert extract_bound(fake, None) == (4.00001, 3)
+        assert extract_bound(fake) == (4.00001, 3)
 
 
 class TestDualCertificate:
@@ -762,45 +771,45 @@ class TestDualCertificate:
         g = gen_gnp(12, 0.5, 3)
         chi = exact_bounded_chromatic(TimetablingInstance.colouring(g, 2)).chi_m
         assert chi == 6
-        model, sem = build_bounded(g, 2)
-        res = solve(model, sem, SolverConfig(max_iter=max_iter))
-        assert extract_bound(res, sem)[1] <= chi
+        model = build_bounded(g, 2)
+        res = solve(model, SolverConfig(max_iter=max_iter))
+        assert extract_bound(res)[1] <= chi
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_converged_value_above_the_optimum_certifies_it(self, seed):
         # the SDP optimum is n/m = 20; the safeguarded value 20.002 certified 21
-        model, sem = build_bounded(gen_gnp(60, 0.5, seed), 3)
-        res = solve(model, sem)
+        model = build_bounded(gen_gnp(60, 0.5, seed), 3)
+        res = solve(model)
         assert res.status == "converged"
         assert res.value > 20.0 > res.lower > 19.99
-        assert extract_bound(res, sem)[1] == 20
+        assert extract_bound(res)[1] == 20
 
     def test_rooms_and_theta_keep_the_primal_rule(self):
         rooms = rooms_build()
-        assert rooms[1].trace_ratio is None  # the room block has no trace row
-        for model, sem in (rooms, (build_theta(gen_gnp(9, 0.5, 1), "lovasz"), None)):
-            res = solve(model, sem, SolverConfig(max_iter=50))
+        assert rooms.trace_ratio is None  # the room block has no trace row
+        for model in (rooms, build_theta(gen_gnp(9, 0.5, 1), "lovasz")):
+            res = solve(model, SolverConfig(max_iter=50))
             assert res.lower is None
             safeguard = 10.0 * res.eps * max(1.0, abs(res.value))
-            assert extract_bound(res, sem)[1] == math.ceil(res.value - safeguard)
+            assert extract_bound(res)[1] == math.ceil(res.value - safeguard)
 
 
 class TestPrecolouredValues:
     def test_forced_two_classes(self):
-        model, sem = build_precoloured(
+        model = build_precoloured(
             empty_graph(4), 2, [{0, 1}, {2, 3}]
         )
-        res = solve(model, sem, SolverConfig())
+        res = solve(model, SolverConfig())
         assert res.value == pytest.approx(2.0, abs=2e-3)
 
     def test_single_vertex_preclass_changes_nothing(self):
-        model, sem = build_precoloured(complete_graph(3), 3, [{0}])
-        res = solve(model, sem, SolverConfig())
+        model = build_precoloured(complete_graph(3), 3, [{0}])
+        res = solve(model, SolverConfig())
         assert res.value == pytest.approx(3.0, abs=2e-3)
 
     def test_p3_m1_singletons(self, p3):
-        model, sem = build_precoloured(p3, 1, [])
-        res = solve(model, sem, SolverConfig())
+        model = build_precoloured(p3, 1, [])
+        res = solve(model, SolverConfig())
         assert res.value == pytest.approx(3.0, abs=2e-3)
 
 
@@ -836,24 +845,24 @@ class TestAtomModels:
     def test_certified_is_a_lower_bound(self, case, builder):
         inst = ATOM_CASES[case]
         if builder == "precoloured":
-            model, sem = build_precoloured(inst.graph, inst.m, inst.precolouring)
+            model = build_precoloured(inst.graph, inst.m, inst.precolouring)
         else:
-            model, sem = build_laminar(inst, features=True)
-        res = solve(model, sem, SolverConfig())
+            model = build_laminar(inst, features=True)
+        res = solve(model, SolverConfig())
         assert res.status == "converged"
-        _, certified = extract_bound(res, sem)
+        _, certified = extract_bound(res)
         assert certified <= exact_bounded_chromatic(inst).chi_m
 
     def test_atom_order_and_tight_bounds(self):
         # 12 events in 9 atoms; seven size-2 events need seven periods, and
         # without sizes χ_m is 5
         inst = ATOM_CASES["gnp12s3-sizes-feature"]
-        for (model, sem), want in (
+        for model, want in (
             (build_precoloured(inst.graph, inst.m, inst.precolouring), 5),
             (build_laminar(inst), 7),
         ):
             assert model.dim == 9
-            assert extract_bound(solve(model, sem, SolverConfig()), sem)[1] == want
+            assert extract_bound(solve(model, SolverConfig()))[1] == want
 
     def test_preclass_holding_an_edge_refused(self):
         g = gen_gnp(30, 0.5, 1)  # 0-5 is an edge
@@ -869,20 +878,18 @@ class TestWeightedValues:
         for seed in range(4):
             g = gen_gnp(6, 0.5, seed + 20)
             for m in (2, 3):
-                mw, sw = build_weighted(g, m, (1,) * 6)
-                mb, sb = build_bounded(g, m)
-                rw = solve(mw, sw, SolverConfig())
-                rb = solve(mb, sb, SolverConfig())
+                rw = solve(build_weighted(g, m, (1,) * 6), SolverConfig())
+                rb = solve(build_bounded(g, m), SolverConfig())
                 assert rw.value == pytest.approx(rb.value, abs=5e-3)
 
     def test_single_vertex_full_weight(self):
-        model, sem = build_weighted(empty_graph(1), 3, (3,))
-        res = solve(model, sem, SolverConfig())
+        model = build_weighted(empty_graph(1), 3, (3,))
+        res = solve(model, SolverConfig())
         assert res.value == pytest.approx(1.0, abs=2e-3)
 
     def test_two_saturating_vertices(self):
-        model, sem = build_weighted(empty_graph(2), 4, (4, 4))
-        res = solve(model, sem, SolverConfig())
+        model = build_weighted(empty_graph(2), 4, (4, 4))
+        res = solve(model, SolverConfig())
         assert res.value == pytest.approx(2.0, abs=2e-3)
 
 
@@ -894,8 +901,8 @@ class TestLaminarValues:
             event_sizes=(100, 100, 100, 100),
             room_capacities=(120, 30),
         )
-        model, sem = build_laminar(inst)
-        res = solve(model, sem, SolverConfig())
+        model = build_laminar(inst)
+        res = solve(model, SolverConfig())
         assert res.value == pytest.approx(4.0, abs=2e-3)
 
     def test_feature_bottleneck(self):
@@ -906,8 +913,8 @@ class TestLaminarValues:
             event_features=frozenset({(0, 0), (1, 0), (2, 0)}),
             room_features=frozenset({(0, 0)}),
         )
-        model, sem = build_laminar(inst, features=True)
-        res = solve(model, sem, SolverConfig())
+        model = build_laminar(inst, features=True)
+        res = solve(model, SolverConfig())
         assert res.value >= 3.0 - 2e-3
 
 
@@ -916,8 +923,8 @@ class TestRoomValues:
         inst = TimetablingInstance(
             graph=empty_graph(1), m=1, event_sizes=(1,), room_capacities=(2,)
         )
-        model, sem = build_room_assignment(inst)
-        res = solve(model, sem, SolverConfig(max_iter=4000))
+        model = build_room_assignment(inst)
+        res = solve(model, SolverConfig(max_iter=4000))
         t_val = res.X_final[0, 0] + 1.0
         assert res.X_final[0, 1] == pytest.approx(t_val, abs=5e-2)
 
@@ -926,8 +933,8 @@ class TestRoomValues:
             graph=complete_graph(2), m=1, event_sizes=(1, 1),
             room_capacities=(2,),
         )
-        model, sem = build_room_assignment(inst)
-        res = solve(model, sem, SolverConfig(max_iter=4000))
+        model = build_room_assignment(inst)
+        res = solve(model, SolverConfig(max_iter=4000))
         assert res.value >= 2.0 - 5e-2
 
 
@@ -937,24 +944,24 @@ class TestOrderings:
             g = gen_gnp(6, 0.5, seed + 30)
             values = []
             for m in range(1, 7):
-                model, sem = build_bounded(g, m)
-                values.append(solve(model, sem, SolverConfig()).value)
+                model = build_bounded(g, m)
+                values.append(solve(model, SolverConfig()).value)
             for a, b in zip(values, values[1:]):
                 assert b <= a + 5e-3
 
     def test_theta_dominated_by_bounded(self):
         for seed in range(3):
             g = gen_gnp(7, 0.5, seed + 40)
-            theta = solve(build_theta(g, "lovasz"), None, SolverConfig()).value
+            theta = solve(build_theta(g, "lovasz"), SolverConfig()).value
             for m in (2, 3):
-                model, sem = build_bounded(g, m)
-                val = solve(model, sem, SolverConfig()).value
+                model = build_bounded(g, m)
+                val = solve(model, SolverConfig()).value
                 assert val >= theta - 5e-3
 
     def test_theta_variant_ordering(self):
         g = gen_gnp(7, 0.5, 50)
-        strict = solve(build_theta(g, "strict"), None, SolverConfig()).value
-        lov = solve(build_theta(g, "lovasz"), None, SolverConfig()).value
-        strong = solve(build_theta(g, "strong"), None, SolverConfig()).value
+        strict = solve(build_theta(g, "strict"), SolverConfig()).value
+        lov = solve(build_theta(g, "lovasz"), SolverConfig()).value
+        strong = solve(build_theta(g, "strong"), SolverConfig()).value
         assert strict <= lov + 5e-3
         assert lov <= strong + 5e-3
