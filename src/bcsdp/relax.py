@@ -31,9 +31,11 @@ read it: atom bitsets, the vertex-to-atom index and each atom's class counts.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -58,9 +60,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymRow:
-    """One sparse symmetric constraint row with its right-hand side."""
+class SymRow(NamedTuple):
+    """One sparse symmetric constraint row with its right-hand side.
+
+    Entry e holds coeff[e] at (idx_i[e], idx_j[e]) and, off the diagonal, at
+    the mirrored position.  The builders keep entries canonical, as
+    `from_entries` writes them: idx_i[e] <= idx_j[e], sorted by (i, j), no
+    zero coefficient.  A named tuple rather than a dataclass because a
+    model builds one row per conflict edge, and a tuple is the cheaper
+    object to create.
+    """
 
     idx_i: tuple[int, ...]
     idx_j: tuple[int, ...]
@@ -120,15 +129,16 @@ class SdpModel:
             raise ValueError("sense must be 'min' or 'max'")
         if self.objective.shape != (self.dim, self.dim):
             raise ValueError("objective order mismatch")
-        for row in self.eq_graph:
-            if len(row.coeff) != 1:
-                raise ValueError(
-                    "edge-indexed equality must touch a single symmetric position"
-                )
-        for row in (*self.eq_graph, *self.eq_other, *self.ineq):
-            for i, j in zip(row.idx_i, row.idx_j):
-                if not (0 <= i <= j < self.dim):
-                    raise ValueError("constraint entry out of range")
+        if any(len(row.coeff) != 1 for row in self.eq_graph):
+            raise ValueError(
+                "edge-indexed equality must touch a single symmetric position"
+            )
+        rows = (*self.eq_graph, *self.eq_other, *self.ineq)
+        ii = np.fromiter(chain.from_iterable(r.idx_i for r in rows), np.int64)
+        jj = np.fromiter(chain.from_iterable(r.idx_j for r in rows), np.int64)
+        if ii.size != jj.size or not (
+                np.all(ii >= 0) and np.all(ii <= jj) and np.all(jj < self.dim)):
+            raise ValueError("constraint entry out of range")
         end = 0
         for kind, start, stop in self.ineq_groups:
             if kind not in ("rowsum", "pairs", "generic"):
@@ -179,31 +189,49 @@ def _model(dim: int, objective: np.ndarray, sense: str,
     )
 
 
-def _scaled_row(entries: dict[tuple[int, int], float], t_coeff: float, diag: int,
-                relation: str) -> SymRow:
+def _scaled_row(entries: tuple[Sequence[int], Sequence[int], Sequence[float]],
+                t_coeff: float, diag: int, relation: str) -> SymRow:
     """The row <A, Y> + t_coeff * t (= | <=) 0 over (Y, t), in X = Y - J.
 
-    `entries` holds A at canonical positions (i <= j) and is consumed.  With
-    Y = X + J and t = X_dd + 1 the row reads
+    `entries` holds A as canonical (idx_i, idx_j, coeff), as `SymRow` keeps
+    them.  With Y = X + J and t = X_dd + 1 the row reads
     <A, X> + t_coeff * X_dd (= | <=) -<A, J> - t_coeff; a "<=" row is negated
     into the model's ">=" form.
     """
-    a_j = sum(c * (2.0 if i != j else 1.0) for (i, j), c in entries.items())
-    entries[(diag, diag)] = entries.get((diag, diag), 0.0) + t_coeff
+    idx_i, idx_j, coeff = (list(e) for e in entries)
+    a_j = sum(c if i == j else 2.0 * c for i, j, c in zip(idx_i, idx_j, coeff))
+    # canonical order puts (d, d) first among the entries of row d
+    at = bisect_left(idx_i, diag)
+    if at < len(idx_i) and idx_i[at] == idx_j[at] == diag:
+        coeff[at] += t_coeff
+    else:
+        idx_i.insert(at, diag)
+        idx_j.insert(at, diag)
+        coeff.insert(at, t_coeff)
+    if coeff[at] == 0.0:
+        del idx_i[at], idx_j[at], coeff[at]
     rhs = -a_j - t_coeff
     if relation == "<=":
-        return SymRow.from_entries({k: -c for k, c in entries.items()}, -rhs)
-    return SymRow.from_entries(entries, rhs)
+        return SymRow(tuple(idx_i), tuple(idx_j), tuple(map(operator.neg, coeff)), -rhs)
+    return SymRow(tuple(idx_i), tuple(idx_j), tuple(coeff), rhs)
 
 
-def _column(v: int, members: Iterable[int],
-            weights: Sequence[float] | None = None) -> dict[tuple[int, int], float]:
-    """Entries of sum_{u in members} c_u Y_uv (c_u = 1 without weights)."""
-    entries: dict[tuple[int, int], float] = {}
-    for u in members:
-        w = 1.0 if weights is None else float(weights[u])
-        entries[(min(u, v), max(u, v))] = w if u == v else w / 2.0
-    return entries
+def _column(v: int, members: Sequence[int], weights: Sequence[float] | None = None
+            ) -> tuple[list[int], list[int], list[float]]:
+    """Canonical entries of sum_{u in members} c_u Y_uv (c_u = 1 without weights).
+
+    `members` is ascending, so u < v gives (u, v), then (v, v), then (v, u)
+    for u > v: the entries come out in canonical order.
+    """
+    members = list(members)
+    below = bisect_left(members, v)
+    c = ([1.0] * len(members) if weights is None
+         else [float(weights[u]) for u in members])
+    coeff = [w / 2.0 for w in c]
+    if below < len(members) and members[below] == v:
+        coeff[below] = c[below]
+    return (members[:below] + [v] * (len(members) - below),
+            [v] * below + members[below:], coeff)
 
 
 def _row_sums(n: int, m: int, weights: Sequence[float] | None = None) -> list[SymRow]:
@@ -224,7 +252,7 @@ def _entry_rows(pairs: Iterable[tuple[int, int]], rhs: float,
 
 def _diagonal_chain(n: int) -> list[SymRow]:
     """X_00 = X_vv for every vertex v > 0: Y has the same diagonal t throughout."""
-    return [SymRow.from_entries({(0, 0): 1.0, (v, v): -1.0}, 0.0) for v in range(1, n)]
+    return [SymRow((0, v), (0, v), (1.0, -1.0), 0.0) for v in range(1, n)]
 
 
 def _scaled_model(
@@ -439,7 +467,7 @@ def build_laminar(
         holders = [a for a in range(atoms.k) if count[a]]
         for b in holders:
             entries = _column(b, holders, count)
-            key = (tuple(sorted(entries.items())), rooms)
+            key = (*map(tuple, entries), rooms)
             if key not in emitted:  # one row per distinct row over (Y', t)
                 emitted.add(key)
                 block = rowsum if len(vertices) == n else generic

@@ -108,7 +108,8 @@ def _kms_threshold(k: int, max_degree: int) -> float:
 
 
 def kms_round(x: np.ndarray, inst: TimetablingInstance,
-              cfg: Optional[RoundingConfig] = None) -> Partition:
+              cfg: Optional[RoundingConfig] = None,
+              atoms: Optional[Atoms] = None) -> Partition:
     """Hyperplane-cap rounding of a solution matrix into a valid partition.
 
     Gram vectors come from a Cholesky factorization of x.  Each round draws a
@@ -118,19 +119,23 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     best of cfg.attempts attempts is returned (fewest classes, then earliest
     attempt); a top-scorer is admitted when a round would otherwise stall, so
     every run ends with a valid partition.  An instance with an atom that
-    fits no class on its own raises ValueError (`Atoms`).
+    fits no class on its own raises ValueError (`Atoms`).  A caller that
+    already holds `Atoms(inst)` passes it as atoms, so it is built once.
 
     With k atoms (pre-colouring classes and free vertices) of Gram dimension
     d, set-up builds a k x k int8 atom-conflict matrix once per call.  A
     round then costs one k x d scoring product, an O(k log k) sort and an
     O(k |class|) degree update, plus one AND of the atom's adjacency bitset
     with the class's atom bits and one compare of the class's running
-    ClassCounts total against the limits per candidate; see _compact
-    for the post-pass.  A DEBUG record on this module's logger reports the
+    ClassCounts total against the limits per candidate.  The _compact
+    post-pass sorts its C classes once per sweep and scans the C^2 class
+    pairs for a merge only until one scan finds none, since its moves only
+    grow classes.  A DEBUG record on this module's logger reports the
     attempt count, the best attempt and the class-count range.
     """
     cfg = cfg or RoundingConfig()
-    atoms = Atoms(inst)
+    if atoms is None:
+        atoms = Atoms(inst)
     if atoms.k == 0:
         return Partition.from_lists([])
     t_hat = float(np.mean(np.clip(np.diag(x), 0.0, None)))
@@ -175,8 +180,10 @@ def _kms_attempt(atoms: Atoms, atom_vec: np.ndarray, conflict: np.ndarray,
     # degree of each atom in the conflict graph induced on the alive atoms
     degree = conflict.sum(axis=1, dtype=np.int64)
     classes: list[list[int]] = []
-    counts = atoms.counts
-    while alive.any():
+    adj, counts = atoms.adj, atoms.counts
+    fits, plus, profile = counts.fits, counts.plus, counts.profile
+    placed = 0
+    while placed < atoms.k:
         rem = np.flatnonzero(alive)
         cap = _kms_threshold(k_bound, int(degree[rem].max()))
         r = rng.standard_normal(atom_vec.shape[1])
@@ -188,18 +195,21 @@ def _kms_attempt(atoms: Atoms, atom_vec: np.ndarray, conflict: np.ndarray,
         for a, score in zip(rem[pick].tolist(), scores[pick].tolist()):
             if score < cap and chosen:
                 break
-            if atoms.adj[a] & chosen_bits:
+            if adj[a] & chosen_bits:
                 continue
-            if not counts.admits(total, a):
+            grown = plus(total, profile[a])
+            if not fits(grown):
                 continue
             chosen.append(a)
             chosen_bits |= 1 << a
-            total = counts.plus(total, counts.profile[a])
+            total = grown
             if score < cap:
                 break  # stall guard admitted a single top scorer
         classes.append(chosen)
+        placed += len(chosen)
         alive[chosen] = False
-        degree -= conflict[:, chosen].sum(axis=1, dtype=np.int64)
+        # conflict is symmetric: the chosen rows are the chosen columns
+        degree -= conflict[chosen].sum(axis=0, dtype=np.int64)
     return classes
 
 
@@ -209,46 +219,52 @@ def _compact(atoms: Atoms, classes: list[list[int]]) -> list[list[int]]:
 
     Each class is kept as (sorted atoms, atom bits, neighbour mask, profile
     total), updated by every move, so with C classes a sweep costs an
-    O(C log C) sort and O(C^2) single-AND merge tests, plus a compare of
-    profile totals against the limits per conflict-free pair or relocation;
-    every successful move starts a new sweep.
+    O(C log C) sort, plus a compare of profile totals against the limits per
+    relocation; every successful move starts a new sweep.  The O(C^2)
+    single-AND merge scan runs only until it first finds no pair: moves only
+    grow classes, and both merge tests (a neighbour mask against atom bits, a
+    sum of nonnegative profiles against the limits) fail on any supersets of
+    a pair they fail on, so no later sweep could merge.
     """
-    counts = atoms.counts
+    adj, counts = atoms.adj, atoms.counts
+    fits, plus, profile = counts.fits, counts.plus, counts.profile
     groups = [(sorted(c), sum(1 << a for a in c),
-               reduce(operator.or_, (atoms.adj[a] for a in c)),
-               reduce(counts.plus, (counts.profile[a] for a in c))) for c in classes]
+               reduce(operator.or_, (adj[a] for a in c)),
+               reduce(plus, (profile[a] for a in c))) for c in classes]
+    merging = True
     changed = True
     while changed:
         changed = False
         groups.sort(key=lambda g: (len(g[0]), g[0]))
-        for i, (mem_i, bits_i, nbrs_i, total_i) in enumerate(groups):
-            for j, (mem_j, bits_j, nbrs_j, total_j) in enumerate(groups):
-                if i == j or nbrs_i & bits_j:
-                    continue
-                total = counts.plus(total_i, total_j)
-                if not counts.fits(total):
-                    continue
-                groups[j] = (sorted(mem_j + mem_i), bits_i | bits_j,
-                             nbrs_i | nbrs_j, total)
-                del groups[i]
-                changed = True
-                break
+        if merging:
+            for i, (mem_i, bits_i, nbrs_i, total_i) in enumerate(groups):
+                for j, (mem_j, bits_j, nbrs_j, total_j) in enumerate(groups):
+                    if i == j or nbrs_i & bits_j:
+                        continue
+                    total = plus(total_i, total_j)
+                    if not fits(total):
+                        continue
+                    groups[j] = (sorted(mem_j + mem_i), bits_i | bits_j,
+                                 nbrs_i | nbrs_j, total)
+                    del groups[i]
+                    changed = True
+                    break
+                if changed:
+                    break
             if changed:
-                break
-        if changed:
-            continue
+                continue
+            merging = False
         for i in range(len(groups)):
             trial = list(groups)
             emptied = True
             for a in groups[i][0]:
                 placed = False
                 for j, (mem, bits, nbrs, total) in enumerate(trial):
-                    if j == i or atoms.adj[a] & bits:
+                    if j == i or adj[a] & bits:
                         continue
-                    if counts.admits(total, a):
-                        trial[j] = (mem + [a], bits | 1 << a,
-                                    nbrs | atoms.adj[a],
-                                    counts.plus(total, counts.profile[a]))
+                    grown = plus(total, profile[a])
+                    if fits(grown):
+                        trial[j] = (mem + [a], bits | 1 << a, nbrs | adj[a], grown)
                         placed = True
                         break
                 if not placed:

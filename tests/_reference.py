@@ -215,3 +215,40 @@ def dense_v_reference(model: SdpModel, X, y1, y2, v, S, mu):
         sol = projected_gradient_qp(g_lin, gram, mu)
         v[offsets[i]:offsets[i + 1]] = sol
     return v
+
+
+def compact_every_sweep(inst: TimetablingInstance, members, classes):
+    """Reference for rounding._compact, scanning for a merge on every sweep.
+
+    The same sweeps over atom classes: sort by (size, atoms), merge the first
+    pair that may share a class, else dissolve the first class whose atoms
+    all move, first fit, into the other classes.  Each move is tested with
+    class_violations on the member events.
+    """
+    def ok(atom_list):
+        return not class_violations(inst, [v for a in atom_list for v in members[a]])
+
+    groups = [sorted(c) for c in classes]
+    while True:
+        groups.sort(key=lambda g: (len(g), g))
+        pair = next(((i, j) for i in range(len(groups)) for j in range(len(groups))
+                     if i != j and ok(groups[i] + groups[j])), None)
+        if pair is not None:
+            i, j = pair
+            groups[j] = sorted(groups[j] + groups[i])
+            del groups[i]
+            continue
+        for i in range(len(groups)):
+            trial = [list(g) for g in groups]
+            for a in groups[i]:
+                j = next((j for j, g in enumerate(trial) if j != i and ok(g + [a])),
+                         None)
+                if j is None:
+                    break
+                trial[j].append(a)
+            else:
+                del trial[i]
+                groups = [sorted(g) for g in trial]
+                break
+        else:
+            return groups

@@ -363,6 +363,26 @@ class TestBench:
         for line in lines[1:]:
             assert line.split(",")[consistent_idx] == "True"
 
+    def test_kneser_fi_exit_code_counts_failed_rows(self, capsys, monkeypatch):
+        # the stub generates each instance, which is where a spec is
+        # rejected, and skips the solves and oracle calls
+        from bcsdp import cli
+
+        def stub_row(spec, oracle_limit):
+            if spec in broken:
+                raise ValueError(f"stub failure on {spec}")
+            cli.make_generated(spec)
+            return {"instance": spec, "C": 1}
+
+        monkeypatch.setattr(cli, "_bench_row_kneser", stub_row)
+        broken = set()
+        code, out, err = run_cli(["bench", "--suite", "kneser-fi"], capsys)
+        assert code == 0 and "failed" not in err
+        assert len(out.splitlines()) == 8  # header + 7 rows
+        broken = {"kneser:6,2"}
+        code, out, err = run_cli(["bench", "--suite", "kneser-fi"], capsys)
+        assert code == 1 and "1 row(s) failed" in err
+
     def test_toronto_missing_dataset(self, capsys, tmp_path):
         code, out, err = run_cli(
             ["bench", "--suite", "toronto-sta83", "--data-dir",

@@ -19,6 +19,9 @@ from bcsdp.relax import (
     build_theta,
     build_weighted,
     check_laminar,
+    _column,
+    _row_sums,
+    _scaled_row,
     reduce_precolouring_atoms,
     verify_structure,
 )
@@ -33,6 +36,70 @@ class TestSymRow:
         x = np.arange(9.0).reshape(3, 3)
         x = 0.5 * (x + x.T)
         assert row.value(x) == pytest.approx(float(np.sum(row.dense(3) * x)))
+
+
+def _dict_column(v, members, weights=None):
+    """Reference for relax._column: the entries as a dict at canonical keys."""
+    entries = {}
+    for u in members:
+        w = 1.0 if weights is None else float(weights[u])
+        entries[(min(u, v), max(u, v))] = w if u == v else w / 2.0
+    return entries
+
+
+def _dict_scaled_row(entries, t_coeff, diag, relation):
+    """Reference for relax._scaled_row: the substitution on a dict of entries,
+    then SymRow.from_entries."""
+    entries = dict(entries)
+    a_j = sum(c * (2.0 if i != j else 1.0) for (i, j), c in entries.items())
+    entries[(diag, diag)] = entries.get((diag, diag), 0.0) + t_coeff
+    rhs = -a_j - t_coeff
+    if relation == "<=":
+        return SymRow.from_entries({k: -c for k, c in entries.items()}, -rhs)
+    return SymRow.from_entries(entries, rhs)
+
+
+class TestScaledRow:
+    """Rows written straight into their tuples equal the dict reference."""
+
+    @staticmethod
+    def _assert_same(row, ref):
+        assert row.idx_i == ref.idx_i and row.idx_j == ref.idx_j
+        assert row.coeff == ref.coeff and row.rhs == ref.rhs
+        assert repr(row) == repr(ref)
+
+    @pytest.mark.parametrize("n,m,weights", [
+        (1, 1, None),
+        (5, 1, None),
+        (6, 4, None),
+        # weight m at vertices 1 and 3: their diagonal coefficient is zero
+        (6, 3, (1, 3, 2, 3, 1, 1)),
+        (4, 1, (1, 1, 1, 1)),
+    ])
+    def test_row_sums(self, n, m, weights):
+        rows = _row_sums(n, m, weights)
+        for v, row in enumerate(rows):
+            ref = _dict_scaled_row(_dict_column(v, range(n), weights),
+                                   -float(m), v, "<=")
+            self._assert_same(row, ref)
+        if weights is not None:
+            for v, w in enumerate(weights):
+                assert ((v, v) in zip(rows[v].idx_i, rows[v].idx_j)) == (w != m)
+
+    @pytest.mark.parametrize("relation", ["<=", "="])
+    @pytest.mark.parametrize("v,members", [
+        (2, [0, 1, 4]),  # the anchor diagonal is not among the entries
+        (0, [0, 3]),
+        (4, [1, 2, 4]),
+        (3, [3]),
+    ])
+    def test_subsets_and_relations(self, v, members, relation):
+        weights = (2, 1, 3, 1, 2)
+        for t_coeff in (-1.0, -2.0, 0.5):
+            row = _scaled_row(_column(v, members, weights), t_coeff, v, relation)
+            ref = _dict_scaled_row(_dict_column(v, members, weights),
+                                   t_coeff, v, relation)
+            self._assert_same(row, ref)
 
 
 class TestScaledTransform:
@@ -84,6 +151,19 @@ class TestScaledTransform:
         _, _, gram, _ = verify_structure(model)
         every = [m for mats, _ in dense for m in mats]
         assert np.allclose(gram.toarray(), gram_of(every), atol=1e-14)
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("row", [
+        SymRow((1,), (0,), (1.0,), 0.0),   # below the diagonal
+        SymRow((0,), (3,), (1.0,), 0.0),   # past the order
+        SymRow((-1,), (0,), (1.0,), 0.0),  # negative index
+    ])
+    def test_entry_out_of_range_rejected(self, row):
+        with pytest.raises(ValueError, match="out of range"):
+            SdpModel(dim=3, objective=np.eye(3), eq_graph=(),
+                     eq_other=(SymRow((0,), (0,), (1.0,), 1.0), row), ineq=(),
+                     sense="min")
 
 
 class TestIneqGroups:

@@ -26,6 +26,7 @@ from bcsdp.rounding import (
 )
 from bcsdp.solver import SolverConfig, extract_bound, solve
 
+from _reference import compact_every_sweep
 from conftest import mixed_instance
 
 
@@ -337,11 +338,10 @@ class TestKmsProperties:
             assert sum(1 for c in part.classes if c & pre) == 1
         assert part.num_classes >= exact_bounded_chromatic(inst).chi_m
 
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.filter_too_much])
-    @given(inst=small_timetables(), data=st.data())
-    def test_compact_never_adds_classes(self, inst, data):
-        atoms = Atoms(inst)
+    @staticmethod
+    def _drawn_classes(inst, atoms, data):
+        """Valid atom classes: drawn groups, split into singletons where a
+        group breaks a class rule."""
         groups: dict[int, list[int]] = {}
         for a in range(atoms.k):
             groups.setdefault(data.draw(st.integers(0, atoms.k)), []).append(a)
@@ -352,11 +352,52 @@ class TestKmsProperties:
                 classes += [[a] for a in group]
             else:
                 classes.append(group)
+        return classes
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=small_timetables(), data=st.data())
+    def test_compact_never_adds_classes(self, inst, data):
+        atoms = Atoms(inst)
+        classes = self._drawn_classes(inst, atoms, data)
         out = _compact(atoms, classes)
         assert len(out) <= len(classes)
         assert sorted(a for c in out for a in c) == list(range(atoms.k))
         for c in out:
             assert not class_violations(inst, [v for a in c for v in atoms.members[a]])
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=small_timetables(), data=st.data())
+    def test_compact_idempotent(self, inst, data):
+        # the output is a fixed point: a second pass, which starts with a
+        # full merge scan, finds no move and keeps the classes' order
+        atoms = Atoms(inst)
+        out = _compact(atoms, self._drawn_classes(inst, atoms, data))
+        assert _compact(atoms, [list(c) for c in out]) == out
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=small_timetables(), data=st.data())
+    def test_compact_matches_merge_scan_every_sweep(self, inst, data):
+        # _compact stops scanning for merges once a scan finds none, because
+        # moves only grow classes; the reference scans on every sweep
+        atoms = Atoms(inst)
+        classes = self._drawn_classes(inst, atoms, data)
+        assert _compact(atoms, classes) == compact_every_sweep(
+            inst, atoms.members, classes)
+
+    def test_compact_matches_merge_scan_every_sweep_from_singletons(self):
+        # larger graphs than small_timetables, where relocations and merges
+        # interleave over many sweeps
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(6, 16)), int(rng.integers(2, 5))
+            inst = TimetablingInstance.colouring(gen_gnp(n, 0.4, seed), m)
+            atoms = Atoms(inst)
+            classes = [[a] for a in rng.permutation(atoms.k).tolist()]
+            assert _compact(atoms, classes) == compact_every_sweep(
+                inst, atoms.members, classes), seed
 
 
     @settings(max_examples=80, deadline=None,
@@ -376,6 +417,22 @@ class TestKmsProperties:
         no_edges = dataclasses.replace(inst, graph=empty_graph(inst.graph.n))
         verts = [v for a in chosen + [extra] for v in atoms.members[a]]
         assert counts.admits(total, extra) == (not class_violations(no_edges, verts))
+
+
+class TestKmsPrebuiltAtoms:
+    @pytest.mark.parametrize("build", [
+        lambda: (mixed_instance(), planted_solution(34, 9, 5)),
+        lambda: (timetable_instance(), planted_solution(14, 6, 3)),
+        lambda: (TimetablingInstance.colouring(gen_gnp(40, 0.5, 2), 5),
+                 planted_solution(40, 12, 2)),
+    ])
+    def test_same_partition_as_own_build(self, build):
+        inst, y = build()
+        cfg = RoundingConfig(attempts=12, seed=3)
+        own = kms_round(y, inst, cfg)
+        given_atoms = kms_round(y, inst, cfg, Atoms(inst))
+        assert given_atoms.classes == own.classes
+        assert given_atoms.room_of == own.room_of
 
 
 class TestKmsReporting:
