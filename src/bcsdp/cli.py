@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +51,13 @@ from .relax import (
     build_theta,
     build_weighted,
 )
-from .rounding import RoundingConfig, greedy_colouring, iterative_round, kms_round
+from .rounding import (
+    RoundingConfig,
+    greedy_colouring,
+    iterative_round,
+    kms_round,
+    worker_count,
+)
 from .solver import SolverConfig, extract_bound, solve
 
 
@@ -470,7 +476,7 @@ def _bench_kneser_fi(args) -> tuple[list[dict], list[str], int]:
     ]
     rows = []
     failures = 0
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         futs = [pool.submit(_bench_row_fi_safe, s, args.oracle_limit) for s in specs]
         for fut in futs:
             row, failed = fut.result()
@@ -611,19 +617,12 @@ def _bench_random(args) -> tuple[list[dict], list[str], int]:
             out["error"] = str(err)
         return out
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         for out in pool.map(one, range(args.seeds)):
             rows.append(out)
             if out["error"]:
                 failures += 1
     return rows, fields, failures
-
-
-def _workers() -> int:
-    env = os.environ.get("BCSDP_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def cmd_bench(args) -> int:
@@ -642,7 +641,10 @@ def cmd_bench(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and every default is immutable."""
     ap = argparse.ArgumentParser(
         prog="bcsdp",
         description="SDP lower bounds and rounded timetables for bounded colouring",
@@ -717,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", type=int, default=20)
     p_bench.add_argument("--p", type=float, default=0.5)
     p_bench.add_argument("--seeds", type=int, default=10)
-    p_bench.add_argument("--m-values", type=int, nargs="+", default=[2, 3, 4],
+    p_bench.add_argument("--m-values", type=int, nargs="+", default=(2, 3, 4),
                          dest="m_values")
     p_bench.add_argument("--attempts", type=int, default=50)
     p_bench.add_argument("--eps", type=float, default=1e-5)

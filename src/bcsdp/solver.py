@@ -64,6 +64,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dsyevr
+from scipy.sparse import _sparsetools
 
 from . import relax
 from .linalg import project_psd_dense
@@ -156,22 +157,43 @@ def _gram_equals(gram: scipy.sparse.csr_matrix, diag, off: float,
     return abs(off) <= tol or int(np.count_nonzero(outside)) == k * (k - 1)
 
 
+class _Matvec:
+    """x -> a @ x for a CSR or CSC matrix a, through the C kernel that scipy's
+    own product calls (csr_matvec or csc_matvec, summing into a zeroed
+    vector), without the Python dispatch around it, which costs more than the
+    product at desk scale; the result is bit for bit a @ x.  The kernels are
+    private to scipy, so tests/test_solver.py pins their use."""
+
+    __slots__ = ("_args", "_kernel", "_rows")
+
+    def __init__(self, a: scipy.sparse.spmatrix):
+        self._kernel = getattr(_sparsetools, a.format + "_matvec")
+        self._rows = a.shape[0]
+        self._args = (*a.shape, a.indptr, a.indices, a.data)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self._rows)
+        self._kernel(*self._args, x, out)
+        return out
+
+
 class _Block:
     """One constraint block: a row range of the stacked A, its kernel, its coupling.
 
     gram is the block's diagonal Gram block; it picks the kernel ("diag",
     "alphabeta" or "dense", see the module docstring) and is kept only by the
-    "dense" kernel.  coupling is G[later rows, own rows] (None when it has no
-    entries): a change dy of this block's multipliers moves the later blocks'
-    entries of r by coupling @ dy.  Equality blocks take eq_step, inequality
-    groups qp_step; both read and correct r in place.
+    "dense" kernel.  coupling applies G[later rows, own rows] (None when it has
+    no entries): a change dy of this block's multipliers moves the later
+    blocks' entries of r by coupling(dy).  Equality blocks take eq_step,
+    inequality groups qp_step; both read and correct r in place.
     """
 
     def __init__(self, start: int, end: int, gram: scipy.sparse.csr_matrix,
                  coupling: Optional[scipy.sparse.csr_matrix] = None):
         self.rows = slice(start, end)
         self.k = end - start
-        self.coupling = coupling if coupling is not None and coupling.nnz else None
+        self.coupling = _Matvec(coupling) if coupling is not None and coupling.nnz \
+            else None
         self.kind = "empty"
         if self.k == 0:
             return
@@ -241,7 +263,7 @@ class _Block:
 
     def _couple(self, new: np.ndarray, old: np.ndarray, r: np.ndarray) -> np.ndarray:
         if self.coupling is not None:
-            r[self.rows.stop:] += self.coupling @ (new - old)
+            r[self.rows.stop:] += self.coupling(new - old)
         return new
 
 
@@ -283,6 +305,7 @@ class _Compiled:
         # through the module attribute, so a wrapper set on relax sees the call
         self.rhs, self.A, gram, ends = relax.verify_structure(model)
         self.At = self.A.T  # a CSC view of the same arrays
+        self.op, self.op_t = _Matvec(self.A), _Matvec(self.At)
         self.blocks = tuple(_Block(a, b, gram[a:b, a:b], gram[b:, a:b])
                             for a, b in zip(ends, ends[1:]))
         self.neq = ends[2]  # equality rows come first
@@ -297,12 +320,12 @@ class _Compiled:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         n = self.C.shape[0]
-        return (self.At @ y).reshape(n, n)
+        return self.op_t(y).reshape(n, n)
 
     def residual(self, st: SolverState) -> tuple[np.ndarray, np.ndarray]:
         """(r, ax) formed afresh: r = op(A*(y) + S - C), ax = op(X) - rhs."""
         resid = st.S - self.C + self.adjoint(st.y)
-        return self.A @ resid.ravel(), self.A @ st.X.ravel() - self.rhs
+        return self.op(resid.ravel()), self.op(st.X.ravel()) - self.rhs
 
     def dual_bound(self, st: SolverState, trace: float, offset: float) -> float:
         """offset plus a lower bound on <C, X> over feasible X, from y.
@@ -394,7 +417,7 @@ class _Compiled:
         X /= mu
         step = (X - st.X).ravel()
         st.X = X
-        ax_new = self.A @ X.ravel() - self.rhs
+        ax_new = self.op(X.ravel()) - self.rhs
         np.multiply(mu, ax_new - ax, out=r)
         ax[:] = ax_new
         return mu * math.sqrt(float(step @ step))

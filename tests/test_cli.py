@@ -427,3 +427,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].split(",")[4] == "3"
+
+    def test_parser_is_built_once(self):
+        from bcsdp.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_share_no_options(self, capsys):
+        # one parser serves every call: an option given to one call must not
+        # leak into the next, nor one command's options into another's
+        code, out, _ = run_cli(["bound", "--gen", "kneser:5,2", "--m", "3",
+                                "--output-format", "json"], capsys)
+        assert code == 0 and json.loads(out)[0]["m"] == 3
+        code, out, err = run_cli(["bound", "--gen", "kneser:5,2", "--m-offset", "-1",
+                                  "--output-format", "json"], capsys)
+        assert code == 0, err  # a leaked --m would clash with --m-offset
+        row = json.loads(out)[0]
+        assert row["m"] == 3 and row["oracle_nodes"] != ""  # m from the oracle: 4 - 1
+        code, out, _ = run_cli(["colour", "--gen", "kneser:5,2", "--m", "4",
+                                "--output-format", "json"], capsys)
+        row = json.loads(out)[0]
+        assert code == 0 and row["method"] == "kms" and row["oracle_nodes"] == ""
+        assert "relaxation" not in row
+        code, out, _ = run_cli(["bound", "--gen", "kneser:5,2", "--m", "4",
+                                "--output-format", "csv"], capsys)
+        assert code == 0 and out.splitlines()[0].split(",")[2] == "relaxation"

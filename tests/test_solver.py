@@ -28,6 +28,7 @@ from bcsdp.relax import (
     build_weighted,
     constraint_matrix,
     gram_matrix,
+    verify_structure,
 )
 from bcsdp.solver import (
     SolveResult,
@@ -272,6 +273,43 @@ class TestSparseBlocks:
         # CSRs kept beside the stacked one, with a CSR copy of A^T, peak at
         # about 5 MB
         assert peak <= 4.0e6
+
+
+class TestDirectSparseKernels:
+    """solver._Matvec calls scipy's private C kernels for A vec(X), A^T y and
+    each block coupling; pin that they exist, take this call, and give the
+    public products bit for bit."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_bounded(gen_kneser(6, 2), 4),  # desk-table cell
+        lambda: rooms_build(),  # five blocks, coupled across inequality groups
+    ])
+    def test_direct_calls_match_scipy_products(self, build):
+        try:
+            from scipy.sparse import _sparsetools
+            _sparsetools.csr_matvec, _sparsetools.csc_matvec
+        except (ImportError, AttributeError) as err:
+            pytest.fail(f"scipy.sparse._sparsetools.csr_matvec/csc_matvec are gone "
+                        f"({err}): solver._Matvec must fall back to `a @ x`")
+        model = build()
+        comp = _Compiled(model)
+        _, a, gram, ends = verify_structure(model)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(a.shape[1])
+        y = rng.standard_normal(a.shape[0])
+        couplings = [(blk, gram[hi:, lo:hi]) for blk, lo, hi
+                     in zip(comp.blocks, ends, ends[1:]) if blk.coupling is not None]
+        assert couplings
+        try:
+            pairs = [(comp.op(x), a @ x), (comp.op_t(y), a.T @ y)]
+            for blk, coupling in couplings:
+                d = rng.standard_normal(blk.k)
+                pairs.append((blk.coupling(d), coupling @ d))
+        except TypeError as err:
+            pytest.fail(f"scipy.sparse._sparsetools kernels changed signature ({err}): "
+                        "solver._Matvec must follow it or fall back to `a @ x`")
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestKernelReport:
