@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import (
+    ConflictGraph,
     Partition,
     TimetablingInstance,
     complete_graph,
@@ -71,13 +72,11 @@ def make_generated(spec: str) -> InstanceDocument:
     args = [a for a in rest.split(",") if a] if rest else []
     try:
         if kind == "gnp":
-            n, p, seed = int(args[0]), float(args[1]), int(args[2])
-            g = gen_gnp(n, p, seed)
+            g = gen_gnp(int(args[0]), float(args[1]), int(args[2]))
         elif kind == "kneser":
             g = gen_kneser(int(args[0]), int(args[1]))
         elif kind == "fi":
-            gamma = float(Fraction(args[1]))
-            g = gen_forbidden_intersection(int(args[0]), gamma)
+            g = gen_forbidden_intersection(int(args[0]), float(Fraction(args[1])))
         elif kind == "complete":
             g = complete_graph(int(args[0]))
         elif kind == "empty":
@@ -94,15 +93,8 @@ def make_generated(spec: str) -> InstanceDocument:
     return InstanceDocument(name=spec, instance=inst, source_format="native")
 
 
-def _detect_format(path: Path) -> str:
-    ext = path.suffix.lower()
-    if ext == ".col":
-        return "dimacs"
-    if ext in (".crs", ".stu"):
-        return "toronto"
-    if ext == ".ctt":
-        return "itc2007"
-    return "native"
+_FORMAT_OF_SUFFIX = {".col": "dimacs", ".crs": "toronto", ".stu": "toronto",
+                     ".ctt": "itc2007"}
 
 
 def load_document(paths: list[str], fmt: str) -> InstanceDocument:
@@ -110,7 +102,7 @@ def load_document(paths: list[str], fmt: str) -> InstanceDocument:
         raise CliError("no input given (pass a path or --gen)")
     first = Path(paths[0])
     if fmt == "auto":
-        fmt = _detect_format(first)
+        fmt = _FORMAT_OF_SUFFIX.get(first.suffix.lower(), "native")
     if fmt == "toronto":
         if len(paths) == 2:
             crs, stu = Path(paths[0]), Path(paths[1])
@@ -175,6 +167,16 @@ def select_component(doc: InstanceDocument, k: int) -> InstanceDocument:
     )
 
 
+def largest_class(g: ConflictGraph, time_limit: float) -> tuple[int, OracleResult]:
+    """C, the largest class of an optimal unbounded colouring of g, and the
+    oracle search that found it; a search that times out proves no C."""
+    res = exact_bounded_chromatic(TimetablingInstance.colouring(g, g.n),
+                                  time_limit=time_limit)
+    if res.witness is None or res.chi_m is None:
+        raise CliError("oracle could not colour the instance unbounded")
+    return max(len(c) for c in res.witness.classes), res
+
+
 def resolve_m(doc: InstanceDocument, args) -> tuple[int | None, OracleResult | None]:
     """The room count, and the oracle search --m-offset ran to find it."""
     if args.m is not None and args.m_offset is not None:
@@ -184,18 +186,24 @@ def resolve_m(doc: InstanceDocument, args) -> tuple[int | None, OracleResult | N
     if args.m_offset is not None:
         # the offset is taken from a colouring of the bare graph
         _refuse_unmodelled(doc.instance, "--m-offset", "weights", "precolouring")
-        res = exact_bounded_chromatic(
-            TimetablingInstance.colouring(doc.instance.graph, doc.instance.graph.n),
-            time_limit=args.oracle_limit,
-        )
-        if res.witness is None or res.chi_m is None:
-            raise CliError("oracle could not colour the instance for --m-offset")
-        largest = max(len(c) for c in res.witness.classes)
+        largest, res = largest_class(doc.instance.graph, args.oracle_limit)
         m = largest + args.m_offset
         if m < 1:
             raise CliError(f"--m-offset yields m={m} < 1 (largest class {largest})")
         return m, res
     return None, None
+
+
+def _instance(args) -> tuple[str, TimetablingInstance, int | None, OracleResult | None]:
+    """The instance `bound` or `colour` runs on: generated or loaded, cut to
+    --component, and scoped to the resolved room count m when there is one.
+    Returns its name, the instance, m and the oracle search behind m."""
+    doc = make_generated(args.gen) if args.gen else load_document(args.input, args.format)
+    if args.component:
+        doc = select_component(doc, args.component)
+    m, ores = resolve_m(doc, args)
+    inst = doc.instance if m is None else scope_instance(doc.instance, m)
+    return doc.name, inst, m, ores
 
 
 def scope_instance(inst: TimetablingInstance, m: int) -> TimetablingInstance:
@@ -248,6 +256,14 @@ def build_model(inst: TimetablingInstance, relax: str, m: int | None,
     raise CliError(f"unknown relaxation {relax!r}")
 
 
+def _write(payload: str, out_path: str | None) -> None:
+    """Write payload to out_path, or to stdout when there is none."""
+    if out_path:
+        Path(out_path).write_text(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def _emit(rows: list[dict], fields: list[str], fmt: str, out_path: str | None) -> None:
     if fmt == "csv":
         buf = io.StringIO()
@@ -259,14 +275,10 @@ def _emit(rows: list[dict], fields: list[str], fmt: str, out_path: str | None) -
     elif fmt == "json":
         payload = json.dumps(rows, indent=2, default=str) + "\n"
     else:
-        chunks = []
-        for row in rows:
-            chunks.append("\n".join(f"{f}: {row.get(f, '')}" for f in fields))
-        payload = ("\n\n".join(chunks)) + "\n"
-    if out_path:
-        Path(out_path).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+        payload = "\n\n".join(
+            "\n".join(f"{f}: {row.get(f, '')}" for f in fields) for row in rows
+        ) + "\n"
+    _write(payload, out_path)
 
 
 def _fmt_float(x: float) -> str:
@@ -282,23 +294,18 @@ def _fmt_dual(res) -> str:
 
 
 def cmd_bound(args) -> int:
-    doc = make_generated(args.gen) if args.gen else load_document(args.input, args.format)
-    if args.component:
-        doc = select_component(doc, args.component)
-    m, ores = resolve_m(doc, args)
+    name, inst, m, ores = _instance(args)
     relax = args.relax or ("bounded" if m is not None else "lovasz")
-    inst = doc.instance if m is None else scope_instance(doc.instance, m)
     model = build_model(inst, relax, m, args)
-    cfg = SolverConfig(eps=args.eps, max_iter=args.max_iter)
     t0 = time.perf_counter()
-    res = solve(model, cfg)
+    res = solve(model, SolverConfig(eps=args.eps, max_iter=args.max_iter))
     seconds = time.perf_counter() - t0
     if res.status == "diverged":
-        print(f"error: solver diverged on {doc.name}", file=sys.stderr)
+        print(f"error: solver diverged on {name}", file=sys.stderr)
         return 2
     bound, certified = extract_bound(res)
     row = {
-        "instance": doc.name,
+        "instance": name,
         "m": m if m is not None else "",
         "relaxation": relax,
         "bound": _fmt_float(bound),
@@ -310,21 +317,14 @@ def cmd_bound(args) -> int:
         "oracle_nodes": "" if ores is None else ores.nodes_explored,
         "dual_bound": _fmt_dual(res),
     }
-    fields = ["instance", "m", "relaxation", "bound", "certified",
-              "iterations", "seconds", "status", "kernels", "oracle_nodes",
-              "dual_bound"]
-    _emit([row], fields, args.output_format, args.out)
+    _emit([row], list(row), args.output_format, args.out)
     return 0 if res.status == "converged" else 3
 
 
 def cmd_colour(args) -> int:
-    doc = make_generated(args.gen) if args.gen else load_document(args.input, args.format)
-    if args.component:
-        doc = select_component(doc, args.component)
-    m, ores = resolve_m(doc, args)
+    name, inst, m, ores = _instance(args)
     if m is None:
         raise CliError("colour needs --m or --m-offset")
-    inst = scope_instance(doc.instance, m)
     if args.method == "iterative":
         _refuse_unmodelled(inst, "--method iterative", "precolouring")
     rcfg = RoundingConfig(attempts=args.attempts, seed=args.round_seed,
@@ -338,7 +338,7 @@ def cmd_colour(args) -> int:
         model = build_model(inst, "bounded", m, args)
         res = solve(model, SolverConfig(eps=args.eps, max_iter=args.max_iter))
         if res.status == "diverged":
-            print(f"error: solver diverged on {doc.name}", file=sys.stderr)
+            print(f"error: solver diverged on {name}", file=sys.stderr)
             return 2
         _, certified = extract_bound(res)
         if args.method == "kms":
@@ -353,7 +353,7 @@ def cmd_colour(args) -> int:
     if args.out:
         Path(args.out).write_text(format_partition(part))
     row = {
-        "instance": doc.name,
+        "instance": name,
         "m": m,
         "method": args.method,
         "classes": part.num_classes,
@@ -364,9 +364,7 @@ def cmd_colour(args) -> int:
         "oracle_nodes": "" if ores is None else ores.nodes_explored,
         "dual_bound": "" if res is None else _fmt_dual(res),
     }
-    fields = ["instance", "m", "method", "classes", "valid",
-              "certified_lower", "gap", "seconds", "oracle_nodes", "dual_bound"]
-    _emit([row], fields, args.output_format, None)
+    _emit([row], list(row), args.output_format, None)
     if not report.ok:
         for v in report.violations:
             print(f"violation: {v}", file=sys.stderr)
@@ -375,16 +373,11 @@ def cmd_colour(args) -> int:
 
 
 def format_partition(part: Partition) -> str:
-    lines = []
-    for cls in part.classes:
-        items = []
-        for v in sorted(cls):
-            if part.room_of is not None and v in part.room_of:
-                items.append(f"{v}@{part.room_of[v]}")
-            else:
-                items.append(str(v))
-        lines.append(" ".join(items))
-    return "\n".join(lines) + "\n"
+    rooms = part.room_of or {}
+    return "\n".join(
+        " ".join(f"{v}@{rooms[v]}" if v in rooms else str(v) for v in sorted(cls))
+        for cls in part.classes
+    ) + "\n"
 
 
 def read_partition(text: str) -> Partition:
@@ -413,20 +406,12 @@ def cmd_gen(args) -> int:
         lines = [f"p edge {g.n} {g.num_edges}"]
         lines += [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges)]
         payload = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(payload, args.out)
     return 0
 
 
 def cmd_convert(args) -> int:
-    doc = load_document(args.input, args.format)
-    payload = write_native(doc)
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(write_native(load_document(args.input, args.format)), args.out)
     return 0
 
 
@@ -434,207 +419,169 @@ def cmd_convert(args) -> int:
 # bench suites
 # ---------------------------------------------------------------------------
 
+def _table(keys: list[dict], fill, workers: int = 1) -> tuple[list[dict], int]:
+    """One row per key, in key order, each filled in place by fill(row).
+
+    A row starts as its key fields with an empty `error`; an exception in
+    fill becomes that row's error and the table goes on.  Returns the rows
+    and the number of them whose `error` is not empty.
+    """
+    rows = [{**key, "error": ""} for key in keys]
+
+    def run(row: dict) -> None:
+        try:
+            fill(row)
+        except Exception as err:  # an empty message must still fail the row
+            row["error"] = str(err) or type(err).__name__
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, rows))
+    else:
+        for row in rows:
+            run(row)
+    return rows, sum(1 for row in rows if row["error"])
+
+
+def _fails(message: str):
+    """A row filler whose every row reports message as its error."""
+    def fill(row: dict) -> None:
+        raise CliError(message)
+    return fill
+
+
+def _chi_cell(g: ConflictGraph, m: int, time_limit: float) -> int | str:
+    """chi_m of g as a table cell, "timeout" when the search ran out of time."""
+    res = exact_bounded_chromatic(TimetablingInstance.colouring(g, m),
+                                  time_limit=time_limit)
+    return "timeout" if res.chi_m is None else res.chi_m
+
+
 # Largest-class values used for the published offset tables.  The Kneser
 # entries follow the benchmark's own colourings; the 2/3-distance row is
 # pinned by the ratio structure of its published bounds.
 _PINNED_C = {"kneser:5,2": 4, "kneser:6,2": 5, "kneser:7,2": 6, "kneser:8,2": 6,
              "fi:6,2/3": 10}
+_OFFSETS = (0, -1, -2, -3)
 
 
 def _bench_row_kneser(spec: str, oracle_limit: float) -> dict:
-    doc = make_generated(spec)
-    g = doc.instance.graph
-    if spec in _PINNED_C:
-        largest = _PINNED_C[spec]
-    else:
-        res = exact_bounded_chromatic(
-            TimetablingInstance.colouring(g, g.n), time_limit=oracle_limit
-        )
-        largest = max(len(c) for c in res.witness.classes)
+    g = make_generated(spec).instance.graph
+    largest = _PINNED_C[spec] if spec in _PINNED_C else largest_class(g, oracle_limit)[0]
     row = {"instance": spec, "C": largest}
-    for offset in (0, -1, -2, -3):
+    for offset in _OFFSETS:
         m = largest + offset
-        key = f"off{offset}"
-        if m < 1:
-            row[f"bound_{key}"] = ""
-            row[f"chi_{key}"] = ""
-            continue
-        res = solve(build_bounded(g, m))
-        row[f"bound_{key}"] = _fmt_float(res.value)
-        ores = exact_bounded_chromatic(
-            TimetablingInstance.colouring(g, m), time_limit=oracle_limit
-        )
-        row[f"chi_{key}"] = ores.chi_m if ores.chi_m is not None else "timeout"
+        bound = chi = ""
+        if m >= 1:
+            bound = _fmt_float(solve(build_bounded(g, m)).value)
+            chi = _chi_cell(g, m, oracle_limit)
+        row[f"bound_off{offset}"], row[f"chi_off{offset}"] = bound, chi
     return row
 
 
-def _bench_kneser_fi(args) -> tuple[list[dict], list[str], int]:
+def _bench_kneser_fi(args) -> tuple[list[dict], int]:
     # the published table's FI(6,1) row is left out: the generator rejects it
     specs = [
         "kneser:5,2", "kneser:6,2", "kneser:7,2", "kneser:8,2",
         "fi:6,1/2", "fi:6,2/3", "fi:6,5/6",
     ]
-    rows = []
-    failures = 0
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futs = [pool.submit(_bench_row_fi_safe, s, args.oracle_limit) for s in specs]
-        for fut in futs:
-            row, failed = fut.result()
-            rows.append(row)
-            failures += failed
-    fields = ["instance", "C"]
-    for offset in (0, -1, -2, -3):
-        fields += [f"bound_off{offset}", f"chi_off{offset}"]
-    fields += ["error"]
-    return rows, fields, failures
+
+    def fill(row: dict) -> None:
+        row.update(_bench_row_kneser(row["instance"], args.oracle_limit))
+
+    return _table([{"instance": s} for s in specs], fill, worker_count())
 
 
-def _bench_row_fi_safe(spec: str, oracle_limit: float) -> tuple[dict, int]:
-    try:
-        row = _bench_row_kneser(spec, oracle_limit)
-        row["error"] = ""
-        return row, 0
-    except Exception as err:  # generator rejections become row errors
-        return {"instance": spec, "error": str(err)}, 1
-
-
-def _bench_toronto(args) -> tuple[list[dict], list[str], int]:
+def _bench_toronto(args) -> tuple[list[dict], int]:
     data_dir = Path(args.data_dir or "data/toronto")
-    crs = data_dir / "sta-f-83.crs"
-    stu = data_dir / "sta-f-83.stu"
-    fields = ["instance", "m", "chi_m", "chi_seconds", "bound", "certified",
-              "bound_seconds", "counting", "error"]
-    all_ms: list[int | None] = list(range(1, 10)) + [47, None]
+    crs, stu = data_dir / "sta-f-83.crs", data_dir / "sta-f-83.stu"
+    ms = [*range(1, 10), 47, "unbounded"]
     if not crs.exists() or not stu.exists():
-        msg = f"missing dataset under {data_dir}"
-        return (
-            [
-                {"instance": "sta-f-83", "m": m if m else "unbounded", "error": msg}
-                for m in all_ms
-            ],
-            fields,
-            len(all_ms),
-        )
-    doc = parse_toronto(crs.read_text(), stu.read_text(), name="sta-f-83")
-    comps = sorted(connected_components(doc.instance.graph), key=len)
-    target = [c for c in comps if len(c) == 47]
+        return _table([{"instance": "sta-f-83", "m": m} for m in ms],
+                      _fails(f"missing dataset under {data_dir}"))
+    g = parse_toronto(crs.read_text(), stu.read_text(), name="sta-f-83").instance.graph
+    target = [c for c in connected_components(g) if len(c) == 47]
     if not target:
-        return (
-            [{"instance": "sta-f-83", "error": "47-vertex component not found"}],
-            fields,
-            1,
-        )
-    sub, _ = doc.instance.graph.subgraph(sorted(target[0]))
-    rows = []
-    failures = 0
-    for m in all_ms:
-        row: dict = {"instance": "sta-f-83#47", "m": m if m else "unbounded",
-                     "error": ""}
-        try:
-            t0 = time.perf_counter()
-            model = build_theta(sub, "lovasz") if m is None else build_bounded(sub, m)
-            bound, certified = extract_bound(solve(model, SolverConfig(eps=args.eps)))
-            row["bound"] = _fmt_float(bound)
-            row["certified"] = certified
-            row["bound_seconds"] = f"{time.perf_counter() - t0:.3f}"
-            row["counting"] = counting_bound(sub.n, m) if m else ""
-            t0 = time.perf_counter()
-            ores = exact_bounded_chromatic(
-                TimetablingInstance.colouring(sub, m if m else sub.n),
-                time_limit=args.oracle_limit,
-            )
-            row["chi_m"] = ores.chi_m if ores.chi_m is not None else "timeout"
-            row["chi_seconds"] = f"{time.perf_counter() - t0:.3f}"
-        except Exception as err:
-            row["error"] = str(err)
-            failures += 1
-        rows.append(row)
-    return rows, fields, failures
+        return _table([{"instance": "sta-f-83"}], _fails("47-vertex component not found"))
+    sub, _ = g.subgraph(sorted(target[0]))
+
+    def fill(row: dict) -> None:
+        m = None if row["m"] == "unbounded" else row["m"]
+        t0 = time.perf_counter()
+        model = build_theta(sub, "lovasz") if m is None else build_bounded(sub, m)
+        bound, certified = extract_bound(solve(model, SolverConfig(eps=args.eps)))
+        row["bound"] = _fmt_float(bound)
+        row["certified"] = certified
+        row["bound_seconds"] = f"{time.perf_counter() - t0:.3f}"
+        row["counting"] = counting_bound(sub.n, m) if m else ""
+        t0 = time.perf_counter()
+        row["chi_m"] = _chi_cell(sub, m or sub.n, args.oracle_limit)
+        row["chi_seconds"] = f"{time.perf_counter() - t0:.3f}"
+
+    return _table([{"instance": "sta-f-83#47", "m": m} for m in ms], fill)
 
 
-def _bench_itc(args) -> tuple[list[dict], list[str], int]:
+def _bench_itc(args) -> tuple[list[dict], int]:
     data_dir = Path(args.data_dir or "data/itc2007")
-    fields = ["instance", "courses", "rooms", "theta", "bounded", "rounded",
-              "seconds", "error"]
-    rows = []
-    failures = 0
-    names = [f"comp{i:02d}" for i in range(1, 22)]
-    for name in names:
-        path = data_dir / f"{name}.ctt"
-        row: dict = {"instance": name, "error": ""}
+
+    def fill(row: dict) -> None:
+        path = data_dir / f"{row['instance']}.ctt"
         if not path.exists():
-            row["error"] = f"missing {path}"
-            rows.append(row)
-            failures += 1
-            continue
-        try:
-            t0 = time.perf_counter()
-            doc = parse_itc2007(path.read_text(), name=name)
-            g = doc.instance.graph
-            m = doc.instance.m
-            row["courses"] = g.n
-            row["rooms"] = m
-            theta_res = solve(build_theta(g, "lovasz"), SolverConfig(eps=args.eps))
-            row["theta"] = _fmt_float(theta_res.value)
-            res = solve(build_bounded(g, m), SolverConfig(eps=args.eps))
-            row["bounded"] = _fmt_float(res.value)
-            inst = TimetablingInstance.colouring(g, m)
-            y = res.X_final + np.ones_like(res.X_final)
-            part = kms_round(y, inst, RoundingConfig(attempts=args.attempts, seed=0))
-            row["rounded"] = part.num_classes
-            row["seconds"] = f"{time.perf_counter() - t0:.3f}"
-        except Exception as err:
-            row["error"] = str(err)
-            failures += 1
-        rows.append(row)
-    return rows, fields, failures
+            raise CliError(f"missing {path}")
+        t0 = time.perf_counter()
+        inst = parse_itc2007(path.read_text(), name=row["instance"]).instance
+        g, m = inst.graph, inst.m
+        row.update(courses=g.n, rooms=m)
+        theta_res = solve(build_theta(g, "lovasz"), SolverConfig(eps=args.eps))
+        row["theta"] = _fmt_float(theta_res.value)
+        res = solve(build_bounded(g, m), SolverConfig(eps=args.eps))
+        row["bounded"] = _fmt_float(res.value)
+        y = res.X_final + np.ones_like(res.X_final)
+        part = kms_round(y, TimetablingInstance.colouring(g, m),
+                         RoundingConfig(attempts=args.attempts, seed=0))
+        row["rounded"] = part.num_classes
+        row["seconds"] = f"{time.perf_counter() - t0:.3f}"
+
+    return _table([{"instance": f"comp{i:02d}"} for i in range(1, 22)], fill)
 
 
-def _bench_random(args) -> tuple[list[dict], list[str], int]:
-    fields = ["seed", "n", "p", "m", "omega", "counting", "theta", "bounded",
-              "certified", "chi_m", "greedy", "consistent", "error"]
-    rows = []
-    failures = 0
+def _bench_random(args) -> tuple[list[dict], int]:
+    def fill(row: dict) -> None:
+        g = gen_gnp(args.n, args.p, row["seed"])
+        for m in args.m_values:
+            rep = sandwich_check(g, m, time_limit=args.oracle_limit)
+            row.update(m=m, omega=rep.omega, counting=rep.counting,
+                       theta=_fmt_float(rep.theta), bounded=_fmt_float(rep.bounded),
+                       certified=rep.certified, chi_m=rep.chi_m,
+                       greedy=rep.greedy_classes, consistent=rep.passed)
+            if not rep.passed:
+                row["error"] = "; ".join(rep.failures)
 
-    def one(seed: int) -> dict:
-        g = gen_gnp(args.n, args.p, seed)
-        out: dict = {"seed": seed, "n": args.n, "p": args.p, "error": ""}
-        try:
-            for m in args.m_values:
-                rep = sandwich_check(g, m, time_limit=args.oracle_limit)
-                out["m"] = m
-                out["omega"] = rep.omega
-                out["counting"] = rep.counting
-                out["theta"] = _fmt_float(rep.theta)
-                out["bounded"] = _fmt_float(rep.bounded)
-                out["certified"] = rep.certified
-                out["chi_m"] = rep.chi_m
-                out["greedy"] = rep.greedy_classes
-                out["consistent"] = rep.passed
-                if not rep.passed:
-                    out["error"] = "; ".join(rep.failures)
-        except Exception as err:
-            out["error"] = str(err)
-        return out
+    keys = [{"seed": seed, "n": args.n, "p": args.p} for seed in range(args.seeds)]
+    return _table(keys, fill, worker_count())
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for out in pool.map(one, range(args.seeds)):
-            rows.append(out)
-            if out["error"]:
-                failures += 1
-    return rows, fields, failures
+
+# suite -> (rows and failure count from the parsed arguments, CSV columns)
+_SUITES = {
+    "toronto-sta83": (_bench_toronto, [
+        "instance", "m", "chi_m", "chi_seconds", "bound", "certified",
+        "bound_seconds", "counting", "error"]),
+    "kneser-fi": (_bench_kneser_fi, [
+        "instance", "C",
+        *(f"{col}_off{offset}" for offset in _OFFSETS for col in ("bound", "chi")),
+        "error"]),
+    "itc2007": (_bench_itc, [
+        "instance", "courses", "rooms", "theta", "bounded", "rounded", "seconds",
+        "error"]),
+    "random-sweep": (_bench_random, [
+        "seed", "n", "p", "m", "omega", "counting", "theta", "bounded", "certified",
+        "chi_m", "greedy", "consistent", "error"]),
+}
 
 
 def cmd_bench(args) -> int:
-    suites = {
-        "toronto-sta83": _bench_toronto,
-        "kneser-fi": _bench_kneser_fi,
-        "itc2007": _bench_itc,
-        "random-sweep": _bench_random,
-    }
-    if args.suite not in suites:
-        raise CliError(f"unknown suite {args.suite!r}")
-    rows, fields, failures = suites[args.suite](args)
+    suite, fields = _SUITES[args.suite]
+    rows, failures = suite(args)
     _emit(rows, fields, args.output_format, args.out)
     if failures:
         print(f"{failures} row(s) failed", file=sys.stderr)
@@ -651,19 +598,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="*", help="instance file(s)")
-            p.add_argument("--gen", help="generator spec, e.g. gnp:20,0.5,1")
-            p.add_argument("--format", default="auto",
-                           choices=["auto", "dimacs", "toronto", "itc2007", "native"])
-            p.add_argument("--component", type=int, default=0,
-                           help="use the k-th largest connected component")
+    formats = ["auto", "dimacs", "toronto", "itc2007", "native"]
+
+    def add_pipeline(name: str, summary: str, func) -> argparse.ArgumentParser:
+        """A command that reads an instance, then models and solves it."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("input", nargs="*", help="instance file(s)")
+        p.add_argument("--gen", help="generator spec, e.g. gnp:20,0.5,1")
+        p.add_argument("--format", default="auto", choices=formats)
+        p.add_argument("--component", type=int, default=0,
+                       help="use the k-th largest connected component")
         p.add_argument("--output-format", default="text",
                        choices=["text", "csv", "json"])
         p.add_argument("--out", help="output path (default stdout)")
-
-    def add_model(p):
         p.add_argument("--relax", choices=["lovasz", "strict", "strong", "bounded",
                                            "laminar", "rooms"])
         p.add_argument("--m", type=int)
@@ -673,29 +620,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="laminar: add feature rows (requires laminar family)")
         p.add_argument("--room-stability", action="store_true")
         p.add_argument("--oracle-limit", type=float, default=600.0)
-
-    def add_solver(p):
         p.add_argument("--eps", type=float, default=1e-5)
         p.add_argument("--max-iter", type=int, default=20000)
         p.add_argument("--verbose", type=int, default=0, help="N>0: progress to stderr")
+        p.set_defaults(func=func)
+        return p
 
-    p_bound = sub.add_parser("bound", help="compute a lower bound")
-    add_io(p_bound)
-    add_model(p_bound)
-    add_solver(p_bound)
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_col = sub.add_parser("colour", help="solve and round to a timetable")
-    add_io(p_col)
-    add_model(p_col)
-    add_solver(p_col)
+    add_pipeline("bound", "compute a lower bound", cmd_bound)
+    p_col = add_pipeline("colour", "solve and round to a timetable", cmd_colour)
     p_col.add_argument("--method", default="kms",
                        choices=["kms", "iterative", "greedy"])
     p_col.add_argument("--attempts", type=int, default=50)
     p_col.add_argument("--round-seed", type=int, default=0, dest="round_seed",
                        help="seed of the kms attempts")
     p_col.add_argument("--delta", type=float, default=1e-6)
-    p_col.set_defaults(func=cmd_colour)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("spec")
@@ -706,15 +644,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convert", help="convert any format to bcsdp-v1")
     p_conv.add_argument("input", nargs="+")
-    p_conv.add_argument("--format", default="auto",
-                        choices=["auto", "dimacs", "toronto", "itc2007", "native"])
+    p_conv.add_argument("--format", default="auto", choices=formats)
     p_conv.add_argument("--out")
     p_conv.set_defaults(func=cmd_convert)
 
     p_bench = sub.add_parser("bench", help="regenerate a benchmark table")
-    p_bench.add_argument("--suite", required=True,
-                         choices=["toronto-sta83", "kneser-fi", "itc2007",
-                                  "random-sweep"])
+    p_bench.add_argument("--suite", required=True, choices=list(_SUITES))
     p_bench.add_argument("--data-dir")
     p_bench.add_argument("--n", type=int, default=20)
     p_bench.add_argument("--p", type=float, default=0.5)

@@ -27,6 +27,7 @@ __all__ = [
     "cycle_graph",
     "connected_components",
     "counting_bound",
+    "check_precolouring",
     "validate_partition",
     "class_violations",
     "ClassCounts",
@@ -219,6 +220,21 @@ def counting_bound(n: int, m: int) -> int:
     return -(-n // m)
 
 
+def check_precolouring(n: int, m: int, classes: Iterable[frozenset[int]]) -> set[int]:
+    """The pre-coloured vertices; a class larger than m, overlapping another
+    or holding a vertex outside 0..n-1 is rejected."""
+    seen: set[int] = set()
+    for cls in classes:
+        if len(cls) > m:
+            raise ValueError("pre-colouring class larger than m")
+        if seen & cls:
+            raise ValueError("pre-colouring classes must be disjoint")
+        if any(not 0 <= v < n for v in cls):
+            raise ValueError("pre-colouring vertex out of range")
+        seen |= cls
+    return seen
+
+
 @dataclass(frozen=True)
 class TimetablingInstance:
     """Conflict graph plus room bound, sizes, capacities, features, pre-colouring.
@@ -261,15 +277,7 @@ class TimetablingInstance:
         for r, f in self.room_features:
             if not (0 <= r < self.m and 0 <= f < self.feature_count):
                 raise ValueError(f"room feature ({r},{f}) out of range")
-        seen: set[int] = set()
-        for cls in self.precolouring:
-            if len(cls) > self.m:
-                raise ValueError("pre-colouring class larger than m")
-            if seen & cls:
-                raise ValueError("pre-colouring classes must be disjoint")
-            if any(not 0 <= v < n for v in cls):
-                raise ValueError("pre-colouring vertex out of range")
-            seen |= cls
+        check_precolouring(n, self.m, self.precolouring)
         if self.weights is not None:
             if len(self.weights) != n:
                 raise ValueError("weights length must equal vertex count")

@@ -283,6 +283,11 @@ def write_native(doc: InstanceDocument) -> str:
     return out.getvalue()
 
 
+# bcsdp-v1 record tag -> the least number of integer fields it carries
+_NATIVE_FIELDS = {"GRAPH": 1, "e": 2, "sizes": 0, "weights": 0, "ROOMS": 1, "caps": 0,
+                  "FEATURES": 1, "ef": 2, "rf": 2, "PRECOLOUR": 0, "pc": 0, "END": 0}
+
+
 def parse_native(data) -> InstanceDocument:
     """Parse the bcsdp-v1 format written by write_native."""
     text = _as_text(data)
@@ -305,32 +310,36 @@ def parse_native(data) -> InstanceDocument:
         if not parts:
             continue
         tag = parts[0]
+        if tag not in _NATIVE_FIELDS:
+            raise ParseError(f"line {lineno}: unknown record {line!r}")
+        try:
+            vals = [int(x) for x in parts[1:]]
+        except ValueError as err:
+            raise ParseError(f"line {lineno}: malformed record {line!r}") from err
+        if len(vals) < _NATIVE_FIELDS[tag]:
+            raise ParseError(f"line {lineno}: malformed record {line!r}")
         if tag == "GRAPH":
-            n = int(parts[1])
+            n = vals[0]
         elif tag == "e":
-            edges.add((int(parts[1]), int(parts[2])))
+            edges.add((vals[0], vals[1]))
         elif tag == "sizes":
-            sizes = tuple(int(x) for x in parts[1:])
+            sizes = tuple(vals)
         elif tag == "weights":
-            weights = tuple(int(x) for x in parts[1:])
+            weights = tuple(vals)
         elif tag == "ROOMS":
-            m = int(parts[1])
+            m = vals[0]
         elif tag == "caps":
-            caps = tuple(int(x) for x in parts[1:])
+            caps = tuple(vals)
         elif tag == "FEATURES":
-            feature_count = int(parts[1])
+            feature_count = vals[0]
         elif tag == "ef":
-            ef.add((int(parts[1]), int(parts[2])))
+            ef.add((vals[0], vals[1]))
         elif tag == "rf":
-            rf.add((int(parts[1]), int(parts[2])))
-        elif tag == "PRECOLOUR":
-            continue
+            rf.add((vals[0], vals[1]))
         elif tag == "pc":
-            pre.append(frozenset(int(x) for x in parts[1:]))
+            pre.append(frozenset(vals))
         elif tag == "END":
             break
-        else:
-            raise ParseError(f"line {lineno}: unknown record {line!r}")
     if n is None:
         raise ParseError("missing GRAPH section")
     if m is None:

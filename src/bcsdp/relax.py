@@ -40,7 +40,13 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse
 
-from .graphs import ClassCounts, ConflictGraph, Partition, TimetablingInstance
+from .graphs import (
+    ClassCounts,
+    ConflictGraph,
+    Partition,
+    TimetablingInstance,
+    check_precolouring,
+)
 
 __all__ = [
     "SymRow",
@@ -348,15 +354,7 @@ def reduce_precolouring_atoms(
     than m, overlapping another or holding an edge is rejected.
     """
     classes = [frozenset(cls) for cls in pre]
-    seen: set[int] = set()
-    for cls in classes:
-        if len(cls) > m:
-            raise ValueError("pre-colouring class larger than m")
-        if seen & cls:
-            raise ValueError("pre-colouring classes must be disjoint")
-        if any(not 0 <= v < g.n for v in cls):
-            raise ValueError("pre-colouring vertex out of range")
-        seen |= cls
+    seen = check_precolouring(g.n, m, classes)
     atoms = [tuple(sorted(cls)) for cls in classes]
     atoms += [(v,) for v in range(g.n) if v not in seen]
     index: dict[int, int] = {}

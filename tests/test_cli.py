@@ -123,6 +123,14 @@ class TestBound:
         code, out, err = run_cli(["bound", "--gen", "blob:3", "--m", "1"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("record", ["GRAPH", "e 0", "e 0 x", "ROOMS x"])
+    def test_malformed_native_record_names_its_line(self, capsys, tmp_path, record):
+        path = tmp_path / "bad.bcsdp"
+        path.write_text(f"bcsdp-v1 bad\nGRAPH 2 0\n{record}\nEND\n")
+        code, out, err = run_cli(["bound", str(path), "--m", "1"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: line 3: malformed record {record!r}"]
+
     @pytest.mark.parametrize("relax, weights, pre, field", [
         ("laminar", (2, 2, 1, 1, 1, 1), (), "weights"),
         ("rooms", (2, 2, 1, 1, 1, 1), (), "weights"),
@@ -371,17 +379,76 @@ class TestBench:
         def stub_row(spec, oracle_limit):
             if spec in broken:
                 raise ValueError(f"stub failure on {spec}")
+            if spec in silent:
+                raise AssertionError()
             cli.make_generated(spec)
             return {"instance": spec, "C": 1}
 
         monkeypatch.setattr(cli, "_bench_row_kneser", stub_row)
-        broken = set()
+        broken, silent = set(), set()
         code, out, err = run_cli(["bench", "--suite", "kneser-fi"], capsys)
         assert code == 0 and "failed" not in err
         assert len(out.splitlines()) == 8  # header + 7 rows
         broken = {"kneser:6,2"}
         code, out, err = run_cli(["bench", "--suite", "kneser-fi"], capsys)
         assert code == 1 and "1 row(s) failed" in err
+        # an exception without a message still fails its row
+        broken, silent = set(), {"fi:6,1/2"}
+        code, out, err = run_cli(["bench", "--suite", "kneser-fi",
+                                  "--output-format", "json"], capsys)
+        assert code == 1 and "1 row(s) failed" in err
+        assert json.loads(out)[4]["error"] == "AssertionError"
+
+    def test_kneser_fi_unbounded_timeout_is_a_row_error(self, capsys, monkeypatch):
+        # a search that times out on the unbounded colouring proves no C: the
+        # row reports an error instead of a C read off the search's incumbent
+        from bcsdp import cli
+        from bcsdp.oracle import OracleResult
+        from bcsdp.rounding import greedy_colouring
+
+        search = cli.exact_bounded_chromatic
+
+        def times_out_unbounded(inst, time_limit):
+            if inst.m < inst.graph.n:
+                return search(inst, time_limit=time_limit)
+            incumbent = greedy_colouring(inst)
+            return OracleResult(chi_m=None, witness=incumbent, nodes_explored=1,
+                                timed_out=True, lower_bound=1,
+                                upper_bound=incumbent.num_classes)
+
+        monkeypatch.setattr(cli, "exact_bounded_chromatic", times_out_unbounded)
+        code, out, err = run_cli(["bench", "--suite", "kneser-fi",
+                                  "--output-format", "json"], capsys)
+        rows = {row["instance"]: row for row in json.loads(out)}
+        assert code == 1 and "row(s) failed" in err
+        assert "C" not in rows["fi:6,1/2"]
+        assert "oracle could not colour" in rows["fi:6,1/2"]["error"]
+        # a pinned C needs no unbounded search
+        assert rows["kneser:8,2"]["error"] == "" and rows["kneser:8,2"]["C"] == 6
+
+    def test_itc_missing_files(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["bench", "--suite", "itc2007", "--data-dir", str(tmp_path),
+             "--output-format", "json"], capsys
+        )
+        rows = json.loads(out)
+        assert code == 1 and err == "21 row(s) failed\n"
+        assert [row["instance"] for row in rows] == [f"comp{i:02d}" for i in range(1, 22)]
+        for row in rows:
+            assert row["error"] == f"missing {tmp_path / row['instance']}.ctt"
+
+    def test_toronto_without_the_47_vertex_component(self, capsys, tmp_path):
+        # three exams, two of them sharing a student: components of 2 and 1
+        (tmp_path / "sta-f-83.crs").write_text("0001 30\n0002 25\n0003 12\n")
+        (tmp_path / "sta-f-83.stu").write_text("0001 0002\n0003\n")
+        code, out, err = run_cli(
+            ["bench", "--suite", "toronto-sta83", "--data-dir", str(tmp_path),
+             "--output-format", "json"], capsys
+        )
+        assert code == 1 and err == "1 row(s) failed\n"
+        assert json.loads(out) == [
+            {"instance": "sta-f-83", "error": "47-vertex component not found"}
+        ]
 
     def test_toronto_missing_dataset(self, capsys, tmp_path):
         code, out, err = run_cli(

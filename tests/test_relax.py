@@ -263,6 +263,20 @@ class TestReducePrecolouring:
         assert q.n == 2 and q.num_edges == 1
         assert w == (2, 1)
 
+    @pytest.mark.parametrize("pre, message", [
+        ([{0, 1, 2}], "class larger than m"),
+        ([{0, 1}, {1, 2}], "classes must be disjoint"),
+        ([{0, 4}], "vertex out of range"),
+    ])
+    def test_build_precoloured_checks_like_the_instance(self, pre, message):
+        # a library caller that builds the model without an instance gets
+        # the instance's own check, message for message
+        with pytest.raises(ValueError, match=message):
+            build_precoloured(empty_graph(4), 2, pre)
+        with pytest.raises(ValueError, match=message):
+            TimetablingInstance(empty_graph(4), m=2,
+                                precolouring=tuple(frozenset(c) for c in pre))
+
 
 class TestLaminar:
     def test_check_laminar(self):
