@@ -1003,3 +1003,71 @@ class TestOrderings:
         strong = solve(build_theta(g, "strong"), SolverConfig()).value
         assert strict <= lov + 5e-3
         assert lov <= strong + 5e-3
+
+
+def golden_model(spec: str, m, relax: str):
+    """The model `bcsdp bound --gen spec --m m --relax relax` solves."""
+    if relax == "rooms":
+        return rooms_build()
+    kind, _, args = spec.partition(":")
+    a = args.split(",")
+    g = {"kneser": lambda: gen_kneser(int(a[0]), int(a[1])),
+         "fi": lambda: gen_forbidden_intersection(int(a[0]), 2 / 3),
+         "gnp": lambda: gen_gnp(int(a[0]), float(a[1]), int(a[2]))}[kind]()
+    return build_bounded(g, m) if relax == "bounded" else build_theta(g, relax)
+
+
+# (spec, m, relaxation, max_iter or None) -> (iterations, status, certified,
+# value, lower); the 20 published desk cells, gnp:45 s1-4 at the m that
+# --m-offset -2 gives, the gnp:160 colour-kms solve, two theta models and a
+# room model capped at 300 iterations (its dense kernels)
+SOLVE_GOLDEN = [
+    ("kneser:5,2", 4, "bounded", None, 98, "converged", 3, 2.500039543261823, 2.499876439681026),
+    ("kneser:5,2", 3, "bounded", None, 48, "converged", 4, 3.333389102723077, 3.333320092991691),
+    ("kneser:5,2", 2, "bounded", None, 47, "converged", 5, 5.000019879200057, 4.999953506580678),
+    ("kneser:5,2", 1, "bounded", None, 190, "converged", 10, 10.000368545862367, 9.999913089427524),
+    ("kneser:6,2", 5, "bounded", None, 96, "converged", 3, 2.999952394717385, 2.999672446447857),
+    ("kneser:6,2", 4, "bounded", None, 70, "converged", 4, 3.7500627649464153, 3.7499698310457203),
+    ("kneser:6,2", 3, "bounded", None, 53, "converged", 5, 5.000045104113753, 4.999857708664233),
+    ("kneser:6,2", 2, "bounded", None, 70, "converged", 8, 7.500067524556035, 7.499929942919674),
+    ("kneser:7,2", 6, "bounded", None, 107, "converged", 4, 3.499961109435703, 3.4995215000825923),
+    ("kneser:7,2", 5, "bounded", None, 98, "converged", 5, 4.200073329274003, 4.199974861006451),
+    ("kneser:7,2", 4, "bounded", None, 67, "converged", 6, 5.250120878762175, 5.2499466809516715),
+    ("kneser:7,2", 3, "bounded", None, 70, "converged", 7, 7.000042504590709, 6.99984051622309),
+    ("kneser:8,2", 6, "bounded", None, 103, "converged", 5, 4.666746847981352, 4.66658106191989),
+    ("kneser:8,2", 5, "bounded", None, 90, "converged", 6, 5.600095764380494, 5.599931008368707),
+    ("kneser:8,2", 4, "bounded", None, 77, "converged", 7, 7.000216625877658, 6.9995943111558745),
+    ("kneser:8,2", 3, "bounded", None, 80, "converged", 10, 9.3333797354386, 9.33307626150373),
+    ("fi:6,2/3", 10, "bounded", None, 149, "converged", 7, 6.400115171135843, 6.3999199036087875),
+    ("fi:6,2/3", 9, "bounded", None, 113, "converged", 8, 7.111237826953677, 7.111010186527993),
+    ("fi:6,2/3", 8, "bounded", None, 109, "converged", 8, 8.00014868953064, 7.999927527583201),
+    ("fi:6,2/3", 7, "bounded", None, 93, "converged", 10, 9.143024825689151, 9.142773149917929),
+    ("gnp:45,0.5,1", 5, "bounded", None, 117, "converged", 9, 9.000178088862093, 8.999501456517303),
+    ("gnp:45,0.5,2", 5, "bounded", None, 117, "converged", 9, 9.000196347389009, 8.999387606323593),
+    ("gnp:45,0.5,3", 4, "bounded", None, 89, "converged", 12, 11.25004296040203, 11.249431633434941),
+    ("gnp:45,0.5,4", 4, "bounded", None, 68, "converged", 12, 11.250333833746742, 11.249293169645947),
+    ("gnp:160,0.5,1", 5, "bounded", None, 148, "converged", 32, 32.0009166313462, 31.999829888368193),
+    ("gnp:30,0.5,1", None, "lovasz", None, 357, "converged", 7, 6.9998823693514565, None),
+    ("gnp:30,0.5,1", None, "strict", None, 403, "converged", 7, 7.000118271166608, None),
+    ("tt8", 2, "rooms", 300, 300, "max_iter", 5, 4.3907845428218275, None),
+]
+
+
+class TestSolveGolden:
+    """Iterations, status, certificate and values of fixed solves, recorded
+    before the fused multiplier and S/X steps; a change to the step's
+    arithmetic must keep all of them."""
+
+    @pytest.mark.parametrize("case", SOLVE_GOLDEN,
+                             ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in SOLVE_GOLDEN])
+    def test_solve_unchanged(self, case):
+        spec, m, relax, max_iter, iters, status, certified, value, lower = case
+        cfg = SolverConfig(max_iter=max_iter) if max_iter else SolverConfig()
+        res = solve(golden_model(spec, m, relax), cfg)
+        assert (res.iterations, res.status) == (iters, status)
+        assert extract_bound(res)[1] == certified
+        assert abs(res.value - value) <= 1e-9
+        if lower is None:
+            assert res.lower is None
+        else:
+            assert abs(res.lower - lower) <= 1e-9
