@@ -368,45 +368,78 @@ def class_violations(inst: TimetablingInstance, members: Iterable[int]) -> list[
 
 
 class ClassCounts:
-    """The counts class_violations bounds, kept as int tuples per event group.
+    """The counts class_violations bounds, packed into one int per event group.
 
     For each group (a set of events that always share a class, such as a
-    pre-colouring class) profile[a] is its weight, its count of events larger
+    pre-colouring class) the counts are its weight, its count of events larger
     than each distinct room capacity and its count of events needing each
     feature; limits is m, the rooms larger than each capacity and the rooms
     offering each feature.  A class with no conflict edge inside keeps every
-    rule of class_violations iff the sum of its groups' profiles is <= limits
-    entry-wise, so a running total per class makes each test O(1) in the
-    class size.
+    rule of class_violations iff the sum of its groups' counts is <= limits
+    entry-wise.
+
+    Encoding: count i is a field of w_i bits, w_i the bit length of the larger
+    of limit i and the count's total over all groups, with one guard bit
+    above it; profile[a] is group a's counts packed so (pack).  A class's
+    running total is then the plain int sum of its groups' profiles (plus is
+    +, the empty class is 0), and adding slack_i = 2^w_i - 1 - limit_i to
+    field i carries into its guard bit iff the field exceeds its limit.  So
+    fits(t) is `not (t + slack) & guard`, and admits(t, a) is one add of the
+    precomputed profile[a] + slack and one AND.  This is exact for every
+    total of distinct groups: such a field is at most the count's total over
+    all groups, below 2^w_i, so no field reaches its guard bit by addition,
+    and field plus slack stays below 2^(w_i + 1), so no carry crosses into
+    the next field.
     """
 
-    def __init__(self, inst: TimetablingInstance, groups: Sequence[Sequence[int]]):
+    def __init__(self, limits: Sequence[int], profiles: Sequence[Sequence[int]]):
+        self.limits = tuple(limits)
+        self.weight = [p[0] for p in profiles]  # the first count is the weight
+        self._shifts = []
+        shift = slack = guard = 0
+        for i, limit in enumerate(self.limits):
+            total = sum(p[i] for p in profiles)
+            width = max(limit, total).bit_length()
+            self._shifts.append(shift)
+            slack |= ((1 << width) - 1 - limit) << shift
+            guard |= 1 << (shift + width)
+            shift += width + 1
+        self._slack, self._guard = slack, guard
+        self.profile = [self.pack(p) for p in profiles]
+        self._slacked = [p + slack for p in self.profile]
+        self.empty = 0
+
+    @classmethod
+    def of_groups(cls, inst: TimetablingInstance,
+                  groups: Sequence[Sequence[int]]) -> "ClassCounts":
+        """The counts of each group of inst's events, against inst's rooms."""
         caps = sorted(set(inst.room_capacities))
         feats = range(inst.feature_count)
-        self.limits = (
+        limits = (
             inst.m,
             *(sum(1 for r in inst.room_capacities if r > c) for c in caps),
             *(sum(1 for r in range(inst.m) if (r, f) in inst.room_features)
               for f in feats),
         )
-        self.profile = [(
+        return cls(limits, [(
             sum(inst.vertex_weight(v) for v in mem),
             *(sum(1 for v in mem if inst.event_sizes[v] > c) for c in caps),
             *(sum(1 for v in mem if (v, f) in inst.event_features) for f in feats),
-        ) for mem in groups]
-        self.empty = (0,) * len(self.limits)
+        ) for mem in groups])
 
-    def fits(self, total: tuple[int, ...]) -> bool:
+    def pack(self, counts: Sequence[int]) -> int:
+        """The int that holds these counts, one per limit, in their fields."""
+        return sum(c << s for c, s in zip(counts, self._shifts))
+
+    def fits(self, total: int) -> bool:
         """Whether a class with this profile total keeps every count rule."""
-        return all(map(operator.le, total, self.limits))
+        return not (total + self._slack) & self._guard
 
-    def admits(self, total: tuple[int, ...], a: int) -> bool:
+    def admits(self, total: int, a: int) -> bool:
         """Whether a class with this total still fits after adding group a."""
-        return self.fits(self.plus(total, self.profile[a]))
+        return not (total + self._slacked[a]) & self._guard
 
-    @staticmethod
-    def plus(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(operator.add, u, v))
+    plus = staticmethod(operator.add)
 
 
 def validate_partition(inst: TimetablingInstance, part: Partition) -> ValidationReport:

@@ -283,13 +283,19 @@ def write_native(doc: InstanceDocument) -> str:
     return out.getvalue()
 
 
-# bcsdp-v1 record tag -> the least number of integer fields it carries
-_NATIVE_FIELDS = {"GRAPH": 1, "e": 2, "sizes": 0, "weights": 0, "ROOMS": 1, "caps": 0,
-                  "FEATURES": 1, "ef": 2, "rf": 2, "PRECOLOUR": 0, "pc": 0, "END": 0}
+# bcsdp-v1 record tag -> the number of integer fields it carries (None: any)
+_NATIVE_FIELDS = {"GRAPH": 2, "e": 2, "sizes": None, "weights": None, "ROOMS": 1,
+                  "caps": None, "FEATURES": 1, "ef": 2, "rf": 2, "PRECOLOUR": 1,
+                  "pc": None, "END": 0}
 
 
 def parse_native(data) -> InstanceDocument:
-    """Parse the bcsdp-v1 format written by write_native."""
+    """Parse the bcsdp-v1 format written by write_native.
+
+    A record with the wrong number of fields, an edge before GRAPH or with an
+    endpoint outside 0..n-1, and a GRAPH edge count or PRECOLOUR class count
+    that its e or pc records do not match raise ParseError naming the line.
+    """
     text = _as_text(data)
     lines = text.splitlines()
     if not lines or not lines[0].startswith("bcsdp-v1"):
@@ -305,6 +311,9 @@ def parse_native(data) -> InstanceDocument:
     ef: set[tuple[int, int]] = set()
     rf: set[tuple[int, int]] = set()
     pre: list[frozenset[int]] = []
+    # "e" and "pc" -> (line, count) as GRAPH and PRECOLOUR declare them
+    declared: dict[str, tuple[int, int]] = {}
+    seen = {"e": 0, "pc": 0}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
@@ -316,11 +325,18 @@ def parse_native(data) -> InstanceDocument:
             vals = [int(x) for x in parts[1:]]
         except ValueError as err:
             raise ParseError(f"line {lineno}: malformed record {line!r}") from err
-        if len(vals) < _NATIVE_FIELDS[tag]:
+        arity = _NATIVE_FIELDS[tag]
+        if arity is not None and len(vals) != arity:
             raise ParseError(f"line {lineno}: malformed record {line!r}")
+        if tag in seen:
+            seen[tag] += 1
         if tag == "GRAPH":
             n = vals[0]
+            declared["e"] = (lineno, vals[1])
         elif tag == "e":
+            if n is None or not all(0 <= v < n for v in vals):
+                raise ParseError(f"line {lineno}: edge {line!r} outside GRAPH "
+                                 f"{'n' if n is None else n}")
             edges.add((vals[0], vals[1]))
         elif tag == "sizes":
             sizes = tuple(vals)
@@ -336,10 +352,16 @@ def parse_native(data) -> InstanceDocument:
             ef.add((vals[0], vals[1]))
         elif tag == "rf":
             rf.add((vals[0], vals[1]))
+        elif tag == "PRECOLOUR":
+            declared["pc"] = (lineno, vals[0])
         elif tag == "pc":
             pre.append(frozenset(vals))
         elif tag == "END":
             break
+    for record, (lineno, want) in declared.items():
+        if want != seen[record]:
+            raise ParseError(f"line {lineno}: {want} {record} records declared, "
+                             f"the file has {seen[record]}")
     if n is None:
         raise ParseError("missing GRAPH section")
     if m is None:

@@ -113,7 +113,7 @@ def greedy_atoms(atoms: Atoms) -> list[list[int]]:
     order = _Dsatur(atoms)
     classes: list[list[int]] = []
     class_mask: list[int] = []
-    class_state: list[tuple[int, ...]] = []  # ClassCounts totals
+    class_state: list[int] = []  # ClassCounts totals
     for _ in range(atoms.k):
         a = order.target()
         bit = 1 << a
@@ -124,11 +124,11 @@ def greedy_atoms(atoms: Atoms) -> list[list[int]]:
             ci = len(classes)
             classes.append([])
             class_mask.append(0)
-            class_state.append(counts.empty)
+            class_state.append(0)
         order.bump(a, class_mask[ci], 1)
         classes[ci].append(a)
         class_mask[ci] |= atoms.adj[a]
-        class_state[ci] = counts.plus(class_state[ci], counts.profile[a])
+        class_state[ci] += counts.profile[a]
     return classes
 
 
@@ -153,9 +153,8 @@ def exact_bounded_chromatic(
     best_classes = greedy_atoms(atoms)
     best_ub = len(best_classes)
     # a class holds at most m weight and the L open classes hold all placed
-    # weight, so L + ceil((unplaced - spare room) / m) is max(L, weight_lb);
-    # a profile's first entry is the atom's weight
-    weight_lb = counting_bound(sum(p[0] for p in counts.profile), inst.m)
+    # weight, so L + ceil((unplaced - spare room) / m) is max(L, weight_lb)
+    weight_lb = counting_bound(sum(counts.weight), inst.m)
     clique = max_clique(atoms.graph, time_limit=min(5.0, time_limit / 4))
     root_lb = max(weight_lb, clique, 1)
     nodes = 0
@@ -168,7 +167,8 @@ def exact_bounded_chromatic(
     order = _Dsatur(atoms)
     class_members: list[list[int]] = []
     class_conflict: list[int] = []  # union of adj masks
-    class_state: list[tuple[int, ...]] = []
+    class_state: list[int] = []
+    admits, profile = counts.admits, counts.profile
 
     def recurse() -> bool:
         """Depth-first; returns False on timeout."""
@@ -191,11 +191,11 @@ def exact_bounded_chromatic(
             if mask & bit:
                 continue
             saved = class_state[ci]
-            if not counts.admits(saved, a):
+            if not admits(saved, a):
                 continue
             class_members[ci].append(a)
             class_conflict[ci] = mask | adj[a]
-            class_state[ci] = counts.plus(saved, counts.profile[a])
+            class_state[ci] = saved + profile[a]
             order.bump(a, mask, 1)
             ok = recurse()
             order.bump(a, mask, -1)
@@ -207,7 +207,7 @@ def exact_bounded_chromatic(
         if len(class_members) + 1 <= best_ub - 1:
             class_members.append([a])
             class_conflict.append(adj[a])
-            class_state.append(counts.profile[a])
+            class_state.append(profile[a])
             order.bump(a, 0, 1)
             ok = recurse()
             order.bump(a, 0, -1)

@@ -393,7 +393,7 @@ class Atoms:
         self.atom_of = np.empty(inst.graph.n, dtype=np.intp)
         for a, mem in enumerate(self.members):
             self.atom_of[list(mem)] = a
-        self.counts = ClassCounts(inst, self.members)
+        self.counts = ClassCounts.of_groups(inst, self.members)
         for mem, profile in zip(self.members, self.counts.profile):
             if not self.counts.fits(profile):
                 raise ValueError(
@@ -566,6 +566,9 @@ def build_room_assignment(
 # ---------------------------------------------------------------------------
 
 
+_IDX_I, _IDX_J, _COEFF, _RHS = map(operator.attrgetter, ("idx_i", "idx_j", "coeff", "rhs"))
+
+
 def constraint_matrix(rows: Sequence[SymRow], dim: int) -> scipy.sparse.csr_matrix:
     """The rows as one k x dim^2 CSR over vec(X) (row-major).
 
@@ -573,13 +576,14 @@ def constraint_matrix(rows: Sequence[SymRow], dim: int) -> scipy.sparse.csr_matr
     for symmetric X, A.T @ y is vec(sum_r y_r A_r), and A @ A.T is the
     Frobenius Gram matrix.  Repeated positions within a row add up.
     """
-    counts = [len(r.coeff) for r in rows]
+    counts = list(map(len, map(_COEFF, rows)))
     total = sum(counts)
     # int32 where the indices fit, as scipy stores them, so none is copied
     idx = np.int32 if max(dim * dim, len(rows)) < 2**31 else np.int64
-    ii = np.fromiter(chain.from_iterable(r.idx_i for r in rows), idx, total)
-    jj = np.fromiter(chain.from_iterable(r.idx_j for r in rows), idx, total)
-    cc = np.fromiter(chain.from_iterable(r.coeff for r in rows), float, total)
+    # map over attrgetters walks the rows without a Python frame per row
+    ii = np.fromiter(chain.from_iterable(map(_IDX_I, rows)), idx, total)
+    jj = np.fromiter(chain.from_iterable(map(_IDX_J, rows)), idx, total)
+    cc = np.fromiter(chain.from_iterable(map(_COEFF, rows)), float, total)
     owner = np.repeat(np.arange(len(rows), dtype=idx), counts)
     off = ii != jj
     entries = (np.concatenate([cc, cc[off]]),
@@ -608,4 +612,5 @@ def verify_structure(
     neq = len(model.eq_graph) + len(model.eq_other)
     ends = [0, len(model.eq_graph), neq, *(neq + b for _, _, b in model.ineq_groups)]
     a = constraint_matrix(rows, model.dim)
-    return np.array([r.rhs for r in rows], dtype=float), a, gram_matrix(a), ends
+    rhs = np.fromiter(map(_RHS, rows), float, len(rows))
+    return rhs, a, gram_matrix(a), ends

@@ -139,8 +139,8 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     d, set-up builds a k x k int8 atom-conflict matrix once per call.  A
     round then costs one k x d scoring product, an O(k log k) sort and an
     O(k |class|) degree update, plus one AND of the atom's adjacency bitset
-    with the class's atom bits and one compare of the class's running
-    ClassCounts total against the limits per candidate.  The _compact
+    with the class's atom bits and one packed ClassCounts test (an add and an
+    AND) of the class's running total per candidate.  The _compact
     post-pass sorts its C classes once per sweep and scans the C^2 class
     pairs for a merge only until one scan finds none, since its moves only
     grow classes.  A DEBUG record on this module's logger reports the
@@ -325,7 +325,7 @@ def _kms_attempt(atoms: Atoms, atom_vec: np.ndarray, conflict: np.ndarray,
     degree = conflict.sum(axis=1, dtype=np.int64)
     classes: list[list[int]] = []
     adj, counts = atoms.adj, atoms.counts
-    fits, plus, profile = counts.fits, counts.plus, counts.profile
+    fits, profile = counts.fits, counts.profile
     placed = 0
     while placed < atoms.k:
         rem = np.flatnonzero(alive)
@@ -335,13 +335,13 @@ def _kms_attempt(atoms: Atoms, atom_vec: np.ndarray, conflict: np.ndarray,
         pick = np.lexsort((rem, -scores))
         chosen: list[int] = []
         chosen_bits = 0
-        total = counts.empty
+        total = 0
         for a, score in zip(rem[pick].tolist(), scores[pick].tolist()):
             if score < cap and chosen:
                 break
             if adj[a] & chosen_bits:
                 continue
-            grown = plus(total, profile[a])
+            grown = total + profile[a]
             if not fits(grown):
                 continue
             chosen.append(a)
@@ -371,10 +371,10 @@ def _compact(atoms: Atoms, classes: list[list[int]]) -> list[list[int]]:
     a pair they fail on, so no later sweep could merge.
     """
     adj, counts = atoms.adj, atoms.counts
-    fits, plus, profile = counts.fits, counts.plus, counts.profile
+    fits, profile = counts.fits, counts.profile
     groups = [(sorted(c), sum(1 << a for a in c),
                reduce(operator.or_, (adj[a] for a in c)),
-               reduce(plus, (profile[a] for a in c))) for c in classes]
+               sum(profile[a] for a in c)) for c in classes]
     merging = True
     changed = True
     while changed:
@@ -385,7 +385,7 @@ def _compact(atoms: Atoms, classes: list[list[int]]) -> list[list[int]]:
                 for j, (mem_j, bits_j, nbrs_j, total_j) in enumerate(groups):
                     if i == j or nbrs_i & bits_j:
                         continue
-                    total = plus(total_i, total_j)
+                    total = total_i + total_j
                     if not fits(total):
                         continue
                     groups[j] = (sorted(mem_j + mem_i), bits_i | bits_j,
@@ -406,7 +406,7 @@ def _compact(atoms: Atoms, classes: list[list[int]]) -> list[list[int]]:
                 for j, (mem, bits, nbrs, total) in enumerate(trial):
                     if j == i or adj[a] & bits:
                         continue
-                    grown = plus(total, profile[a])
+                    grown = total + profile[a]
                     if fits(grown):
                         trial[j] = (mem + [a], bits | 1 << a, nbrs | adj[a], grown)
                         placed = True

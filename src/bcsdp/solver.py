@@ -17,6 +17,19 @@ eigensolver: while it is at most _DSYEVR_SIDE n, dsyevr on +-W returns the
 eigenpairs in (0, inf] only, which is exact whatever their count; past that,
 one full eigh is cheaper.
 
+At desk scale (n near 45, a few hundred rows) the LAPACK call is about half
+of a step, so the rest is kept to a few vector operations per block.  The
+multiplier phase works in place on y and r: with u = mu ax + r on a block's
+rows, a "diag" or "alphabeta" equality block solves t = G^-1 u in place and
+sets y -= t, a "diag" group sets y -= min(y, G^-1 u), an "alphabeta" group
+runs its scan, and each block then corrects the later rows of r by one
+sparse product with its coupling.  The S/X phase builds W in a copy of C
+(the adjoint kernel adds A^T(-y) into it, one daxpy subtracts mu X), runs
+dsyevr or eigh, forms P as an outer product when the side has rank 1 (most
+desk steps) and as B B' otherwise, writes X+ - X into the old X's buffer and
+accumulates op(X+) into a copy of -rhs.  The residual check is three dot
+products.  SolveResult.stats totals each phase's perf_counter time.
+
 The same identity gives the dual residual for free: after an S/X step,
 A*(y) + S - C = S - W - mu X = mu (X+ - X).  So the loop keeps no n x n
 residual.  It keeps r = op(A*(y) + S - C), the residual seen through every
@@ -27,7 +40,8 @@ norm is mu ||X+ - X||.  solve() runs the phases in a loop;
 update_multipliers and update_sx run one phase from a given state, whose r
 is formed afresh, so the tests check the code the loop runs.  Progress goes
 to logging (DEBUG records of the "bcsdp.solver" logger with an extra "solve"
-dict, rank included), never to stdout.
+dict, rank included, and the phase times on the exit record), never to
+stdout.
 
 The penalty mu starts at (1 + ||C||) / (1 + ||b||), the ratio of the norms
 that scale the dual and primal residuals, and adapts every 25 iterations.
@@ -42,7 +56,9 @@ compiled once, by the one relax.verify_structure call in _Compiled, into one
 scipy.sparse CSR A over vec(X), stacked in that block order, and its sparse
 Gram G = A A^T: the operator is A vec(X), the adjoint is A^T y (a CSC view),
 and each block's diagonal Gram block alone chooses its kernel, here and
-nowhere else, so compile memory is O(nnz).  There are three kernels, shared
+nowhere else.  A block reads that Gram block off the stored entries of its
+rows of G, and its coupling to the later blocks off G's later rows, without
+slicing G, so compile memory is O(nnz).  There are three kernels, shared
 by equality blocks (solve G y = r) and inequality groups (the nonnegative QP).
 "diag": G is diagonal and positive (edge-indicator rows); a per-row divide,
 or a per-row clamp at zero.  "alphabeta": G = alpha I + beta J (the anchored
@@ -58,11 +74,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dsyevr
 from scipy.sparse import _sparsetools
 
@@ -132,6 +150,11 @@ class SolveResult:
     # the dual lower bound in the bound's units, rounding margin included;
     # None where the model has no trace identity (theta and room models)
     lower: Optional[float] = None
+    # perf_counter seconds: compile_s (_Compiled), then totals over the
+    # iterations of multiplier_s (the multiplier phase), eig_s (the S/X
+    # phase's dsyevr or eigh), sx_s (the rest of the S/X phase) and check_s
+    # (the residual and gap check)
+    stats: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -139,77 +162,86 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _gram_equals(gram: scipy.sparse.csr_matrix, diag, off: float,
-                 tol: float = 1e-12) -> bool:
-    """True iff gram is `diag` on its diagonal and `off` elsewhere, within tol.
-
-    `diag` is a scalar or one value per row.  The check reads the stored
-    entries only, so a large sparse Gram is never densified.
-    """
-    k = gram.shape[0]
-    if np.any(np.abs(gram.diagonal() - diag) > tol):
-        return False
-    coo = gram.tocoo()
-    outside = coo.row != coo.col
-    if np.any(np.abs(coo.data[outside] - off) > tol):
-        return False
-    # entries not stored are zero
-    return abs(off) <= tol or int(np.count_nonzero(outside)) == k * (k - 1)
-
-
 class _Matvec:
-    """x -> a @ x for a CSR or CSC matrix a, through the C kernel that scipy's
-    own product calls (csr_matvec or csc_matvec, summing into a zeroed
-    vector), without the Python dispatch around it, which costs more than the
-    product at desk scale; the result is bit for bit a @ x.  The kernels are
-    private to scipy, so tests/test_solver.py pins their use."""
+    """x -> a @ x for a CSR or CSC matrix a, given by its arrays, through the C
+    kernel that scipy's own product calls (csr_matvec or csc_matvec), without
+    the Python dispatch around it, which costs more than the product at desk
+    scale.  The kernel adds a @ x into out (a zeroed vector when out is None,
+    which gives a @ x bit for bit).  The kernels are private to scipy, so
+    tests/test_solver.py pins their use."""
 
     __slots__ = ("_args", "_kernel", "_rows")
 
-    def __init__(self, a: scipy.sparse.spmatrix):
-        self._kernel = getattr(_sparsetools, a.format + "_matvec")
-        self._rows = a.shape[0]
-        self._args = (*a.shape, a.indptr, a.indices, a.data)
+    def __init__(self, fmt: str, shape: tuple[int, int], indptr: np.ndarray,
+                 indices: np.ndarray, data: np.ndarray):
+        self._kernel = getattr(_sparsetools, fmt + "_matvec")
+        self._rows = shape[0]
+        self._args = (*shape, indptr, indices, data)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self._rows)
+    @classmethod
+    def of(cls, a: scipy.sparse.spmatrix) -> "_Matvec":
+        return cls(a.format, a.shape, a.indptr, a.indices, a.data)
+
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros(self._rows)
         self._kernel(*self._args, x, out)
         return out
 
 
 class _Block:
-    """One constraint block: a row range of the stacked A, its kernel, its coupling.
+    """One constraint block: rows start:end of the stacked A, its kernel, its coupling.
 
-    gram is the block's diagonal Gram block; it picks the kernel ("diag",
+    gram is the stacked Gram G (a Gram whose rows start:end are this block's
+    serves too).  The block reads its diagonal Gram block off the stored
+    entries of those rows, without slicing G; it picks the kernel ("diag",
     "alphabeta" or "dense", see the module docstring) and is kept only by the
-    "dense" kernel.  coupling applies G[later rows, own rows] (None when it has
-    no entries): a change dy of this block's multipliers moves the later
-    blocks' entries of r by coupling(dy).  Equality blocks take eq_step,
-    inequality groups qp_step; both read and correct r in place.
+    "dense" kernel.  coupling applies G[end:, start:end] (None when it has no
+    entries), read off G's rows from end on: a change dy of this block's
+    multipliers moves the later blocks' entries of r by coupling(dy).
+    Equality blocks take eq_step, inequality groups qp_step; both update y
+    and r in place.
     """
 
-    def __init__(self, start: int, end: int, gram: scipy.sparse.csr_matrix,
-                 coupling: Optional[scipy.sparse.csr_matrix] = None):
+    def __init__(self, start: int, end: int, gram: scipy.sparse.csr_matrix):
         self.rows = slice(start, end)
-        self.k = end - start
-        self.coupling = _Matvec(coupling) if coupling is not None and coupling.nnz \
-            else None
+        self.k = k = end - start
+        self.coupling = None
         self.kind = "empty"
-        if self.k == 0:
+        if k == 0:
             return
-        diag = gram.diagonal()
-        if np.all(diag > 0) and _gram_equals(gram, diag, 0.0):
+        self.coupling = _coupling(gram, start, end)
+        ptr, idx, val = gram.indptr, gram.indices, gram.data
+        lo, hi = ptr[start], ptr[end]
+        cols, vals = idx[lo:hi], val[lo:hi]
+        own = np.repeat(np.arange(start, end, dtype=idx.dtype), np.diff(ptr[start:end + 1]))
+        on = cols == own
+        diag = np.zeros(k)
+        diag[own[on] - start] = vals[on]
+        inside = (cols >= start) & (cols < end)
+        inside &= ~on
+        off = vals[inside]
+        tol = 1e-12
+        if np.all(diag > 0) and np.all(np.abs(off) <= tol):
             self.kind = "diag"
             self.diag = diag
             return
-        beta = float(gram[0, 1]) if self.k > 1 else 0.0
+        first = np.flatnonzero(cols[:ptr[start + 1] - lo] == start + 1)
+        beta = float(vals[first[0]]) if first.size else 0.0
         alpha = float(diag[0]) - beta
-        if alpha > 0 and beta >= 0 and _gram_equals(gram, alpha + beta, beta):
+        # the entries not stored are zero, so beta > tol needs all k(k-1)
+        if (alpha > 0 and beta >= 0 and np.all(np.abs(diag - (alpha + beta)) <= tol)
+                and np.all(np.abs(off - beta) <= tol)
+                and (beta <= tol or off.size == k * (k - 1))):
             self.kind = "alphabeta"
             self.alpha, self.beta = alpha, beta
+            self._shift = beta / (alpha + k * beta)
+            self._den = alpha + np.arange(1, k + 1) * beta
             return
         self.kind = "dense"
-        self.gram = gram.toarray()
+        self.gram = np.zeros((k, k))
+        inside |= on
+        self.gram[own[inside] - start, cols[inside] - start] = vals[inside]
         w, vec = np.linalg.eigh(self.gram)
         keep = w > 1e-11 * max(float(w.max()), 1.0)
         self._lam = w[keep]
@@ -222,22 +254,22 @@ class _Block:
             return self.alpha * y + self.beta * y.sum()
         return self.gram @ y
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Min-norm solution of G y = r: exact when G is nonsingular."""
+    def solve(self, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Min-norm solution of G y = r: exact when G is nonsingular.
+
+        "diag" and "alphabeta" write it into out when given (out may be r).
+        """
         if self.kind == "diag":
-            return r / self.diag
+            return np.divide(r, self.diag, out=out)
         if self.kind == "alphabeta":
-            shift = self.beta * r.sum() / (self.alpha + self.k * self.beta)
-            return (r - shift) / self.alpha
+            out = np.subtract(r, self._shift * float(r.sum()), out=out)
+            out /= self.alpha
+            return out
         return self._vec @ ((self._vec.T @ r) / self._lam)
 
     def qp(self, g: np.ndarray, mu: float) -> np.ndarray:
-        """argmin over v >= 0 of g'v + (1/2mu) v' G v, solved exactly."""
-        a = -mu * g
-        if self.kind == "diag":
-            return np.maximum(0.0, a / self.diag)
-        if self.kind == "alphabeta":
-            return _alphabeta_qp(a, self.alpha, self.beta)
+        """argmin over v >= 0 of g'v + (1/2mu) v' G v on a "dense" group:
+        an exact active-set NNLS on the eigen-factor of G."""
         sq = np.sqrt(self._lam)
         A = (sq[:, None] * self._vec.T) / math.sqrt(mu)
         b = -math.sqrt(mu) * (self._vec.T @ g) / sq
@@ -248,38 +280,91 @@ class _Block:
         v, _ = nnls(A, b)
         return v
 
-    def eq_step(self, y: np.ndarray, r: np.ndarray, ax: np.ndarray,
-                mu: float) -> np.ndarray:
-        """The minimizing multipliers: the min-norm -G^+(mu ax + r - G y)."""
-        rhs = mu * ax[self.rows]
-        rhs += r[self.rows] - self.gram_dot(y)
-        return self._couple(-self.solve(rhs), y, r)
+    def eq_step(self, y: np.ndarray, r: np.ndarray, ax: np.ndarray, mu: float) -> None:
+        """y <- the minimizing multipliers -G^+(mu ax + r - G y), in place.
 
-    def qp_step(self, v: np.ndarray, r: np.ndarray, ax: np.ndarray,
-                mu: float) -> np.ndarray:
-        """The exact nonnegative QP for this group's multipliers."""
-        lin = ax[self.rows] + (r[self.rows] - self.gram_dot(v)) / mu
-        return self._couple(self.qp(lin, mu), v, r)
+        With u = mu ax + r, a nonsingular G gives the step t = G^-1 u, solved
+        in place, and y -= t; the "dense" kernel keeps the min-norm form.
+        """
+        v = y[self.rows]
+        t = ax[self.rows] * mu
+        if self.kind == "dense":
+            t += r[self.rows] - self.gram_dot(v)
+            new = -self.solve(t)
+            t = np.subtract(v, new)
+            v[:] = new
+        else:
+            t += r[self.rows]
+            self.solve(t, out=t)
+            v -= t
+        self._couple(t, r)
 
-    def _couple(self, new: np.ndarray, old: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def qp_step(self, y: np.ndarray, r: np.ndarray, ax: np.ndarray, mu: float) -> None:
+        """y <- the exact nonnegative QP for this group's multipliers, in place.
+
+        The QP is min over v >= 0 of -a'v + (1/2) v' G v with
+        a = G y - mu ax - r.  On "diag" it is a clamp,
+        v = y - min(y, G^-1 u) with u = mu ax + r; on "alphabeta" it is
+        _alphabeta_qp's scan, and on "dense" the NNLS of qp.
+        """
+        v = y[self.rows]
+        if self.kind == "diag":
+            t = ax[self.rows] * mu
+            t += r[self.rows]
+            self.solve(t, out=t)
+            np.minimum(t, v, out=t)
+            v -= t
+        else:
+            if self.kind == "alphabeta":
+                a = self.gram_dot(v)
+                a -= r[self.rows]
+                a -= mu * ax[self.rows]
+                new = _alphabeta_qp(a, self.alpha, self.beta, self._den)
+            else:
+                new = self.qp(ax[self.rows] + (r[self.rows] - self.gram_dot(v)) / mu, mu)
+            t = np.subtract(v, new)
+            v[:] = new
+        self._couple(t, r)
+
+    def _couple(self, t: np.ndarray, r: np.ndarray) -> None:
+        """The later rows of r after this block's multipliers fell by t."""
         if self.coupling is not None:
-            r[self.rows.stop:] += self.coupling(new - old)
-        return new
+            tail = r[self.rows.stop:]
+            tail -= self.coupling(t)
 
 
-def _alphabeta_qp(a: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _coupling(gram: scipy.sparse.csr_matrix, start: int, end: int) -> Optional[_Matvec]:
+    """G[end:, start:end] as a CSR product, read off the stored entries of G's
+    rows from end on (None when it has none)."""
+    ptr, idx = gram.indptr, gram.indices
+    hi, top = ptr[end], ptr[-1]
+    cols = idx[hi:]
+    keep = (cols >= start) & (cols < end)
+    if not keep.any():
+        return None
+    kept = np.zeros(top - hi + 1, dtype=idx.dtype)  # kept entries before each one
+    np.cumsum(keep, out=kept[1:])
+    return _Matvec("csr", (gram.shape[0] - end, end - start), kept[ptr[end:] - hi],
+                   cols[keep] - np.asarray(start, idx.dtype), gram.data[hi:][keep])
+
+
+def _alphabeta_qp(a: np.ndarray, alpha: float, beta: float,
+                  den: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact solution of min_{v>=0} -a'v + (1/2) v'(alpha I + beta J) v.
 
     For fixed sigma = sum(v) the optimum clamps coordinate-wise,
     v_i = max(0, (a_i - beta sigma)/alpha); sigma is the unique root of the
     decreasing consistency map, at the first sorted breakpoint k whose
     candidate sum(top k of a)/(alpha + k beta) keeps exactly the top k
-    coordinates positive (zero when none does).
+    coordinates positive (zero when none does).  den holds the denominators
+    alpha + k beta, k = 1..a.size, when the caller keeps them.
     """
     if beta == 0.0:
         return np.maximum(0.0, a / alpha)
+    if den is None:
+        den = alpha + np.arange(1, a.size + 1) * beta
     a_sorted = np.sort(a)[::-1]
-    cand = a_sorted.cumsum() / (alpha + np.arange(1, a.size + 1) * beta)
+    cand = a_sorted.cumsum() / den
     bound = beta * cand
     hit = a_sorted > bound
     hit[:-1] &= a_sorted[1:] <= bound[:-1]
@@ -304,10 +389,13 @@ class _Compiled:
         self.C = 0.5 * (C + C.T)  # exactly C when the objective is symmetric
         # through the module attribute, so a wrapper set on relax sees the call
         self.rhs, self.A, gram, ends = relax.verify_structure(model)
+        self.neg_rhs = -self.rhs
         self.At = self.A.T  # a CSC view of the same arrays
-        self.op, self.op_t = _Matvec(self.A), _Matvec(self.At)
-        self.blocks = tuple(_Block(a, b, gram[a:b, a:b], gram[b:, a:b])
-                            for a, b in zip(ends, ends[1:]))
+        self.op, self.op_t = _Matvec.of(self.A), _Matvec.of(self.At)
+        self.blocks = tuple(_Block(a, b, gram) for a, b in zip(ends, ends[1:]))
+        self._steps = tuple(b.eq_step if b.rows.stop <= ends[2] else b.qp_step
+                            for b in self.blocks if b.k)
+        self.eig_s = 0.0  # perf_counter total of the S/X phase's eigensolves
         self.neq = ends[2]  # equality rows come first
         self.b_norm = math.sqrt(float(np.sum(self.rhs**2)))
         self.c_norm = float(np.linalg.norm(self.C))
@@ -363,10 +451,8 @@ class _Compiled:
         Equality blocks (edge indicators, then the other equalities) take the
         closed-form minimizer, inequality groups the exact nonnegative QP.
         """
-        for b in self.blocks:
-            if b.k:
-                step = b.eq_step if b.rows.stop <= self.neq else b.qp_step
-                st.y[b.rows] = step(st.y[b.rows], r, ax, mu)
+        for step in self._steps:
+            step(st.y, r, ax, mu)
 
     def sx_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> float:
         """S = proj(W), X = proj(-W)/mu from the smaller eigen-side of W.
@@ -378,15 +464,19 @@ class _Compiled:
         at most _DSYEVR_SIDE n, dsyevr returns every eigenpair of +-W in
         (0, inf] on that side, exact whatever their count; otherwise one full
         eigh picks the smaller side.  Cost: one adjoint, dsyevr or eigh, one
-        n^2 r product and one operator.  Sets st.rank to W's positive-eigenvalue
+        n^2 r product (an outer product at r = 1) and one operator.  Sets st.rank to W's positive-eigenvalue
         count, sets r to mu (ax+ - ax) and ax to ax+, and returns the dual
         residual norm mu ||X+ - X||.
         """
         # W is exactly symmetric when X is: C is, each row of A holds a whole
-        # symmetric matrix, and proj below is a symmetric rank-r product
-        w = self.C - self.adjoint(st.y)
-        w -= mu * st.X
+        # symmetric matrix whose mirrored entries add up in the same order,
+        # and proj below is a symmetric rank-r product
+        w = self.C.copy()
+        flat = w.reshape(-1)
+        self.op_t(-st.y, out=flat)
+        daxpy(st.X.reshape(-1), flat, a=-mu)  # in place: flat is contiguous
         n = w.shape[0]
+        clock = time.perf_counter()
         if st.rank is None or min(st.rank, n - st.rank) <= _DSYEVR_SIDE * n:
             positive = st.rank is None or st.rank <= n - st.rank
             # w is symmetric, so w.T is the same matrix in LAPACK's column order
@@ -408,17 +498,23 @@ class _Compiled:
             else:
                 lam, vec = -lam[:nneg], vec[:, :nneg]
             st.rank = npos
-        half = vec * np.sqrt(lam)
-        proj = half @ half.T
+        self.eig_s += time.perf_counter() - clock
+        if lam.size == 1:
+            half = vec[:, 0] * math.sqrt(lam[0])
+            proj = np.multiply.outer(half, half)
+        else:
+            half = vec * np.sqrt(lam)
+            proj = half @ half.T
         if positive:
             st.S, X = proj, np.subtract(proj, w, out=w)
         else:
             st.S, X = np.add(w, proj, out=w), proj
         X /= mu
-        step = (X - st.X).ravel()
+        step = np.subtract(X, st.X, out=st.X).reshape(-1)  # the old X's buffer
         st.X = X
-        ax_new = self.op(X.ravel()) - self.rhs
-        np.multiply(mu, ax_new - ax, out=r)
+        ax_new = self.op(X.reshape(-1), out=self.neg_rhs.copy())
+        np.subtract(ax_new, ax, out=r)
+        r *= mu
         ax[:] = ax_new
         return mu * math.sqrt(float(step @ step))
 
@@ -480,6 +576,7 @@ def initial_matrix(model: SdpModel) -> np.ndarray:
 def solve(model: SdpModel, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Run the multiplier and S/X phases until residual tolerance or max_iter."""
     cfg = cfg or SolverConfig()
+    clock = time.perf_counter()
     comp = _Compiled(model)
     mu = comp.mu0
     offset = model.value_offset
@@ -492,19 +589,30 @@ def solve(model: SdpModel, cfg: Optional[SolverConfig] = None) -> SolveResult:
     # both, so one evaluation serves the residual check and the next
     # multiplier phase
     r, ax = comp.residual(st)
+    c_flat = comp.C.reshape(-1)
     best_seen = math.inf
     status = "max_iter"
     pres = dres = gap = math.inf
     it = 0
+    # perf_counter totals per phase: [multiplier, S/X, residual check]
+    phase_s = [0.0, 0.0, 0.0]
+    now = time.perf_counter()
+    compile_s = now - clock
     for it in range(1, cfg.max_iter + 1):
         comp.multiplier_phase(st, r, ax, mu)
+        clock, now = now, time.perf_counter()
+        phase_s[0] += now - clock
         dres = comp.sx_phase(st, r, ax, mu) / (1.0 + comp.c_norm)
+        clock, now = now, time.perf_counter()
+        phase_s[1] += now - clock
         eq, ineq = ax[:comp.neq], np.minimum(ax[comp.neq:], 0.0)
         pres = math.sqrt(float(eq @ eq) + float(ineq @ ineq)) / (1.0 + comp.b_norm)
-        pobj = float((comp.C * st.X).sum())
-        dobj = float(np.dot(comp.rhs, st.y))
+        pobj = float(c_flat @ st.X.reshape(-1))
+        dobj = float(comp.rhs @ st.y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         worst = max(pres, dres, gap)
+        clock, now = now, time.perf_counter()
+        phase_s[2] += now - clock
         if worst <= cfg.eps:
             status = "converged"
             break
@@ -522,11 +630,15 @@ def solve(model: SdpModel, cfg: Optional[SolverConfig] = None) -> SolveResult:
                 mu = max(mu / _MU_FACTOR, _MU_MIN)
             elif pres > _MU_RATIO * dres:
                 mu = min(mu * _MU_FACTOR, _MU_MAX)
+        now = time.perf_counter()
     value = comp.sign * float(np.sum(comp.C * st.X)) + offset
     lower = None
     if model.trace_ratio is not None and status != "diverged":
         lower = comp.dual_bound(st, model.trace_ratio, offset)
-    _log_progress(it, pres, dres, gap, value, mu, st.rank, status)
+    stats = {"compile_s": compile_s, "multiplier_s": phase_s[0],
+             "eig_s": comp.eig_s, "sx_s": phase_s[1] - comp.eig_s,
+             "check_s": phase_s[2]}
+    _log_progress(it, pres, dres, gap, value, mu, st.rank, status, stats)
     return SolveResult(
         value=value,
         X_final=st.X,
@@ -536,23 +648,28 @@ def solve(model: SdpModel, cfg: Optional[SolverConfig] = None) -> SolveResult:
         eps=cfg.eps,
         kernels=comp.kernels,
         lower=lower,
+        stats=stats,
     )
 
 
 def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
-                  mu: float, rank: Optional[int], status: str = "running") -> None:
+                  mu: float, rank: Optional[int], status: str = "running",
+                  stats: Optional[dict[str, float]] = None) -> None:
     """One DEBUG record; value is in the bound's units (offset included).
 
     rank is the last W's positive-eigenvalue count, so a solve whose smaller
-    eigen-side stays above _DSYEVR_SIDE n (each step a full eigh) shows.
+    eigen-side stays above _DSYEVR_SIDE n (each step a full eigh) shows.  The
+    exit record also carries the solve's phase times (SolveResult.stats) as
+    its "solve_stats" attribute.
     """
     if _log.isEnabledFor(logging.DEBUG):
-        rec = {"it": it, "pres": pres, "dres": dres, "gap": gap,
-               "value": value, "mu": mu, "rank": rank}
+        extra = {"solve": {"it": it, "pres": pres, "dres": dres, "gap": gap,
+                           "value": value, "mu": mu, "rank": rank}}
+        if stats is not None:
+            extra["solve_stats"] = stats
         _log.debug(
             "solve %s: iter=%d pres=%.3e dres=%.3e gap=%.3e value=%.6f mu=%.2e "
-            "rank=%s", status, it, pres, dres, gap, value, mu, rank,
-            extra={"solve": rec},
+            "rank=%s", status, it, pres, dres, gap, value, mu, rank, extra=extra,
         )
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsdp.graphs import (
+    ClassCounts,
     ConflictGraph,
     Partition,
     TimetablingInstance,
@@ -260,3 +261,40 @@ class TestValidatePartition:
         part = Partition.from_lists([[0, 1, 2], [3, 6, 8], [4, 5, 7], [9]])
         rep = validate_partition(inst, part)
         assert rep.ok, rep.violations
+
+
+@st.composite
+def packed_count_cases(draw):
+    """Profiles, limits and a class: some limits 0, some exactly at the class total."""
+    fields = draw(st.integers(1, 4))
+    groups = draw(st.integers(1, 6))
+    profiles = [tuple(draw(st.lists(st.integers(0, 5), min_size=fields,
+                                    max_size=fields))) for _ in range(groups)]
+    chosen = draw(st.lists(st.booleans(), min_size=groups, max_size=groups))
+    sums = [sum(p[i] for p, c in zip(profiles, chosen) if c) for i in range(fields)]
+    limits = tuple(max(0, draw(st.sampled_from([s, s - 1, s + 1, 0])
+                               | st.integers(0, 12))) for s in sums)
+    return limits, profiles, chosen
+
+
+class TestClassCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(packed_count_cases())
+    def test_packed_tests_match_the_entrywise_rules(self, case):
+        limits, profiles, chosen = case
+        counts = ClassCounts(limits, profiles)
+        total, sums = counts.empty, [0] * len(limits)
+        for p, packed, c in zip(profiles, counts.profile, chosen):
+            if c:
+                total = counts.plus(total, packed)
+                sums = [t + x for t, x in zip(sums, p)]
+        assert total == counts.pack(sums)
+        assert counts.fits(total) == all(t <= lim for t, lim in zip(sums, limits))
+        assert counts.weight == [p[0] for p in profiles]
+        for a, (p, c) in enumerate(zip(profiles, chosen)):
+            if c:
+                continue
+            grown = [t + x for t, x in zip(sums, p)]
+            assert counts.plus(total, counts.profile[a]) == counts.pack(grown)
+            assert counts.admits(total, a) == all(
+                t <= lim for t, lim in zip(grown, limits))

@@ -230,6 +230,39 @@ class TestNativeRoundTrip:
         with pytest.raises(ParseError):
             parse_native("nonsense v2\nGRAPH 1 0\nEND\n")
 
+    @pytest.mark.parametrize("lines, bad", [
+        (["GRAPH 3 1", "e 0 1 7"], 3),  # a surplus field on an edge
+        (["GRAPH 3 1 9", "e 0 1"], 2),
+        (["GRAPH 3 1", "e 0 1", "ROOMS 2 2"], 4),
+        (["GRAPH 3 1", "e 0 1", "FEATURES 0 1"], 4),
+        (["GRAPH 3 1", "e 0 1", "PRECOLOUR 0 0"], 4),
+        (["GRAPH 3 1", "e 0 1", "END 1"], 4),
+    ])
+    def test_surplus_fields_name_their_line(self, lines, bad):
+        text = "\n".join(["bcsdp-v1 x", *lines, "END"]) + "\n"
+        with pytest.raises(ParseError, match=f"^line {bad}: malformed record"):
+            parse_native(text)
+
+    @pytest.mark.parametrize("edge", ["e 0 3", "e 5 1", "e -1 2"])
+    def test_edge_outside_the_graph_names_its_line(self, edge):
+        with pytest.raises(ParseError, match=f"^line 3: edge '{edge}' outside GRAPH 3"):
+            parse_native(f"bcsdp-v1 x\nGRAPH 3 1\n{edge}\nEND\n")
+
+    def test_edge_before_graph_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 2: edge 'e 0 1' outside GRAPH n"):
+            parse_native("bcsdp-v1 x\ne 0 1\nGRAPH 3 1\nEND\n")
+
+    @pytest.mark.parametrize("text, bad", [
+        # GRAPH 3 4: no three vertices carry four edges
+        ("GRAPH 3 4\ne 0 1\n", "line 2: 4 e records declared, the file has 1"),
+        ("GRAPH 3 0\ne 0 1\n", "line 2: 0 e records declared, the file has 1"),
+        ("GRAPH 3 0\nPRECOLOUR 2\npc 0 1\n",
+         "line 3: 2 pc records declared, the file has 1"),
+    ])
+    def test_declared_counts_are_checked(self, text, bad):
+        with pytest.raises(ParseError, match=f"^{bad}$"):
+            parse_native(f"bcsdp-v1 x\n{text}END\n")
+
 
 class TestDocumentInvariants:
     def test_name_required(self):

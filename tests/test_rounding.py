@@ -417,7 +417,7 @@ class TestKmsProperties:
         chosen, extra = list(order[:size]), order[size]
         total = counts.empty
         for a in chosen:
-            total = tuple(t + p for t, p in zip(total, counts.profile[a]))
+            total = counts.plus(total, counts.profile[a])
         no_edges = dataclasses.replace(inst, graph=empty_graph(inst.graph.n))
         verts = [v for a in chosen + [extra] for v in atoms.members[a]]
         assert counts.admits(total, extra) == (not class_violations(no_edges, verts))

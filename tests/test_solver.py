@@ -654,6 +654,17 @@ class TestSolveBehaviour:
         assert recs[-1]["value"] == res.value
         assert recs[-1]["pres"] == res.residuals[0]
 
+    def test_exit_record_carries_phase_times(self, caplog):
+        model = build_bounded(gen_gnp(30, 0.5, 1), 4)
+        with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
+            res = solve(model, SolverConfig(max_iter=450))
+        stats = [r.solve_stats for r in caplog.records if hasattr(r, "solve_stats")]
+        assert stats == [res.stats]
+        assert set(res.stats) == {"compile_s", "multiplier_s", "eig_s", "sx_s",
+                                  "check_s"}
+        assert all(v >= 0.0 for v in res.stats.values())
+        assert res.stats["eig_s"] > 0.0 and res.stats["multiplier_s"] > 0.0
+
     def test_rank_and_partial_steps_reported(self, caplog, monkeypatch):
         calls = count_dsyevr(monkeypatch)
         model = build_bounded(gen_gnp(30, 0.5, 1), 4)
