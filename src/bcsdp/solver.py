@@ -19,11 +19,12 @@ one full eigh is cheaper.
 
 At desk scale (n near 45, a few hundred rows) the LAPACK call is about half
 of a step, so the rest is kept to a few vector operations per block.  The
-multiplier phase works in place on y and r: with u = mu ax + r on a block's
-rows, a "diag" or "alphabeta" equality block solves t = G^-1 u in place and
-sets y -= t, a "diag" group sets y -= min(y, G^-1 u), an "alphabeta" group
-runs its scan, and each block then corrects the later rows of r by one
-sparse product with its coupling.  The S/X phase builds W in a copy of C
+multiplier phase works in place on y and on r, which it first turns into
+u = mu ax + r: on a block's rows of u, a "diag" or
+"alphabeta" equality block solves t = G^-1 u in place and sets y -= t, a
+"diag" group sets y -= min(y, G^-1 u), an "alphabeta" group runs its scan,
+and each block then corrects the later rows of u by one sparse product with
+its coupling.  The S/X phase builds W in a copy of C
 (the adjoint kernel adds A^T(-y) into it, one daxpy subtracts mu X), runs
 dsyevr or eigh, forms P as an outer product when the side has rank 1 (most
 desk steps) and as B B' otherwise, writes X+ - X into the old X's buffer and
@@ -200,7 +201,7 @@ class _Block:
     entries), read off G's rows from end on: a change dy of this block's
     multipliers moves the later blocks' entries of r by coupling(dy).
     Equality blocks take eq_step, inequality groups qp_step; both update y
-    and r in place.
+    and the multiplier phase's working vector in place.
     """
 
     def __init__(self, start: int, end: int, gram: scipy.sparse.csr_matrix):
@@ -280,56 +281,54 @@ class _Block:
         v, _ = nnls(A, b)
         return v
 
-    def eq_step(self, y: np.ndarray, r: np.ndarray, ax: np.ndarray, mu: float) -> None:
-        """y <- the minimizing multipliers -G^+(mu ax + r - G y), in place.
+    def eq_step(self, y: np.ndarray, u: np.ndarray, mu: float) -> None:
+        """y <- the minimizing multipliers -G^+(u - G y), in place.
 
-        With u = mu ax + r, a nonsingular G gives the step t = G^-1 u, solved
-        in place, and y -= t; the "dense" kernel keeps the min-norm form.
+        u is the multiplier phase's working vector mu ax + r.  A nonsingular
+        G gives the step t = G^-1 u, solved in place in u's own rows (no
+        later block reads them), and y -= t; the "dense" kernel keeps the
+        min-norm form.
         """
         v = y[self.rows]
-        t = ax[self.rows] * mu
+        t = u[self.rows]
         if self.kind == "dense":
-            t += r[self.rows] - self.gram_dot(v)
-            new = -self.solve(t)
+            new = -self.solve(t - self.gram_dot(v))
             t = np.subtract(v, new)
             v[:] = new
         else:
-            t += r[self.rows]
             self.solve(t, out=t)
             v -= t
-        self._couple(t, r)
+        self._couple(t, u)
 
-    def qp_step(self, y: np.ndarray, r: np.ndarray, ax: np.ndarray, mu: float) -> None:
+    def qp_step(self, y: np.ndarray, u: np.ndarray, mu: float) -> None:
         """y <- the exact nonnegative QP for this group's multipliers, in place.
 
-        The QP is min over v >= 0 of -a'v + (1/2) v' G v with
-        a = G y - mu ax - r.  On "diag" it is a clamp,
-        v = y - min(y, G^-1 u) with u = mu ax + r; on "alphabeta" it is
-        _alphabeta_qp's scan, and on "dense" the NNLS of qp.
+        The QP is min over v >= 0 of -a'v + (1/2) v' G v with a = G y - u,
+        u = mu ax + r as in eq_step.  On "diag" it is a clamp,
+        v = y - min(y, G^-1 u); on "alphabeta" it is _alphabeta_qp's scan,
+        and on "dense" the NNLS of qp.
         """
         v = y[self.rows]
+        t = u[self.rows]
         if self.kind == "diag":
-            t = ax[self.rows] * mu
-            t += r[self.rows]
             self.solve(t, out=t)
             np.minimum(t, v, out=t)
             v -= t
         else:
             if self.kind == "alphabeta":
                 a = self.gram_dot(v)
-                a -= r[self.rows]
-                a -= mu * ax[self.rows]
+                a -= t
                 new = _alphabeta_qp(a, self.alpha, self.beta, self._den)
             else:
-                new = self.qp(ax[self.rows] + (r[self.rows] - self.gram_dot(v)) / mu, mu)
+                new = self.qp((t - self.gram_dot(v)) / mu, mu)
             t = np.subtract(v, new)
             v[:] = new
-        self._couple(t, r)
+        self._couple(t, u)
 
-    def _couple(self, t: np.ndarray, r: np.ndarray) -> None:
-        """The later rows of r after this block's multipliers fell by t."""
+    def _couple(self, t: np.ndarray, u: np.ndarray) -> None:
+        """The later rows of u after this block's multipliers fell by t."""
         if self.coupling is not None:
-            tail = r[self.rows.stop:]
+            tail = u[self.rows.stop:]
             tail -= self.coupling(t)
 
 
@@ -450,9 +449,13 @@ class _Compiled:
 
         Equality blocks (edge indicators, then the other equalities) take the
         closed-form minimizer, inequality groups the exact nonnegative QP.
+        The pass turns r into its working vector u = mu ax + r in place
+        (ax is fixed during the pass), and each block corrects u's later rows
+        through its coupling; the S/X phase then sets r afresh.
         """
+        r += mu * ax
         for step in self._steps:
-            step(st.y, r, ax, mu)
+            step(st.y, r, mu)
 
     def sx_phase(self, st: SolverState, r: np.ndarray, ax: np.ndarray, mu: float) -> float:
         """S = proj(W), X = proj(-W)/mu from the smaller eigen-side of W.
@@ -578,6 +581,7 @@ def solve(model: SdpModel, cfg: Optional[SolverConfig] = None) -> SolveResult:
     cfg = cfg or SolverConfig()
     clock = time.perf_counter()
     comp = _Compiled(model)
+    compile_s = time.perf_counter() - clock
     mu = comp.mu0
     offset = model.value_offset
     st = SolverState(
@@ -597,7 +601,6 @@ def solve(model: SdpModel, cfg: Optional[SolverConfig] = None) -> SolveResult:
     # perf_counter totals per phase: [multiplier, S/X, residual check]
     phase_s = [0.0, 0.0, 0.0]
     now = time.perf_counter()
-    compile_s = now - clock
     for it in range(1, cfg.max_iter + 1):
         comp.multiplier_phase(st, r, ax, mu)
         clock, now = now, time.perf_counter()
