@@ -373,8 +373,8 @@ class ClassCounts:
     For each group (a set of events that always share a class, such as a
     pre-colouring class) the counts are its weight, its count of events larger
     than each distinct room capacity and its count of events needing each
-    feature; limits is m, the rooms larger than each capacity and the rooms
-    offering each feature.  A class with no conflict edge inside keeps every
+    feature; their limits are m, the rooms larger than each capacity and the
+    rooms offering each feature.  A class with no conflict edge inside keeps every
     rule of class_violations iff the sum of its groups' counts is <= limits
     entry-wise.
 
@@ -393,11 +393,10 @@ class ClassCounts:
     """
 
     def __init__(self, limits: Sequence[int], profiles: Sequence[Sequence[int]]):
-        self.limits = tuple(limits)
         self.weight = [p[0] for p in profiles]  # the first count is the weight
         self._shifts = []
         shift = slack = guard = 0
-        for i, limit in enumerate(self.limits):
+        for i, limit in enumerate(limits):
             total = sum(p[i] for p in profiles)
             width = max(limit, total).bit_length()
             self._shifts.append(shift)

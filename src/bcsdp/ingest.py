@@ -334,9 +334,10 @@ def parse_native(data) -> InstanceDocument:
             n = vals[0]
             declared["e"] = (lineno, vals[1])
         elif tag == "e":
-            if n is None or not all(0 <= v < n for v in vals):
-                raise ParseError(f"line {lineno}: edge {line!r} outside GRAPH "
-                                 f"{'n' if n is None else n}")
+            if n is None:
+                raise ParseError(f"line {lineno}: edge {line!r} before GRAPH")
+            if not all(0 <= v < n for v in vals):
+                raise ParseError(f"line {lineno}: edge {line!r} outside GRAPH {n}")
             edges.add((vals[0], vals[1]))
         elif tag == "sizes":
             sizes = tuple(vals)

@@ -467,9 +467,9 @@ class _Compiled:
         at most _DSYEVR_SIDE n, dsyevr returns every eigenpair of +-W in
         (0, inf] on that side, exact whatever their count; otherwise one full
         eigh picks the smaller side.  Cost: one adjoint, dsyevr or eigh, one
-        n^2 r product (an outer product at r = 1) and one operator.  Sets st.rank to W's positive-eigenvalue
-        count, sets r to mu (ax+ - ax) and ax to ax+, and returns the dual
-        residual norm mu ||X+ - X||.
+        n^2 r product (an outer product at r = 1) and one operator.  Sets
+        st.rank to W's positive-eigenvalue count, sets r to mu (ax+ - ax) and
+        ax to ax+, and returns the dual residual norm mu ||X+ - X||.
         """
         # W is exactly symmetric when X is: C is, each row of A holds a whole
         # symmetric matrix whose mirrored entries add up in the same order,
@@ -662,18 +662,18 @@ def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
 
     rank is the last W's positive-eigenvalue count, so a solve whose smaller
     eigen-side stays above _DSYEVR_SIDE n (each step a full eigh) shows.  The
-    exit record also carries the solve's phase times (SolveResult.stats) as
-    its "solve_stats" attribute.
+    exit record also carries the solve's phase times (SolveResult.stats), in
+    its text and as its "solve_stats" attribute.
     """
     if _log.isEnabledFor(logging.DEBUG):
         extra = {"solve": {"it": it, "pres": pres, "dres": dres, "gap": gap,
                            "value": value, "mu": mu, "rank": rank}}
+        text = ("solve %s: iter=%d pres=%.3e dres=%.3e gap=%.3e value=%.6f mu=%.2e "
+                "rank=%s")
         if stats is not None:
             extra["solve_stats"] = stats
-        _log.debug(
-            "solve %s: iter=%d pres=%.3e dres=%.3e gap=%.3e value=%.6f mu=%.2e "
-            "rank=%s", status, it, pres, dres, gap, value, mu, rank, extra=extra,
-        )
+            text += "".join(f" {k}={v:.4f}" for k, v in stats.items())
+        _log.debug(text, status, it, pres, dres, gap, value, mu, rank, extra=extra)
 
 
 def extract_bound(result: SolveResult) -> tuple[float, int]:

@@ -249,7 +249,7 @@ class TestNativeRoundTrip:
             parse_native(f"bcsdp-v1 x\nGRAPH 3 1\n{edge}\nEND\n")
 
     def test_edge_before_graph_names_its_line(self):
-        with pytest.raises(ParseError, match="^line 2: edge 'e 0 1' outside GRAPH n"):
+        with pytest.raises(ParseError, match="^line 2: edge 'e 0 1' before GRAPH"):
             parse_native("bcsdp-v1 x\ne 0 1\nGRAPH 3 1\nEND\n")
 
     @pytest.mark.parametrize("text, bad", [

@@ -658,8 +658,9 @@ class TestSolveBehaviour:
         model = build_bounded(gen_gnp(30, 0.5, 1), 4)
         with caplog.at_level(logging.DEBUG, logger="bcsdp.solver"):
             res = solve(model, SolverConfig(max_iter=450))
-        stats = [r.solve_stats for r in caplog.records if hasattr(r, "solve_stats")]
-        assert stats == [res.stats]
+        recs = [r for r in caplog.records if hasattr(r, "solve_stats")]
+        assert [r.solve_stats for r in recs] == [res.stats]
+        assert f"eig_s={res.stats['eig_s']:.4f}" in recs[0].getMessage()
         assert set(res.stats) == {"compile_s", "multiplier_s", "eig_s", "sx_s",
                                   "check_s"}
         assert all(v >= 0.0 for v in res.stats.values())
