@@ -10,7 +10,6 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -57,7 +56,6 @@ from .rounding import (
     greedy_colouring,
     iterative_round,
     kms_round,
-    worker_count,
 )
 from .solver import SolverConfig, extract_bound, solve
 
@@ -419,7 +417,7 @@ def cmd_convert(args) -> int:
 # bench suites
 # ---------------------------------------------------------------------------
 
-def _table(keys: list[dict], fill, workers: int = 1) -> tuple[list[dict], int]:
+def _table(keys: list[dict], fill) -> tuple[list[dict], int]:
     """One row per key, in key order, each filled in place by fill(row).
 
     A row starts as its key fields with an empty `error`; an exception in
@@ -427,19 +425,11 @@ def _table(keys: list[dict], fill, workers: int = 1) -> tuple[list[dict], int]:
     and the number of them whose `error` is not empty.
     """
     rows = [{**key, "error": ""} for key in keys]
-
-    def run(row: dict) -> None:
+    for row in rows:
         try:
             fill(row)
         except Exception as err:  # an empty message must still fail the row
             row["error"] = str(err) or type(err).__name__
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, rows))
-    else:
-        for row in rows:
-            run(row)
     return rows, sum(1 for row in rows if row["error"])
 
 
@@ -489,7 +479,7 @@ def _bench_kneser_fi(args) -> tuple[list[dict], int]:
     def fill(row: dict) -> None:
         row.update(_bench_row_kneser(row["instance"], args.oracle_limit))
 
-    return _table([{"instance": s} for s in specs], fill, worker_count())
+    return _table([{"instance": s} for s in specs], fill)
 
 
 def _bench_toronto(args) -> tuple[list[dict], int]:
@@ -547,18 +537,18 @@ def _bench_itc(args) -> tuple[list[dict], int]:
 
 def _bench_random(args) -> tuple[list[dict], int]:
     def fill(row: dict) -> None:
-        g = gen_gnp(args.n, args.p, row["seed"])
-        for m in args.m_values:
-            rep = sandwich_check(g, m, time_limit=args.oracle_limit)
-            row.update(m=m, omega=rep.omega, counting=rep.counting,
-                       theta=_fmt_float(rep.theta), bounded=_fmt_float(rep.bounded),
-                       certified=rep.certified, chi_m=rep.chi_m,
-                       greedy=rep.greedy_classes, consistent=rep.passed)
-            if not rep.passed:
-                row["error"] = "; ".join(rep.failures)
+        rep = sandwich_check(gen_gnp(row["n"], row["p"], row["seed"]), row["m"],
+                             time_limit=args.oracle_limit)
+        row.update(omega=rep.omega, counting=rep.counting,
+                   theta=_fmt_float(rep.theta), bounded=_fmt_float(rep.bounded),
+                   certified=rep.certified, chi_m=rep.chi_m,
+                   greedy=rep.greedy_classes, consistent=rep.passed)
+        if not rep.passed:
+            row["error"] = "; ".join(rep.failures)
 
-    keys = [{"seed": seed, "n": args.n, "p": args.p} for seed in range(args.seeds)]
-    return _table(keys, fill, worker_count())
+    keys = [{"seed": seed, "n": args.n, "p": args.p, "m": m}
+            for seed in range(args.seeds) for m in args.m_values]
+    return _table(keys, fill)
 
 
 # suite -> (rows and failure count from the parsed arguments, CSV columns)
@@ -611,14 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-format", default="text",
                        choices=["text", "csv", "json"])
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--relax", choices=["lovasz", "strict", "strong", "bounded",
-                                           "laminar", "rooms"])
         p.add_argument("--m", type=int)
         p.add_argument("--m-offset", type=int, dest="m_offset",
                        help="m = (largest class of an unbounded optimum) + offset")
-        p.add_argument("--features", action="store_true",
-                       help="laminar: add feature rows (requires laminar family)")
-        p.add_argument("--room-stability", action="store_true")
         p.add_argument("--oracle-limit", type=float, default=600.0)
         p.add_argument("--eps", type=float, default=1e-5)
         p.add_argument("--max-iter", type=int, default=20000)
@@ -626,7 +611,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add_pipeline("bound", "compute a lower bound", cmd_bound)
+    p_bound = add_pipeline("bound", "compute a lower bound", cmd_bound)
+    p_bound.add_argument("--relax", choices=["lovasz", "strict", "strong", "bounded",
+                                             "laminar", "rooms"])
+    p_bound.add_argument("--features", action="store_true",
+                         help="laminar: add feature rows (requires laminar family)")
+    p_bound.add_argument("--room-stability", action="store_true")
     p_col = add_pipeline("colour", "solve and round to a timetable", cmd_colour)
     p_col.add_argument("--method", default="kms",
                        choices=["kms", "iterative", "greedy"])

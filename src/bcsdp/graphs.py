@@ -7,7 +7,6 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -121,17 +120,9 @@ def gen_gnp(n: int, p: float, seed: int) -> ConflictGraph:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    rng = np.random.default_rng(seed)
-    num_pairs = n * (n - 1) // 2
-    draws = rng.random(num_pairs)
-    edges = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[k] < p:
-                edges.append((u, v))
-            k += 1
-    return ConflictGraph(n, frozenset(edges))
+    u, v = np.triu_indices(n, 1)  # the pairs in that order
+    keep = np.random.default_rng(seed).random(u.size) < p
+    return ConflictGraph(n, frozenset(zip(u[keep].tolist(), v[keep].tolist())))
 
 
 def gen_kneser(n: int, k: int) -> ConflictGraph:
@@ -381,8 +372,8 @@ class ClassCounts:
     Encoding: count i is a field of w_i bits, w_i the bit length of the larger
     of limit i and the count's total over all groups, with one guard bit
     above it; profile[a] is group a's counts packed so (pack).  A class's
-    running total is then the plain int sum of its groups' profiles (plus is
-    +, the empty class is 0), and adding slack_i = 2^w_i - 1 - limit_i to
+    running total is then the plain int sum of its groups' profiles (the
+    empty class is 0), and adding slack_i = 2^w_i - 1 - limit_i to
     field i carries into its guard bit iff the field exceeds its limit.  So
     fits(t) is `not (t + slack) & guard`, and admits(t, a) is one add of the
     precomputed profile[a] + slack and one AND.  This is exact for every
@@ -406,7 +397,6 @@ class ClassCounts:
         self._slack, self._guard = slack, guard
         self.profile = [self.pack(p) for p in profiles]
         self._slacked = [p + slack for p in self.profile]
-        self.empty = 0
 
     @classmethod
     def of_groups(cls, inst: TimetablingInstance,
@@ -437,8 +427,6 @@ class ClassCounts:
     def admits(self, total: int, a: int) -> bool:
         """Whether a class with this total still fits after adding group a."""
         return not (total + self._slacked[a]) & self._guard
-
-    plus = staticmethod(operator.add)
 
 
 def validate_partition(inst: TimetablingInstance, part: Partition) -> ValidationReport:

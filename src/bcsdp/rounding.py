@@ -209,9 +209,9 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
 
 
 def worker_count() -> int:
-    """How many workers the package runs at once: BCSDP_THREADS when set,
-    otherwise the cores this process may run on (its affinity mask, where
-    the platform has one)."""
+    """How many processes kms_round may split its attempts over:
+    BCSDP_THREADS when set, otherwise the cores this process may run on (its
+    affinity mask, where the platform has one)."""
     env = os.environ.get("BCSDP_THREADS")
     if env:
         return max(1, int(env))

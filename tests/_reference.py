@@ -217,6 +217,20 @@ def dense_v_reference(model: SdpModel, X, y1, y2, v, S, mu):
     return v
 
 
+def gen_gnp_loop(n: int, p: float, seed: int) -> frozenset[tuple[int, int]]:
+    """Reference for graphs.gen_gnp's edges: scan the pairs u < v in
+    lexicographic order and keep pair k when the k-th uniform draw is < p."""
+    draws = np.random.default_rng(seed).random(n * (n - 1) // 2)
+    edges = []
+    k = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draws[k] < p:
+                edges.append((u, v))
+            k += 1
+    return frozenset(edges)
+
+
 def compact_every_sweep(inst: TimetablingInstance, members, classes):
     """Reference for rounding._compact, scanning for a merge on every sweep.
 

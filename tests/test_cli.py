@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -268,6 +269,20 @@ class TestColour:
         row = json.loads(out)[0]
         assert row["valid"] is True
 
+    @pytest.mark.parametrize("option", [["--relax", "laminar"], ["--features"],
+                                        ["--room-stability"]])
+    def test_model_options_belong_to_bound_only(self, capsys, option):
+        # colour always solves the bounded relaxation, so it has no use for
+        # the options that pick or shape another one
+        base = ["--gen", "gnp:12,0.5,1", "--m", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(["colour", *base, *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, _ = run_cli(["bound", *base, "--relax", "laminar", *option,
+                                "--output-format", "json"], capsys)
+        assert code == 0 and json.loads(out)[0]["relaxation"] == "laminar"
+
 
 def parse_native_graph(spec):
     from bcsdp.cli import make_generated
@@ -370,6 +385,60 @@ class TestBench:
         consistent_idx = header.index("consistent")
         for line in lines[1:]:
             assert line.split(",")[consistent_idx] == "True"
+
+    def test_random_sweep_row_per_seed_and_m(self, capsys, monkeypatch):
+        # each (seed, m) is its own row, with its own consistent and error: a
+        # failed check at m = 2 must not stay on the m = 3 row
+        from bcsdp import cli
+
+        check = cli.sandwich_check
+
+        def fails_at_m2(g, m, time_limit):
+            rep = check(g, m, time_limit=time_limit)
+            if m != 2:
+                return rep
+            return dataclasses.replace(rep, passed=False, failures=("stub at m=2",))
+
+        monkeypatch.setattr(cli, "sandwich_check", fails_at_m2)
+        code, out, err = run_cli(
+            ["bench", "--suite", "random-sweep", "--n", "8", "--seeds", "3",
+             "--m-values", "2", "3", "--output-format", "json"], capsys)
+        rows = json.loads(out)
+        assert code == 1 and err == "3 row(s) failed\n"
+        assert [(r["seed"], r["m"]) for r in rows] == [
+            (seed, m) for seed in range(3) for m in (2, 3)]
+        for r in rows:
+            assert r["consistent"] is (r["m"] == 3)
+            assert r["error"] == ("stub at m=2" if r["m"] == 2 else "")
+
+    def test_bench_rows_run_on_the_calling_thread(self, capsys, monkeypatch):
+        # BCSDP_THREADS sizes only kms_round's forks: every bench row is
+        # filled in the thread that runs the command
+        import threading
+
+        from bcsdp import cli
+        from bcsdp.oracle import SandwichReport
+
+        threads = []
+
+        def stub_row(spec, oracle_limit):
+            threads.append(threading.current_thread())
+            return {"instance": spec, "C": 1}
+
+        def stub_check(g, m, time_limit):
+            threads.append(threading.current_thread())
+            return SandwichReport(omega=1, counting=1, theta=1.0, bounded=1.0,
+                                  certified=1, chi_m=1, greedy_classes=1,
+                                  passed=True, failures=())
+
+        monkeypatch.setenv("BCSDP_THREADS", "2")
+        monkeypatch.setattr(cli, "_bench_row_kneser", stub_row)
+        monkeypatch.setattr(cli, "sandwich_check", stub_check)
+        assert run_cli(["bench", "--suite", "kneser-fi"], capsys)[0] == 0
+        assert run_cli(["bench", "--suite", "random-sweep", "--seeds", "4"],
+                       capsys)[0] == 0
+        assert len(threads) == 7 + 4 * 3
+        assert set(threads) == {threading.current_thread()}
 
     def test_kneser_fi_exit_code_counts_failed_rows(self, capsys, monkeypatch):
         # the stub generates each instance, which is where a spec is

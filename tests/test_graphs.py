@@ -20,6 +20,8 @@ from bcsdp.graphs import (
     validate_partition,
 )
 
+from _reference import gen_gnp_loop
+
 
 class TestConflictGraph:
     def test_rejects_self_loop(self):
@@ -69,6 +71,12 @@ class TestGnp:
     @settings(max_examples=30, deadline=None)
     def test_deterministic(self, n, p, seed):
         assert gen_gnp(n, p, seed).edges == gen_gnp(n, p, seed).edges
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 45, 160])
+    def test_same_edges_as_the_pair_loop(self, n):
+        for p in (0.0, 0.3, 0.5, 1.0):
+            for seed in (0, 1, 101):
+                assert gen_gnp(n, p, seed).edges == gen_gnp_loop(n, p, seed), (p, seed)
 
 
 class TestKneser:
@@ -283,10 +291,10 @@ class TestClassCounts:
     def test_packed_tests_match_the_entrywise_rules(self, case):
         limits, profiles, chosen = case
         counts = ClassCounts(limits, profiles)
-        total, sums = counts.empty, [0] * len(limits)
+        total, sums = 0, [0] * len(limits)
         for p, packed, c in zip(profiles, counts.profile, chosen):
             if c:
-                total = counts.plus(total, packed)
+                total += packed
                 sums = [t + x for t, x in zip(sums, p)]
         assert total == counts.pack(sums)
         assert counts.fits(total) == all(t <= lim for t, lim in zip(sums, limits))
@@ -295,6 +303,6 @@ class TestClassCounts:
             if c:
                 continue
             grown = [t + x for t, x in zip(sums, p)]
-            assert counts.plus(total, counts.profile[a]) == counts.pack(grown)
+            assert total + counts.profile[a] == counts.pack(grown)
             assert counts.admits(total, a) == all(
                 t <= lim for t, lim in zip(grown, limits))

@@ -415,9 +415,9 @@ class TestKmsProperties:
         order = data.draw(st.permutations(range(atoms.k)))
         size = data.draw(st.integers(0, atoms.k - 1))
         chosen, extra = list(order[:size]), order[size]
-        total = counts.empty
+        total = 0
         for a in chosen:
-            total = counts.plus(total, counts.profile[a])
+            total += counts.profile[a]
         no_edges = dataclasses.replace(inst, graph=empty_graph(inst.graph.n))
         verts = [v for a in chosen + [extra] for v in atoms.members[a]]
         assert counts.admits(total, extra) == (not class_violations(no_edges, verts))
