@@ -455,7 +455,7 @@ _PINNED_C = {"kneser:5,2": 4, "kneser:6,2": 5, "kneser:7,2": 6, "kneser:8,2": 6,
 _OFFSETS = (0, -1, -2, -3)
 
 
-def _bench_row_kneser(spec: str, oracle_limit: float) -> dict:
+def _bench_row_kneser(spec: str, oracle_limit: float, cfg: SolverConfig) -> dict:
     g = make_generated(spec).instance.graph
     largest = _PINNED_C[spec] if spec in _PINNED_C else largest_class(g, oracle_limit)[0]
     row = {"instance": spec, "C": largest}
@@ -463,7 +463,7 @@ def _bench_row_kneser(spec: str, oracle_limit: float) -> dict:
         m = largest + offset
         bound = chi = ""
         if m >= 1:
-            bound = _fmt_float(solve(build_bounded(g, m)).value)
+            bound = _fmt_float(solve(build_bounded(g, m), cfg).value)
             chi = _chi_cell(g, m, oracle_limit)
         row[f"bound_off{offset}"], row[f"chi_off{offset}"] = bound, chi
     return row
@@ -477,7 +477,8 @@ def _bench_kneser_fi(args) -> tuple[list[dict], int]:
     ]
 
     def fill(row: dict) -> None:
-        row.update(_bench_row_kneser(row["instance"], args.oracle_limit))
+        row.update(_bench_row_kneser(row["instance"], args.oracle_limit,
+                                     SolverConfig(eps=args.eps)))
 
     return _table([{"instance": s} for s in specs], fill)
 
@@ -538,7 +539,8 @@ def _bench_itc(args) -> tuple[list[dict], int]:
 def _bench_random(args) -> tuple[list[dict], int]:
     def fill(row: dict) -> None:
         rep = sandwich_check(gen_gnp(row["n"], row["p"], row["seed"]), row["m"],
-                             time_limit=args.oracle_limit)
+                             time_limit=args.oracle_limit,
+                             cfg=SolverConfig(eps=args.eps))
         row.update(omega=rep.omega, counting=rep.counting,
                    theta=_fmt_float(rep.theta), bounded=_fmt_float(rep.bounded),
                    certified=rep.certified, chi_m=rep.chi_m,

@@ -45,21 +45,18 @@ class ConflictGraph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    _adjacency: tuple[tuple[int, ...], ...] = field(
-        default=(), repr=False, compare=False
-    )
+    _adjacency: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        neighbours: list[list[int]] = [[] for _ in range(self.n)]
+        masks = [0] * self.n
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-        adj = tuple(tuple(sorted(ns)) for ns in neighbours)
-        object.__setattr__(self, "_adjacency", adj)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "_adjacency", tuple(masks))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
@@ -69,16 +66,14 @@ class ConflictGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency[v]
-
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        return self._adjacency[v].bit_count()
 
     def is_edge(self, u: int, v: int) -> bool:
         return u != v and _normalize_edge(u, v) in self.edges
 
     def non_edges(self) -> list[tuple[int, int]]:
+        """The complement's edges, in lexicographic order."""
         return [
             (u, v)
             for u in range(self.n)
@@ -86,16 +81,10 @@ class ConflictGraph:
             if (u, v) not in self.edges
         ]
 
-    def complement(self) -> "ConflictGraph":
-        return ConflictGraph(self.n, frozenset(self.non_edges()))
-
     def adjacency_bitsets(self) -> tuple[int, ...]:
-        """Neighbour sets packed as integers, for fast subset tests."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        """The graph's one adjacency, built once: bit w of [v] is set iff vw is
+        an edge."""
+        return self._adjacency
 
     def subgraph(self, vertices: Iterable[int]) -> tuple["ConflictGraph", tuple[int, ...]]:
         """Induced subgraph; returns (graph, old-id-per-new-id) with ids renumbered."""
@@ -185,22 +174,21 @@ def cycle_graph(n: int) -> ConflictGraph:
 
 def connected_components(g: ConflictGraph) -> list[frozenset[int]]:
     """Maximal connected vertex sets, sorted by size then smallest member."""
-    seen = [False] * g.n
+    adj = g.adjacency_bitsets()
+    unseen = (1 << g.n) - 1
     comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(frozenset(comp))
+    while unseen:
+        comp = frontier = unseen & -unseen
+        members = []
+        while frontier:  # each vertex joins the frontier once, when first reached
+            low = frontier & -frontier
+            frontier ^= low
+            members.append(low.bit_length() - 1)
+            new = adj[members[-1]] & ~comp
+            comp |= new
+            frontier |= new
+        unseen &= ~comp
+        comps.append(frozenset(members))
     return sorted(comps, key=lambda c: (len(c), min(c)))
 
 
@@ -332,11 +320,12 @@ def class_violations(inst: TimetablingInstance, members: Iterable[int]) -> list[
     """
     mem = sorted(set(members))
     out = []
-    memset = set(mem)
+    adj = inst.graph.adjacency_bitsets()
+    mask = sum(1 << v for v in mem)
     for v in mem:
-        for w in inst.graph.neighbors(v):
-            if w > v and w in memset:
-                out.append(f"edge conflict ({v},{w}) within a class")
+        above = adj[v] & mask & -(2 << v)  # v's neighbours in the class above v
+        if above:
+            out += [f"edge conflict ({v},{w}) within a class" for w in mem if above >> w & 1]
     weight = sum(inst.vertex_weight(v) for v in mem)
     if weight > inst.m:
         out.append(f"class weight {weight} exceeds m={inst.m}")
@@ -446,7 +435,8 @@ def validate_partition(inst: TimetablingInstance, part: Partition) -> Validation
     if extra:
         violations.append(f"unknown vertices: {sorted(extra)}")
     for i, cls in enumerate(part.classes):
-        for msg in class_violations(inst, cls):
+        # unknown vertices are reported above and have no adjacency to check
+        for msg in class_violations(inst, [v for v in cls if 0 <= v < n]):
             violations.append(f"class {i}: {msg}")
     for pre in inst.precolouring:
         hit = {covered.get(v) for v in pre}

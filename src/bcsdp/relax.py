@@ -23,10 +23,10 @@ column, sum_u X_uv - m X_vv <= m - n, which keeps the inequality block's Gram
 matrix in exact alpha*I + beta*J form for the solver's closed-form kernels.
 
 Pre-coloured and laminar models are stated over atoms, not vertices: each
-pre-class is contracted to one atom weighted by its member count
-(`reduce_precolouring_atoms`), and every other vertex is an atom of its own.
-`Atoms` holds that contraction as the oracle, the greedy and KMS rounding
-read it: atom bitsets, the vertex-to-atom index and each atom's class counts.
+pre-class is contracted to one atom weighted by its member count, and every
+other vertex is an atom of its own.  `Atoms` is that contraction, as the
+models, the oracle, the greedy and KMS rounding read it: the atom graph and
+its bitsets, the vertex-to-atom index and each atom's class counts.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .graphs import (
     ConflictGraph,
     Partition,
     TimetablingInstance,
-    check_precolouring,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "build_bounded",
     "build_precoloured",
     "build_weighted",
-    "reduce_precolouring_atoms",
     "Atoms",
     "build_laminar",
     "build_room_assignment",
@@ -296,15 +294,15 @@ def build_theta(g: ConflictGraph, variant: str = "lovasz") -> SdpModel:
         raise ValueError("need at least one vertex")
     if variant not in ("lovasz", "strict", "strong"):
         raise ValueError(f"unknown theta variant {variant!r}")
-    h = g.complement()
+    complement_edges = g.non_edges()
     eq_graph: list[SymRow] = []
     pair_rows: list[SymRow] = []
     if variant in ("lovasz", "strict"):
-        eq_graph = _entry_rows(sorted(h.edges), 0.0)
+        eq_graph = _entry_rows(complement_edges, 0.0)
     if variant == "strict":
-        pair_rows = _entry_rows(h.non_edges(), 0.0)
+        pair_rows = _entry_rows(sorted(g.edges), 0.0)
     if variant == "strong":
-        pair_rows = _entry_rows(sorted(h.edges), 0.0, coeff=-0.5)
+        pair_rows = _entry_rows(complement_edges, 0.0, coeff=-0.5)
     trace_row = SymRow.from_entries({(v, v): 1.0 for v in range(g.n)}, 1.0)
     return _model(g.n, np.ones((g.n, g.n)), "max", eq_graph, (trace_row,),
                   [("pairs", pair_rows)])
@@ -323,13 +321,14 @@ def build_precoloured(
     """Bounded colouring with pre-assigned classes: the weighted model on atoms.
 
     Each pre-class is contracted to one atom weighted by its member count
-    (`reduce_precolouring_atoms`).  Any Y that keeps every pre-class in one
-    period is Y = P Y' P^T with P the atom membership matrix, and
-    Y - J = P (Y' - J) P^T, so the contraction is exact and the atom model is
-    strictly feasible.
+    (`Atoms`), and pre are checked as a `TimetablingInstance` checks them.
+    Any Y that keeps every pre-class in one period is Y = P Y' P^T with P the
+    atom membership matrix, and Y - J = P (Y' - J) P^T, so the contraction is
+    exact and the atom model is strictly feasible.
     """
-    atoms, weights, _ = reduce_precolouring_atoms(g, m, pre)
-    return build_weighted(atoms, m, weights)
+    atoms = Atoms(TimetablingInstance(
+        g, m, precolouring=tuple(frozenset(cls) for cls in pre)))
+    return build_weighted(atoms.graph, m, [len(mem) for mem in atoms.members])
 
 
 def build_weighted(
@@ -343,56 +342,41 @@ def build_weighted(
     return _scaled_model(g.n, g.edges, [("rowsum", _row_sums(g.n, m, weights=c))])
 
 
-def reduce_precolouring_atoms(
-    g: ConflictGraph, m: int, pre: Sequence[Iterable[int]]
-) -> tuple[ConflictGraph, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Contract each pre-class to one weighted vertex; edges are unioned.
-
-    Returns the contracted graph, the weight (member count) of each new vertex
-    and the member list of each new vertex: the pre-classes in order, then
-    every other vertex as a singleton in vertex order.  A pre-class larger
-    than m, overlapping another or holding an edge is rejected.
-    """
-    classes = [frozenset(cls) for cls in pre]
-    seen = check_precolouring(g.n, m, classes)
-    atoms = [tuple(sorted(cls)) for cls in classes]
-    atoms += [(v,) for v in range(g.n) if v not in seen]
-    index: dict[int, int] = {}
-    for a, members in enumerate(atoms):
-        for v in members:
-            index[v] = a
-    edges = set()
-    for u, v in g.edges:
-        au, av = index[u], index[v]
-        if au == av:
-            raise ValueError(
-                f"infeasible pre-colouring: conflicting vertices {u},{v} share a class"
-            )
-        edges.add((min(au, av), max(au, av)))
-    weights = tuple(len(members) for members in atoms)
-    return ConflictGraph(len(atoms), frozenset(edges)), weights, tuple(atoms)
-
-
 class Atoms:
     """An instance's pre-classes contracted to atoms, with their class counts.
 
-    members[a] lists the vertices of atom a < k, in `reduce_precolouring_atoms`
-    order; graph is the contracted conflict graph and adj its bitsets over atom
-    indices; atom_of[v] is the atom holding vertex v; counts holds each
-    atom's `ClassCounts` profile.  An atom that fits no class on its own (too
-    heavy, or more large or featured events than matching rooms) makes the
-    instance infeasible and is refused here.
+    members[a] lists the vertices of atom a < k: the pre-classes in order,
+    then every other vertex as a singleton in vertex order.  graph is the
+    contracted conflict graph (edges unioned; the instance's own graph when it
+    has no pre-class) and adj its bitsets over atom indices; atom_of[v] is
+    the atom holding vertex v; counts holds each atom's `ClassCounts`
+    profile.  A pre-class holding a conflict edge, or an atom that fits no
+    class on its own (too heavy, or more large or featured events than
+    matching rooms), makes the instance infeasible and is refused here.
     """
 
     def __init__(self, inst: TimetablingInstance):
-        self.graph, _, self.members = reduce_precolouring_atoms(
-            inst.graph, inst.m, inst.precolouring
-        )
-        self.k = self.graph.n
-        self.adj = self.graph.adjacency_bitsets()
-        self.atom_of = np.empty(inst.graph.n, dtype=np.intp)
+        g = inst.graph
+        pre = set().union(*inst.precolouring)
+        self.members = (*(tuple(sorted(cls)) for cls in inst.precolouring),
+                        *((v,) for v in range(g.n) if v not in pre))
+        self.k = len(self.members)
+        atom_of = [0] * g.n
         for a, mem in enumerate(self.members):
-            self.atom_of[list(mem)] = a
+            for v in mem:
+                atom_of[v] = a
+        self.atom_of = np.array(atom_of, dtype=np.intp)
+        self.graph = g
+        if inst.precolouring:
+            edges = set()
+            for u, v in g.edges:
+                au, av = atom_of[u], atom_of[v]
+                if au == av:
+                    raise ValueError(f"infeasible pre-colouring: conflicting "
+                                     f"vertices {u},{v} share a class")
+                edges.add((min(au, av), max(au, av)))
+            self.graph = ConflictGraph(self.k, frozenset(edges))
+        self.adj = self.graph.adjacency_bitsets()
         self.counts = ClassCounts.of_groups(inst, self.members)
         for mem, profile in zip(self.members, self.counts.profile):
             if not self.counts.fits(profile):

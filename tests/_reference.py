@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from bcsdp.graphs import TimetablingInstance, class_violations
-from bcsdp.relax import SdpModel
+from bcsdp.graphs import ConflictGraph, TimetablingInstance, class_violations
+from bcsdp.relax import SdpModel, SymRow
 
 
 def enumerate_chi_m(inst: TimetablingInstance, cap: int | None = None) -> int:
@@ -266,3 +266,57 @@ def compact_every_sweep(inst: TimetablingInstance, members, classes):
                 break
         else:
             return groups
+
+
+def theta_rows_by_complement(g: ConflictGraph, variant: str):
+    """Reference for relax.build_theta's (eq_graph, pairs) rows, read off the
+    complement graph built as a graph of its own: its edges are pinned to
+    zero (lovasz, strict) or kept <= 0 (strong), and strict keeps its
+    non-edges, g's edges, >= 0."""
+    n = g.n
+    h = ConflictGraph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)
+                                   if (u, v) not in g.edges))
+    h_non = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in h.edges]
+
+    def rows(pairs, coeff):
+        return [SymRow((u,), (v,), (coeff,), 0.0) for u, v in pairs]
+
+    eq = rows(sorted(h.edges), 0.5) if variant in ("lovasz", "strict") else []
+    pairs = {"lovasz": [], "strict": rows(h_non, 0.5),
+             "strong": rows(sorted(h.edges), -0.5)}[variant]
+    return eq, pairs
+
+
+def class_violations_loop(inst: TimetablingInstance, members) -> list[str]:
+    """Reference for graphs.class_violations, finding the class's conflicts
+    by a loop over each member's sorted neighbour list."""
+    neighbours: list[list[int]] = [[] for _ in range(inst.graph.n)]
+    for u, v in inst.graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    mem = sorted(set(members))
+    memset = set(mem)
+    out = []
+    for v in mem:
+        for w in sorted(neighbours[v]):
+            if w > v and w in memset:
+                out.append(f"edge conflict ({v},{w}) within a class")
+    weight = sum(inst.vertex_weight(v) for v in mem)
+    if weight > inst.m:
+        out.append(f"class weight {weight} exceeds m={inst.m}")
+    for c in sorted(set(inst.room_capacities)):
+        big = [v for v in mem if inst.event_sizes[v] > c]
+        rooms = sum(1 for r in inst.room_capacities if r > c)
+        if len(big) > rooms:
+            out.append(
+                f"{len(big)} events larger than capacity {c} but only "
+                f"{rooms} larger rooms"
+            )
+    for f in range(inst.feature_count):
+        need = [v for v in mem if (v, f) in inst.event_features]
+        have = sum(1 for r in range(inst.m) if (r, f) in inst.room_features)
+        if len(need) > have:
+            out.append(
+                f"{len(need)} events need feature {f} available in {have} rooms"
+            )
+    return out

@@ -393,8 +393,8 @@ class TestBench:
 
         check = cli.sandwich_check
 
-        def fails_at_m2(g, m, time_limit):
-            rep = check(g, m, time_limit=time_limit)
+        def fails_at_m2(g, m, time_limit, cfg):
+            rep = check(g, m, time_limit=time_limit, cfg=cfg)
             if m != 2:
                 return rep
             return dataclasses.replace(rep, passed=False, failures=("stub at m=2",))
@@ -411,6 +411,55 @@ class TestBench:
             assert r["consistent"] is (r["m"] == 3)
             assert r["error"] == ("stub at m=2" if r["m"] == 2 else "")
 
+    def test_random_sweep_solves_theta_once_per_graph(self, capsys, monkeypatch):
+        # theta does not depend on m: 3 seeds at 2 room counts build 3 theta
+        # models, one per graph, and print the same rows as 6 solves would
+        from bcsdp import oracle
+
+        built = []
+
+        def counting(g, variant="lovasz"):
+            built.append(g)
+            return build_theta(g, variant)
+
+        build_theta = oracle.build_theta
+        monkeypatch.setattr(oracle, "build_theta", counting)
+        oracle._lovasz_theta.cache_clear()
+        code, out, _ = run_cli(
+            ["bench", "--suite", "random-sweep", "--n", "12", "--seeds", "3",
+             "--m-values", "2", "3", "--output-format", "json"], capsys)
+        assert code == 0
+        assert len(built) == 3 and len(set(built)) == 3
+        rows = json.loads(out)
+        for a, b in zip(rows[::2], rows[1::2]):
+            assert (a["seed"], a["m"], b["m"]) == (b["seed"], 2, 3)
+            assert a["theta"] == b["theta"]
+
+    def test_bench_eps_reaches_every_suite(self, capsys, monkeypatch):
+        # --eps sets the solver tolerance of the kneser-fi and random-sweep
+        # solves; it is not accepted and then ignored
+        from bcsdp import cli
+
+        sweep = ["bench", "--suite", "random-sweep", "--n", "12", "--seeds", "2",
+                 "--m-values", "3", "--output-format", "json"]
+        _, default, _ = run_cli(sweep, capsys)
+        _, explicit, _ = run_cli([*sweep, "--eps", "1e-5"], capsys)
+        _, loose, _ = run_cli([*sweep, "--eps", "0.2"], capsys)
+        assert default == explicit
+        assert [r["theta"] for r in json.loads(loose)] != [
+            r["theta"] for r in json.loads(default)]
+        eps = []
+
+        def recording(model, cfg=None):
+            eps.append(cfg.eps)
+            return solve(model, cfg)
+
+        solve = cli.solve
+        monkeypatch.setattr(cli, "solve", recording)
+        assert run_cli(["bench", "--suite", "kneser-fi", "--eps", "0.2"],
+                       capsys)[0] == 0
+        assert len(eps) == 28 and set(eps) == {0.2}
+
     def test_bench_rows_run_on_the_calling_thread(self, capsys, monkeypatch):
         # BCSDP_THREADS sizes only kms_round's forks: every bench row is
         # filled in the thread that runs the command
@@ -421,11 +470,11 @@ class TestBench:
 
         threads = []
 
-        def stub_row(spec, oracle_limit):
+        def stub_row(spec, oracle_limit, cfg):
             threads.append(threading.current_thread())
             return {"instance": spec, "C": 1}
 
-        def stub_check(g, m, time_limit):
+        def stub_check(g, m, time_limit, cfg):
             threads.append(threading.current_thread())
             return SandwichReport(omega=1, counting=1, theta=1.0, bounded=1.0,
                                   certified=1, chi_m=1, greedy_classes=1,
@@ -445,7 +494,7 @@ class TestBench:
         # rejected, and skips the solves and oracle calls
         from bcsdp import cli
 
-        def stub_row(spec, oracle_limit):
+        def stub_row(spec, oracle_limit, cfg):
             if spec in broken:
                 raise ValueError(f"stub failure on {spec}")
             if spec in silent:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from bcsdp.graphs import (
     ConflictGraph,
     Partition,
     TimetablingInstance,
+    class_violations,
     complete_graph,
     connected_components,
     counting_bound,
@@ -20,7 +22,7 @@ from bcsdp.graphs import (
     validate_partition,
 )
 
-from _reference import gen_gnp_loop
+from _reference import class_violations_loop, gen_gnp_loop
 
 
 class TestConflictGraph:
@@ -35,19 +37,28 @@ class TestConflictGraph:
     def test_edges_deduplicated_and_ordered(self):
         g = ConflictGraph.from_edges(3, [(2, 1), (1, 2), (0, 1)])
         assert g.edges == frozenset({(1, 2), (0, 1)})
-        assert g.neighbors(1) == (0, 2)
+        assert g.adjacency_bitsets()[1] == 0b101  # neighbours 0 and 2
 
     def test_adjacency_consistent(self):
         g = gen_gnp(30, 0.4, 7)
+        adj = g.adjacency_bitsets()
         for u, v in g.edges:
-            assert v in g.neighbors(u) and u in g.neighbors(v)
+            assert adj[u] >> v & 1 and adj[v] >> u & 1
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.num_edges
+
+    def test_adjacency_built_once(self):
+        # the bitsets are the graph's one adjacency, made at construction
+        g = gen_gnp(30, 0.4, 7)
+        assert g.adjacency_bitsets() is g.adjacency_bitsets()
+        assert g.adjacency_bitsets() == tuple(
+            sum(1 << w for w in range(g.n) if g.is_edge(v, w)) for v in range(g.n))
 
     def test_complement_partitions_pairs(self):
         g = gen_gnp(12, 0.3, 3)
-        h = g.complement()
-        assert g.num_edges + h.num_edges == 12 * 11 // 2
-        assert not (g.edges & h.edges)
+        non = g.non_edges()
+        assert g.num_edges + len(non) == 12 * 11 // 2
+        assert not (g.edges & set(non))
+        assert non == sorted(non)
 
 
 class TestGnp:
@@ -149,6 +160,26 @@ class TestComponents:
         g = ConflictGraph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
         comps = connected_components(g)
         assert [len(c) for c in comps] == [2, 3]
+
+    @pytest.mark.parametrize("n, p, seed", [(0, 0.5, 1), (30, 0.04, 1), (60, 0.03, 2),
+                                            (45, 0.5, 3)])
+    def test_components_match_union_find(self, n, p, seed):
+        g = gen_gnp(n, p, seed)
+        root = list(range(n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for u, v in g.edges:
+            root[find(u)] = find(v)
+        groups: dict[int, set[int]] = {}
+        for v in range(n):
+            groups.setdefault(find(v), set()).add(v)
+        comps = connected_components(g)
+        assert sorted(map(sorted, comps)) == sorted(map(sorted, groups.values()))
+        assert [(len(c), min(c)) for c in comps] == sorted((len(c), min(c)) for c in comps)
 
 
 class TestCountingBound:
@@ -262,6 +293,33 @@ class TestValidatePartition:
             inst, Partition.from_lists([[0, 1]], room_of={0: 1, 1: 0})
         )
         assert not small.ok
+
+    def test_unknown_vertex_reported(self):
+        inst = TimetablingInstance.colouring(path_graph(3), 2)
+        for extra in (-1, 5):
+            rep = validate_partition(inst, Partition.from_lists([[0, 2], [1], [extra]]))
+            assert rep.violations == (f"unknown vertices: [{extra}]",)
+
+    @pytest.mark.parametrize("n, p, seed", [(12, 0.5, 1), (30, 0.2, 2), (60, 0.5, 3)])
+    def test_class_violations_match_the_neighbour_loop(self, n, p, seed):
+        # the bitset mask test reports every rule's messages in the order of
+        # the reference's loop over sorted neighbour lists
+        rng = np.random.default_rng(seed)
+        m = 4
+        inst = TimetablingInstance(
+            graph=gen_gnp(n, p, seed), m=m,
+            event_sizes=tuple(rng.integers(1, 4, n).tolist()),
+            room_capacities=tuple(rng.integers(1, 4, m).tolist()),
+            feature_count=2,
+            event_features=frozenset((v, f) for v in range(n) for f in range(2)
+                                     if rng.random() < 0.2),
+            room_features=frozenset({(0, 0), (1, 0), (2, 1)}),
+            weights=tuple(rng.integers(1, 3, n).tolist()),
+        )
+        for size in (0, 1, 2, 4, 7, n):
+            for _ in range(20):
+                cls = rng.choice(n, size, replace=False).tolist()
+                assert class_violations(inst, cls) == class_violations_loop(inst, cls)
 
     def test_petersen_proper_partition(self, petersen):
         inst = TimetablingInstance.colouring(petersen, 3)

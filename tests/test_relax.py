@@ -5,11 +5,14 @@ import pytest
 
 from bcsdp.graphs import (
     TimetablingInstance,
+    complete_graph,
     empty_graph,
     gen_gnp,
+    gen_kneser,
     path_graph,
 )
 from bcsdp.relax import (
+    Atoms,
     SdpModel,
     SymRow,
     build_bounded,
@@ -22,12 +25,11 @@ from bcsdp.relax import (
     _column,
     _row_sums,
     _scaled_row,
-    reduce_precolouring_atoms,
     verify_structure,
 )
 from bcsdp.solver import _Compiled
 
-from _reference import gram_of, dense_blocks
+from _reference import gram_of, dense_blocks, theta_rows_by_complement
 
 
 class TestSymRow:
@@ -211,6 +213,16 @@ class TestBuilders:
         assert not strong.eq_graph and len(strong.ineq) == 5
         assert lov.sense == "max"
 
+    @pytest.mark.parametrize("variant", ["lovasz", "strict", "strong"])
+    def test_theta_rows_match_the_complement_graph(self, variant):
+        graphs = [empty_graph(5), complete_graph(5), gen_kneser(5, 2),
+                  gen_kneser(6, 2), gen_gnp(12, 0.5, 1), gen_gnp(20, 0.3, 4)]
+        for g in graphs:
+            eq, pairs = theta_rows_by_complement(g, variant)
+            model = build_theta(g, variant)
+            assert model.eq_graph == tuple(eq)
+            assert model.ineq == tuple(pairs)
+
     def test_theta_rejects_unknown_variant(self, c5):
         with pytest.raises(ValueError):
             build_theta(c5, "nope")
@@ -246,22 +258,39 @@ class TestBuilders:
             build_room_assignment(inst)
 
 
+def _atoms(g, m, pre):
+    """Atoms of g at m with pre as its pre-classes."""
+    return Atoms(TimetablingInstance(g, m, precolouring=tuple(map(frozenset, pre))))
+
+
 class TestReducePrecolouring:
     def test_contract_empty_graph(self):
-        g, w, _ = reduce_precolouring_atoms(empty_graph(3), 2, [{0, 1}])
-        assert g.n == 2
-        assert w == (2, 1)
+        atoms = _atoms(empty_graph(3), 2, [{0, 1}])
+        assert atoms.graph.n == atoms.k == 2
+        assert tuple(map(len, atoms.members)) == (2, 1)
 
     def test_edge_inside_class_infeasible(self):
         g = path_graph(2)
-        with pytest.raises(ValueError):
-            reduce_precolouring_atoms(g, 2, [{0, 1}])
+        with pytest.raises(ValueError, match="conflicting vertices 0,1 share a class"):
+            _atoms(g, 2, [{0, 1}])
 
     def test_edges_unioned(self):
         g = path_graph(3)  # edges (0,1),(1,2)
-        q, w, _ = reduce_precolouring_atoms(g, 2, [{0, 2}])
+        atoms = _atoms(g, 2, [{0, 2}])
+        q = atoms.graph
         assert q.n == 2 and q.num_edges == 1
-        assert w == (2, 1)
+        assert tuple(map(len, atoms.members)) == (2, 1)
+        assert atoms.members == ((0, 2), (1,)) and list(atoms.atom_of) == [0, 1, 0]
+        assert atoms.adj == q.adjacency_bitsets() == (0b10, 0b01)
+
+    def test_no_preclass_keeps_the_instance_graph(self):
+        # without a pre-class every vertex is its own atom and nothing is rebuilt
+        inst = TimetablingInstance.colouring(gen_gnp(20, 0.5, 3), 4)
+        atoms = Atoms(inst)
+        assert atoms.graph is inst.graph
+        assert atoms.adj is inst.graph.adjacency_bitsets()
+        assert atoms.members == tuple((v,) for v in range(20))
+        assert list(atoms.atom_of) == list(range(20))
 
     @pytest.mark.parametrize("pre, message", [
         ([{0, 1, 2}], "class larger than m"),
