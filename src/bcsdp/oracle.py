@@ -8,9 +8,9 @@ capacity, feature and pre-colouring pruning.  The search runs on
 greedy colouring of `rounding`.  Exactness at desk scale is certified against
 full partition enumeration in the test suite.
 
-Saturation is carried, not recomputed: over k atoms, a node costs one O(k)
-scan for its target, and each move and each undo costs O(deg) saturation
-updates plus an O(1) restore of the class's conflict mask and count totals.
+Saturation is kept as bit-sliced counters over one bit order of the atoms
+(the bitset DSATUR of San Segundo 2012): a node scans O(log k) planes for its
+target, a move is one ripple carry over them, and an undo is free.
 """
 
 from __future__ import annotations
@@ -72,55 +72,53 @@ def max_clique(g: ConflictGraph, time_limit: float = 10.0) -> int:
     return best
 
 
-class _Dsatur:
-    """DSATUR order (Brélaz 1979) kept incrementally: one integer key per atom.
-
-    An unplaced atom's key is sat·(k+1)² + deg·(k+1) + (k − a), where sat
-    counts the classes holding a neighbour; integer order is exactly that of
-    (sat, deg, −a).  A placed atom carries −(k+1)³ on top, so the target is
-    the largest key when that key is positive.  Placing atom a in a class
-    whose conflict mask was ``mask`` raises sat for each bit of
-    adj[a] & ~mask; undoing it lowers the same bits.
-    """
-
-    def __init__(self, atoms: Atoms):
-        k = atoms.k
-        self.adj = atoms.adj
-        self.step = (k + 1) ** 2
-        self.placed = (k + 1) * self.step
-        self.key = [atoms.graph.degree(a) * (k + 1) + k - a for a in range(k)]
-
-    def target(self) -> int:
-        """The unplaced atom of largest (sat, deg, −a), or −1 if none is left."""
-        best = max(self.key)
-        return self.key.index(best) if best > 0 else -1
-
-    def bump(self, a: int, mask: int, sign: int) -> None:
-        """Place (sign 1) or unplace (sign −1) a in a class of conflict mask."""
-        key = self.key
-        key[a] -= sign * self.placed
-        step = sign * self.step
-        new = self.adj[a] & ~mask
-        while new:
-            low = new & -new
-            key[low.bit_length() - 1] += step
-            new ^= low
+def _bit_order(atoms: Atoms) -> tuple[list[int], list[int]]:
+    """order[i], the atom at bit i, by (degree desc, index asc), and the atoms'
+    adjacency masks over those bits.  Among atoms of equal saturation the
+    lowest bit is then the one of largest (deg, −a), DSATUR's pick."""
+    order = sorted(range(atoms.k), key=lambda a: (-atoms.graph.degree(a), a))
+    bit = [1 << i for i in sorted(range(atoms.k), key=order.__getitem__)]
+    adj = [0] * atoms.k  # by atom id, over bits
+    for u, v in atoms.graph.edges:
+        adj[u] |= bit[v]
+        adj[v] |= bit[u]
+    return order, [adj[a] for a in order]
 
 
-def greedy_atoms(atoms: Atoms) -> list[list[int]]:
-    """Saturation-degree greedy in the search's DSATUR order, deterministic.
+def _target(planes: list[int], unplaced: int) -> int:
+    """The bit of the unplaced atom of largest saturation, lowest on ties: plane
+    j holds bit j of each count, so narrow by each nonempty plane, top down."""
+    cand = unplaced
+    for plane in reversed(planes):
+        top = cand & plane
+        if top:
+            cand = top
+    return cand & -cand
 
-    Each atom joins the first class that admits it; classes list atoms in
-    placement order.
-    """
+
+def _saturate(planes: list[int], new: int) -> list[int]:
+    """New planes with every atom of new one count higher, by a ripple carry; a
+    count is at most its atom's degree < k, so k.bit_length() planes hold it."""
+    planes = planes.copy()
+    for j, plane in enumerate(planes):
+        if not new:
+            break
+        planes[j] = plane ^ new
+        new &= plane
+    return planes
+
+
+def _greedy(atoms: Atoms, order: list[int], adj: list[int]) -> list[list[int]]:
     counts = atoms.counts
-    order = _Dsatur(atoms)
+    planes = [0] * atoms.k.bit_length()
+    unplaced = (1 << atoms.k) - 1
     classes: list[list[int]] = []
-    class_mask: list[int] = []
+    class_mask: list[int] = []  # union of adj masks
     class_state: list[int] = []  # ClassCounts totals
-    for _ in range(atoms.k):
-        a = order.target()
-        bit = 1 << a
+    while unplaced:
+        bit = _target(planes, unplaced)
+        i = bit.bit_length() - 1
+        a = order[i]
         for ci, mask in enumerate(class_mask):
             if not mask & bit and counts.admits(class_state[ci], a):
                 break
@@ -129,11 +127,21 @@ def greedy_atoms(atoms: Atoms) -> list[list[int]]:
             classes.append([])
             class_mask.append(0)
             class_state.append(0)
-        order.bump(a, class_mask[ci], 1)
+        planes = _saturate(planes, adj[i] & ~class_mask[ci])
+        unplaced ^= bit
         classes[ci].append(a)
-        class_mask[ci] |= atoms.adj[a]
+        class_mask[ci] |= adj[i]
         class_state[ci] += counts.profile[a]
     return classes
+
+
+def greedy_atoms(atoms: Atoms) -> list[list[int]]:
+    """Saturation-degree greedy in the search's DSATUR order, deterministic.
+
+    Each atom id joins the first class that admits it, in placement order; a
+    pick scans the saturation planes and a placement is one ripple carry.
+    """
+    return _greedy(atoms, *_bit_order(atoms))
 
 
 def exact_bounded_chromatic(
@@ -143,53 +151,46 @@ def exact_bounded_chromatic(
 
     Branch and bound over class assignments in saturation-degree order; a
     vertex may open class j only when classes 0..j-1 are nonempty, and
-    opening is always the last branch.  Times out with best-known bounds;
-    an atom that fits no class on its own raises ValueError (`Atoms`).
-    Each node costs one O(k) scan for its target over k atoms; each move and
-    each undo updates saturation in O(deg) and restores the class's saved
-    conflict mask and count totals in O(1).
+    opening is always the last branch.  The search stops once its incumbent
+    reaches the root bound max(weight bound, clique, 1).  Times out with
+    best-known bounds; an atom that fits no class on its own raises
+    ValueError (`Atoms`).  Over k atoms a node scans O(log k) saturation
+    planes for its target and a move is one ripple carry over them; the
+    child gets its own planes, so an undo is free for saturation and
+    restores the class's conflict mask and count totals in O(1).
     """
     atoms = Atoms(inst)
-    counts = atoms.counts
     deadline = time.monotonic() + time_limit
-    if atoms.k == 0:
-        return OracleResult(0, Partition.from_lists([]), 0, False, 0, 0)
-    best_classes = greedy_atoms(atoms)
+    order, adj = _bit_order(atoms)
+    best_classes = _greedy(atoms, order, adj)
     best_ub = len(best_classes)
-    # a class holds at most m weight and the L open classes hold all placed
-    # weight, so L + ceil((unplaced - spare room) / m) is max(L, weight_lb)
-    weight_lb = counting_bound(sum(counts.weight), inst.m)
-    clique = max_clique(atoms.graph, time_limit=min(5.0, time_limit / 4))
-    root_lb = max(weight_lb, clique, 1)
+    # a class holds at most m weight, and a clique's atoms need a class each;
+    # the search stops at this bound, so no node can prune on it
+    root_lb = max(counting_bound(sum(atoms.counts.weight), inst.m),
+                  max_clique(atoms.graph, time_limit=min(5.0, time_limit / 4)), 1)
     nodes = 0
-    timed_out = False
-    if root_lb >= best_ub:
-        part = atoms.expand(best_classes)
-        return OracleResult(best_ub, part, 0, False, best_ub, best_ub)
-
-    adj = atoms.adj
-    order = _Dsatur(atoms)
     class_members: list[list[int]] = []
     class_conflict: list[int] = []  # union of adj masks
     class_state: list[int] = []
-    admits, profile = counts.admits, counts.profile
+    admits, profile = atoms.counts.admits, atoms.counts.profile
 
-    def recurse() -> bool:
-        """Depth-first; returns False on timeout."""
-        nonlocal best_ub, best_classes, nodes, timed_out
+    def recurse(planes: list[int], unplaced: int) -> bool:
+        """Depth-first; returns False on timeout or once optimal."""
+        nonlocal best_ub, best_classes, nodes
         nodes += 1
         if nodes % 4096 == 0 and time.monotonic() > deadline:
-            timed_out = True
             return False
-        a = order.target()
-        if a < 0:
+        if not unplaced:
             if len(class_members) < best_ub:
                 best_ub = len(class_members)
                 best_classes = [list(c) for c in class_members]
+            return best_ub > root_lb
+        if len(class_members) >= best_ub:
             return True
-        if max(len(class_members), weight_lb) >= best_ub:
-            return True
-        bit = 1 << a
+        bit = _target(planes, unplaced)
+        i = bit.bit_length() - 1
+        new, a = adj[i], order[i]
+        rest = unplaced ^ bit
         for ci in range(len(class_members)):
             mask = class_conflict[ci]
             if mask & bit:
@@ -198,11 +199,9 @@ def exact_bounded_chromatic(
             if not admits(saved, a):
                 continue
             class_members[ci].append(a)
-            class_conflict[ci] = mask | adj[a]
+            class_conflict[ci] = mask | new
             class_state[ci] = saved + profile[a]
-            order.bump(a, mask, 1)
-            ok = recurse()
-            order.bump(a, mask, -1)
+            ok = recurse(_saturate(planes, new & ~mask), rest)
             class_members[ci].pop()
             class_conflict[ci] = mask
             class_state[ci] = saved
@@ -210,11 +209,9 @@ def exact_bounded_chromatic(
                 return False
         if len(class_members) + 1 <= best_ub - 1:
             class_members.append([a])
-            class_conflict.append(adj[a])
+            class_conflict.append(new)
             class_state.append(profile[a])
-            order.bump(a, 0, 1)
-            ok = recurse()
-            order.bump(a, 0, -1)
+            ok = recurse(_saturate(planes, new), rest)
             class_members.pop()
             class_conflict.pop()
             class_state.pop()
@@ -222,13 +219,12 @@ def exact_bounded_chromatic(
                 return False
         return True
 
-    completed = recurse()
+    k = atoms.k
+    done = root_lb >= best_ub or recurse([0] * k.bit_length(), (1 << k) - 1)
     part = atoms.expand(best_classes)
-    if completed and not timed_out:
-        return OracleResult(best_ub, part, nodes, False, best_ub, best_ub)
-    return OracleResult(
-        None, part, nodes, True, root_lb, best_ub
-    )
+    if not done and best_ub > root_lb:  # stopped by the clock, not at the bound
+        return OracleResult(None, part, nodes, True, root_lb, best_ub)
+    return OracleResult(best_ub, part, nodes, False, best_ub, best_ub)
 
 
 @dataclass(frozen=True)

@@ -334,11 +334,15 @@ def build_precoloured(
 def build_weighted(
     g: ConflictGraph, m: int, c: Sequence[int]
 ) -> SdpModel:
-    """c-weighted bounded colouring: weighted row sums (= column sums) <= tm."""
+    """c-weighted bounded colouring: weighted row sums (= column sums) <= tm,
+    for max(c) <= m <= sum(c), as a weight above m fits no class."""
     if len(c) != g.n:
         raise ValueError("weight vector length must equal vertex count")
     if any(w < 1 for w in c):
         raise ValueError("weights must be >= 1")
+    if not max(c, default=1) <= m <= max(sum(c), 1):
+        raise ValueError(f"require max(c) <= m <= sum(c), got m={m}, "
+                         f"max(c)={max(c, default=1)}, sum(c)={sum(c)}")
     return _scaled_model(g.n, g.edges, [("rowsum", _row_sums(g.n, m, weights=c))])
 
 

@@ -1,17 +1,25 @@
 """Independent reference implementations used to certify the package.
 
 Everything here is deliberately naive: exhaustive partition enumeration,
-dense linear algebra assembled straight from constraint rows, and a
-projected-gradient QP solver.  None of it shares code paths with the
-package's structured kernels.
+dense linear algebra assembled straight from constraint rows, a
+projected-gradient QP solver, and DSATUR with one integer key per atom.  None
+of it shares code paths with the package's structured kernels; the keyed
+DSATUR search reads the package's `Atoms` and `max_clique`, and checks only
+the oracle's saturation order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bcsdp.graphs import ConflictGraph, TimetablingInstance, class_violations
-from bcsdp.relax import SdpModel, SymRow
+from bcsdp.graphs import (
+    ConflictGraph,
+    TimetablingInstance,
+    class_violations,
+    counting_bound,
+)
+from bcsdp.oracle import max_clique
+from bcsdp.relax import Atoms, SdpModel, SymRow
 
 
 def enumerate_chi_m(inst: TimetablingInstance, cap: int | None = None) -> int:
@@ -320,3 +328,123 @@ def class_violations_loop(inst: TimetablingInstance, members) -> list[str]:
                 f"{len(need)} events need feature {f} available in {have} rooms"
             )
     return out
+
+
+class KeyedDsatur:
+    """DSATUR order (Brélaz 1979) kept as one integer key per atom: the
+    reference for the oracle's bit-sliced saturation.
+
+    An unplaced atom's key is sat·(k+1)² + deg·(k+1) + (k − a), where sat
+    counts the classes holding a neighbour; integer order is exactly that of
+    (sat, deg, −a).  A placed atom carries −(k+1)³ on top, so the target is
+    the largest key when that key is positive.  Placing atom a in a class
+    whose conflict mask was ``mask`` raises sat for each bit of
+    adj[a] & ~mask; undoing it lowers the same bits.
+    """
+
+    def __init__(self, atoms: Atoms):
+        k = atoms.k
+        self.adj = atoms.adj
+        self.step = (k + 1) ** 2
+        self.placed = (k + 1) * self.step
+        self.key = [atoms.graph.degree(a) * (k + 1) + k - a for a in range(k)]
+
+    def target(self) -> int:
+        """The unplaced atom of largest (sat, deg, −a), or −1 if none is left."""
+        best = max(self.key)
+        return self.key.index(best) if best > 0 else -1
+
+    def bump(self, a: int, mask: int, sign: int) -> None:
+        """Place (sign 1) or unplace (sign −1) a in a class of conflict mask."""
+        key = self.key
+        key[a] -= sign * self.placed
+        step = sign * self.step
+        new = self.adj[a] & ~mask
+        while new:
+            low = new & -new
+            key[low.bit_length() - 1] += step
+            new ^= low
+
+
+def keyed_greedy_atoms(atoms: Atoms) -> list[list[int]]:
+    """Reference for oracle.greedy_atoms in the keyed DSATUR order."""
+    counts = atoms.counts
+    order = KeyedDsatur(atoms)
+    classes: list[list[int]] = []
+    class_mask: list[int] = []
+    class_state: list[int] = []
+    for _ in range(atoms.k):
+        a = order.target()
+        for ci, mask in enumerate(class_mask):
+            if not mask & (1 << a) and counts.admits(class_state[ci], a):
+                break
+        else:
+            ci = len(classes)
+            classes.append([])
+            class_mask.append(0)
+            class_state.append(0)
+        order.bump(a, class_mask[ci], 1)
+        classes[ci].append(a)
+        class_mask[ci] |= atoms.adj[a]
+        class_state[ci] += counts.profile[a]
+    return classes
+
+
+def keyed_search(inst: TimetablingInstance) -> tuple[int, int, list[list[int]]]:
+    """Reference for oracle.exact_bounded_chromatic in the keyed DSATUR order,
+    with every place undone by a reverse bump: (nodes, chi_m, witness atom
+    classes), without a time limit."""
+    atoms = Atoms(inst)
+    counts = atoms.counts
+    best = [keyed_greedy_atoms(atoms)]
+    weight_lb = counting_bound(sum(counts.weight), inst.m)
+    root_lb = max(weight_lb, max_clique(atoms.graph), 1)
+    if root_lb >= len(best[0]):
+        return 0, len(best[0]), best[0]
+    order = KeyedDsatur(atoms)
+    members: list[list[int]] = []
+    conflict: list[int] = []
+    state: list[int] = []
+    nodes = 0
+
+    def place(a: int, ci: int) -> bool:
+        if ci == len(members):
+            members.append([])
+            conflict.append(0)
+            state.append(0)
+        mask, saved = conflict[ci], state[ci]
+        members[ci].append(a)
+        conflict[ci] = mask | atoms.adj[a]
+        state[ci] = saved + counts.profile[a]
+        order.bump(a, mask, 1)
+        ok = recurse()
+        order.bump(a, mask, -1)
+        members[ci].pop()
+        conflict[ci], state[ci] = mask, saved
+        if not members[ci]:
+            members.pop()
+            conflict.pop()
+            state.pop()
+        return ok
+
+    def recurse() -> bool:
+        """False once the incumbent reaches root_lb."""
+        nonlocal nodes
+        nodes += 1
+        a = order.target()
+        if a < 0:
+            if len(members) < len(best[0]):
+                best[0] = [list(c) for c in members]
+            return len(best[0]) > root_lb
+        if max(len(members), weight_lb) >= len(best[0]):
+            return True
+        for ci in range(len(members)):
+            if not conflict[ci] >> a & 1 and counts.admits(state[ci], a):
+                if not place(a, ci):
+                    return False
+        if len(members) + 1 < len(best[0]):
+            return place(a, len(members))
+        return True
+
+    recurse()
+    return nodes, len(best[0]), best[0]

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsdp.graphs import (
     TimetablingInstance,
@@ -10,6 +14,9 @@ from bcsdp.graphs import (
     validate_partition,
 )
 from bcsdp.oracle import (
+    _bit_order,
+    _saturate,
+    _target,
     exact_bounded_chromatic,
     greedy_atoms,
     max_clique,
@@ -18,7 +25,12 @@ from bcsdp.oracle import (
 from bcsdp.relax import Atoms
 
 from conftest import mixed_instance, named_small_graphs
-from _reference import enumerate_chi_m
+from _reference import (
+    KeyedDsatur,
+    enumerate_chi_m,
+    keyed_greedy_atoms,
+    keyed_search,
+)
 
 
 class TestMaxClique:
@@ -238,7 +250,7 @@ def _pinned(res) -> tuple:
 
 
 class TestSearchGolden:
-    """The search tree and witness recorded from the exhaustive-scan DSATUR.
+    """The search tree and witness recorded from the keyed DSATUR.
 
     Node counts pin the branching order (saturation, then degree, then the
     lower atom index) and every prune; witnesses pin which optimum is found.
@@ -285,3 +297,93 @@ class TestSearchGolden:
         assert greedy_atoms(Atoms(mixed_instance())) == [
             [0, 13], [5, 23, 31, 10], [6, 18, 24, 3], [26, 28, 29, 9, 30], [20, 4, 12],
             [21, 25, 17, 7], [27, 8, 19, 1], [11, 15, 14], [22, 2], [16]]
+
+    def test_stops_at_root_bound(self):
+        # greedy uses 10 classes and the clique bound is 9 = chi: the search
+        # returns at its first 9-class colouring, the witness the full search
+        # ends with, after 57 nodes instead of the full search's 526
+        g = gen_gnp(40, 0.5, 20)
+        assert max_clique(g) == 9
+        res = exact_bounded_chromatic(TimetablingInstance.colouring(g, g.n))
+        assert _pinned(res) == (57, 9, 9, 9, [
+            [12, 24, 26, 29, 33], [1, 8, 9, 11, 18, 25], [2, 10, 17],
+            [6, 7, 16, 19, 28, 37], [30, 31, 34, 39], [21, 23, 32, 38],
+            [3, 5, 13, 35, 36], [0, 4, 22], [14, 15, 20, 27]])
+
+
+def _small_timetable(seed: int) -> TimetablingInstance:
+    """A feasible instance of 8-14 events with room capacities, one feature
+    and one two-event pre-class."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 14)
+    g = gen_gnp(n, rng.choice((0.3, 0.5)), seed)
+    m = rng.randint(3, 5)
+    pre = rng.choice(g.non_edges())
+    sizes = [10 if v in pre else rng.randint(10, 40) for v in range(n)]
+    featured = rng.sample([v for v in range(n) if v not in pre], 3)
+    return TimetablingInstance(
+        graph=g,
+        m=m,
+        event_sizes=tuple(sizes),
+        room_capacities=(40, *(rng.randint(15, 40) for _ in range(m - 1))),
+        feature_count=1,
+        event_features=frozenset((v, 0) for v in featured),
+        room_features=frozenset({(0, 0), (m - 1, 0)}),
+        precolouring=(frozenset(pre),),
+    )
+
+
+class TestBitSlicedOrder:
+    """The bit-sliced saturation order against the keyed DSATUR reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 80), p=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_target_matches_keyed_reference(self, k, p, seed, data):
+        # k up to 80 crosses a 64-bit word; moves place the target in a
+        # random admissible class, old or new, or undo the last move
+        atoms = Atoms(TimetablingInstance.colouring(gen_gnp(k, p, seed), k))
+        order, adj = _bit_order(atoms)
+        ref = KeyedDsatur(atoms)
+        planes, unplaced = [0] * k.bit_length(), (1 << k) - 1
+        masks: list[int] = []  # class conflict masks over bit positions
+        ref_masks: list[int] = []  # the same masks over atom ids
+        moves = []
+        for _ in range(3 * k):
+            bit = _target(planes, unplaced)
+            a = ref.target()
+            if not unplaced:
+                assert a == -1
+                break
+            assert order[bit.bit_length() - 1] == a
+            if moves and data.draw(st.integers(0, 3)) == 0:
+                planes, unplaced, a, ci, mask, ref_mask = moves.pop()
+                ref.bump(a, ref_mask, -1)
+                masks[ci], ref_masks[ci] = mask, ref_mask
+                if not any(move[3] == ci for move in moves):
+                    masks.pop()  # the undone move opened this class
+                    ref_masks.pop()
+                continue
+            i = bit.bit_length() - 1
+            open_ = [ci for ci, mask in enumerate(masks) if not mask & bit]
+            ci = data.draw(st.sampled_from(open_ + [len(masks)]))
+            if ci == len(masks):
+                masks.append(0)
+                ref_masks.append(0)
+            moves.append((planes, unplaced, a, ci, masks[ci], ref_masks[ci]))
+            planes = _saturate(planes, adj[i] & ~masks[ci])
+            ref.bump(a, ref_masks[ci], 1)
+            unplaced ^= bit
+            masks[ci] |= adj[i]
+            ref_masks[ci] |= atoms.adj[a]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_search_matches_keyed_reference(self, seed):
+        inst = _small_timetable(seed)
+        atoms = Atoms(inst)
+        assert greedy_atoms(atoms) == keyed_greedy_atoms(atoms)
+        res = exact_bounded_chromatic(inst)
+        nodes, chi, witness = keyed_search(inst)
+        assert (res.nodes_explored, res.chi_m) == (nodes, chi)
+        assert res.witness.classes == atoms.expand(witness).classes
+        assert validate_partition(inst, res.witness).ok

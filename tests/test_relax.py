@@ -238,6 +238,19 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_weighted(empty_graph(2), 1, (1, 0))
 
+    @pytest.mark.parametrize("m, c", [
+        (0, (1, 1, 1, 1)),
+        (5, (1, 1, 1, 1)),
+        (2, (1, 3, 1, 1)),
+    ])
+    def test_weighted_rejects_m_outside_its_range(self, m, c):
+        # like build_bounded's 1 <= m <= n, with sum(c) for n; a vertex
+        # heavier than m fits no class, as `Atoms` refuses such a pre-class
+        with pytest.raises(ValueError, match=r"require max\(c\) <= m <= sum\(c\)"):
+            build_weighted(empty_graph(4), m, c)
+        build_weighted(empty_graph(4), sum(c), c)
+        build_weighted(empty_graph(4), max(c), c)
+
     def test_room_assignment_shapes(self):
         inst = TimetablingInstance(
             graph=empty_graph(1), m=1, event_sizes=(1,), room_capacities=(1,)
