@@ -175,33 +175,41 @@ def largest_class(g: ConflictGraph, time_limit: float) -> tuple[int, OracleResul
     return max(len(c) for c in res.witness.classes), res
 
 
-def resolve_m(doc: InstanceDocument, args) -> tuple[int | None, OracleResult | None]:
-    """The room count, and the oracle search --m-offset ran to find it."""
+_NO_SEARCH = {"oracle_nodes": "", "oracle_seconds": ""}
+
+
+def resolve_m(doc: InstanceDocument, args) -> tuple[int | None, dict]:
+    """The room count, and the row columns of the oracle search --m-offset
+    ran to find it (its nodes and wall seconds; empty when it ran none)."""
     if args.m is not None and args.m_offset is not None:
         raise CliError("--m and --m-offset are mutually exclusive")
     if args.m is not None:
-        return args.m, None
+        return args.m, _NO_SEARCH
     if args.m_offset is not None:
         # the offset is taken from a colouring of the bare graph
         _refuse_unmodelled(doc.instance, "--m-offset", "weights", "precolouring")
+        t0 = time.perf_counter()
         largest, res = largest_class(doc.instance.graph, args.oracle_limit)
+        search = {"oracle_nodes": res.nodes_explored,
+                  "oracle_seconds": f"{time.perf_counter() - t0:.3f}"}
         m = largest + args.m_offset
         if m < 1:
             raise CliError(f"--m-offset yields m={m} < 1 (largest class {largest})")
-        return m, res
-    return None, None
+        return m, search
+    return None, _NO_SEARCH
 
 
-def _instance(args) -> tuple[str, TimetablingInstance, int | None, OracleResult | None]:
+def _instance(args) -> tuple[str, TimetablingInstance, int | None, dict]:
     """The instance `bound` or `colour` runs on: generated or loaded, cut to
     --component, and scoped to the resolved room count m when there is one.
-    Returns its name, the instance, m and the oracle search behind m."""
+    Returns its name, the instance, m and the row columns of the search
+    behind m."""
     doc = make_generated(args.gen) if args.gen else load_document(args.input, args.format)
     if args.component:
         doc = select_component(doc, args.component)
-    m, ores = resolve_m(doc, args)
+    m, search = resolve_m(doc, args)
     inst = doc.instance if m is None else scope_instance(doc.instance, m)
-    return doc.name, inst, m, ores
+    return doc.name, inst, m, search
 
 
 def scope_instance(inst: TimetablingInstance, m: int) -> TimetablingInstance:
@@ -292,7 +300,7 @@ def _fmt_dual(res) -> str:
 
 
 def cmd_bound(args) -> int:
-    name, inst, m, ores = _instance(args)
+    name, inst, m, search = _instance(args)
     relax = args.relax or ("bounded" if m is not None else "lovasz")
     model = build_model(inst, relax, m, args)
     t0 = time.perf_counter()
@@ -312,7 +320,7 @@ def cmd_bound(args) -> int:
         "seconds": f"{seconds:.3f}",
         "status": res.status,
         "kernels": "|".join(res.kernels),
-        "oracle_nodes": "" if ores is None else ores.nodes_explored,
+        **search,
         "dual_bound": _fmt_dual(res),
     }
     _emit([row], list(row), args.output_format, args.out)
@@ -320,7 +328,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_colour(args) -> int:
-    name, inst, m, ores = _instance(args)
+    name, inst, m, search = _instance(args)
     if m is None:
         raise CliError("colour needs --m or --m-offset")
     if args.method == "iterative":
@@ -359,7 +367,7 @@ def cmd_colour(args) -> int:
         "certified_lower": certified,
         "gap": part.num_classes - certified,
         "seconds": f"{seconds:.3f}",
-        "oracle_nodes": "" if ores is None else ores.nodes_explored,
+        **search,
         "dual_bound": "" if res is None else _fmt_dual(res),
     }
     _emit([row], list(row), args.output_format, None)

@@ -18,13 +18,11 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from . import solver
 from .graphs import ConflictGraph, Partition, TimetablingInstance, counting_bound
 from .relax import Atoms, build_bounded, build_theta
-
-if TYPE_CHECKING:
-    from .solver import SolveResult, SolverConfig
 
 __all__ = [
     "OracleResult",
@@ -241,33 +239,29 @@ class SandwichReport:
 
 
 @functools.lru_cache(maxsize=1)
-def _lovasz_theta(g: ConflictGraph, cfg: SolverConfig) -> SolveResult:
+def _lovasz_theta(g: ConflictGraph, cfg: solver.SolverConfig) -> solver.SolveResult:
     """The theta solve of g under cfg.  It does not depend on m, so a sweep
     that checks one graph at several m, one m after another, solves it once."""
-    from .solver import solve
-
-    return solve(build_theta(g, "lovasz"), cfg)
+    return solver.solve(build_theta(g, "lovasz"), cfg)
 
 
 def sandwich_check(g: ConflictGraph, m: int, time_limit: float = 60.0,
-                   cfg: SolverConfig | None = None) -> SandwichReport:
+                   cfg: solver.SolverConfig | None = None) -> SandwichReport:
     """Evaluate the chain of bounds and flag any ordering violation.
 
     Both solves run under cfg (the default `SolverConfig` when None).  Checks
     omega <= theta <= bounded (real-valued links, within 1e-6 plus the
     solver's own accuracy) and counting <= certified <= chi_m <= greedy.
     """
-    from .solver import SolverConfig, extract_bound, solve
-
     if cfg is None:
-        cfg = SolverConfig()
+        cfg = solver.SolverConfig()
     inst = TimetablingInstance.colouring(g, m)
     omega = max_clique(g)
     cnt = counting_bound(g.n, m)
     greedy = len(greedy_atoms(Atoms(inst)))
     theta_res = _lovasz_theta(g, cfg)
-    bound_res = solve(build_bounded(g, m), cfg)
-    bound, certified = extract_bound(bound_res)
+    bound_res = solver.solve(build_bounded(g, m), cfg)
+    bound, certified = solver.extract_bound(bound_res)
     oracle = exact_bounded_chromatic(inst, time_limit=time_limit)
     failures = []
     slack = 1e-6 + 20 * max(theta_res.eps, bound_res.eps)

@@ -17,9 +17,9 @@ Bounded-colouring models
 Each relaxation is stated over (Y, t) with Y - J PSD, where Y carries the
 colouring semantics (diagonal t, zero on edges).  The model's variable is the
 shifted X = Y - J of order n, and the bound is read off the anchor diagonal
-entry: t = X_00 + 1 (`_scaled_row` writes this substitution).  Row-sum
-constraints use the diagonal-equality rows to anchor the bound at their own
-column, sum_u X_uv - m X_vv <= m - n, which keeps the inequality block's Gram
+entry: t = X_00 + 1.  Row-sum constraints (`_class_rows`) use the
+diagonal-equality rows to anchor the bound at their own column,
+sum_u c_u X_uv - rooms X_vv <= rooms - sum_u c_u, which keeps each group's Gram
 matrix in exact alpha*I + beta*J form for the solver's closed-form kernels.
 
 Pre-coloured and laminar models are stated over atoms, not vertices: each
@@ -32,7 +32,6 @@ its bitsets, the vertex-to-atom index and each atom's class counts.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -165,21 +164,15 @@ def _model(dim: int, objective: np.ndarray, sense: str,
            value_offset: float = 0.0, trace_ratio: float | None = None) -> SdpModel:
     """The model with its inequality groups recorded.
 
-    `blocks` are the named inequality groups in order.  An all-zero row reads
-    0 >= rhs: it is dropped, or rejected when rhs > 0; empty groups are left
+    `blocks` are the named inequality groups in order; empty groups are left
     out of ineq_groups.
     """
     ineq: list[SymRow] = []
     spans: list[tuple[str, int, int]] = []
     for kind, block in blocks:
-        start = len(ineq)
-        for row in block:
-            if row.coeff:
-                ineq.append(row)
-            elif row.rhs > 1e-12:
-                raise ValueError("infeasible constraint: 0 >= positive rhs")
-        if len(ineq) > start:
-            spans.append((kind, start, len(ineq)))
+        if block:
+            spans.append((kind, len(ineq), len(ineq) + len(block)))
+            ineq.extend(block)
     return SdpModel(
         dim=dim,
         objective=objective,
@@ -193,59 +186,32 @@ def _model(dim: int, objective: np.ndarray, sense: str,
     )
 
 
-def _scaled_row(entries: tuple[Sequence[int], Sequence[int], Sequence[float]],
-                t_coeff: float, diag: int, relation: str) -> SymRow:
-    """The row <A, Y> + t_coeff * t (= | <=) 0 over (Y, t), in X = Y - J.
+def _class_rows(members: Sequence[int], weights: Sequence[float], rooms: int
+                ) -> list[SymRow]:
+    """sum_{u in members} c_u Y_uv <= rooms * t for each anchor v in members.
 
-    `entries` holds A as canonical (idx_i, idx_j, coeff), as `SymRow` keeps
-    them.  With Y = X + J and t = X_dd + 1 the row reads
-    <A, X> + t_coeff * X_dd (= | <=) -<A, J> - t_coeff; a "<=" row is negated
-    into the model's ">=" form.
+    With Y = X + J and t = X_vv + 1, in the model's ">=" form, the row is
+    -sum_{u != v} c_u X_uv + (rooms - c_v) X_vv >= sum_u c_u - rooms, where
+    c_u = weights[u].  Anchoring each row at its own column keeps the group's
+    Gram matrix in exact alpha*I + beta*J form for the solver's closed-form
+    kernels.  `members` is ascending, so (u, v) for u < v, then (v, v), then
+    (v, u) for u > v are canonical.  A zero diagonal is left out, so one
+    member of weight rooms leaves an empty row, which is dropped.
     """
-    idx_i, idx_j, coeff = (list(e) for e in entries)
-    a_j = sum(c if i == j else 2.0 * c for i, j, c in zip(idx_i, idx_j, coeff))
-    # canonical order puts (d, d) first among the entries of row d
-    at = bisect_left(idx_i, diag)
-    if at < len(idx_i) and idx_i[at] == idx_j[at] == diag:
-        coeff[at] += t_coeff
-    else:
-        idx_i.insert(at, diag)
-        idx_j.insert(at, diag)
-        coeff.insert(at, t_coeff)
-    if coeff[at] == 0.0:
-        del idx_i[at], idx_j[at], coeff[at]
-    rhs = -a_j - t_coeff
-    if relation == "<=":
-        return SymRow(tuple(idx_i), tuple(idx_j), tuple(map(operator.neg, coeff)), -rhs)
-    return SymRow(tuple(idx_i), tuple(idx_j), tuple(coeff), rhs)
-
-
-def _column(v: int, members: Sequence[int], weights: Sequence[float] | None = None
-            ) -> tuple[list[int], list[int], list[float]]:
-    """Canonical entries of sum_{u in members} c_u Y_uv (c_u = 1 without weights).
-
-    `members` is ascending, so u < v gives (u, v), then (v, v), then (v, u)
-    for u > v: the entries come out in canonical order.
-    """
-    members = list(members)
-    below = bisect_left(members, v)
-    c = ([1.0] * len(members) if weights is None
-         else [float(weights[u]) for u in members])
-    coeff = [w / 2.0 for w in c]
-    if below < len(members) and members[below] == v:
-        coeff[below] = c[below]
-    return (members[:below] + [v] * (len(members) - below),
-            [v] * below + members[below:], coeff)
-
-
-def _row_sums(n: int, m: int, weights: Sequence[float] | None = None) -> list[SymRow]:
-    """sum_u c_u Y_uv <= m t for every v, with t read at X_vv.
-
-    Anchoring each row at its own column keeps the group's Gram matrix in
-    exact alpha*I + beta*J form for the solver's closed-form kernels.
-    """
-    return [_scaled_row(_column(v, range(n), weights), -float(m), v, "<=")
-            for v in range(n)]
+    members = tuple(members)
+    c = [float(weights[u]) for u in members]
+    half = tuple(-w / 2.0 for w in c)
+    rhs = -(-sum(c) + rooms)  # in this order a zero rhs is -0.0, as recorded
+    rows = []
+    for k, v in enumerate(members):
+        below, above = members[:k], members[k + 1:]
+        diag = rooms - c[k]
+        d, dc = ((v,), (diag,)) if diag else ((), ())
+        if diag or len(members) > 1:  # else the row reads 0 >= 0
+            rows.append(SymRow(below + d + (v,) * len(above),
+                               (v,) * len(below) + d + above,
+                               half[:k] + dc + half[k + 1:], rhs))
+    return rows
 
 
 def _entry_rows(pairs: Iterable[tuple[int, int]], rhs: float,
@@ -312,7 +278,8 @@ def build_bounded(g: ConflictGraph, m: int) -> SdpModel:
     """min t with Y_vv = t, zero edges, row sums <= tm, Y - J PSD."""
     if not 1 <= m <= max(g.n, 1):
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={g.n}")
-    return _scaled_model(g.n, g.edges, [("rowsum", _row_sums(g.n, m))])
+    return _scaled_model(g.n, g.edges,
+                         [("rowsum", _class_rows(range(g.n), [1] * g.n, m))])
 
 
 def build_precoloured(
@@ -343,7 +310,7 @@ def build_weighted(
     if not max(c, default=1) <= m <= max(sum(c), 1):
         raise ValueError(f"require max(c) <= m <= sum(c), got m={m}, "
                          f"max(c)={max(c, default=1)}, sum(c)={sum(c)}")
-    return _scaled_model(g.n, g.edges, [("rowsum", _row_sums(g.n, m, weights=c))])
+    return _scaled_model(g.n, g.edges, [("rowsum", _class_rows(range(g.n), c, m))])
 
 
 class Atoms:
@@ -425,47 +392,32 @@ def build_laminar(
     n = inst.graph.n
     sizes = inst.event_sizes
     caps = inst.room_capacities
-    thresholds = sorted(set(sizes))
-    level_sets = {
-        p: tuple(v for v in range(n) if sizes[v] >= p) for p in thresholds
-    }
-    room_counts = {p: sum(1 for r in caps if r >= p) for p in thresholds}
-    feature_sets = {
-        f: tuple(v for v in range(n) if (v, f) in inst.event_features)
-        for f in range(inst.feature_count)
-    }
+    # (events, rooms): all events, each capacity level, each feature set
+    levels = [(tuple(v for v in range(n) if sizes[v] >= p),
+               sum(1 for r in caps if r >= p)) for p in sorted(set(sizes))]
+    feature_sets = []
     if features:
-        fam = [frozenset(level_sets[p]) for p in thresholds]
-        fam += [frozenset(vs) for vs in feature_sets.values() if vs]
-        if not check_laminar(fam):
+        for f in range(inst.feature_count):
+            vs = tuple(v for v in range(n) if (v, f) in inst.event_features)
+            if vs:
+                feature_sets.append((vs, len(inst.rooms_with_feature(f))))
+        if not check_laminar([frozenset(vs) for vs, _ in levels + feature_sets]):
             raise ValueError(
                 "feature/capacity family is not laminar; feature rows need "
                 "nested or disjoint event sets"
             )
     rowsum: list[SymRow] = []
     generic: list[SymRow] = []
-    emitted: set[tuple] = set()
-
-    def push_subset(vertices: Sequence[int], rooms: int) -> None:
-        # sum_a |a & vertices| Y'_ab <= rooms * t for every atom b meeting vertices
-        inside = set(vertices)
-        count = [sum(v in inside for v in mem) for mem in atoms.members]
-        holders = [a for a in range(atoms.k) if count[a]]
-        for b in holders:
-            entries = _column(b, holders, count)
-            key = (*map(tuple, entries), rooms)
-            if key not in emitted:  # one row per distinct row over (Y', t)
-                emitted.add(key)
-                block = rowsum if len(vertices) == n else generic
-                block.append(_scaled_row(entries, -float(rooms), b, "<="))
-
-    push_subset(range(n), inst.m)
-    for p in thresholds:
-        push_subset(level_sets[p], room_counts[p])
-    if features:
-        for f in range(inst.feature_count):
-            if feature_sets[f]:
-                push_subset(feature_sets[f], len(inst.rooms_with_feature(f)))
+    seen: set[tuple] = set()
+    for events, rooms in [(range(n), inst.m), *levels, *feature_sets]:
+        # sum_a |a & events| Y'_ab <= rooms * t for every atom b meeting events
+        inside = set(events)
+        count = tuple(sum(v in inside for v in mem) for mem in atoms.members)
+        if (count, rooms) not in seen:  # one row per distinct row over (Y', t)
+            seen.add((count, rooms))
+            holders = [a for a in range(atoms.k) if count[a]]
+            block = rowsum if len(events) == n else generic
+            block.extend(_class_rows(holders, count, rooms))
     return _scaled_model(atoms.k, atoms.graph.edges,
                          [("rowsum", rowsum), ("generic", generic)])
 
@@ -483,19 +435,18 @@ def build_room_assignment(
     n, m = g.n, inst.m
     if not 1 <= m <= n:
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={n}")
-    compat: list[list[int]] = []
+    compat_sets: list[set[int]] = []
     for v in range(n):
         rooms = inst.compatible_rooms(v)
         if not rooms:
             raise ValueError(
                 f"infeasible: event {v} fits no room (size/feature mismatch)"
             )
-        compat.append(rooms)
+        compat_sets.append(set(rooms))
     anchor = 0
     dim = n + m
     objective = np.zeros((dim, dim))
     objective[anchor, anchor] = 1.0
-    compat_sets = [set(r) for r in compat]
     eq_graph = _entry_rows(sorted(g.edges), -1.0) + _entry_rows(
         ((v, n + r) for v in range(n) for r in range(m) if r not in compat_sets[v]),
         0.0,
@@ -527,24 +478,22 @@ def build_room_assignment(
                 ))
     if room_stability:
         for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
+            for v in range(u + 1, n):
                 for r in compat_sets[u]:
                     for r2 in compat_sets[v]:
-                        if r2 == r or u > v:
-                            continue
-                        generic.append(SymRow.from_entries(
-                            {(u, n + r): -0.5, (v, n + r2): -0.5,
-                             (anchor, anchor): 1.0},
-                            -1.0,
-                        ))
+                        if r2 != r:
+                            generic.append(SymRow.from_entries(
+                                {(u, n + r): -0.5, (v, n + r2): -0.5,
+                                 (anchor, anchor): 1.0},
+                                -1.0,
+                            ))
     pairs = _entry_rows(
         ((v, n + r) for v in range(n) for r in sorted(compat_sets[v])), 0.0
     )
     return _model(
         dim, objective, "min", eq_graph, eq_other,
-        [("rowsum", _row_sums(n, m)), ("generic", generic), ("pairs", pairs)],
+        [("rowsum", _class_rows(range(n), [1] * n, m)), ("generic", generic),
+         ("pairs", pairs)],
         value_offset=1.0,
     )
 

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import solver
 from .graphs import Partition, TimetablingInstance, class_violations, validate_partition
 from .linalg import cholesky_psd
 from .oracle import greedy_atoms
@@ -441,8 +442,6 @@ def iterative_round(
     trace is returned instead when it has fewer classes, or when a re-solve
     diverges.
     """
-    from . import solver as solver_mod
-
     cfg = cfg or RoundingConfig()
     n = inst.graph.n
     if model.dim < n:
@@ -498,7 +497,7 @@ def iterative_round(
         if not ok:
             notes.append("trace budget exhausted; remaining frame dropped")
             break
-        res = solver_mod.solve(sub, solver_mod.SolverConfig(max_iter=1200, eps=1e-5))
+        res = solver.solve(sub, solver.SolverConfig(max_iter=1200, eps=1e-5))
         if res.status == "diverged":
             diag_out = RoundingDiagnostics(
                 tuple(violations), _violation_bound(rows, n), rounds,

@@ -202,7 +202,7 @@ class TestColour:
         assert code == 0
         row = json.loads(out)[0]
         assert row["classes"] == 5
-        assert row["oracle_nodes"] == ""
+        assert row["oracle_nodes"] == row["oracle_seconds"] == ""  # --m searches nothing
         assert row["dual_bound"] == ""  # greedy certifies with the counting bound
 
     def test_m_offset_reports_oracle_nodes(self, capsys):
@@ -215,6 +215,8 @@ class TestColour:
         # the Petersen graph's optimal 3-colouring has a 4-vertex class
         assert row["m"] == 3
         assert row["oracle_nodes"] == 5
+        # the search's own wall time, which the row's seconds leave out
+        assert 0.0 <= float(row["oracle_seconds"]) < 60.0
 
     def test_weights_reach_kms(self, capsys, tmp_path):
         inst, path = native_file(tmp_path, weights=(2, 2, 1, 1, 1, 1))

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsdp.graphs import (
     TimetablingInstance,
@@ -22,9 +24,7 @@ from bcsdp.relax import (
     build_theta,
     build_weighted,
     check_laminar,
-    _column,
-    _row_sums,
-    _scaled_row,
+    _class_rows,
     verify_structure,
 )
 from bcsdp.solver import _Compiled
@@ -41,7 +41,7 @@ class TestSymRow:
 
 
 def _dict_column(v, members, weights=None):
-    """Reference for relax._column: the entries as a dict at canonical keys."""
+    """Sum of c_u Y_uv over members, as a dict at canonical keys."""
     entries = {}
     for u in members:
         w = 1.0 if weights is None else float(weights[u])
@@ -50,8 +50,8 @@ def _dict_column(v, members, weights=None):
 
 
 def _dict_scaled_row(entries, t_coeff, diag, relation):
-    """Reference for relax._scaled_row: the substitution on a dict of entries,
-    then SymRow.from_entries."""
+    """The row <A, Y> + t_coeff * t (= | <=) 0 in X = Y - J, t = X_dd + 1: the
+    substitution on a dict of entries, then SymRow.from_entries."""
     entries = dict(entries)
     a_j = sum(c * (2.0 if i != j else 1.0) for (i, j), c in entries.items())
     entries[(diag, diag)] = entries.get((diag, diag), 0.0) + t_coeff
@@ -79,29 +79,47 @@ class TestScaledRow:
         (4, 1, (1, 1, 1, 1)),
     ])
     def test_row_sums(self, n, m, weights):
-        rows = _row_sums(n, m, weights)
-        for v, row in enumerate(rows):
-            ref = _dict_scaled_row(_dict_column(v, range(n), weights),
-                                   -float(m), v, "<=")
+        rows = _class_rows(range(n), weights or [1] * n, m)
+        refs = [_dict_scaled_row(_dict_column(v, range(n), weights), -float(m), v, "<=")
+                for v in range(n)]
+        kept = [ref for ref in refs if ref.coeff]
+        assert len(rows) == len(kept)
+        for row, ref in zip(rows, kept):
             self._assert_same(row, ref)
         if weights is not None:
             for v, w in enumerate(weights):
                 assert ((v, v) in zip(rows[v].idx_i, rows[v].idx_j)) == (w != m)
 
-    @pytest.mark.parametrize("relation", ["<=", "="])
-    @pytest.mark.parametrize("v,members", [
-        (2, [0, 1, 4]),  # the anchor diagonal is not among the entries
-        (0, [0, 3]),
-        (4, [1, 2, 4]),
-        (3, [3]),
-    ])
-    def test_subsets_and_relations(self, v, members, relation):
-        weights = (2, 1, 3, 1, 2)
-        for t_coeff in (-1.0, -2.0, 0.5):
-            row = _scaled_row(_column(v, members, weights), t_coeff, v, relation)
-            ref = _dict_scaled_row(_dict_column(v, members, weights),
-                                   t_coeff, v, relation)
-            self._assert_same(row, ref)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_subsets_match_reference(self, data):
+        # ascending but not contiguous, as the holders of a laminar level are
+        rooms = data.draw(st.integers(1, 6))
+        members = sorted(data.draw(st.sets(st.integers(0, 11), min_size=1, max_size=8)))
+        weights = data.draw(st.lists(st.integers(1, rooms + 1), min_size=12, max_size=12))
+        rows = _class_rows(members, weights, rooms)
+        refs = [_dict_scaled_row(_dict_column(v, members, weights), -float(rooms), v, "<=")
+                for v in members]
+        assert repr(rows) == repr([ref for ref in refs if ref.coeff])
+
+    def test_only_a_lone_member_of_weight_rooms_is_dropped(self):
+        # its row reads 0 >= 0
+        ref = _dict_scaled_row(_dict_column(2, [2], [1, 1, 3]), -3.0, 2, "<=")
+        assert ref.coeff == () and ref.rhs == 0.0
+        assert _class_rows([2], [1, 1, 3], 3) == []
+        # any other weight keeps the diagonal, and a second member keeps both
+        # rows, though each anchor's diagonal is zero
+        assert [row.coeff for row in _class_rows([2], [1, 1, 2], 3)] == [(1.0,)]
+        assert [row.coeff for row in _class_rows([1, 2], [1, 3, 3], 3)] == [(-1.5,)] * 2
+
+    def test_zero_rhs_is_negative_zero(self):
+        # weights summing to rooms: the reference writes rhs -0.0, and the
+        # closed form must write the same bits
+        rows = _class_rows([1, 3], [1, 1, 1, 2], 3)
+        refs = [_dict_scaled_row(_dict_column(v, [1, 3], [1, 1, 1, 2]), -3.0, v, "<=")
+                for v in (1, 3)]
+        assert repr(rows) == repr(refs)
+        assert [repr(row.rhs) for row in rows] == ["-0.0", "-0.0"]
 
 
 class TestScaledTransform:
