@@ -90,6 +90,33 @@ class TestScaledRow:
             for v, w in enumerate(weights):
                 assert ((v, v) in zip(rows[v].idx_i, rows[v].idx_j)) == (w != m)
 
+    @pytest.mark.parametrize("relation", ["<=", "="])
+    @pytest.mark.parametrize("v,members", [
+        (2, [0, 1, 4]),  # v is no member: it anchors with weight 0
+        (0, [0, 3]),
+        (4, [1, 2, 4]),
+        (3, [3]),
+    ])
+    def test_subsets_and_relations(self, v, members, relation):
+        weights = [2, 1, 3, 1, 2]
+        if v not in members:
+            weights[v] = 0
+        holders = sorted(set(members) | {v})
+        for rooms in (1, 2, 3, 4):
+            rows = {row_anchor: row for row_anchor, row in zip(
+                [u for u in holders if weights[u] != rooms or len(holders) > 1],
+                _class_rows(holders, weights, rooms))}
+            ref = _dict_scaled_row(_dict_column(v, members, weights),
+                                   -float(rooms), v, relation)
+            if not ref.coeff:  # a lone member of weight rooms: 0 >= 0
+                assert v not in rows and ref.rhs == 0.0
+                continue
+            row = rows[v]
+            if relation == "=":  # the model's ">=" row is the "<=" row negated
+                row = SymRow(row.idx_i, row.idx_j,
+                             tuple(-c for c in row.coeff), -row.rhs)
+            self._assert_same(row, ref)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_subsets_match_reference(self, data):
