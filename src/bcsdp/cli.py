@@ -337,6 +337,7 @@ def cmd_colour(args) -> int:
                           delta=args.delta)
     t0 = time.perf_counter()
     res = None
+    kms: dict = {}
     if args.method == "greedy":
         part = greedy_colouring(inst)
         certified = counting_bound(inst.graph.n, m)
@@ -351,7 +352,8 @@ def cmd_colour(args) -> int:
             # the model lives on atoms; KMS reads it in vertex order
             atoms = Atoms(inst)
             y = res.X_final[np.ix_(atoms.atom_of, atoms.atom_of)] + 1.0
-            part = kms_round(y, inst, rcfg, atoms)
+            # a timetable with `certified` classes is optimal: stop at one
+            part = kms_round(y, inst, rcfg, atoms, target=certified, stats=kms)
         else:
             part, _diag = iterative_round(model, res.X_final, inst, rcfg)
     seconds = time.perf_counter() - t0
@@ -363,6 +365,7 @@ def cmd_colour(args) -> int:
         "m": m,
         "method": args.method,
         "classes": part.num_classes,
+        "kms_classes": kms.get("min_classes", ""),
         "valid": report.ok,
         "certified_lower": certified,
         "gap": part.num_classes - certified,

@@ -356,7 +356,8 @@ class ClassCounts:
     feature; their limits are m, the rooms larger than each capacity and the
     rooms offering each feature.  A class with no conflict edge inside keeps every
     rule of class_violations iff the sum of its groups' counts is <= limits
-    entry-wise.
+    entry-wise.  group_counts[a] and limits hold them unpacked, for a caller
+    that weighs by how much a class exceeds each limit.
 
     Encoding: count i is a field of w_i bits, w_i the bit length of the larger
     of limit i and the count's total over all groups, with one guard bit
@@ -373,6 +374,8 @@ class ClassCounts:
     """
 
     def __init__(self, limits: Sequence[int], profiles: Sequence[Sequence[int]]):
+        self.limits = tuple(limits)
+        self.group_counts = tuple(tuple(p) for p in profiles)
         self.weight = [p[0] for p in profiles]  # the first count is the weight
         self._shifts = []
         shift = slack = guard = 0

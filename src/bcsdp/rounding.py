@@ -123,7 +123,8 @@ def _kms_threshold(k: int, max_degree: int) -> float:
 
 def kms_round(x: np.ndarray, inst: TimetablingInstance,
               cfg: Optional[RoundingConfig] = None,
-              atoms: Optional[Atoms] = None) -> Partition:
+              atoms: Optional[Atoms] = None, target: Optional[int] = None,
+              stats: Optional[dict] = None) -> Partition:
     """Hyperplane-cap rounding of a solution matrix into a valid partition.
 
     Gram vectors come from a Cholesky factorization of x.  Each round draws a
@@ -158,8 +159,18 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     runs here, without os.fork, while another Python thread is alive, or
     when the attempts are too cheap to pay for a fork.  Which path runs never
     changes the partition, its rooms or the DEBUG record.
+
+    target is a class count to stop at, such as a proven lower bound: when
+    attempt 0 has at most target classes it is returned at once, and when it
+    has more, _descend looks for a valid timetable of target classes from it
+    and returns the first it finds.  Only when both fail do attempts
+    1..A-1 run, so the result is then the same as without target.  The DEBUG
+    record counts the attempts run, the descent's swaps and whether it
+    reached target; a caller that passes a dict as stats gets the record's
+    fields in it.
     """
     cfg = cfg or RoundingConfig()
+    workers = worker_count()  # read first: a malformed BCSDP_THREADS fails on every path
     if atoms is None:
         atoms = Atoms(inst)
     if atoms.k == 0:
@@ -186,25 +197,41 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
 
     t0 = time.perf_counter()
     results = [_best_of(attempt, range(1))]
-    rest = range(1, cfg.attempts)
-    w = _share_count(len(rest), time.perf_counter() - t0)
-    shares = [range(1)] + [rest[i::w] for i in range(w)]
-    results += _run_shares(attempt, shares[1:])
-    counts = [0] * cfg.attempts
-    for share, (share_counts, _) in zip(shares, results):
-        for i, c in zip(share, share_counts):
-            counts[i] = c
-    best_attempt = counts.index(min(counts))
-    best = next(classes for share, (_, classes) in zip(shares, results)
-                if best_attempt in share)
-    if _log.isEnabledFor(logging.DEBUG):
-        stats = {"attempts": cfg.attempts, "best_attempt": best_attempt,
-                 "min_classes": min(counts), "max_classes": max(counts)}
-        _log.debug(
-            "kms_round: %(attempts)d attempts, best %(best_attempt)d, "
-            "classes %(min_classes)d..%(max_classes)d", stats,
-            extra={"kms": stats},
-        )
+    first_s = time.perf_counter() - t0
+    counts, best = results[0]
+    best_attempt, swaps, descended = 0, 0, None
+    if target is not None and counts[0] > target:
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+        # k swaps: on gnp:160 (m = 5) and tt80 the successes took at most
+        # 0.25 k over 40 seeds each, and a failure costs 0.1-0.2 ms a swap
+        # at k = 45..80 (one core of a 2-core x86-64 box)
+        descended, swaps = _descend(atoms, conflict, best, target, atoms.k, rng)
+    if descended is not None:
+        best = descended
+    elif target is None or counts[0] > target:
+        rest = range(1, cfg.attempts)
+        w = _share_count(len(rest), first_s, workers)
+        shares = [range(1)] + [rest[i::w] for i in range(w)]
+        results += _run_shares(attempt, shares[1:])
+        counts = [0] * cfg.attempts
+        for share, (share_counts, _) in zip(shares, results):
+            for i, c in zip(share, share_counts):
+                counts[i] = c
+        best_attempt = counts.index(min(counts))
+        best = next(classes for share, (_, classes) in zip(shares, results)
+                    if best_attempt in share)
+    record = {"attempts": cfg.attempts, "attempts_run": len(counts),
+              "best_attempt": best_attempt, "min_classes": min(counts),
+              "max_classes": max(counts), "descent_swaps": swaps,
+              "descent_reached": descended is not None}
+    if stats is not None:
+        stats.update(record)
+    _log.debug(
+        "kms_round: %(attempts_run)d of %(attempts)d attempts, best "
+        "%(best_attempt)d, classes %(min_classes)d..%(max_classes)d; descent "
+        "%(descent_swaps)d swaps, reached %(descent_reached)s", record,
+        extra={"kms": record},
+    )
     part = atoms.expand(best)
     return Partition(part.classes, assign_rooms(inst, part))
 
@@ -212,24 +239,29 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
 def worker_count() -> int:
     """How many processes kms_round may split its attempts over:
     BCSDP_THREADS when set, otherwise the cores this process may run on (its
-    affinity mask, where the platform has one)."""
+    affinity mask, where the platform has one).  A BCSDP_THREADS that is no
+    integer raises ValueError; one below 1 counts as 1."""
     env = os.environ.get("BCSDP_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"BCSDP_THREADS must be a positive integer, "
+                             f"got {env!r}") from None
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _share_count(rest: int, first_s: float) -> int:
+def _share_count(rest: int, first_s: float, workers: int) -> int:
     """Into how many shares to split `rest` attempts, the first taking
     first_s seconds: one share (serial) without os.fork, while another Python
     thread is alive (forking a threaded process is unsafe), or when the work
-    would not pay for a fork; at most worker_count() shares, each with about
-    _SHARE_MIN_S of work."""
+    would not pay for a fork; at most workers (worker_count()) shares, each
+    with about _SHARE_MIN_S of work."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    w = min(worker_count(), rest)
+    w = min(workers, rest)
     while w > 1 and rest * first_s < w * _SHARE_MIN_S:
         w -= 1
     return max(w, 1)
@@ -421,6 +453,125 @@ def _compact(atoms: Atoms, classes: list[list[int]]) -> list[list[int]]:
                 changed = True
                 break
     return [g[0] for g in groups]
+
+
+def _excess(base: np.ndarray, add: np.ndarray) -> np.ndarray:
+    """sum_l max(base_l + add_l, 0) over the last axis of two (..., L) arrays
+    that broadcast against each other.  It runs limit by limit, so no
+    temporary holds both the broadcast shape and the L axis."""
+    out = np.zeros(np.broadcast_shapes(base.shape[:-1], add.shape[:-1]), dtype=np.int64)
+    for l in range(base.shape[-1]):
+        out += np.maximum(base[..., l] + add[..., l], 0)
+    return out
+
+
+def _descend(atoms: Atoms, conflict: np.ndarray, classes: list[list[int]],
+             target: int, budget: int, rng: np.random.Generator
+             ) -> tuple[Optional[list[list[int]]], int]:
+    """Tabu swap descent from a valid timetable to one of target classes.
+
+    The target largest classes are kept (the earlier of two equal ones), and
+    each atom of the others, in ascending order, joins the class where it
+    adds least cost (the lowest such class).  The cost of an assignment is
+    its conflicting atom pairs inside a class plus, per class, the excess of
+    each ClassCounts count over its limit; it is 0 exactly on valid
+    timetables.  Each swap then takes the cheapest move of an atom that is in
+    a conflict or in a class over a limit: a relocation to another class, or
+    an exchange with an atom of another class (which keeps every class size,
+    so it moves through the full classes of a tight size bound).  A move
+    that puts an atom back into a class it left within its tenure is tabu
+    unless it reaches a cost below the best so far; the tenure is 0.6 times
+    the number of candidate atoms plus a draw from 0..9 (TabuCol, Hertz and
+    de Werra 1987).  Among equally cheap moves, relocations (by atom, then
+    class) come before exchanges (by atom, then partner), and one draw of
+    rng picks.
+
+    Returns (the classes, as ascending atom lists, and the swaps made) at the
+    first assignment of cost 0, or (None, the swaps made) once budget swaps
+    are spent or no move is left.  With k atoms it holds k x target
+    neighbour counts and tabu horizons next to the caller's k x k conflict
+    matrix; a swap costs O(k) per candidate atom and binding limit.
+    """
+    k = atoms.k
+    cnt = np.array(atoms.counts.group_counts, dtype=np.int64).reshape(k, -1)
+    # a limit at or above its count's total over all atoms binds no class
+    live = cnt.sum(axis=0) > atoms.counts.limits
+    cnt = cnt[:, live]
+    limits = np.array(atoms.counts.limits, dtype=np.int64)[live]
+    keep = sorted(sorted(range(len(classes)), key=lambda i: -len(classes[i]))[:target])
+    cls = np.full(k, -1, dtype=np.intp)
+    gamma = np.zeros((k, target), dtype=np.int64)  # gamma[a, j]: a's neighbours in class j
+    head = np.empty((target, len(limits)), dtype=np.int64)  # class counts over the limits
+    for j, i in enumerate(keep):
+        cls[classes[i]] = j
+        gamma[:, j] = conflict[:, classes[i]].sum(axis=1)
+        head[j] = cnt[classes[i]].sum(axis=0) - limits
+    zero = np.zeros(len(limits), dtype=np.int64)
+    for a in np.flatnonzero(cls < 0).tolist():
+        j = int(np.argmin(gamma[a] + _excess(head, cnt[a]) - _excess(head, zero)))
+        cls[a] = j
+        gamma[:, j] += conflict[a]
+        head[j] += cnt[a]
+    atom = np.arange(k)
+    cost = int(gamma[atom, cls].sum()) // 2 + int(np.sum(_excess(head, zero)))
+    best = cost
+    tabu = np.zeros((k, target), dtype=np.int64)  # tabu[a, j]: a may not enter j before
+    swaps = 0
+
+    def move(a: int, j: int, tenure: int) -> None:
+        i = cls[a]
+        gamma[:, i] -= conflict[a]
+        gamma[:, j] += conflict[a]
+        head[i] -= cnt[a]
+        head[j] += cnt[a]
+        cls[a] = j
+        tabu[a, i] = swaps + tenure
+
+    while cost:
+        if swaps == budget:
+            return None, swaps
+        own = gamma[atom, cls]
+        over = _excess(head, zero)
+        bad = np.flatnonzero((own > 0) | (over[cls] > 0))
+        at = cls[bad]
+        without = head[cls] - cnt  # each atom's class without it, over the limits
+        taboo = tabu > swaps
+        rel = (gamma[bad] - own[bad, None] - over[None] - over[at, None]
+               + _excess(without[bad], zero)[:, None]
+               + _excess(head[None], cnt[bad, None]))
+        rel_off = at[:, None] == np.arange(target)
+        rel_taboo = taboo[bad]
+        xch = (gamma[bad][:, cls] - own[bad, None] + gamma[:, at].T - own[None]
+               - 2 * conflict[bad].astype(np.int64)
+               - over[at, None] - over[cls][None]
+               + _excess(without[bad, None], cnt[None])
+               + _excess(without[None], cnt[bad, None]))
+        xch_off = at[:, None] == cls[None]
+        xch_taboo = taboo[bad][:, cls] | taboo[:, at].T
+        delta = np.concatenate((rel.ravel(), xch.ravel()))
+        off = np.concatenate((rel_off.ravel(), xch_off.ravel()))
+        allowed = ~off & (~np.concatenate((rel_taboo.ravel(), xch_taboo.ravel()))
+                          | (cost + delta < best))
+        if not allowed.any():
+            allowed = ~off
+            if not allowed.any():
+                return None, swaps
+        low = delta[allowed].min()
+        ties = np.flatnonzero(allowed & (delta == low))
+        pick = int(ties[rng.integers(len(ties))])
+        tenure = int(0.6 * len(bad)) + int(rng.integers(10))
+        if pick < rel.size:
+            r, j = divmod(pick, target)
+            move(int(bad[r]), j, tenure)
+        else:
+            r, b = divmod(pick - rel.size, k)
+            a, i = int(bad[r]), int(at[r])
+            move(a, int(cls[b]), tenure)
+            move(b, i, tenure)
+        swaps += 1
+        cost += int(low)
+        best = min(best, cost)
+    return [c for c in (np.flatnonzero(cls == j).tolist() for j in range(target)) if c], swaps
 
 
 def iterative_round(

@@ -276,6 +276,107 @@ def compact_every_sweep(inst: TimetablingInstance, members, classes):
             return groups
 
 
+def descend_loop(inst: TimetablingInstance, members, classes, target: int,
+                 budget: int, rng):
+    """Reference for rounding._descend, one move at a time in plain loops.
+
+    Atom conflicts come from inst's edges and the class counts and limits
+    straight from its weights, sizes, capacities and features (every limit,
+    binding or not), so neither the conflict matrix nor ClassCounts is read.
+    The moves, their order, the tabu rule and the draws of rng are the
+    package's: keep the target largest classes, place the other classes'
+    atoms where they add least cost, then take the cheapest allowed
+    relocation or exchange of an atom in a conflict or an over-full class.
+    """
+    k = len(members)
+    caps = sorted(set(inst.room_capacities))
+    feats = range(inst.feature_count)
+    limits = [inst.m, *(sum(1 for r in inst.room_capacities if r > c) for c in caps),
+              *(sum(1 for r in range(inst.m) if (r, f) in inst.room_features)
+                for f in feats)]
+    counts = [[sum(inst.vertex_weight(v) for v in mem),
+               *(sum(1 for v in mem if inst.event_sizes[v] > c) for c in caps),
+               *(sum(1 for v in mem if (v, f) in inst.event_features) for f in feats)]
+              for mem in members]
+    adjacent = [[a != b and any(inst.graph.is_edge(u, v) for u in members[a]
+                                for v in members[b]) for b in range(k)]
+                for a in range(k)]
+
+    def excess(total):
+        return sum(max(t - lim, 0) for t, lim in zip(total, limits))
+
+    def plus(total, a, sign=1):
+        return [t + sign * c for t, c in zip(total, counts[a])]
+
+    keep = sorted(sorted(range(len(classes)), key=lambda i: -len(classes[i]))[:target])
+    cls = [None] * k
+    for j, i in enumerate(keep):
+        for a in classes[i]:
+            cls[a] = j
+
+    def state():
+        gamma = [[sum(1 for b in range(k) if cls[b] == j and adjacent[a][b])
+                  for j in range(target)] for a in range(k)]
+        totals = [[0] * len(limits) for _ in range(target)]
+        for a in range(k):
+            if cls[a] is not None:
+                totals[cls[a]] = plus(totals[cls[a]], a)
+        return gamma, totals
+
+    for a in range(k):
+        if cls[a] is None:
+            gamma, totals = state()
+            added = [gamma[a][j] + excess(plus(totals[j], a)) - excess(totals[j])
+                     for j in range(target)]
+            cls[a] = added.index(min(added))
+    gamma, totals = state()
+    cost = (sum(gamma[a][cls[a]] for a in range(k)) // 2
+            + sum(excess(t) for t in totals))
+    best = cost
+    tabu = [[0] * target for _ in range(k)]
+    swaps = 0
+    while cost:
+        if swaps == budget:
+            return None, swaps
+        bad = [a for a in range(k) if gamma[a][cls[a]] or excess(totals[cls[a]])]
+        moves = []  # (delta, taboo, [(atom, class), ...])
+        for a in bad:
+            i = cls[a]
+            for j in range(target):
+                if j != i:
+                    delta = (gamma[a][j] - gamma[a][i]
+                             + excess(plus(totals[i], a, -1)) - excess(totals[i])
+                             + excess(plus(totals[j], a)) - excess(totals[j]))
+                    moves.append((delta, tabu[a][j] > swaps, [(a, j)]))
+        for a in bad:
+            i = cls[a]
+            for b in range(k):
+                j = cls[b]
+                if j != i:
+                    delta = (gamma[a][j] - gamma[a][i] + gamma[b][i] - gamma[b][j]
+                             - 2 * adjacent[a][b]
+                             + excess(plus(plus(totals[i], a, -1), b)) - excess(totals[i])
+                             + excess(plus(plus(totals[j], b, -1), a)) - excess(totals[j]))
+                    moves.append((delta, tabu[a][j] > swaps or tabu[b][i] > swaps,
+                                  [(a, j), (b, i)]))
+        allowed = [mv for mv in moves if not mv[1] or cost + mv[0] < best] or moves
+        if not allowed:
+            return None, swaps
+        low = min(mv[0] for mv in allowed)
+        ties = [mv for mv in allowed if mv[0] == low]
+        _, _, steps = ties[int(rng.integers(len(ties)))]
+        tenure = int(0.6 * len(bad)) + int(rng.integers(10))
+        for a, j in steps:
+            tabu[a][cls[a]] = swaps + tenure
+            cls[a] = j
+        swaps += 1
+        gamma, totals = state()
+        cost = (sum(gamma[a][cls[a]] for a in range(k)) // 2
+                + sum(excess(t) for t in totals))
+        best = min(best, cost)
+    return [c for c in ([a for a in range(k) if cls[a] == j] for j in range(target)) if c], swaps
+
+
 def theta_rows_by_complement(g: ConflictGraph, variant: str):
     """Reference for relax.build_theta's (eq_graph, pairs) rows, read off the
     complement graph built as a graph of its own: its edges are pinned to

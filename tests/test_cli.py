@@ -194,6 +194,30 @@ class TestColour:
         assert row["valid"] is True
         assert math.ceil(float(row["dual_bound"])) == row["certified_lower"] == 4
 
+    def test_kms_stops_at_the_certificate(self, capsys, tmp_path):
+        # KMS's attempt 0 has more classes than the certified 8; the descent
+        # from it reaches 8, a timetable proven optimal
+        out_file = tmp_path / "part.txt"
+        code, out, err = run_cli(
+            ["colour", "--gen", "gnp:30,0.5,1", "--m", "4", "--method", "kms",
+             "--out", str(out_file), "--output-format", "json"], capsys
+        )
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["classes"] == row["certified_lower"] == 8 < row["kms_classes"]
+        assert row["gap"] == 0 and row["valid"] is True
+        inst = TimetablingInstance.colouring(parse_native_graph("gnp:30,0.5,1"), 4)
+        part = read_partition(out_file.read_text())
+        assert part.num_classes == 8 and validate_partition(inst, part).ok
+
+    def test_malformed_threads_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("BCSDP_THREADS", "two")
+        code, out, err = run_cli(
+            ["colour", "--gen", "kneser:5,2", "--m", "3", "--method", "kms"], capsys
+        )
+        assert code == 1
+        assert err == "error: BCSDP_THREADS must be a positive integer, got 'two'\n"
+
     def test_k5_singletons(self, capsys):
         code, out, err = run_cli(
             ["colour", "--gen", "complete:5", "--m", "3", "--method", "greedy",
@@ -202,6 +226,7 @@ class TestColour:
         assert code == 0
         row = json.loads(out)[0]
         assert row["classes"] == 5
+        assert row["kms_classes"] == ""  # no KMS run
         assert row["oracle_nodes"] == row["oracle_seconds"] == ""  # --m searches nothing
         assert row["dual_bound"] == ""  # greedy certifies with the counting bound
 

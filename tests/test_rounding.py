@@ -23,6 +23,7 @@ from bcsdp.relax import Atoms, build_bounded
 from bcsdp.rounding import (
     RoundingConfig,
     _compact,
+    _descend,
     greedy_colouring,
     iterative_round,
     kms_round,
@@ -30,7 +31,7 @@ from bcsdp.rounding import (
 )
 from bcsdp.solver import SolverConfig, extract_bound, solve
 
-from _reference import compact_every_sweep
+from _reference import compact_every_sweep, descend_loop
 from conftest import mixed_instance
 
 
@@ -292,10 +293,10 @@ class TestKmsGolden:
 
 
 @st.composite
-def small_timetables(draw):
+def small_timetables(draw, min_n=1, max_n=9):
     """Small instances with weights, two capacities, one feature and one
     pre-colouring class, in which every atom fits a class on its own."""
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(1, 4))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pre = draw(st.frozensets(st.integers(0, n - 1), max_size=min(m, n)))
@@ -451,6 +452,8 @@ class TestKmsReporting:
         assert stats["attempts"] == 7
         assert 0 <= stats["best_attempt"] < 7
         assert stats["min_classes"] == part.num_classes <= stats["max_classes"]
+        assert stats["attempts_run"] == 7  # no target: every attempt runs
+        assert stats["descent_swaps"] == 0 and stats["descent_reached"] is False
 
     def test_infeasible_event_raises(self):
         inst = TimetablingInstance(
@@ -472,7 +475,7 @@ GOLDEN_CALLS = {
 }
 
 
-def kms_run(inst, y, cfg, threads, mp):
+def kms_run(inst, y, cfg, threads, mp, target=None):
     """(classes, rooms, DEBUG kms records, forks) of one kms_round call under
     BCSDP_THREADS=threads, with no minimum of work per forked share."""
     records, forks = [], []
@@ -488,12 +491,16 @@ def kms_run(inst, y, cfg, threads, mp):
     mp.setenv("BCSDP_THREADS", str(threads))
     mp.setattr(rounding, "_SHARE_MIN_S", 0.0)
     mp.setattr(os, "fork", counting_fork)
-    mp.setattr(log, "level", logging.DEBUG)
+    # setLevel, not a plain attribute: it clears the loggers' cached
+    # isEnabledFor answers, which an earlier call may have filled
+    level = log.level
+    log.setLevel(logging.DEBUG)
     log.addHandler(handler)
     try:
-        part = kms_round(y, inst, cfg)
+        part = kms_round(y, inst, cfg, target=target)
     finally:
         log.removeHandler(handler)
+        log.setLevel(level)
     return part.classes, part.room_of, [r.kms for r in records], len(forks)
 
 
@@ -585,3 +592,117 @@ class TestWorkerCount:
         usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count())
         assert worker_count() == usable
+
+
+def conflict_matrix(atoms):
+    """The k x k int8 atom-conflict matrix that kms_round builds."""
+    return np.array([[atoms.adj[a] >> b & 1 for b in range(atoms.k)]
+                     for a in range(atoms.k)], dtype=np.int8)
+
+
+@st.composite
+def dense_timetables(draw):
+    """small_timetables of 8 to 14 events on a G(n, 1/2) conflict graph (no
+    edge inside the pre-class), where KMS often misses chi_m."""
+    inst = draw(small_timetables(min_n=8, max_n=14))
+    pre = set().union(*inst.precolouring)
+    g = gen_gnp(inst.graph.n, 0.5, draw(st.integers(0, 2**16)))
+    edges = [(u, v) for u, v in g.edges if not (u in pre and v in pre)]
+    return dataclasses.replace(inst, graph=ConflictGraph.from_edges(g.n, edges))
+
+
+class TestDescent:
+    """_descend against the plain loop of tests/_reference.py, and kms_round
+    with a target."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=small_timetables(), data=st.data())
+    def test_matches_reference_loop(self, inst, data):
+        atoms = Atoms(inst)
+        classes = TestKmsProperties._drawn_classes(inst, atoms, data)
+        assume(len(classes) > 1)
+        target = data.draw(st.integers(1, len(classes) - 1))
+        seed = data.draw(st.integers(0, 2**16))
+        budget = data.draw(st.integers(0, 3 * atoms.k))
+        got = _descend(atoms, conflict_matrix(atoms), [list(c) for c in classes],
+                       target, budget, np.random.default_rng(seed))
+        assert got == descend_loop(inst, atoms.members, classes, target, budget,
+                                   np.random.default_rng(seed))
+        if got[0] is not None:
+            assert len(got[0]) <= target
+            rep = validate_partition(inst, atoms.expand(got[0]))
+            assert rep.ok, rep.violations
+
+    def test_matches_reference_loop_from_singletons(self):
+        # long runs through the tabu rule: chi_m - 1 is out of reach, so the
+        # whole budget is spent
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(8, 16)), int(rng.integers(2, 5))
+            inst = TimetablingInstance.colouring(gen_gnp(n, 0.5, seed), m)
+            atoms = Atoms(inst)
+            chi = exact_bounded_chromatic(inst).chi_m
+            for target in range(max(chi - 1, 1), chi + 1):
+                classes = [[a] for a in rng.permutation(atoms.k).tolist()]
+                args = (classes, target, 2 * atoms.k)
+                got = _descend(atoms, conflict_matrix(atoms), *args,
+                               np.random.default_rng(seed))
+                assert got == descend_loop(inst, atoms.members, *args,
+                                           np.random.default_rng(seed)), (seed, target)
+                assert (got[0] is None) == (target < chi)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(inst=dense_timetables(), seed=st.integers(0, 2**16),
+           k=st.integers(1, 8), below=st.booleans())
+    def test_target_reached_or_timetable_unchanged(self, inst, seed, k, below):
+        target = exact_bounded_chromatic(inst).chi_m - below
+        assume(target >= 1)
+        y = planted_solution(inst.graph.n, k, seed)
+        cfg = RoundingConfig(attempts=4, seed=seed)
+        stats = {}
+        part = kms_round(y, inst, cfg, target=target, stats=stats)
+        if stats["descent_reached"]:
+            rep = validate_partition(inst, part)
+            assert rep.ok, rep.violations
+            assert part.num_classes == target < stats["min_classes"]
+            for pre in inst.precolouring:
+                assert sum(1 for c in part.classes if c & pre) == 1
+        else:
+            plain = kms_round(y, inst, cfg)
+            assert (part.classes, part.room_of) == (plain.classes, plain.room_of)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CALLS))
+    def test_unreachable_target_gives_the_kms_timetable(self, case):
+        inst, y, cfg = GOLDEN_CALLS[case]()
+        stats = {}
+        part = kms_round(y, inst, cfg, stats=stats,
+                         target=exact_bounded_chromatic(inst).chi_m - 1)
+        assert not stats["descent_reached"] and stats["descent_swaps"] > 0
+        assert stats["attempts_run"] == cfg.attempts
+        plain = kms_round(y, inst, cfg)
+        assert (part.classes, part.room_of) == (plain.classes, plain.room_of)
+        if case.startswith("gnp40"):
+            assert class_tuples(part) == TestKmsGolden.GNP40[int(case[-1])]
+
+    def test_reached_target_stops_after_attempt_0(self):
+        inst, y, cfg = GOLDEN_CALLS["gnp40-s1"]()
+        stats = {}
+        part = kms_round(y, inst, cfg, target=9, stats=stats)  # chi_5 is 9
+        assert stats["attempts_run"] == 1 and stats["descent_reached"]
+        assert stats["min_classes"] > part.num_classes == 9
+        assert validate_partition(inst, part).ok
+
+    @pytest.mark.parametrize("below", [0, 1])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CALLS))
+    def test_target_same_on_one_or_two_workers(self, case, below, monkeypatch):
+        inst, y, cfg = GOLDEN_CALLS[case]()
+        target = exact_bounded_chromatic(inst).chi_m - below
+        serial = kms_run(inst, y, cfg, 1, monkeypatch, target)
+        forked = kms_run(inst, y, cfg, 2, monkeypatch, target)
+        assert forked[:3] == serial[:3]
+        # attempts 1.. run, split over a fork, only when attempt 0 and the
+        # descent both miss the target
+        assert forked[3] == (serial[2][0]["attempts_run"] > 1)
+        assert_no_child_left()
