@@ -15,7 +15,11 @@ The side that was smaller at the previous step (SolverState.rank carries W's
 positive-eigenvalue count; the positive side on the first step) picks the
 eigensolver: while it is at most _DSYEVR_SIDE n, dsyevr on +-W returns the
 eigenpairs in (0, inf] only, which is exact whatever their count; past that,
-one full eigh is cheaper.
+one full eigh is cheaper.  When that side had rank 1 and n is at least
+_RANK1_MIN_N, _rank1_side first tries a short Lanczos run warm-started from
+the previous side, and keeps its eigenpair only when one Cholesky
+factorization certifies that +-W has no other eigenvalue >= 0; a refusal
+runs dsyevr on the same W, so every step stays exact.
 
 At desk scale (n near 45, a few hundred rows) the LAPACK call is about half
 of a step, so the rest is kept to a few vector operations per block.  The
@@ -26,10 +30,11 @@ u = mu ax + r: on a block's rows of u, a "diag" or
 and each block then corrects the later rows of u by one sparse product with
 its coupling.  The S/X phase builds W in a copy of C
 (the adjoint kernel adds A^T(-y) into it, one daxpy subtracts mu X), runs
-dsyevr or eigh, forms P as an outer product when the side has rank 1 (most
-desk steps) and as B B' otherwise, writes X+ - X into the old X's buffer and
-accumulates op(X+) into a copy of -rhs.  The residual check is three dot
-products.  SolveResult.stats totals each phase's perf_counter time.
+the rank-1 Lanczos, dsyevr or eigh, forms P as an outer product when the side
+has rank 1 (most steps) and as B B' otherwise, writes X+ - X into the old X's
+buffer and accumulates op(X+) into a copy of -rhs.  The residual check is
+three dot products.  SolveResult.stats totals each phase's perf_counter time
+and counts the S/X steps of each eigensolver path.
 
 The same identity gives the dual residual for free: after an S/X step,
 A*(y) + S - C = S - W - mu X = mu (X+ - X).  So the loop keeps no n x n
@@ -81,8 +86,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.blas import daxpy, dsyr
+from scipy.linalg.lapack import dpotrf, dstev, dsyevr
 from scipy.sparse import _sparsetools
 
 from . import relax
@@ -113,8 +118,21 @@ _MU_MAX = 1e4
 # dsyevr on one side of W costs more with each eigenpair it returns; once the
 # previous step's smaller side is above this share of n, one full eigh of W is
 # cheaper (timed at one thread on n = 16-160: the crossover falls from about
-# 0.3 n at n = 24 to 0.13-0.19 n from n = 45 on)
+# 0.3 n at n = 24 to 0.13-0.19 n from n = 45 on).  A side of rank 1 tries
+# _rank1_side first from n = _RANK1_MIN_N on.
 _DSYEVR_SIDE = 1 / 6
+
+# _rank1_side's time over dsyevr's on the rank-1 steps of bounded G(n, 1/2)
+# solves, refused steps charged both (one thread, best of 9 per step): 1.36 at
+# n = 64, 0.85-0.99 at n = 80, 0.67 at n = 96-100, 0.56 at n = 120 and 0.37 at
+# n = 160, where dsyevr takes about 550 us.  Below this order its Python
+# overhead outweighs the saved tridiagonalisation, so every smaller solve
+# keeps the dsyevr path bit for bit.
+_RANK1_MIN_N = 96
+# Lanczos steps before _rank1_side refuses, and the step from which it tests
+# the Ritz pair (warm-started runs converge in 6-12 steps at n = 64-160)
+_LANCZOS_STEPS = 16
+_LANCZOS_FIRST_TEST = 5
 
 
 @dataclass(frozen=True)
@@ -153,8 +171,11 @@ class SolveResult:
     lower: Optional[float] = None
     # perf_counter seconds: compile_s (_Compiled), then totals over the
     # iterations of multiplier_s (the multiplier phase), eig_s (the S/X
-    # phase's dsyevr or eigh), sx_s (the rest of the S/X phase) and check_s
-    # (the residual and gap check)
+    # phase's eigensolves), sx_s (the rest of the S/X phase) and check_s
+    # (the residual and gap check); then the S/X steps per eigensolver path,
+    # which add up to iterations: rank1_steps (certified by _rank1_side),
+    # refused_steps (_rank1_side refused, dsyevr ran), dsyevr_steps and
+    # eigh_steps
     stats: dict[str, float] = field(default_factory=dict)
 
 
@@ -372,6 +393,69 @@ def _alphabeta_qp(a: np.ndarray, alpha: float, beta: float,
     return np.maximum(0.0, (a - beta * sigma) / alpha)
 
 
+def _rank1_side(w: np.ndarray, positive: bool,
+                start: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+    """(lam, u) with lam u u' the projection onto the PSD cone of A = W
+    (positive) or -W, certified to have rank 1; None when it is not.
+
+    A Lanczos run on W from start, with full reorthogonalisation, keeps the
+    extreme Ritz pair of its tridiagonal (the largest for W, the smallest for
+    -W), tested from step _LANCZOS_FIRST_TEST on by its residual estimate
+    beta_k |s_k|.  A breakdown (beta_k at round-off) passes that test with
+    an exact Ritz pair of an invariant subspace, which need not hold A's
+    positive eigenvalue; the checks below catch it.  The unit Ritz vector u
+    and its Rayleigh quotient lam are kept only when ||A u - lam u|| is
+    within 2 n eps ||W||_F (eps the machine epsilon), lam > 0, and dpotrf
+    factors M = 2 lam u u' - A.  M is -A plus a rank-1 PSD term, so if A
+    had two eigenvalues >= 0, M would have one <= 0 by interlacing.  Any
+    refusal (a zero start, no convergence within _LANCZOS_STEPS, lam <= 0,
+    or dpotrf's info != 0) returns None.  w is left as it is.
+    """
+    n = w.shape[0]
+    tol = 2.0 * n * float(np.finfo(float).eps) * float(np.linalg.norm(w))
+    norm = math.sqrt(float(start @ start))
+    if not norm > 0.0:
+        return None
+    q = np.empty((_LANCZOS_STEPS, n))  # the Lanczos basis, one vector per row
+    np.divide(start, norm, out=q[0])
+    alpha, beta = np.empty(_LANCZOS_STEPS), np.empty(_LANCZOS_STEPS)
+    z = np.empty(n)
+    pick = -1 if positive else 0
+    for k in range(1, _LANCZOS_STEPS + 1):
+        np.dot(w, q[k - 1], out=z)
+        basis = q[:k]
+        h = basis @ z
+        z -= h @ basis  # the three-term recurrence and full reorthogonalisation
+        alpha[k - 1] = h[-1]
+        b = beta[k - 1] = math.sqrt(float(z @ z))
+        if k >= _LANCZOS_FIRST_TEST or b <= tol:
+            # dstev takes one off-diagonal entry at k = 1 and does not read it
+            _, s, info = dstev(alpha[:k], beta[:max(k - 1, 1)])
+            if info != 0:
+                return None
+            if b * abs(s[-1, pick]) <= tol:
+                break
+        if k < _LANCZOS_STEPS:
+            np.divide(z, b, out=q[k])
+    else:
+        return None
+    u = s[:, pick] @ q[:k]
+    u /= math.sqrt(float(u @ u))
+    np.dot(w, u, out=z)
+    lam = float(u @ z)
+    z -= lam * u
+    if not positive:
+        lam = -lam
+    if not (math.sqrt(float(z @ z)) <= tol and lam > 0.0):
+        return None
+    # M in the lower triangle of LAPACK's column order, which is w.T's
+    m = dsyr(2.0 * lam, u, lower=1, a=np.multiply(w, -1.0 if positive else 1.0).T,
+             overwrite_a=1)
+    if dpotrf(m, lower=1, clean=0, overwrite_a=1)[1] != 0:
+        return None
+    return lam, u
+
+
 class _Compiled:
     """One stacked CSR over every constraint row, and one _Block per block.
 
@@ -395,6 +479,8 @@ class _Compiled:
         self._steps = tuple(b.eq_step if b.rows.stop <= ends[2] else b.qp_step
                             for b in self.blocks if b.k)
         self.eig_s = 0.0  # perf_counter total of the S/X phase's eigensolves
+        # S/X steps per eigensolver path (SolveResult.stats' *_steps)
+        self.steps = dict.fromkeys(("rank1", "refused", "dsyevr", "eigh"), 0)
         self.neq = ends[2]  # equality rows come first
         self.b_norm = math.sqrt(float(np.sum(self.rhs**2)))
         self.c_norm = float(np.linalg.norm(self.C))
@@ -465,11 +551,14 @@ class _Compiled:
         subtraction: S = P, X = (P - W)/mu, or X = P/mu, S = W + P.  While the
         previous step's smaller side (st.rank; the positive side when None) is
         at most _DSYEVR_SIDE n, dsyevr returns every eigenpair of +-W in
-        (0, inf] on that side, exact whatever their count; otherwise one full
-        eigh picks the smaller side.  Cost: one adjoint, dsyevr or eigh, one
-        n^2 r product (an outer product at r = 1) and one operator.  Sets
-        st.rank to W's positive-eigenvalue count, sets r to mu (ax+ - ax) and
-        ax to ax+, and returns the dual residual norm mu ||X+ - X||.
+        (0, inf] on that side, exact whatever their count; a side of rank 1
+        at n >= _RANK1_MIN_N tries _rank1_side first, warm-started from the
+        largest-diagonal column of S (of X on the negative side).  Otherwise
+        one full eigh picks the smaller side.  Cost: one adjoint, the
+        eigensolve, one n^2 r product (an outer product at r = 1) and one
+        operator.  Sets st.rank to W's positive-eigenvalue count, sets r to
+        mu (ax+ - ax) and ax to ax+, counts the step's path in self.steps,
+        and returns the dual residual norm mu ||X+ - X||.
         """
         # W is exactly symmetric when X is: C is, each row of A holds a whole
         # symmetric matrix whose mirrored entries add up in the same order,
@@ -480,8 +569,18 @@ class _Compiled:
         daxpy(st.X.reshape(-1), flat, a=-mu)  # in place: flat is contiguous
         n = w.shape[0]
         clock = time.perf_counter()
-        if st.rank is None or min(st.rank, n - st.rank) <= _DSYEVR_SIDE * n:
-            positive = st.rank is None or st.rank <= n - st.rank
+        # before the first step there is no count: dsyevr on W's positive side
+        positive = st.rank is None or st.rank <= n - st.rank
+        side = 0 if st.rank is None else min(st.rank, n - st.rank)
+        path = "dsyevr" if side <= _DSYEVR_SIDE * n else "eigh"
+        if side == 1 and n >= _RANK1_MIN_N:
+            last = st.S if positive else st.X  # the previous side, lam u u'
+            pair = _rank1_side(w, positive, last[:, int(np.argmax(np.diagonal(last)))])
+            path = "refused" if pair is None else "rank1"
+        if path == "rank1":
+            lam, vec = np.array([pair[0]]), pair[1][:, None]
+            st.rank = 1 if positive else n - 1
+        elif path != "eigh":
             # w is symmetric, so w.T is the same matrix in LAPACK's column order
             lam, vec, count, _, info = dsyevr(
                 w.T if positive else -w.T, range="V", vl=0.0, vu=np.inf,
@@ -502,6 +601,7 @@ class _Compiled:
                 lam, vec = -lam[:nneg], vec[:, :nneg]
             st.rank = npos
         self.eig_s += time.perf_counter() - clock
+        self.steps[path] += 1
         if lam.size == 1:
             half = vec[:, 0] * math.sqrt(lam[0])
             proj = np.multiply.outer(half, half)
@@ -545,8 +645,9 @@ def update_sx(state: SolverState, model: SdpModel,
               mu: float) -> tuple[np.ndarray, np.ndarray, int]:
     """(S, X, rank): the PSD projections of W and -W/mu, W = C - A*y - mu X.
 
-    state.rank picks the eigen-side as in solve(); the returned rank is the
-    one the next step reads.  X is symmetrized first, as the loop's X is.
+    state.rank picks the eigen-side and state.S or state.X warm-starts a
+    rank-1 side, as in solve(); the returned rank is the one the next step
+    reads.  X is symmetrized first, as the loop's X is.
     """
     state = replace(state, X=0.5 * (state.X + state.X.T))
     st = _run_phase(state, model, mu, _Compiled.sx_phase)
@@ -567,6 +668,11 @@ def initial_matrix(model: SdpModel) -> np.ndarray:
     The first W is then close to -mu X0, which is negative off the all-ones
     direction, so the first S/X step's dsyevr on W's positive side finds few
     eigenpairs.
+
+    Any other model whose first eq_other row has rhs 1 starts at I/n, the
+    trace-one start of the theta models.  The rule reads only that rhs, so it
+    also fires on rounding._reduced_model, whose first row is the box-slack
+    row X_00 + S_00 = 1: every iterative-rounding re-solve starts at I/(2r).
     """
     n = model.dim
     if model.value_offset:
@@ -640,7 +746,8 @@ def solve(model: SdpModel, cfg: Optional[SolverConfig] = None) -> SolveResult:
         lower = comp.dual_bound(st, model.trace_ratio, offset)
     stats = {"compile_s": compile_s, "multiplier_s": phase_s[0],
              "eig_s": comp.eig_s, "sx_s": phase_s[1] - comp.eig_s,
-             "check_s": phase_s[2]}
+             "check_s": phase_s[2],
+             **{f"{path}_steps": count for path, count in comp.steps.items()}}
     _log_progress(it, pres, dres, gap, value, mu, st.rank, status, stats)
     return SolveResult(
         value=value,
@@ -662,8 +769,9 @@ def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
 
     rank is the last W's positive-eigenvalue count, so a solve whose smaller
     eigen-side stays above _DSYEVR_SIDE n (each step a full eigh) shows.  The
-    exit record also carries the solve's phase times (SolveResult.stats), in
-    its text and as its "solve_stats" attribute.
+    exit record also carries the solve's phase times and its S/X step counts
+    per eigensolver path (SolveResult.stats), so a refused rank-1 step
+    shows, in its text and as its "solve_stats" attribute.
     """
     if _log.isEnabledFor(logging.DEBUG):
         extra = {"solve": {"it": it, "pres": pres, "dres": dres, "gap": gap,
@@ -672,7 +780,8 @@ def _log_progress(it: int, pres: float, dres: float, gap: float, value: float,
                 "rank=%s")
         if stats is not None:
             extra["solve_stats"] = stats
-            text += "".join(f" {k}={v:.4f}" for k, v in stats.items())
+            text += "".join(f" {k}={v:.4f}" if isinstance(v, float) else f" {k}={v}"
+                            for k, v in stats.items())
         _log.debug(text, status, it, pres, dres, gap, value, mu, rank, extra=extra)
 
 

@@ -39,9 +39,12 @@ from bcsdp.solver import (
     solve,
     update_multipliers,
     update_sx,
+    _RANK1_MIN_N,
+    _LANCZOS_FIRST_TEST,
     _Block,
     _Compiled,
     _alphabeta_qp,
+    _rank1_side,
 )
 
 from _reference import (
@@ -633,6 +636,192 @@ class TestSxProjection:
         assert 0 <= new_rank <= n
 
 
+def rank1_step(w, positive, start, mu=1.0):
+    """update_sx on a model without rows whose W is w, after a step whose
+    smaller side had rank 1: that side is start start', held as S (positive)
+    or as X, so the step's warm start is a multiple of start."""
+    n = w.shape[0]
+    last, zero = np.outer(start, start), np.zeros((n, n))
+    x = zero if positive else last
+    # W = C - mu X; with X = 0 it is w bit for bit
+    model = SdpModel(dim=n, objective=w + mu * x, eq_graph=(), eq_other=(),
+                     ineq=(), sense="min")
+    state = SolverState(X=x, y=np.zeros(0), S=last if positive else zero,
+                        rank=1 if positive else n - 1)
+    return update_sx(state, model, mu)
+
+
+def assert_projections(w, s, x, mu):
+    """S = proj(W) and X = proj(-W)/mu to round-off, against a full eigh."""
+    tol = 1e-12 * (1.0 + np.linalg.norm(w))
+    assert np.max(np.abs(s - project_psd_dense(w))) <= tol
+    assert np.max(np.abs(x - project_psd_dense(-w) / mu)) <= tol / mu
+
+
+def rotated(lam, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((lam.size,) * 2))
+    return (q * lam) @ q.T, q
+
+
+@st.composite
+def rank1_cases(draw):
+    """W = lam u u' - N with N PSD at n at and above the rank-1 gate, so W
+    has at most one positive eigenvalue, and a warm start near u.  The side
+    is W's positive one, or -W's with W negated."""
+    n = draw(st.sampled_from([_RANK1_MIN_N, _RANK1_MIN_N + 1, 128, 160]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    # N's eigenvalues fill [low, low + spread max(low, 1)]: a tight cluster,
+    # as -mu X gives in the solves, lets the run converge, a wide one not
+    low = draw(st.sampled_from([0.0, 1e-3, 1.0, 30.0]))
+    spread = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    nev = low + spread * max(low, 1.0) * rng.random(n)
+    nev[rng.random(n) < draw(st.sampled_from([0.0, 0.5]))] = 0.0  # N singular
+    lam = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    w = lam * np.outer(u, u) - rotated(nev, int(rng.integers(2**32)))[0]
+    w = 0.5 * (w + w.T)
+    start = u + draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.3])) * rng.standard_normal(n)
+    positive = draw(st.booleans())
+    return (w if positive else -w), positive, start, draw(st.sampled_from([0.25, 1.0, 3.0]))
+
+
+class TestRank1Side:
+    """The certified rank-1 eigen-side against the dsyevr step on the same W."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank1_cases())
+    def test_projection_agrees_to_round_off(self, case):
+        w, positive, start, mu = case
+        a = w if positive else -w
+        pair = _rank1_side(w, positive, start)
+        if pair is not None:
+            lam, u = pair
+            assert lam > 0.0
+            assert np.linalg.eigvalsh(a)[-2] <= 1e-12 * np.linalg.norm(w)
+            assert np.max(np.abs(lam * np.outer(u, u) - project_psd_dense(a))) \
+                <= 1e-12 * (1.0 + np.linalg.norm(w))
+        s, x, rank = rank1_step(w, positive, start, mu)
+        assert_projections(w, s, x, mu)
+        assert 0 <= rank <= w.shape[0]
+
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_certified_step_makes_no_dsyevr_call(self, positive, monkeypatch):
+        # W's other eigenvalues lie in [-2, -1], far from 2 against their
+        # spread, as in the solves, where -mu X dominates them
+        calls = count_dsyevr(monkeypatch)
+        n = _RANK1_MIN_N
+        w, q = rotated(np.concatenate(([2.0], -np.linspace(1.0, 2.0, n - 1))), 1)
+        w = w if positive else -w
+        start = q[:, 0] + 1e-3 * np.random.default_rng(2).standard_normal(n)
+        assert _rank1_side(w, positive, start) is not None
+        s, x, rank = rank1_step(w, positive, start, mu=2.0)
+        assert calls == [] and rank == (1 if positive else n - 1)
+        assert_projections(w, s, x, 2.0)
+
+    def test_below_the_gate_takes_dsyevr(self, monkeypatch):
+        calls = count_dsyevr(monkeypatch)
+        n = _RANK1_MIN_N - 1
+        w, q = rotated(np.concatenate(([2.0], -np.linspace(0.5, 8.0, n - 1))), 1)
+        s, x, rank = rank1_step(w, True, q[:, 0])
+        assert calls == ["+"] and rank == 1
+        assert_projections(w, s, x, 1.0)
+
+    def refused(self, w, positive, start, monkeypatch, mu=1.0):
+        """Check that _rank1_side refuses and that the step falls back to
+        dsyevr on the same side; return the step's rank."""
+        assert _rank1_side(w, positive, start) is None
+        calls = count_dsyevr(monkeypatch)
+        s, x, rank = rank1_step(w, positive, start, mu)
+        assert calls == ["+" if positive else "-"]
+        assert_projections(w, s, x, mu)
+        return rank
+
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_second_positive_eigenvalue_refused(self, positive, monkeypatch):
+        # the run converges to the top pair, and dpotrf finds -1e-3 along u2
+        n = _RANK1_MIN_N
+        lam = np.concatenate(([4.0, 1e-3], -np.linspace(0.5, 8.0, n - 2)))
+        w, q = rotated(lam, 3)
+        start = q[:, 0] + 1e-6 * q[:, 5]
+        rank = self.refused(w if positive else -w, positive, start, monkeypatch, mu=0.5)
+        assert rank == (2 if positive else n - 2)
+
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_warm_start_orthogonal_to_u_refused(self, positive, monkeypatch):
+        # W is diagonal, so the Krylov space keeps an exact zero on e0, the
+        # eigenvector of W's one positive eigenvalue: the run spends its
+        # steps on W's negative spectrum without converging
+        n = _RANK1_MIN_N
+        w = np.diag(np.concatenate(([2.0], -np.linspace(0.5, 8.0, n - 1))))
+        start = np.random.default_rng(4).standard_normal(n)
+        start[0] = 0.0
+        rank = self.refused(w if positive else -w, positive, start, monkeypatch)
+        assert rank == (1 if positive else n - 1)
+
+    def test_breakdown_on_few_distinct_eigenvalues_refused(self, monkeypatch):
+        # eigenvalues 3, 1 (twice) and -2: from a start in the 1 and -2
+        # eigenspaces the Krylov space is invariant after two steps, and its
+        # exact Ritz pair (1, v) passes the residual and sign tests, but
+        # 2 v v' - W is -3 along e0, so dpotrf refuses
+        import bcsdp.solver as solver
+
+        n = _RANK1_MIN_N
+        w = np.diag(np.concatenate(([3.0, 1.0, 1.0], np.full(n - 3, -2.0))))
+        start = np.zeros(n)
+        start[1:3] = 1.0
+        start[3:] = 0.5
+        sizes = []
+        real = solver.dstev
+
+        def spy(d, e):
+            sizes.append(d.size)
+            return real(d, e)
+
+        monkeypatch.setattr(solver, "dstev", spy)
+        rank = self.refused(w, True, start, monkeypatch)
+        assert sizes[-1] == 2 < _LANCZOS_FIRST_TEST  # the breakdown ended the run
+        assert rank == 3
+
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_no_positive_eigenvalue_refused(self, positive, monkeypatch):
+        # the run converges to the side's top eigenvalue, which is <= 0
+        n = _RANK1_MIN_N
+        w, q = rotated(-np.linspace(0.5, 8.0, n), 5)
+        rank = self.refused(w if positive else -w, positive, q[:, 0], monkeypatch, mu=3.0)
+        assert rank == (0 if positive else n)
+
+
+class TestRank1SideInTheSolve:
+    def test_gnp160_steps_and_update_sx(self, monkeypatch):
+        """On gnp:160 at m = 5 most S/X steps are certified rank-1 steps,
+        and update_sx from the state before a certified or a refused step
+        repeats the loop's step bit for bit."""
+        model = build_bounded(gen_gnp(160, 0.5, 1), 5)
+        seen = {}
+        real = _Compiled.sx_phase
+
+        def spy(comp, st, r, ax, mu):
+            state = SolverState(st.X.copy(), st.y.copy(), st.S.copy(), st.rank)
+            counts = dict(comp.steps)
+            out = real(comp, st, r, ax, mu)
+            path = next(p for p in counts if comp.steps[p] > counts[p])
+            seen.setdefault(path, (state, mu, st.S.copy(), st.X.copy(), st.rank))
+            return out
+
+        monkeypatch.setattr(_Compiled, "sx_phase", spy)
+        res = solve(model)
+        monkeypatch.undo()
+        steps = {p: res.stats[f"{p}_steps"] for p in ("rank1", "refused", "dsyevr", "eigh")}
+        assert sum(steps.values()) == res.iterations == 148
+        assert steps["rank1"] > steps["refused"] + steps["dsyevr"] + steps["eigh"]
+        assert {"rank1", "refused"} <= set(seen)
+        for path in ("rank1", "refused"):
+            state, mu, s, x, rank = seen[path]
+            s2, x2, rank2 = update_sx(state, model, mu)
+            assert np.array_equal(s2, s) and np.array_equal(x2, x) and rank2 == rank
+
+
 class TestSolveBehaviour:
     def test_determinism(self):
         g = gen_gnp(8, 0.5, 2)
@@ -662,9 +851,16 @@ class TestSolveBehaviour:
         assert [r.solve_stats for r in recs] == [res.stats]
         assert f"eig_s={res.stats['eig_s']:.4f}" in recs[0].getMessage()
         assert set(res.stats) == {"compile_s", "multiplier_s", "eig_s", "sx_s",
-                                  "check_s"}
+                                  "check_s", "rank1_steps", "refused_steps",
+                                  "dsyevr_steps", "eigh_steps"}
         assert all(v >= 0.0 for v in res.stats.values())
         assert res.stats["eig_s"] > 0.0 and res.stats["multiplier_s"] > 0.0
+        # every step is counted once, on the path it took; n = 30 is below
+        # the rank-1 side's gate, so no step tries it
+        steps = [res.stats[f"{p}_steps"] for p in ("rank1", "refused", "dsyevr", "eigh")]
+        assert all(isinstance(k, int) for k in steps)
+        assert sum(steps) == res.iterations and steps[:2] == [0, 0]
+        assert f" refused_steps=0 dsyevr_steps={steps[2]} " in recs[0].getMessage()
 
     def test_rank_and_partial_steps_reported(self, caplog, monkeypatch):
         calls = count_dsyevr(monkeypatch)
@@ -677,6 +873,8 @@ class TestSolveBehaviour:
         assert min(ranks[-1], model.dim - ranks[-1]) <= model.dim / 10
         # and some steps took the full eigh
         assert 0 < len(calls) < res.iterations == 450
+        assert (len(calls), res.iterations - len(calls)) == (
+            res.stats["dsyevr_steps"], res.stats["eigh_steps"])
         # the first step has no count to go by and takes W's positive side
         calls.clear()
         assert solve(model, SolverConfig(max_iter=1)).iterations == 1
