@@ -11,14 +11,9 @@ pre-class is one unit, and a conflict is one AND of atom bitsets.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import operator
-import os
-import signal
-import threading
-import time
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
@@ -38,17 +33,9 @@ __all__ = [
     "iterative_round",
     "greedy_colouring",
     "assign_rooms",
-    "worker_count",
 ]
 
 _log = logging.getLogger(__name__)
-
-# kms_round forks a child per share of attempts only when each share holds
-# about this much serial work: a fork, pipe read and waitpid round trip costs
-# 2.6-6.1 ms in a 70 MB process (timed on a 2-core x86-64 box, median of 30),
-# and a child runs 10-40% slower than the parent while it copies pages on
-# write.  Test-sized instances (about 50 us per attempt) stay serial.
-_SHARE_MIN_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -148,17 +135,11 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     grow classes.  A DEBUG record on this module's logger reports the
     attempt count, the best attempt and the class-count range.
 
-    Attempt i draws from its own generator, seeded (cfg.seed, i), so the
-    attempts may run anywhere in any order.  This process runs attempt 0 and
-    times it; attempts 1..A-1 are then dealt into W strided shares, the
-    first run here and each other one in a forked child (see _run_shares),
-    and the shares are merged by the serial rule: fewest classes, then earliest
-    attempt.  W is at most worker_count() (BCSDP_THREADS, or the usable
-    cores), at most A - 1, and so small that each share holds about
-    _SHARE_MIN_S of work by attempt 0's time; it is 1, and every attempt
-    runs here, without os.fork, while another Python thread is alive, or
-    when the attempts are too cheap to pay for a fork.  Which path runs never
-    changes the partition, its rooms or the DEBUG record.
+    Attempt i draws from its own generator, seeded (cfg.seed, i), so its
+    classes do not depend on which attempts ran before it.  The attempts run
+    one after another in this process: attempt 0 first, then, unless target
+    stops the call, attempts 1..A-1 in order, keeping the first attempt
+    with the fewest classes.
 
     target is a class count to stop at, such as a proven lower bound: when
     attempt 0 has at most target classes it is returned at once, and when it
@@ -170,7 +151,6 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     fields in it.
     """
     cfg = cfg or RoundingConfig()
-    workers = worker_count()  # read first: a malformed BCSDP_THREADS fails on every path
     if atoms is None:
         atoms = Atoms(inst)
     if atoms.k == 0:
@@ -195,10 +175,8 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
         rng = np.random.default_rng((cfg.seed, i))
         return _compact(atoms, _kms_attempt(atoms, atom_vec, conflict, k_bound, rng))
 
-    t0 = time.perf_counter()
-    results = [_best_of(attempt, range(1))]
-    first_s = time.perf_counter() - t0
-    counts, best = results[0]
+    best = attempt(0)
+    counts = [len(best)]
     best_attempt, swaps, descended = 0, 0, None
     if target is not None and counts[0] > target:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
@@ -209,17 +187,11 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     if descended is not None:
         best = descended
     elif target is None or counts[0] > target:
-        rest = range(1, cfg.attempts)
-        w = _share_count(len(rest), first_s, workers)
-        shares = [range(1)] + [rest[i::w] for i in range(w)]
-        results += _run_shares(attempt, shares[1:])
-        counts = [0] * cfg.attempts
-        for share, (share_counts, _) in zip(shares, results):
-            for i, c in zip(share, share_counts):
-                counts[i] = c
-        best_attempt = counts.index(min(counts))
-        best = next(classes for share, (_, classes) in zip(shares, results)
-                    if best_attempt in share)
+        for i in range(1, cfg.attempts):
+            classes = attempt(i)
+            counts.append(len(classes))
+            if len(classes) < len(best):
+                best_attempt, best = i, classes
     record = {"attempts": cfg.attempts, "attempts_run": len(counts),
               "best_attempt": best_attempt, "min_classes": min(counts),
               "max_classes": max(counts), "descent_swaps": swaps,
@@ -234,121 +206,6 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
     )
     part = atoms.expand(best)
     return Partition(part.classes, assign_rooms(inst, part))
-
-
-def worker_count() -> int:
-    """How many processes kms_round may split its attempts over:
-    BCSDP_THREADS when set, otherwise the cores this process may run on (its
-    affinity mask, where the platform has one).  A BCSDP_THREADS that is no
-    integer raises ValueError; one below 1 counts as 1."""
-    env = os.environ.get("BCSDP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"BCSDP_THREADS must be a positive integer, "
-                             f"got {env!r}") from None
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _share_count(rest: int, first_s: float, workers: int) -> int:
-    """Into how many shares to split `rest` attempts, the first taking
-    first_s seconds: one share (serial) without os.fork, while another Python
-    thread is alive (forking a threaded process is unsafe), or when the work
-    would not pay for a fork; at most workers (worker_count()) shares, each
-    with about _SHARE_MIN_S of work."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    w = min(workers, rest)
-    while w > 1 and rest * first_s < w * _SHARE_MIN_S:
-        w -= 1
-    return max(w, 1)
-
-
-def _best_of(attempt, share: range) -> tuple[list[int], list[list[int]]]:
-    """(class count per attempt, classes of the first attempt with fewest)."""
-    counts: list[int] = []
-    best: Optional[list[list[int]]] = None
-    for i in share:
-        classes = attempt(i)
-        counts.append(len(classes))
-        if best is None or len(classes) < len(best):
-            best = classes
-    return counts, best
-
-
-def _run_shares(attempt, shares: list[range]) -> list[tuple[list[int], list[list[int]]]]:
-    """_best_of(attempt, share) for every share, in order.
-
-    The first share runs in this process and each other one in a child
-    forked for it (see _fork_share).  A child that cannot be forked, fails or
-    sends a short or malformed result has its share run here instead, so the
-    result never depends on the children.  Every child is reaped before
-    return, on an exception after it is killed.
-    """
-    children: list[Optional[list[int]]] = []
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(attempt, share))
-        results = [_best_of(attempt, share) for share in shares[:1]]
-        for child, share in zip(children, shares[1:]):
-            results.append(_collect(child, len(share)) or _best_of(attempt, share))
-        return results
-    finally:
-        for child in filter(None, children):
-            pid, rfd = child
-            os.close(rfd)
-            if pid:  # not reaped by _collect: an exception is on its way out
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork_share(attempt, share: range) -> Optional[list[int]]:
-    """[pid, read end of its pipe] of a child that runs share; None if no fork.
-
-    The child writes _best_of(attempt, share) to the pipe as JSON and leaves
-    through os._exit, so it never returns into the caller's frames, logs and
-    prints nothing, flushes no inherited buffer and runs no exit handler.
-    """
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid == 0:
-        try:
-            os.close(rfd)
-            data = memoryview(json.dumps(_best_of(attempt, share)).encode())
-            while data:
-                data = data[os.write(wfd, data):]
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(wfd)
-    return [pid, rfd]
-
-
-def _collect(child: Optional[list[int]], n: int):
-    """The (counts, classes) a child sent for its n attempts, read to the end
-    of its pipe and the child reaped (child[0] set to 0); None if it failed."""
-    if child is None:
-        return None
-    chunks = []
-    while chunk := os.read(child[1], 1 << 16):
-        chunks.append(chunk)
-    _, status = os.waitpid(child[0], 0)
-    child[0] = 0
-    if status != 0:
-        return None
-    try:
-        counts, classes = json.loads(b"".join(chunks))
-    except ValueError:  # a short write
-        return None
-    return (counts, classes) if len(counts) == n else None
 
 
 def _kms_attempt(atoms: Atoms, atom_vec: np.ndarray, conflict: np.ndarray,

@@ -210,14 +210,6 @@ class TestColour:
         part = read_partition(out_file.read_text())
         assert part.num_classes == 8 and validate_partition(inst, part).ok
 
-    def test_malformed_threads_is_named(self, capsys, monkeypatch):
-        monkeypatch.setenv("BCSDP_THREADS", "two")
-        code, out, err = run_cli(
-            ["colour", "--gen", "kneser:5,2", "--m", "3", "--method", "kms"], capsys
-        )
-        assert code == 1
-        assert err == "error: BCSDP_THREADS must be a positive integer, got 'two'\n"
-
     def test_k5_singletons(self, capsys):
         code, out, err = run_cli(
             ["colour", "--gen", "complete:5", "--m", "3", "--method", "greedy",
@@ -488,8 +480,6 @@ class TestBench:
         assert len(eps) == 28 and set(eps) == {0.2}
 
     def test_bench_rows_run_on_the_calling_thread(self, capsys, monkeypatch):
-        # BCSDP_THREADS sizes only kms_round's forks: every bench row is
-        # filled in the thread that runs the command
         import threading
 
         from bcsdp import cli
@@ -507,7 +497,6 @@ class TestBench:
                                   certified=1, chi_m=1, greedy_classes=1,
                                   passed=True, failures=())
 
-        monkeypatch.setenv("BCSDP_THREADS", "2")
         monkeypatch.setattr(cli, "_bench_row_kneser", stub_row)
         monkeypatch.setattr(cli, "sandwich_check", stub_check)
         assert run_cli(["bench", "--suite", "kneser-fi"], capsys)[0] == 0

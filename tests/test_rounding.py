@@ -1,7 +1,5 @@
 import dataclasses
 import logging
-import os
-import threading
 
 import numpy as np
 import pytest
@@ -18,7 +16,6 @@ from bcsdp.graphs import (
     validate_partition,
 )
 from bcsdp.oracle import exact_bounded_chromatic
-from bcsdp import rounding
 from bcsdp.relax import Atoms, build_bounded
 from bcsdp.rounding import (
     RoundingConfig,
@@ -27,7 +24,6 @@ from bcsdp.rounding import (
     greedy_colouring,
     iterative_round,
     kms_round,
-    worker_count,
 )
 from bcsdp.solver import SolverConfig, extract_bound, solve
 
@@ -475,123 +471,35 @@ GOLDEN_CALLS = {
 }
 
 
-def kms_run(inst, y, cfg, threads, mp, target=None):
-    """(classes, rooms, DEBUG kms records, forks) of one kms_round call under
-    BCSDP_THREADS=threads, with no minimum of work per forked share."""
-    records, forks = [], []
-    real_fork = os.fork
+class TestKmsMergeRule:
+    """kms_round keeps the first attempt with the fewest classes."""
 
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
+    @staticmethod
+    def assert_first_of_fewest(inst, y, cfg):
+        stats = {}
+        part = kms_round(y, inst, cfg, stats=stats)
+        best = stats["best_attempt"]
+        assert part.num_classes == stats["min_classes"]
+        upto = kms_round(y, inst, dataclasses.replace(cfg, attempts=best + 1))
+        assert (part.classes, part.room_of) == (upto.classes, upto.room_of)
+        if best:  # every earlier attempt has more classes
+            before = {}
+            kms_round(y, inst, dataclasses.replace(cfg, attempts=best), stats=before)
+            assert before["min_classes"] > stats["min_classes"]
 
-    handler = logging.Handler(logging.DEBUG)
-    handler.emit = records.append
-    log = logging.getLogger("bcsdp.rounding")
-    mp.setenv("BCSDP_THREADS", str(threads))
-    mp.setattr(rounding, "_SHARE_MIN_S", 0.0)
-    mp.setattr(os, "fork", counting_fork)
-    # setLevel, not a plain attribute: it clears the loggers' cached
-    # isEnabledFor answers, which an earlier call may have filled
-    level = log.level
-    log.setLevel(logging.DEBUG)
-    log.addHandler(handler)
-    try:
-        part = kms_round(y, inst, cfg, target=target)
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
-    return part.classes, part.room_of, [r.kms for r in records], len(forks)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestKmsWorkers:
-    """Attempts split across forked children give the serial result."""
-
-    @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("case", sorted(GOLDEN_CALLS))
-    def test_golden_cases_match_serial(self, case, threads, monkeypatch):
+    def test_golden_calls(self, case):
         inst, y, cfg = GOLDEN_CALLS[case]()
-        serial = kms_run(inst, y, cfg, 1, monkeypatch)
-        forked = kms_run(inst, y, cfg, threads, monkeypatch)
-        assert serial[3] == 0 and forked[3] == threads - 1
-        assert forked[:3] == serial[:3]
-        assert_no_child_left()
+        for attempts, seed in [(cfg.attempts, cfg.seed), (1, 0), (6, 0), (30, 11)]:
+            self.assert_first_of_fewest(inst, y, RoundingConfig(attempts=attempts, seed=seed))
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(inst=small_timetables(), seed=st.integers(0, 2**16),
-           attempts=st.integers(1, 7), threads=st.sampled_from([2, 3]))
-    def test_small_timetables_match_serial(self, inst, seed, attempts, threads):
+           attempts=st.integers(1, 7))
+    def test_small_timetables(self, inst, seed, attempts):
         y = planted_solution(inst.graph.n, max(1, inst.graph.n // 2), seed)
-        cfg = RoundingConfig(attempts=attempts, seed=seed)
-        with pytest.MonkeyPatch.context() as mp:
-            serial = kms_run(inst, y, cfg, 1, mp)
-            forked = kms_run(inst, y, cfg, threads, mp)
-        # attempt 0 runs first; attempts 1.. are dealt to at most that many workers
-        assert forked[3] == max(min(threads, attempts - 1) - 1, 0)
-        assert forked[:3] == serial[:3]
-        assert_no_child_left()
-
-    def test_failing_child_share_runs_in_parent(self, monkeypatch, capfd):
-        inst, y, cfg = GOLDEN_CALLS["mixed"]()
-        serial = kms_run(inst, y, cfg, 1, monkeypatch)
-        parent, attempt = os.getpid(), rounding._kms_attempt
-
-        def fails_in_child(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("child attempt failed")
-            return attempt(*args)
-
-        monkeypatch.setattr(rounding, "_kms_attempt", fails_in_child)
-        forked = kms_run(inst, y, cfg, 3, monkeypatch)
-        assert forked[3] == 2
-        assert forked[:3] == serial[:3]
-        assert_no_child_left()
-        out, err = capfd.readouterr()
-        assert out == err == ""  # a child prints no traceback
-
-    def test_no_fork_while_another_thread_runs(self, monkeypatch):
-        inst, y, cfg = GOLDEN_CALLS["gnp40-s1"]()
-        serial = kms_run(inst, y, cfg, 1, monkeypatch)
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait, args=(30,))
-        other.start()
-        try:
-            threaded = kms_run(inst, y, cfg, 2, monkeypatch)
-        finally:
-            stop.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
-        assert threaded[3] == 0
-        assert threaded[:3] == serial[:3]
-
-    def test_small_attempts_stay_serial(self, monkeypatch):
-        inst, y, cfg = GOLDEN_CALLS["gnp40-s1"]()
-        def no_fork():
-            raise AssertionError("20 attempts of about 1 ms pay for no fork")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setenv("BCSDP_THREADS", "2")
-        kms_round(y, inst, cfg)
-
-
-class TestWorkerCount:
-    def test_env_caps_the_workers(self, monkeypatch):
-        monkeypatch.setenv("BCSDP_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("BCSDP_THREADS", "0")
-        assert worker_count() == 1
-
-    def test_default_is_the_usable_cores(self, monkeypatch):
-        monkeypatch.delenv("BCSDP_THREADS", raising=False)
-        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count())
-        assert worker_count() == usable
+        self.assert_first_of_fewest(inst, y, RoundingConfig(attempts=attempts, seed=seed))
 
 
 def conflict_matrix(atoms):
@@ -693,16 +601,3 @@ class TestDescent:
         assert stats["attempts_run"] == 1 and stats["descent_reached"]
         assert stats["min_classes"] > part.num_classes == 9
         assert validate_partition(inst, part).ok
-
-    @pytest.mark.parametrize("below", [0, 1])
-    @pytest.mark.parametrize("case", sorted(GOLDEN_CALLS))
-    def test_target_same_on_one_or_two_workers(self, case, below, monkeypatch):
-        inst, y, cfg = GOLDEN_CALLS[case]()
-        target = exact_bounded_chromatic(inst).chi_m - below
-        serial = kms_run(inst, y, cfg, 1, monkeypatch, target)
-        forked = kms_run(inst, y, cfg, 2, monkeypatch, target)
-        assert forked[:3] == serial[:3]
-        # attempts 1.. run, split over a fork, only when attempt 0 and the
-        # descent both miss the target
-        assert forked[3] == (serial[2][0]["attempts_run"] > 1)
-        assert_no_child_left()
