@@ -12,6 +12,14 @@ canonical positions (i <= j); a stored coefficient c at (i, j) means the full
 symmetric matrix has c at both (i, j) and (j, i), so the row's value on X is
 sum(c * (2 - [i==j]) * X_ij).
 
+Each block is one `Coo` record (row pointer, i, j, coeff, rhs), which the
+builders write with numpy, `SdpModel` checks with array operations, and
+`verify_structure` stacks and compiles.  `SdpModel.eq_graph`, `eq_other` and
+`ineq` are row views, tuples of `SymRow` built from the records when read;
+nothing on the solve path reads them.  `Coo.of` is the one converter from
+rows, for callers that assemble `SymRow`s (the room-assignment model's
+room rows, iterative rounding's reduced models).
+
 Bounded-colouring models
 ------------------------
 Each relaxation is stated over (Y, t) with Y - J PSD, where Y carries the
@@ -34,7 +42,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -48,6 +56,7 @@ from .graphs import (
 
 __all__ = [
     "SymRow",
+    "Coo",
     "SdpModel",
     "build_theta",
     "build_bounded",
@@ -67,11 +76,10 @@ class SymRow(NamedTuple):
     """One sparse symmetric constraint row with its right-hand side.
 
     Entry e holds coeff[e] at (idx_i[e], idx_j[e]) and, off the diagonal, at
-    the mirrored position.  The builders keep entries canonical, as
-    `from_entries` writes them: idx_i[e] <= idx_j[e], sorted by (i, j), no
-    zero coefficient.  A named tuple rather than a dataclass because a
-    model builds one row per conflict edge, and a tuple is the cheaper
-    object to create.
+    the mirrored position.  `from_entries` writes entries canonical:
+    idx_i[e] <= idx_j[e], sorted by (i, j), no zero coefficient.  The row form
+    of a `Coo` record: `Coo.of` reads rows into a record, `Coo.rows` is the
+    row view of one, and the solver reads neither.
     """
 
     idx_i: tuple[int, ...]
@@ -105,43 +113,116 @@ class SymRow(NamedTuple):
         return out
 
 
+_IDX_I, _IDX_J, _COEFF, _RHS = map(operator.attrgetter, ("idx_i", "idx_j", "coeff", "rhs"))
+
+
+@dataclass(frozen=True, eq=False)
+class Coo:
+    """A block of sparse symmetric constraint rows as one COO record.
+
+    Row r owns entries ptr[r] to ptr[r + 1] of (i, j, coeff) and reads
+    <A_r, X> = rhs[r]: entry e holds coeff[e] at (i[e], j[e]) and, off the
+    diagonal, at the mirrored position, with i[e] <= j[e].  The builders
+    write it with numpy; `SdpModel` checks it, and `verify_structure` stacks
+    and compiles it, without a Python object per row or entry.
+    """
+
+    ptr: np.ndarray    # int, one more than the rows, from 0 to the entries
+    i: np.ndarray      # int, per entry
+    j: np.ndarray      # int, per entry
+    coeff: np.ndarray  # float, per entry
+    rhs: np.ndarray    # float, per row
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    @staticmethod
+    def of(rows: Sequence[SymRow]) -> "Coo":
+        """The record of rows, for callers that assemble SymRows."""
+        # map over attrgetters walks the rows without a Python frame per row
+        counts = np.fromiter(map(len, map(_COEFF, rows)), np.int64, len(rows))
+        return Coo(np.concatenate(([0], np.cumsum(counts))),
+                   np.fromiter(chain.from_iterable(map(_IDX_I, rows)), np.int64),
+                   np.fromiter(chain.from_iterable(map(_IDX_J, rows)), np.int64),
+                   np.fromiter(chain.from_iterable(map(_COEFF, rows)), float),
+                   np.fromiter(map(_RHS, rows), float, len(rows)))
+
+    def rows(self) -> tuple[SymRow, ...]:
+        """The row view: one SymRow of Python ints and floats per row."""
+        ptr = self.ptr.tolist()
+        i, j, c = self.i.tolist(), self.j.tolist(), self.coeff.tolist()
+        return tuple(SymRow(tuple(i[a:b]), tuple(j[a:b]), tuple(c[a:b]), r)
+                     for a, b, r in zip(ptr, ptr[1:], self.rhs.tolist()))
+
+    @staticmethod
+    def stack(blocks: Sequence["Coo"]) -> "Coo":
+        """One record of the blocks' rows, in order."""
+        if not blocks:
+            return NO_ROWS
+        nnz = np.cumsum([0, *(len(b.i) for b in blocks)])
+        return Coo(np.concatenate([*(b.ptr[:-1] + s for b, s in zip(blocks, nnz)),
+                                   nnz[-1:]]),
+                   *(np.concatenate([getattr(b, f) for b in blocks])
+                     for f in ("i", "j", "coeff", "rhs")))
+
+    def check(self, dim: int) -> None:
+        """Refuse a malformed record, or an entry off X's upper triangle."""
+        ptr, i, j = self.ptr, self.i, self.j
+        if not (ptr.ndim == 1 and len(ptr) == len(self.rhs) + 1
+                and len(i) == len(j) == len(self.coeff)):
+            raise ValueError("constraint record arrays differ in length")
+        if ptr[0] != 0 or ptr[-1] != len(i) or np.any(ptr[1:] < ptr[:-1]):
+            raise ValueError("constraint record row pointer is not monotone "
+                             "from 0 to the entry count")
+        if len(i) and not (i.min() >= 0 and np.all(i <= j) and j.max() < dim):
+            raise ValueError("constraint entry out of range")
+
+
+NO_ROWS = Coo.of(())
+
+
 @dataclass(frozen=True, eq=False)
 class SdpModel:
     """One relaxation, and how its objective maps back to the bound.
+
+    The constraints are three `Coo` records, in the solver's block order:
+    eq_graph_coo (edge-indicator equalities, one entry per row), eq_other_coo
+    (the other equalities) and ineq_coo (the ">=" rows, which ineq_groups
+    tile).  eq_graph, eq_other and ineq are their row views, built on each
+    read; the solve path reads only the records.
 
     The bound is the objective plus value_offset: every bounded model reads
     t = X_00 + 1 over the shifted X = Y - J, so its offset is 1.
     trace_ratio, where set, is T with tr(X) = T <C, X> on every feasible X:
     the models of `_scaled_model` (objective X_00, diagonal chain) have
     T = n, which lets the solver certify t from its dual iterate.
+    trace_one_start starts the solver at I/dim, of trace one, where the
+    model has no value_offset: the theta models, whose trace row holds it.
     """
 
     dim: int
     objective: np.ndarray
-    eq_graph: tuple[SymRow, ...]
-    eq_other: tuple[SymRow, ...]
-    ineq: tuple[SymRow, ...]
     sense: str  # "min" | "max"
+    eq_graph_coo: Coo = NO_ROWS
+    eq_other_coo: Coo = NO_ROWS
+    ineq_coo: Coo = NO_ROWS
     # named inequality blocks as (kind, start, stop), tiling ineq in order
     ineq_groups: tuple[tuple[str, int, int], ...] = ()
     value_offset: float = 0.0
     trace_ratio: float | None = None
+    trace_one_start: bool = False
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         if self.objective.shape != (self.dim, self.dim):
             raise ValueError("objective order mismatch")
-        if any(len(row.coeff) != 1 for row in self.eq_graph):
+        for block in (self.eq_graph_coo, self.eq_other_coo, self.ineq_coo):
+            block.check(self.dim)
+        if np.any(np.diff(self.eq_graph_coo.ptr) != 1):
             raise ValueError(
                 "edge-indexed equality must touch a single symmetric position"
             )
-        rows = (*self.eq_graph, *self.eq_other, *self.ineq)
-        ii = np.fromiter(chain.from_iterable(r.idx_i for r in rows), np.int64)
-        jj = np.fromiter(chain.from_iterable(r.idx_j for r in rows), np.int64)
-        if ii.size != jj.size or not (
-                np.all(ii >= 0) and np.all(ii <= jj) and np.all(jj < self.dim)):
-            raise ValueError("constraint entry out of range")
         end = 0
         for kind, start, stop in self.ineq_groups:
             if kind not in ("rowsum", "pairs", "generic"):
@@ -149,8 +230,13 @@ class SdpModel:
             if start != end or stop < start:
                 raise ValueError("ineq_groups must tile ineq contiguously, in order")
             end = stop
-        if end != len(self.ineq):
+        if end != len(self.ineq_coo):
             raise ValueError("ineq_groups must cover every ineq row")
+
+    # the row views, built on each read
+    eq_graph = property(lambda self: self.eq_graph_coo.rows())
+    eq_other = property(lambda self: self.eq_other_coo.rows())
+    ineq = property(lambda self: self.ineq_coo.rows())
 
 
 # ---------------------------------------------------------------------------
@@ -159,76 +245,90 @@ class SdpModel:
 
 
 def _model(dim: int, objective: np.ndarray, sense: str,
-           eq_graph: Sequence[SymRow], eq_other: Sequence[SymRow],
-           blocks: Sequence[tuple[str, Sequence[SymRow]]],
-           value_offset: float = 0.0, trace_ratio: float | None = None) -> SdpModel:
+           eq_graph: Coo, eq_other: Coo, blocks: Sequence[tuple[str, Coo]],
+           value_offset: float = 0.0, trace_ratio: float | None = None,
+           trace_one_start: bool = False) -> SdpModel:
     """The model with its inequality groups recorded.
 
     `blocks` are the named inequality groups in order; empty groups are left
     out of ineq_groups.
     """
-    ineq: list[SymRow] = []
+    kept: list[Coo] = []
     spans: list[tuple[str, int, int]] = []
+    end = 0
     for kind, block in blocks:
-        if block:
-            spans.append((kind, len(ineq), len(ineq) + len(block)))
-            ineq.extend(block)
+        if len(block):
+            spans.append((kind, end, end + len(block)))
+            kept.append(block)
+            end += len(block)
     return SdpModel(
         dim=dim,
         objective=objective,
-        eq_graph=tuple(eq_graph),
-        eq_other=tuple(eq_other),
-        ineq=tuple(ineq),
         sense=sense,
+        eq_graph_coo=eq_graph,
+        eq_other_coo=eq_other,
+        ineq_coo=Coo.stack(kept),
         ineq_groups=tuple(spans),
         value_offset=value_offset,
         trace_ratio=trace_ratio,
+        trace_one_start=trace_one_start,
     )
 
 
-def _class_rows(members: Sequence[int], weights: Sequence[float], rooms: int
-                ) -> list[SymRow]:
+def _class_rows(members: Sequence[int], weights: Sequence[float], rooms: int) -> Coo:
     """sum_{u in members} c_u Y_uv <= rooms * t for each anchor v in members.
 
     With Y = X + J and t = X_vv + 1, in the model's ">=" form, the row is
     -sum_{u != v} c_u X_uv + (rooms - c_v) X_vv >= sum_u c_u - rooms, where
     c_u = weights[u].  Anchoring each row at its own column keeps the group's
     Gram matrix in exact alpha*I + beta*J form for the solver's closed-form
-    kernels.  `members` is ascending, so (u, v) for u < v, then (v, v), then
-    (v, u) for u > v are canonical.  A zero diagonal is left out, so one
-    member of weight rooms leaves an empty row, which is dropped.
+    kernels.  `members` is ascending, so row v's entries, at (min(u, v),
+    max(u, v)) for u in members, are canonical and in (i, j) order.  A zero
+    diagonal is left out, so one member of weight rooms leaves an empty row,
+    which is dropped.
     """
-    members = tuple(members)
-    c = [float(weights[u]) for u in members]
-    half = tuple(-w / 2.0 for w in c)
-    rhs = -(-sum(c) + rooms)  # in this order a zero rhs is -0.0, as recorded
-    rows = []
-    for k, v in enumerate(members):
-        below, above = members[:k], members[k + 1:]
-        diag = rooms - c[k]
-        d, dc = ((v,), (diag,)) if diag else ((), ())
-        if diag or len(members) > 1:  # else the row reads 0 >= 0
-            rows.append(SymRow(below + d + (v,) * len(above),
-                               (v,) * len(below) + d + above,
-                               half[:k] + dc + half[k + 1:], rhs))
-    return rows
+    members = np.asarray(members, dtype=np.int64)
+    c = np.asarray(weights, dtype=float)[members]
+    rhs = -(-sum(c.tolist()) + rooms)  # in this order a zero rhs is -0.0, as recorded
+    coeff = np.repeat(-c[None] / 2.0, len(c), axis=0)  # row v, column u: -c_u / 2
+    diag = rooms - c
+    np.fill_diagonal(coeff, diag)
+    keep = np.ones(coeff.shape, dtype=bool)
+    np.fill_diagonal(keep, diag != 0)
+    counts = keep.sum(axis=1)
+    counts = counts[counts > 0]  # else the row reads 0 >= 0
+    return Coo(np.concatenate(([0], np.cumsum(counts))),
+               np.minimum.outer(members, members)[keep],
+               np.maximum.outer(members, members)[keep],
+               coeff[keep], np.full(len(counts), rhs))
 
 
-def _entry_rows(pairs: Iterable[tuple[int, int]], rhs: float,
-                coeff: float = 0.5) -> list[SymRow]:
-    """One row coeff * (X_uv + X_vu) against rhs per pair (u, v) with u < v."""
-    return [SymRow((u,), (v,), (coeff,), rhs) for u, v in pairs]
+def _pairs(pairs: Collection[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v) as arrays u and v, in lexicographic order."""
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    u, v = flat[0::2], flat[1::2]
+    order = np.lexsort((v, u))
+    return u[order], v[order]
 
 
-def _diagonal_chain(n: int) -> list[SymRow]:
+def _entry_rows(u: np.ndarray, v: np.ndarray, rhs: float, coeff: float = 0.5) -> Coo:
+    """One row coeff * (X_uv + X_vu) against rhs per pair (u[k], v[k]), u < v."""
+    return Coo(np.arange(len(u) + 1), u, v, np.full(len(u), coeff),
+               np.full(len(u), rhs))
+
+
+def _diagonal_chain(n: int) -> Coo:
     """X_00 = X_vv for every vertex v > 0: Y has the same diagonal t throughout."""
-    return [SymRow((0, v), (0, v), (1.0, -1.0), 0.0) for v in range(1, n)]
+    ij = np.zeros((n - 1, 2), dtype=np.int64)
+    ij[:, 1] = np.arange(1, n)
+    return Coo(np.arange(0, 2 * n - 1, 2), ij.ravel(), ij.ravel(),
+               np.tile([1.0, -1.0], n - 1), np.zeros(n - 1))
 
 
 def _scaled_model(
     n: int,
-    zero_pairs: Iterable[tuple[int, int]],
-    blocks: Sequence[tuple[str, Sequence[SymRow]]],
+    zero_pairs: Collection[tuple[int, int]],
+    blocks: Sequence[tuple[str, Coo]],
 ) -> SdpModel:
     """min t over X = Y - J of order n, with bound t = X_00 + 1.
 
@@ -240,7 +340,7 @@ def _scaled_model(
     objective = np.zeros((n, n))
     objective[0, 0] = 1.0
     # the chain gives tr(X) = n X_00 = n <C, X>
-    return _model(n, objective, "min", _entry_rows(sorted(zero_pairs), -1.0),
+    return _model(n, objective, "min", _entry_rows(*_pairs(zero_pairs), -1.0),
                   _diagonal_chain(n), blocks, value_offset=1.0, trace_ratio=float(n))
 
 
@@ -260,18 +360,18 @@ def build_theta(g: ConflictGraph, variant: str = "lovasz") -> SdpModel:
         raise ValueError("need at least one vertex")
     if variant not in ("lovasz", "strict", "strong"):
         raise ValueError(f"unknown theta variant {variant!r}")
-    complement_edges = g.non_edges()
-    eq_graph: list[SymRow] = []
-    pair_rows: list[SymRow] = []
+    complement_edges = _pairs(g.non_edges())
+    eq_graph = pair_rows = NO_ROWS
     if variant in ("lovasz", "strict"):
-        eq_graph = _entry_rows(complement_edges, 0.0)
+        eq_graph = _entry_rows(*complement_edges, 0.0)
     if variant == "strict":
-        pair_rows = _entry_rows(sorted(g.edges), 0.0)
+        pair_rows = _entry_rows(*_pairs(g.edges), 0.0)
     if variant == "strong":
-        pair_rows = _entry_rows(complement_edges, 0.0, coeff=-0.5)
-    trace_row = SymRow.from_entries({(v, v): 1.0 for v in range(g.n)}, 1.0)
-    return _model(g.n, np.ones((g.n, g.n)), "max", eq_graph, (trace_row,),
-                  [("pairs", pair_rows)])
+        pair_rows = _entry_rows(*complement_edges, 0.0, coeff=-0.5)
+    diagonal = np.arange(g.n)
+    trace_row = Coo(np.array([0, g.n]), diagonal, diagonal, np.ones(g.n), np.ones(1))
+    return _model(g.n, np.ones((g.n, g.n)), "max", eq_graph, trace_row,
+                  [("pairs", pair_rows)], trace_one_start=True)
 
 
 def build_bounded(g: ConflictGraph, m: int) -> SdpModel:
@@ -406,8 +506,8 @@ def build_laminar(
                 "feature/capacity family is not laminar; feature rows need "
                 "nested or disjoint event sets"
             )
-    rowsum: list[SymRow] = []
-    generic: list[SymRow] = []
+    rowsum: list[Coo] = []
+    generic: list[Coo] = []
     seen: set[tuple] = set()
     for events, rooms in [(range(n), inst.m), *levels, *feature_sets]:
         # sum_a |a & events| Y'_ab <= rooms * t for every atom b meeting events
@@ -417,9 +517,9 @@ def build_laminar(
             seen.add((count, rooms))
             holders = [a for a in range(atoms.k) if count[a]]
             block = rowsum if len(events) == n else generic
-            block.extend(_class_rows(holders, count, rooms))
+            block.append(_class_rows(holders, count, rooms))
     return _scaled_model(atoms.k, atoms.graph.edges,
-                         [("rowsum", rowsum), ("generic", generic)])
+                         [("rowsum", Coo.stack(rowsum)), ("generic", Coo.stack(generic))])
 
 
 def build_room_assignment(
@@ -447,11 +547,10 @@ def build_room_assignment(
     dim = n + m
     objective = np.zeros((dim, dim))
     objective[anchor, anchor] = 1.0
-    eq_graph = _entry_rows(sorted(g.edges), -1.0) + _entry_rows(
-        ((v, n + r) for v in range(n) for r in range(m) if r not in compat_sets[v]),
-        0.0,
-    )
-    eq_other = _diagonal_chain(n)
+    eq_graph = Coo.stack([_entry_rows(*_pairs(g.edges), -1.0), _entry_rows(*_pairs(
+        [(v, n + r) for v in range(n) for r in range(m) if r not in compat_sets[v]]),
+        0.0)])
+    eq_other: list[SymRow] = []
     for v in range(n):
         entries = {(v, n + r): 0.5 for r in compat_sets[v]}
         entries[(anchor, anchor)] = entries.get((anchor, anchor), 0.0) - 1.0
@@ -487,12 +586,12 @@ def build_room_assignment(
                                  (anchor, anchor): 1.0},
                                 -1.0,
                             ))
-    pairs = _entry_rows(
-        ((v, n + r) for v in range(n) for r in sorted(compat_sets[v])), 0.0
-    )
+    pairs = _entry_rows(*_pairs(
+        [(v, n + r) for v in range(n) for r in sorted(compat_sets[v])]), 0.0)
     return _model(
-        dim, objective, "min", eq_graph, eq_other,
-        [("rowsum", _class_rows(range(n), [1] * n, m)), ("generic", generic),
+        dim, objective, "min", eq_graph,
+        Coo.stack([_diagonal_chain(n), Coo.of(eq_other)]),
+        [("rowsum", _class_rows(range(n), [1] * n, m)), ("generic", Coo.of(generic)),
          ("pairs", pairs)],
         value_offset=1.0,
     )
@@ -503,31 +602,23 @@ def build_room_assignment(
 # ---------------------------------------------------------------------------
 
 
-_IDX_I, _IDX_J, _COEFF, _RHS = map(operator.attrgetter, ("idx_i", "idx_j", "coeff", "rhs"))
-
-
-def constraint_matrix(rows: Sequence[SymRow], dim: int) -> scipy.sparse.csr_matrix:
-    """The rows as one k x dim^2 CSR over vec(X) (row-major).
+def constraint_matrix(coo: Coo, dim: int) -> scipy.sparse.csr_matrix:
+    """The record's rows as one k x dim^2 CSR over vec(X) (row-major).
 
     Row r holds the full symmetric matrix A_r, so A @ X.ravel() is <A_r, X>
     for symmetric X, A.T @ y is vec(sum_r y_r A_r), and A @ A.T is the
     Frobenius Gram matrix.  Repeated positions within a row add up.
     """
-    counts = list(map(len, map(_COEFF, rows)))
-    total = sum(counts)
     # int32 where the indices fit, as scipy stores them, so none is copied
-    idx = np.int32 if max(dim * dim, len(rows)) < 2**31 else np.int64
-    # map over attrgetters walks the rows without a Python frame per row
-    ii = np.fromiter(chain.from_iterable(map(_IDX_I, rows)), idx, total)
-    jj = np.fromiter(chain.from_iterable(map(_IDX_J, rows)), idx, total)
-    cc = np.fromiter(chain.from_iterable(map(_COEFF, rows)), float, total)
-    owner = np.repeat(np.arange(len(rows), dtype=idx), counts)
+    idx = np.int32 if max(dim * dim, len(coo)) < 2**31 else np.int64
+    ii, jj, cc = coo.i.astype(idx), coo.j.astype(idx), coo.coeff
+    owner = np.repeat(np.arange(len(coo), dtype=idx), np.diff(coo.ptr))
     off = ii != jj
     entries = (np.concatenate([cc, cc[off]]),
                (np.concatenate([owner, owner[off]]),
                 np.concatenate([ii * dim + jj, (jj * dim + ii)[off]])))
-    del ii, jj, cc, owner, off  # freed before the CSR is built
-    return scipy.sparse.coo_matrix(entries, shape=(len(rows), dim * dim)).tocsr()
+    del ii, jj, owner, off  # freed before the CSR is built
+    return scipy.sparse.coo_matrix(entries, shape=(len(coo), dim * dim)).tocsr()
 
 
 def gram_matrix(a: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
@@ -542,12 +633,13 @@ def verify_structure(
 
     A is one CSR over all rows, stacked in the solver's block order: eq_graph,
     eq_other, then ineq, which its ineq_groups tile; G = A A^T is its Gram.
-    Block i is rows ends[i] to ends[i + 1].  The solver reads each block's
-    kernel off its diagonal Gram block; nothing else builds a CSR or a Gram.
+    Block i is rows ends[i] to ends[i + 1].  It reads the model's records
+    only, never a row view.  The solver reads each block's kernel off its
+    diagonal Gram block; nothing else builds a CSR or a Gram.
     """
-    rows = (*model.eq_graph, *model.eq_other, *model.ineq)
-    neq = len(model.eq_graph) + len(model.eq_other)
-    ends = [0, len(model.eq_graph), neq, *(neq + b for _, _, b in model.ineq_groups)]
-    a = constraint_matrix(rows, model.dim)
-    rhs = np.fromiter(map(_RHS, rows), float, len(rows))
-    return rhs, a, gram_matrix(a), ends
+    coo = Coo.stack([model.eq_graph_coo, model.eq_other_coo, model.ineq_coo])
+    ng = len(model.eq_graph_coo)
+    neq = ng + len(model.eq_other_coo)
+    ends = [0, ng, neq, *(neq + b for _, _, b in model.ineq_groups)]
+    a = constraint_matrix(coo, model.dim)
+    return coo.rhs, a, gram_matrix(a), ends

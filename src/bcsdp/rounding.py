@@ -24,7 +24,7 @@ from . import solver
 from .graphs import Partition, TimetablingInstance, class_violations, validate_partition
 from .linalg import cholesky_psd
 from .oracle import greedy_atoms
-from .relax import Atoms, SdpModel, SymRow
+from .relax import Atoms, Coo, SdpModel, SymRow
 
 __all__ = [
     "RoundingConfig",
@@ -604,14 +604,15 @@ def _reduced_model(eq_rows, rows, active, frame, f1_mat, trace_cap, n, r):
             ineq.append(red)
     trace_entries = {(i, i): -1.0 for i in range(r)}
     ineq.append(SymRow.from_entries(trace_entries, -cap))
+    # each re-solve starts at I/(2r), the trace-one start of the theta models
     model = SdpModel(
         dim=dim,
         objective=obj,
-        eq_graph=(),
-        eq_other=tuple(eq_other),
-        ineq=tuple(ineq),
         sense="min",
+        eq_other_coo=Coo.of(eq_other),
+        ineq_coo=Coo.of(ineq),
         ineq_groups=(("generic", 0, len(ineq)),),
+        trace_one_start=True,
     )
     return model, True
 

@@ -58,7 +58,8 @@ optimum, SolveResult.lower, which holds whether or not the solve converged;
 extract_bound certifies its ceiling.
 
 The constraint rows (eq_graph, eq_other, then each inequality group) are
-compiled once, by the one relax.verify_structure call in _Compiled, into one
+compiled once, by the one relax.verify_structure call in _Compiled, from the
+model's COO records (relax.Coo; the solver never reads a row view), into one
 scipy.sparse CSR A over vec(X), stacked in that block order, and its sparse
 Gram G = A A^T: the operator is A vec(X), the adjoint is A^T y (a CSC view),
 and each block's diagonal Gram block alone chooses its kernel, here and
@@ -669,16 +670,14 @@ def initial_matrix(model: SdpModel) -> np.ndarray:
     direction, so the first S/X step's dsyevr on W's positive side finds few
     eigenpairs.
 
-    Any other model whose first eq_other row has rhs 1 starts at I/n, the
-    trace-one start of the theta models.  The rule reads only that rhs, so it
-    also fires on rounding._reduced_model, whose first row is the box-slack
-    row X_00 + S_00 = 1: every iterative-rounding re-solve starts at I/(2r).
+    A model that states trace_one_start (the theta models, whose trace row
+    fixes tr(X) = 1) starts at I/n, of trace one; any other at I.
     """
     n = model.dim
     if model.value_offset:
         return n * np.eye(n) - np.ones((n, n))
-    if model.eq_other and abs(model.eq_other[0].rhs - 1.0) < 1e-12:
-        return np.eye(n) / n  # trace-one theta models
+    if model.trace_one_start:
+        return np.eye(n) / n
     return np.eye(n)
 
 

@@ -11,6 +11,7 @@ the oracle's saturation order.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from bcsdp.graphs import (
     ConflictGraph,
@@ -95,12 +96,32 @@ def dense_blocks(model: SdpModel):
     b1 = np.array([row.rhs for row in model.eq_graph])
     a2 = [row.dense(model.dim) for row in model.eq_other]
     b2 = np.array([row.rhs for row in model.eq_other])
+    ineq = model.ineq
     groups = []
     for kind, a, b in model.ineq_groups:
-        mats = [row.dense(model.dim) for row in model.ineq[a:b]]
-        rhs = np.array([row.rhs for row in model.ineq[a:b]])
+        mats = [row.dense(model.dim) for row in ineq[a:b]]
+        rhs = np.array([row.rhs for row in ineq[a:b]])
         groups.append((kind, mats, rhs))
     return a1, b1, a2, b2, groups
+
+
+def compile_rows(model: SdpModel):
+    """(rhs, A, G, ends) as `relax.verify_structure` returns them, compiled
+    by walking the model's row views entry by entry: every canonical entry in
+    row order, then every mirrored off-diagonal one, as one scipy COO."""
+    rows = (*model.eq_graph, *model.eq_other, *model.ineq)
+    dim = model.dim
+    idx = np.int32 if max(dim * dim, len(rows)) < 2**31 else np.int64
+    entries = [(k, i, j, c) for k, row in enumerate(rows)
+               for i, j, c in zip(row.idx_i, row.idx_j, row.coeff)]
+    mirrored = [(k, j, i, c) for k, i, j, c in entries if i != j]
+    data = np.array([c for *_, c in entries + mirrored], dtype=float)
+    owner = np.array([k for k, *_ in entries + mirrored], dtype=idx)
+    col = np.array([i * dim + j for _, i, j, _ in entries + mirrored], dtype=idx)
+    a = scipy.sparse.coo_matrix((data, (owner, col)), shape=(len(rows), dim * dim)).tocsr()
+    neq = len(model.eq_graph) + len(model.eq_other)
+    ends = [0, len(model.eq_graph), neq, *(neq + b for _, _, b in model.ineq_groups)]
+    return np.array([row.rhs for row in rows], dtype=float), a, (a @ a.T).tocsr(), ends
 
 
 def gram_of(mats) -> np.ndarray:

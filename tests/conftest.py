@@ -83,3 +83,19 @@ def mixed_instance() -> TimetablingInstance:
         precolouring=(frozenset({0, 1, 10}),),
         weights=tuple(1 + (v % 4 == 0) for v in range(g.n)),
     )
+
+
+def reduced_model():
+    """Iterative rounding's box model on gnp:6 at m = 3 (order 2r = 6), over
+    the frame of vertices 0-2 with vertex 3 fixed: 0/1 frames keep every
+    coefficient and rhs exact on any machine."""
+    import numpy as np
+
+    from bcsdp.rounding import _box_constraints, _reduced_model
+
+    eq_rows, rows = _box_constraints(TimetablingInstance.colouring(gen_gnp(6, 0.5, 1), 3))
+    eye = np.eye(6)
+    model, ok = _reduced_model(eq_rows, rows, list(range(len(rows))), eye[:, :3],
+                               eye[:, 3:4], 4.0, 6, 3)
+    assert ok
+    return model

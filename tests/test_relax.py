@@ -14,7 +14,9 @@ from bcsdp.graphs import (
     path_graph,
 )
 from bcsdp.relax import (
+    NO_ROWS,
     Atoms,
+    Coo,
     SdpModel,
     SymRow,
     build_bounded,
@@ -27,9 +29,11 @@ from bcsdp.relax import (
     _class_rows,
     verify_structure,
 )
-from bcsdp.solver import _Compiled
+from bcsdp import cli
+from bcsdp.solver import _Compiled, solve
 
-from _reference import gram_of, dense_blocks, theta_rows_by_complement
+from _reference import compile_rows, gram_of, dense_blocks, theta_rows_by_complement
+from conftest import reduced_model
 
 
 class TestSymRow:
@@ -62,7 +66,8 @@ def _dict_scaled_row(entries, t_coeff, diag, relation):
 
 
 class TestScaledRow:
-    """Rows written straight into their tuples equal the dict reference."""
+    """Rows written straight into their record equal the dict reference,
+    read through the record's row view."""
 
     @staticmethod
     def _assert_same(row, ref):
@@ -79,7 +84,7 @@ class TestScaledRow:
         (4, 1, (1, 1, 1, 1)),
     ])
     def test_row_sums(self, n, m, weights):
-        rows = _class_rows(range(n), weights or [1] * n, m)
+        rows = _class_rows(range(n), weights or [1] * n, m).rows()
         refs = [_dict_scaled_row(_dict_column(v, range(n), weights), -float(m), v, "<=")
                 for v in range(n)]
         kept = [ref for ref in refs if ref.coeff]
@@ -105,7 +110,7 @@ class TestScaledRow:
         for rooms in (1, 2, 3, 4):
             rows = {row_anchor: row for row_anchor, row in zip(
                 [u for u in holders if weights[u] != rooms or len(holders) > 1],
-                _class_rows(holders, weights, rooms))}
+                _class_rows(holders, weights, rooms).rows())}
             ref = _dict_scaled_row(_dict_column(v, members, weights),
                                    -float(rooms), v, relation)
             if not ref.coeff:  # a lone member of weight rooms: 0 >= 0
@@ -124,28 +129,29 @@ class TestScaledRow:
         rooms = data.draw(st.integers(1, 6))
         members = sorted(data.draw(st.sets(st.integers(0, 11), min_size=1, max_size=8)))
         weights = data.draw(st.lists(st.integers(1, rooms + 1), min_size=12, max_size=12))
-        rows = _class_rows(members, weights, rooms)
+        rows = _class_rows(members, weights, rooms).rows()
         refs = [_dict_scaled_row(_dict_column(v, members, weights), -float(rooms), v, "<=")
                 for v in members]
-        assert repr(rows) == repr([ref for ref in refs if ref.coeff])
+        assert repr(list(rows)) == repr([ref for ref in refs if ref.coeff])
 
     def test_only_a_lone_member_of_weight_rooms_is_dropped(self):
         # its row reads 0 >= 0
         ref = _dict_scaled_row(_dict_column(2, [2], [1, 1, 3]), -3.0, 2, "<=")
         assert ref.coeff == () and ref.rhs == 0.0
-        assert _class_rows([2], [1, 1, 3], 3) == []
+        assert _class_rows([2], [1, 1, 3], 3).rows() == ()
         # any other weight keeps the diagonal, and a second member keeps both
         # rows, though each anchor's diagonal is zero
-        assert [row.coeff for row in _class_rows([2], [1, 1, 2], 3)] == [(1.0,)]
-        assert [row.coeff for row in _class_rows([1, 2], [1, 3, 3], 3)] == [(-1.5,)] * 2
+        assert [row.coeff for row in _class_rows([2], [1, 1, 2], 3).rows()] == [(1.0,)]
+        assert [row.coeff for row in _class_rows([1, 2], [1, 3, 3], 3).rows()] == [
+            (-1.5,)] * 2
 
     def test_zero_rhs_is_negative_zero(self):
         # weights summing to rooms: the reference writes rhs -0.0, and the
         # closed form must write the same bits
-        rows = _class_rows([1, 3], [1, 1, 1, 2], 3)
+        rows = _class_rows([1, 3], [1, 1, 1, 2], 3).rows()
         refs = [_dict_scaled_row(_dict_column(v, [1, 3], [1, 1, 1, 2]), -3.0, v, "<=")
                 for v in (1, 3)]
-        assert repr(rows) == repr(refs)
+        assert repr(list(rows)) == repr(refs)
         assert [repr(row.rhs) for row in rows] == ["-0.0", "-0.0"]
 
 
@@ -200,25 +206,79 @@ class TestScaledTransform:
         assert np.allclose(gram.toarray(), gram_of(every), atol=1e-14)
 
 
+def _record(ptr, i, j, coeff, rhs):
+    return Coo(np.array(ptr), np.array(i), np.array(j), np.array(coeff, float),
+               np.array(rhs, float))
+
+
 class TestModelChecks:
+    """Every refusal reads the records: entries, edge rows and groups."""
+
     @pytest.mark.parametrize("row", [
         SymRow((1,), (0,), (1.0,), 0.0),   # below the diagonal
         SymRow((0,), (3,), (1.0,), 0.0),   # past the order
         SymRow((-1,), (0,), (1.0,), 0.0),  # negative index
     ])
     def test_entry_out_of_range_rejected(self, row):
-        with pytest.raises(ValueError, match="out of range"):
-            SdpModel(dim=3, objective=np.eye(3), eq_graph=(),
-                     eq_other=(SymRow((0,), (0,), (1.0,), 1.0), row), ineq=(),
-                     sense="min")
+        for block in ("eq_graph_coo", "eq_other_coo", "ineq_coo"):
+            groups = (("generic", 0, 2),) if block == "ineq_coo" else ()
+            with pytest.raises(ValueError, match="out of range"):
+                SdpModel(dim=3, objective=np.eye(3), sense="min", ineq_groups=groups,
+                         **{block: Coo.of((SymRow((0,), (0,), (1.0,), 1.0), row))})
+
+    @pytest.mark.parametrize("row", [
+        SymRow((), (), (), -1.0),                   # no entry
+        SymRow((0, 1), (1, 2), (0.5, 0.5), -1.0),  # two entries
+    ])
+    def test_edge_row_without_one_entry_rejected(self, row):
+        edge = SymRow((0,), (1,), (0.5,), -1.0)
+        with pytest.raises(ValueError, match="single symmetric position"):
+            SdpModel(dim=3, objective=np.eye(3), sense="min",
+                     eq_graph_coo=Coo.of((edge, row)))
+        # the same rows are fine as other equalities
+        SdpModel(dim=3, objective=np.eye(3), sense="min",
+                 eq_other_coo=Coo.of((edge, row)))
+
+    @pytest.mark.parametrize("ptr", [
+        [0, 2, 1, 3],  # a row that ends before it starts
+        [1, 2, 2, 3],  # not from 0
+        [0, 1, 2, 2],  # not to the entry count
+    ])
+    def test_non_monotone_row_pointer_rejected(self, ptr):
+        rec = _record(ptr, [0, 1, 2], [0, 1, 2], [1.0] * 3, [1.0] * 3)
+        with pytest.raises(ValueError, match="row pointer is not monotone"):
+            SdpModel(dim=3, objective=np.eye(3), sense="min", eq_other_coo=rec)
+        SdpModel(dim=3, objective=np.eye(3), sense="min",
+                 eq_other_coo=_record([0, 1, 2, 3], [0, 1, 2], [0, 1, 2], [1.0] * 3,
+                                      [1.0] * 3))
+
+    @pytest.mark.parametrize("lengths", [
+        (2, 3, 3, 3, 4),  # i
+        (3, 4, 3, 3, 4),  # j
+        (3, 3, 2, 3, 4),  # coeff
+        (3, 3, 3, 2, 4),  # rhs
+        (3, 3, 3, 3, 3),  # ptr
+    ])
+    def test_arrays_of_different_lengths_rejected(self, lengths):
+        ni, nj, nc, nr, np_ = lengths
+        rec = _record([0, 1, 2, 3, 3][:np_], [0, 1, 2][:ni], [0, 1, 2, 2][:nj],
+                      [1.0] * nc, [1.0] * nr)
+        with pytest.raises(ValueError, match="differ in length"):
+            SdpModel(dim=3, objective=np.eye(3), sense="min", eq_other_coo=rec)
+
+    def test_rows_with_unequal_index_tuples_rejected(self):
+        # the converter keeps what the rows hold, and the record check refuses it
+        row = SymRow((0, 1), (0,), (1.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="differ in length"):
+            SdpModel(dim=3, objective=np.eye(3), sense="min", eq_other_coo=Coo.of((row,)))
 
 
 class TestIneqGroups:
     @staticmethod
     def _model(groups):
         rows = tuple(SymRow.from_entries({(i, i): 1.0}, 0.0) for i in range(3))
-        return SdpModel(dim=3, objective=np.eye(3), eq_graph=(), eq_other=(),
-                        ineq=rows, sense="min", ineq_groups=groups)
+        return SdpModel(dim=3, objective=np.eye(3), sense="min",
+                        ineq_coo=Coo.of(rows), ineq_groups=groups)
 
     def test_tiling_groups_accepted(self):
         model = self._model((("rowsum", 0, 2), ("pairs", 2, 3)))
@@ -500,3 +560,94 @@ class TestModelGolden:
     def test_emitted_model_unchanged(self, case):
         build, digest = GOLDEN_MODELS[case]
         assert _model_digest(build()) == digest
+
+
+# Every builder's model, and iterative rounding's box model, for the record
+# checks: the golden builds, a bounded model whose row-sum rhs are all -0.0
+# (m = n) and `rounding._reduced_model`
+RECORD_CASES = {
+    **{case: build for case, (build, _) in GOLDEN_MODELS.items()},
+    "bounded-n12-m12": lambda: build_bounded(_g12(), 12),
+    "reduced": reduced_model,
+}
+
+_FIELDS = ("ptr", "i", "j", "coeff", "rhs")
+
+
+def _same_record(a, b):
+    """The two records hold the same arrays, dtype and bytes (so -0.0 too)."""
+    return all(getattr(a, f).dtype == getattr(b, f).dtype
+               and getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in _FIELDS)
+
+
+class TestRecordRows:
+    """The records, their row views and the one converter agree."""
+
+    @pytest.mark.parametrize("case", list(RECORD_CASES))
+    def test_rows_convert_back_to_the_same_record(self, case):
+        model = RECORD_CASES[case]()
+        for coo, rows in ((model.eq_graph_coo, model.eq_graph),
+                          (model.eq_other_coo, model.eq_other),
+                          (model.ineq_coo, model.ineq)):
+            assert _same_record(Coo.of(rows), coo)
+            assert Coo.of(rows).rows() == rows
+
+    @pytest.mark.parametrize("case", list(RECORD_CASES))
+    def test_compile_equals_the_row_walk(self, case):
+        # the stacked A, rhs and Gram, bit for bit, and the block ends
+        model = RECORD_CASES[case]()
+        got, want = verify_structure(model), compile_rows(model)
+        assert got[3] == want[3]
+        arrays = [(got[0], want[0])]
+        for a, b in zip(got[1:3], want[1:3]):
+            arrays += [(a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)]
+        for a, b in arrays:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_zero_rhs_stays_negative_zero(self):
+        model = build_bounded(_g12(), 12)
+        assert [repr(row.rhs) for row in model.ineq] == ["-0.0"] * 12
+        assert np.all(np.signbit(model.ineq_coo.rhs))
+        # the rows of the tuple builders, before the models carried records
+        assert _model_digest(model) == (
+            "0dba53647ebf71f43b50ee76a3bb3c732bb1585440e0fb1b1f5ed7325d912308")
+
+    def test_reduced_model_rows_unchanged(self):
+        # the rows `_reduced_model` emitted as SymRows before it went through
+        # the converter; its coefficients were numpy floats then, so the
+        # digest reads every number as a Python float
+        model = reduced_model()
+        values = [[(r.idx_i, r.idx_j, tuple(map(float, r.coeff)), float(r.rhs))
+                   for r in block] for block in (model.eq_graph, model.eq_other, model.ineq)]
+        digest = hashlib.sha256(repr(
+            (model.dim, model.sense, model.ineq_groups, values)).encode()).hexdigest()
+        assert digest == "4ac36b5ca04f3ee826b0b3a960c077dcc1d0ff8ee4c446f06791e6977944592b"
+
+    def test_stack_keeps_row_order(self):
+        blocks = [_class_rows([0, 2], [1, 1, 1], 2), NO_ROWS, _class_rows([1], [1, 1, 1], 3)]
+        stacked = Coo.stack(blocks)
+        assert stacked.rows() == sum((b.rows() for b in blocks), ())
+        assert _same_record(Coo.stack([]), NO_ROWS)
+
+
+class TestNoRowViewOnTheSolvePath:
+    """The bounded path compiles the records and never builds a row view."""
+
+    def test_bounded_solve_bound_and_kms_colour(self, monkeypatch, capsys):
+        views = []
+        rows = Coo.rows
+
+        def counting(self):
+            views.append(len(self))
+            return rows(self)
+
+        monkeypatch.setattr(Coo, "rows", counting)
+        model = build_bounded(gen_gnp(45, 0.5, 1), 5)
+        assert solve(model).status == "converged"
+        assert cli.main(["bound", "--gen", "gnp:45,0.5,1", "--m", "5"]) == 0
+        assert cli.main(["colour", "--gen", "gnp:45,0.5,1", "--m", "5",
+                         "--method", "kms"]) == 0
+        assert views == []
+        # a read of a view is counted
+        assert len(model.eq_other) == 44
+        assert views == [44]

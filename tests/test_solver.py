@@ -18,6 +18,7 @@ from bcsdp.graphs import (
 from bcsdp.linalg import project_psd_dense
 from bcsdp.oracle import exact_bounded_chromatic
 from bcsdp.relax import (
+    Coo,
     SdpModel,
     SymRow,
     build_bounded,
@@ -57,6 +58,7 @@ from _reference import (
     projected_gradient_qp,
     qp_kkt_residual,
 )
+from conftest import reduced_model
 
 
 def fresh_state(model):
@@ -146,16 +148,12 @@ class TestUpdateFormulas:
 
     def test_v_clamp_identity_when_interior(self):
         # one >= row whose unconstrained minimizer is already positive
-        from bcsdp.relax import SdpModel, SymRow
-
         row = SymRow.from_entries({(0, 0): 1.0}, 0.0)
         model = SdpModel(
             dim=1,
             objective=np.array([[1.0]]),
-            eq_graph=(),
-            eq_other=(),
-            ineq=(row,),
             sense="min",
+            ineq_coo=Coo.of((row,)),
             ineq_groups=(("pairs", 0, 1),),
         )
         st = SolverState(
@@ -241,8 +239,8 @@ class TestSparseBlocks:
         a = rng.standard_normal((dim, dim))
         x = a + a.T
         y = rng.standard_normal(len(rows))
-        model = SdpModel(dim=dim, objective=np.zeros((dim, dim)), eq_graph=(),
-                         eq_other=tuple(rows), ineq=(), sense="min")
+        model = SdpModel(dim=dim, objective=np.zeros((dim, dim)), sense="min",
+                         eq_other_coo=Coo.of(rows))
         comp = _Compiled(model)
         op = comp.A @ x.ravel()
         assert np.max(np.abs(op - [r.value(x) for r in rows])) <= 1e-12
@@ -250,7 +248,7 @@ class TestSparseBlocks:
         assert abs(float(op @ y) - float(np.sum(x * adj))) <= 1e-12
         mats = [r.dense(dim) for r in rows]
         assert np.max(np.abs(adj - adjoint(mats, y))) <= 1e-12
-        gram = gram_matrix(constraint_matrix(rows, dim)).toarray()
+        gram = gram_matrix(constraint_matrix(Coo.of(rows), dim)).toarray()
         assert np.max(np.abs(gram - gram_of(mats))) <= 1e-12
 
     def test_compile_memory_grows_with_nnz(self):
@@ -335,7 +333,7 @@ class TestKernelReport:
 def block_of(entries: list[dict], dim: int) -> tuple[_Block, np.ndarray]:
     """The block of these rows and its dense Gram."""
     rows = [SymRow.from_entries(e, 0.0) for e in entries]
-    gram = gram_matrix(constraint_matrix(rows, dim))
+    gram = gram_matrix(constraint_matrix(Coo.of(rows), dim))
     return _Block(0, len(rows), gram), gram.toarray()
 
 
@@ -622,11 +620,8 @@ class TestSxProjection:
     @example((np.diag([3.0, 3.0, 3.0, -1.0, 0.0]), 0, 1.0))  # large side forced
     def test_update_sx_is_both_projections(self, case):
         w, rank, mu = case
-        from bcsdp.relax import SdpModel
-
         n = w.shape[0]
-        model = SdpModel(dim=n, objective=w, eq_graph=(), eq_other=(), ineq=(),
-                         sense="min")
+        model = SdpModel(dim=n, objective=w, sense="min")
         # no constraints and X = 0, so W = C - mu X is the objective itself
         state = SolverState(X=np.zeros((n, n)), y=np.zeros(0), S=np.zeros((n, n)),
                             rank=rank)
@@ -644,8 +639,7 @@ def rank1_step(w, positive, start, mu=1.0):
     last, zero = np.outer(start, start), np.zeros((n, n))
     x = zero if positive else last
     # W = C - mu X; with X = 0 it is w bit for bit
-    model = SdpModel(dim=n, objective=w + mu * x, eq_graph=(), eq_other=(),
-                     ineq=(), sense="min")
+    model = SdpModel(dim=n, objective=w + mu * x, sense="min")
     state = SolverState(X=x, y=np.zeros(0), S=last if positive else zero,
                         rank=1 if positive else n - 1)
     return update_sx(state, model, mu)
@@ -881,8 +875,6 @@ class TestSolveBehaviour:
         assert calls == ["+"]
 
     def test_infeasible_model_does_not_converge(self):
-        from bcsdp.relax import SdpModel, SymRow
-
         rows = (
             SymRow.from_entries({(0, 0): 1.0}, 1.0),
             SymRow.from_entries({(0, 0): 1.0}, 2.0),
@@ -890,10 +882,8 @@ class TestSolveBehaviour:
         model = SdpModel(
             dim=1,
             objective=np.array([[1.0]]),
-            eq_graph=(),
-            eq_other=rows,
-            ineq=(),
             sense="min",
+            eq_other_coo=Coo.of(rows),
         )
         res = solve(model, SolverConfig(max_iter=300))
         assert res.status != "converged"
@@ -945,10 +935,13 @@ class TestStartPoint:
     @pytest.mark.parametrize("case", [
         "theta-lovasz", "theta-strict", "theta-strong", "rooms-tt8",
         "bounded-gnp12", "weighted-gnp10", "precoloured-atoms", "laminar-atoms",
+        "reduced-gnp6",
     ])
     def test_every_builder_start(self, case):
         # theta models start at I/n (trace one); room models at (n + m) I - J
-        # over the whole order; scaled models at k I - J over their k atoms
+        # over the whole order; scaled models at k I - J over their k atoms;
+        # iterative rounding's box model at I/(2r), which it states through
+        # trace_one_start, as the theta models do
         kind, _, variant = case.partition("-")
         inst = ATOM_CASES["gnp12s3-sizes-feature"]  # 12 events in 9 atoms
         model = {
@@ -958,11 +951,15 @@ class TestStartPoint:
             "weighted": IDENTITY_CASES["weighted-gnp10"],
             "precoloured": lambda: build_precoloured(inst.graph, inst.m, inst.precolouring),
             "laminar": lambda: build_laminar(inst),
+            "reduced": reduced_model,
         }[kind]()
         n = model.dim
         assert n == {"theta": 9, "rooms": 8 + 2, "bounded": 12, "weighted": 10,
-                     "precoloured": 9, "laminar": 9}[kind]
-        want = np.eye(n) / n if kind == "theta" else n * np.eye(n) - np.ones((n, n))
+                     "precoloured": 9, "laminar": 9, "reduced": 2 * 3}[kind]
+        if kind in ("theta", "reduced"):
+            want = np.eye(n) / n
+        else:
+            want = n * np.eye(n) - np.ones((n, n))
         assert np.array_equal(initial_matrix(model), want)
 
 
