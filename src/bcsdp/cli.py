@@ -413,7 +413,7 @@ def cmd_gen(args) -> int:
     if args.output_format == "dimacs":
         g = doc.instance.graph
         lines = [f"p edge {g.n} {g.num_edges}"]
-        lines += [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges)]
+        lines += [f"e {u + 1} {v + 1}" for u, v in g.ends.tolist()]
         payload = "\n".join(lines) + "\n"
     _write(payload, args.out)
     return 0

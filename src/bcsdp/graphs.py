@@ -33,34 +33,48 @@ __all__ = [
 ]
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise ValueError(f"self-loop on vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Undirected graph whose edges join events that must not share a period."""
+    """Undirected graph whose edges join events that must not share a period.
+
+    edges, the pairs (u, v) with 0 <= u < v < n, is the graph's value, equality
+    and hash.  Construction decides its array form once: ends, the edges as a
+    read-only (E, 2) int64 array in lexicographic order, which consumers read
+    instead of ordering edges themselves, and the adjacency bitsets.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    _adjacency: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    _adjacency: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        masks = [0] * self.n
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        object.__setattr__(self, "_adjacency", tuple(masks))
+        flat = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64,
+                           2 * len(self.edges))
+        u, v = flat[0::2], flat[1::2]
+        bad = (u >= v) | (u < 0) | (v >= n)
+        if bad.any():  # name the first faulty edge in lexicographic order
+            a, b = min(zip(u[bad].tolist(), v[bad].tolist()))
+            if a >= b:
+                raise ValueError(f"edge ({a},{b}) is not a pair u < v")
+            raise ValueError(f"edge ({a},{b}) has an endpoint outside 0..n-1 (n={n})")
+        # u * n + v orders the pairs lexicographically, as 0 <= u, v < n
+        ends = np.stack(np.divmod(np.sort(u * n + v), max(n, 1)), axis=1)
+        ends.flags.writeable = False
+        dense = np.zeros((n, n), dtype=bool)
+        dense[u, v] = dense[v, u] = True
+        packed = np.packbits(dense, axis=1, bitorder="little")
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "_adjacency", tuple(
+            int.from_bytes(row.tobytes(), "little") for row in packed))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
-        return ConflictGraph(n, frozenset(_normalize_edge(u, v) for u, v in edges))
+        """The graph of edges given in either order; a self-loop is refused."""
+        return ConflictGraph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     @property
     def num_edges(self) -> int:
@@ -70,16 +84,14 @@ class ConflictGraph:
         return self._adjacency[v].bit_count()
 
     def is_edge(self, u: int, v: int) -> bool:
-        return u != v and _normalize_edge(u, v) in self.edges
+        return (min(u, v), max(u, v)) in self.edges
 
-    def non_edges(self) -> list[tuple[int, int]]:
-        """The complement's edges, in lexicographic order."""
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in self.edges
-        ]
+    def non_edges(self) -> np.ndarray:
+        """The complement's edges as an (E', 2) int64 array, in lexicographic
+        order."""
+        upper = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
+        upper[self.ends[:, 0], self.ends[:, 1]] = False
+        return np.argwhere(upper)
 
     def adjacency_bitsets(self) -> tuple[int, ...]:
         """The graph's one adjacency, built once: bit w of [v] is set iff vw is
@@ -119,13 +131,9 @@ def gen_kneser(n: int, k: int) -> ConflictGraph:
     if k < 1 or k >= n:
         raise ValueError(f"require n > k >= 1, got n={n}, k={k}")
     subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), k)]
-    edges = frozenset(
-        (i, j)
-        for i in range(len(subsets))
-        for j in range(i + 1, len(subsets))
-        if not (subsets[i] & subsets[j])
-    )
-    return ConflictGraph(len(subsets), edges)
+    return ConflictGraph(len(subsets), frozenset(
+        (i, j) for i, j in itertools.combinations(range(len(subsets)), 2)
+        if not subsets[i] & subsets[j]))
 
 
 def gen_forbidden_intersection(m: int, gamma: float) -> ConflictGraph:
@@ -143,18 +151,13 @@ def gen_forbidden_intersection(m: int, gamma: float) -> ConflictGraph:
     if d < 1:
         raise ValueError(f"(1-gamma)*m = {d} must be >= 1")
     size = 1 << m
-    edges = []
-    for u in range(size):
-        for v in range(u + 1, size):
-            if ((u ^ v).bit_count()) == d:
-                edges.append((u, v))
-    return ConflictGraph(size, frozenset(edges))
+    return ConflictGraph(size, frozenset(
+        (u, v) for u, v in itertools.combinations(range(size), 2)
+        if (u ^ v).bit_count() == d))
 
 
 def complete_graph(n: int) -> ConflictGraph:
-    return ConflictGraph(
-        n, frozenset((u, v) for u in range(n) for v in range(u + 1, n))
-    )
+    return ConflictGraph(n, frozenset(itertools.combinations(range(n), 2)))
 
 
 def empty_graph(n: int) -> ConflictGraph:

@@ -7,6 +7,7 @@ All parsers are pure functions of their input text and renumber ids to dense
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 
 from .graphs import ConflictGraph, TimetablingInstance
@@ -132,10 +133,7 @@ def parse_toronto(crs_data, stu_data, name: str = "toronto") -> InstanceDocument
         for exam in ids:
             if exam not in index:
                 raise ParseError(f".stu line {lineno}: unknown exam {exam}")
-        taken = sorted({index[e] for e in ids})
-        for a in range(len(taken)):
-            for b in range(a + 1, len(taken)):
-                edges.add((taken[a], taken[b]))
+        edges.update(itertools.combinations(sorted({index[e] for e in ids}), 2))
     graph = ConflictGraph(n, frozenset(edges))
     sizes = tuple(max(1, enrolment[e]) for e in exams)
     inst = TimetablingInstance(
@@ -223,17 +221,12 @@ def parse_itc2007(data, name: str | None = None) -> InstanceDocument:
             if cid not in index:
                 raise ParseError(f"curriculum references unknown course {cid}")
             ids.append(index[cid])
-        ids.sort()
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                edges.add((ids[a], ids[b]))
+        edges.update(itertools.combinations(sorted(ids), 2))
     by_teacher: dict[str, list[int]] = {}
     for i, (_, teacher, _, _) in enumerate(courses):
         by_teacher.setdefault(teacher, []).append(i)
-    for ids in by_teacher.values():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                edges.add((min(ids[a], ids[b]), max(ids[a], ids[b])))
+    for ids in by_teacher.values():  # each list ascends, as courses are read in order
+        edges.update(itertools.combinations(ids, 2))
     graph = ConflictGraph(len(courses), frozenset(edges))
     sizes = tuple(max(1, students) for (_, _, _, students) in courses)
     caps = tuple(max(1, cap) for (_, cap) in rooms)
@@ -263,7 +256,7 @@ def write_native(doc: InstanceDocument) -> str:
     out = io.StringIO()
     out.write(f"bcsdp-v1 {doc.name}\n")
     out.write(f"GRAPH {g.n} {g.num_edges}\n")
-    for u, v in sorted(g.edges):
+    for u, v in g.ends.tolist():
         out.write(f"e {u} {v}\n")
     if set(inst.event_sizes) != {1}:
         out.write("sizes " + " ".join(str(s) for s in inst.event_sizes) + "\n")
@@ -292,9 +285,11 @@ _NATIVE_FIELDS = {"GRAPH": 2, "e": 2, "sizes": None, "weights": None, "ROOMS": 1
 def parse_native(data) -> InstanceDocument:
     """Parse the bcsdp-v1 format written by write_native.
 
-    A record with the wrong number of fields, an edge before GRAPH or with an
-    endpoint outside 0..n-1, and a GRAPH edge count or PRECOLOUR class count
-    that its e or pc records do not match raise ParseError naming the line.
+    An edge may list its endpoints in either order.  A record with the wrong
+    number of fields, an edge before GRAPH, with an endpoint outside 0..n-1
+    or joining a vertex to itself, and a GRAPH edge count or PRECOLOUR class
+    count that its e or pc records do not match raise ParseError naming the
+    line.
     """
     text = _as_text(data)
     lines = text.splitlines()
@@ -338,7 +333,9 @@ def parse_native(data) -> InstanceDocument:
                 raise ParseError(f"line {lineno}: edge {line!r} before GRAPH")
             if not all(0 <= v < n for v in vals):
                 raise ParseError(f"line {lineno}: edge {line!r} outside GRAPH {n}")
-            edges.add((vals[0], vals[1]))
+            if vals[0] == vals[1]:
+                raise ParseError(f"line {lineno}: self-loop {line!r}")
+            edges.add((min(vals), max(vals)))
         elif tag == "sizes":
             sizes = tuple(vals)
         elif tag == "weights":

@@ -18,7 +18,10 @@ builders write with numpy, `SdpModel` checks with array operations, and
 `ineq` are row views, tuples of `SymRow` built from the records when read;
 nothing on the solve path reads them.  `Coo.of` is the one converter from
 rows, for callers that assemble `SymRow`s (the room-assignment model's
-room rows, iterative rounding's reduced models).
+room rows, iterative rounding's reduced models).  Edge rows read the graph's
+`ends`, its one (E, 2) edge array in lexicographic order, and theta's
+complement rows read `non_edges()` in the same form; no builder orders a
+graph's edges itself.
 
 Bounded-colouring models
 ------------------------
@@ -42,7 +45,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -303,18 +306,12 @@ def _class_rows(members: Sequence[int], weights: Sequence[float], rooms: int) ->
                coeff[keep], np.full(len(counts), rhs))
 
 
-def _pairs(pairs: Collection[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (u, v) as arrays u and v, in lexicographic order."""
-    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-    u, v = flat[0::2], flat[1::2]
-    order = np.lexsort((v, u))
-    return u[order], v[order]
-
-
-def _entry_rows(u: np.ndarray, v: np.ndarray, rhs: float, coeff: float = 0.5) -> Coo:
-    """One row coeff * (X_uv + X_vu) against rhs per pair (u[k], v[k]), u < v."""
-    return Coo(np.arange(len(u) + 1), u, v, np.full(len(u), coeff),
-               np.full(len(u), rhs))
+def _entry_rows(pairs: np.ndarray, rhs: float, coeff: float = 0.5) -> Coo:
+    """One row coeff * (X_uv + X_vu) against rhs per row (u, v) of the (E, 2)
+    array pairs, u < v, in its order."""
+    count = len(pairs)
+    return Coo(np.arange(count + 1), pairs[:, 0], pairs[:, 1],
+               np.full(count, coeff), np.full(count, rhs))
 
 
 def _diagonal_chain(n: int) -> Coo:
@@ -325,22 +322,19 @@ def _diagonal_chain(n: int) -> Coo:
                np.tile([1.0, -1.0], n - 1), np.zeros(n - 1))
 
 
-def _scaled_model(
-    n: int,
-    zero_pairs: Collection[tuple[int, int]],
-    blocks: Sequence[tuple[str, Coo]],
-) -> SdpModel:
-    """min t over X = Y - J of order n, with bound t = X_00 + 1.
+def _scaled_model(g: ConflictGraph, blocks: Sequence[tuple[str, Coo]]) -> SdpModel:
+    """min t over X = Y - J of order n = g.n, with bound t = X_00 + 1.
 
-    Adds Y_uv = 0 on zero_pairs and the diagonal chain X_00 = X_vv anchored
-    at vertex 0 to the builder's inequality blocks.
+    Adds Y_uv = 0 on g's edges, read off g.ends, and the diagonal chain
+    X_00 = X_vv anchored at vertex 0 to the builder's inequality blocks.
     """
+    n = g.n
     if n < 1:
         raise ValueError("need at least one vertex")
     objective = np.zeros((n, n))
     objective[0, 0] = 1.0
     # the chain gives tr(X) = n X_00 = n <C, X>
-    return _model(n, objective, "min", _entry_rows(*_pairs(zero_pairs), -1.0),
+    return _model(n, objective, "min", _entry_rows(g.ends, -1.0),
                   _diagonal_chain(n), blocks, value_offset=1.0, trace_ratio=float(n))
 
 
@@ -360,14 +354,14 @@ def build_theta(g: ConflictGraph, variant: str = "lovasz") -> SdpModel:
         raise ValueError("need at least one vertex")
     if variant not in ("lovasz", "strict", "strong"):
         raise ValueError(f"unknown theta variant {variant!r}")
-    complement_edges = _pairs(g.non_edges())
+    complement_edges = g.non_edges()
     eq_graph = pair_rows = NO_ROWS
     if variant in ("lovasz", "strict"):
-        eq_graph = _entry_rows(*complement_edges, 0.0)
+        eq_graph = _entry_rows(complement_edges, 0.0)
     if variant == "strict":
-        pair_rows = _entry_rows(*_pairs(g.edges), 0.0)
+        pair_rows = _entry_rows(g.ends, 0.0)
     if variant == "strong":
-        pair_rows = _entry_rows(*complement_edges, 0.0, coeff=-0.5)
+        pair_rows = _entry_rows(complement_edges, 0.0, coeff=-0.5)
     diagonal = np.arange(g.n)
     trace_row = Coo(np.array([0, g.n]), diagonal, diagonal, np.ones(g.n), np.ones(1))
     return _model(g.n, np.ones((g.n, g.n)), "max", eq_graph, trace_row,
@@ -378,8 +372,7 @@ def build_bounded(g: ConflictGraph, m: int) -> SdpModel:
     """min t with Y_vv = t, zero edges, row sums <= tm, Y - J PSD."""
     if not 1 <= m <= max(g.n, 1):
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={g.n}")
-    return _scaled_model(g.n, g.edges,
-                         [("rowsum", _class_rows(range(g.n), [1] * g.n, m))])
+    return _scaled_model(g, [("rowsum", _class_rows(range(g.n), [1] * g.n, m))])
 
 
 def build_precoloured(
@@ -410,7 +403,7 @@ def build_weighted(
     if not max(c, default=1) <= m <= max(sum(c), 1):
         raise ValueError(f"require max(c) <= m <= sum(c), got m={m}, "
                          f"max(c)={max(c, default=1)}, sum(c)={sum(c)}")
-    return _scaled_model(g.n, g.edges, [("rowsum", _class_rows(range(g.n), c, m))])
+    return _scaled_model(g, [("rowsum", _class_rows(range(g.n), c, m))])
 
 
 class Atoms:
@@ -518,7 +511,7 @@ def build_laminar(
             holders = [a for a in range(atoms.k) if count[a]]
             block = rowsum if len(events) == n else generic
             block.append(_class_rows(holders, count, rooms))
-    return _scaled_model(atoms.k, atoms.graph.edges,
+    return _scaled_model(atoms.graph,
                          [("rowsum", Coo.stack(rowsum)), ("generic", Coo.stack(generic))])
 
 
@@ -547,9 +540,10 @@ def build_room_assignment(
     dim = n + m
     objective = np.zeros((dim, dim))
     objective[anchor, anchor] = 1.0
-    eq_graph = Coo.stack([_entry_rows(*_pairs(g.edges), -1.0), _entry_rows(*_pairs(
-        [(v, n + r) for v in range(n) for r in range(m) if r not in compat_sets[v]]),
-        0.0)])
+    # the event-room pair lists are generated in lexicographic order
+    eq_graph = Coo.stack([_entry_rows(g.ends, -1.0), _entry_rows(np.array(
+        [(v, n + r) for v in range(n) for r in range(m) if r not in compat_sets[v]],
+        dtype=np.int64).reshape(-1, 2), 0.0)])
     eq_other: list[SymRow] = []
     for v in range(n):
         entries = {(v, n + r): 0.5 for r in compat_sets[v]}
@@ -586,8 +580,9 @@ def build_room_assignment(
                                  (anchor, anchor): 1.0},
                                 -1.0,
                             ))
-    pairs = _entry_rows(*_pairs(
-        [(v, n + r) for v in range(n) for r in sorted(compat_sets[v])]), 0.0)
+    pairs = _entry_rows(np.array(
+        [(v, n + r) for v in range(n) for r in sorted(compat_sets[v])],
+        dtype=np.int64).reshape(-1, 2), 0.0)
     return _model(
         dim, objective, "min", eq_graph,
         Coo.stack([_diagonal_chain(n), Coo.of(eq_other)]),

@@ -167,7 +167,7 @@ def kms_round(x: np.ndarray, inst: TimetablingInstance,
         nv = np.linalg.norm(vec)
         atom_vec[a] = vec / nv if nv > 0 else vec
     conflict = np.zeros((atoms.k, atoms.k), dtype=np.int8)
-    ends = np.array(list(atoms.graph.edges), dtype=np.intp).reshape(-1, 2)
+    ends = atoms.graph.ends
     conflict[ends[:, 0], ends[:, 1]] = 1
     conflict[ends[:, 1], ends[:, 0]] = 1
 
@@ -547,7 +547,7 @@ def _box_constraints(inst: TimetablingInstance) -> tuple[list[SymRow], list[SymR
     """Box-form system: (edge equalities, >= rows: class mass and size caps)."""
     n = inst.graph.n
     eq = [
-        SymRow.from_entries({(u, w): 0.5}, 0.0) for u, w in sorted(inst.graph.edges)
+        SymRow.from_entries({(u, w): 0.5}, 0.0) for u, w in inst.graph.ends.tolist()
     ]
     ineq = []
     for v in range(n):

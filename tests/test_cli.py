@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -323,6 +324,17 @@ class TestGenConvert:
         )
         assert code == 0
         assert out.splitlines()[0] == "p edge 3 3"
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("native", "7e057ecf8ab52a4ce6296cc5d5eb164bc61e39232e924c7d5d228bf2058d465f"),
+        ("dimacs", "bd7dc32ae3b9cc354f89a8d914166c3bcb4a14988e85f43f3894bffa3aa618b7"),
+    ])
+    def test_gen_output_is_pinned(self, capsys, fmt, digest):
+        # sha256 of `bcsdp gen gnp:160,0.5,1`: a change to the order of the
+        # edge lines, or to any other byte either writer emits, moves it
+        code, out, _ = run_cli(["gen", "gnp:160,0.5,1", "--output-format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_convert_dimacs_to_native(self, capsys, tmp_path):
         src = tmp_path / "g.col"

@@ -56,9 +56,43 @@ class TestConflictGraph:
     def test_complement_partitions_pairs(self):
         g = gen_gnp(12, 0.3, 3)
         non = g.non_edges()
-        assert g.num_edges + len(non) == 12 * 11 // 2
-        assert not (g.edges & set(non))
-        assert non == sorted(non)
+        assert non.shape == (12 * 11 // 2 - g.num_edges, 2) and non.dtype == np.int64
+        pairs = list(map(tuple, non.tolist()))
+        assert not (g.edges & set(pairs))
+        assert pairs == sorted(pairs)
+
+    @pytest.mark.parametrize("n, edges, fault", [
+        (3, {(0, 3)}, r"edge \(0,3\) has an endpoint outside 0..n-1 \(n=3\)"),
+        (3, {(-1, 2)}, r"edge \(-1,2\) has an endpoint outside"),
+        (3, {(2, 1), (0, 1)}, r"edge \(2,1\) is not a pair u < v"),
+        (3, {(1, 1)}, r"edge \(1,1\) is not a pair u < v"),
+        (0, {(0, 1)}, r"edge \(0,1\) has an endpoint outside 0..n-1 \(n=0\)"),
+        # of two faulty edges, the first in lexicographic order is named
+        (4, {(2, 1), (0, 5)}, r"^edge \(0,5\) has an endpoint outside"),
+    ])
+    def test_refusal_names_the_fault(self, n, edges, fault):
+        with pytest.raises(ValueError, match=fault):
+            ConflictGraph(n, frozenset(edges))
+
+    @given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_array_form_matches_the_pair_loops(self, n, p, seed):
+        for g in (gen_gnp(n, p, seed), empty_graph(n), complete_graph(n)):
+            ends = g.ends
+            assert ends.shape == (g.num_edges, 2) and ends.dtype == np.int64
+            assert list(map(tuple, ends.tolist())) == sorted(g.edges)
+            assert not ends.flags.writeable
+            with pytest.raises(ValueError):
+                ends[:1] = 0
+            masks = [0] * n
+            for u, v in g.edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            assert g.adjacency_bitsets() == tuple(masks)
+            non = g.non_edges()
+            assert non.shape[1] == 2 and non.dtype == np.int64
+            assert list(map(tuple, non.tolist())) == [
+                (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
 
 
 class TestGnp:

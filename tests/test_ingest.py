@@ -159,6 +159,12 @@ END.
         with pytest.raises(ParseError, match="Courses"):
             parse_itc2007(bad)
 
+    def test_course_listed_twice_in_a_curriculum_is_refused(self):
+        bad = ITC_SAMPLE.replace("q000 3 c0001 c0002 c0004",
+                                 "q000 3 c0001 c0002 c0001")
+        with pytest.raises(ValueError, match=r"edge \(0,0\)"):
+            parse_itc2007(bad)
+
     def test_curriculum_count_mismatch(self):
         bad = ITC_SAMPLE.replace("q000 3 c0001 c0002 c0004",
                                  "q000 2 c0001 c0002 c0004")
@@ -247,6 +253,14 @@ class TestNativeRoundTrip:
     def test_edge_outside_the_graph_names_its_line(self, edge):
         with pytest.raises(ParseError, match=f"^line 3: edge '{edge}' outside GRAPH 3"):
             parse_native(f"bcsdp-v1 x\nGRAPH 3 1\n{edge}\nEND\n")
+
+    def test_edge_endpoints_in_either_order(self):
+        doc = parse_native("bcsdp-v1 x\nGRAPH 4 3\ne 2 1\ne 3 0\ne 1 2\nEND\n")
+        assert doc.instance.graph.edges == frozenset({(1, 2), (0, 3)})
+
+    def test_self_loop_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 4: self-loop 'e 2 2'"):
+            parse_native("bcsdp-v1 x\nGRAPH 4 2\ne 0 1\ne 2 2\nEND\n")
 
     def test_edge_before_graph_names_its_line(self):
         with pytest.raises(ParseError, match="^line 2: edge 'e 0 1' before GRAPH"):
